@@ -17,9 +17,8 @@ import numpy as np
 
 from .arrangements import ActivationMask, matrix_rank, RANK_RTOL
 from .convex import ConvexProblem, ConvexSolution, ACTIVE_RTOL
-from .flow import g_vector
-from .geometry import polar_gauge
-from .solver import NONNEG, SOC, Cone, ConeProgram, solve
+from .flow import g_direction
+from .geometry import GAUGE_SOLVE_TOL, cone_projection, polar_gauge
 
 BOUNDARY_RTOL = 1e-7
 BOUNDARY_ENUM_LIMIT = 12
@@ -127,7 +126,7 @@ def extract_kkt(X: np.ndarray, y: np.ndarray, W1: np.ndarray, w2: np.ndarray,
 
 
 def dual_feasible(X: np.ndarray, masks: list[ActivationMask], lam: np.ndarray,
-                  tol: float = 1e-6) -> Certificate:
+                  tol: float = GAUGE_SOLVE_TOL) -> Certificate:
     """Polar-gauge membership: max over the full arrangement list of the
     masked-objective optimum magnitudes must not exceed 1."""
     report = polar_gauge(X, masks, lam, objective="masked")
@@ -141,7 +140,7 @@ def dual_feasible(X: np.ndarray, masks: list[ActivationMask], lam: np.ndarray,
 
 def dual_feasible_multiclass(X: np.ndarray, masks: list[ActivationMask],
                              Lambda: np.ndarray, y_encoded: np.ndarray,
-                             tol: float = 1e-6) -> list[Certificate]:
+                             tol: float = GAUGE_SOLVE_TOL) -> list[Certificate]:
     """Per-class dual feasibility: the binary certifier applied to each
     column of the stacked dual matrix, plus the per-class sign condition
     diag(y_k) lam_k >= 0."""
@@ -233,7 +232,7 @@ def local_extremum(X: np.ndarray, y: np.ndarray, u: np.ndarray,
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     u = np.asarray(u, dtype=float)
-    g = g_vector(X, u, y)
+    g = g_direction(X, u, y)
     ng = np.linalg.norm(g)
     if ng == 0.0:
         raise ValueError("g(u, y) vanished; classification undefined")
@@ -323,15 +322,16 @@ def convex_kkt_residuals(problem: ConvexProblem, sol: ConvexSolution,
 
 
 def certifying_multipliers(X: np.ndarray, extraction: KKTExtraction,
-                           lam: np.ndarray, masks: list[ActivationMask],
-                           tol: float = 1e-7) -> tuple[np.ndarray, np.ndarray]:
+                           lam: np.ndarray, masks: list[ActivationMask]
+                           ) -> tuple[np.ndarray, np.ndarray]:
     """Cone multipliers certifying the convex KKT point built from a
     nonconvex stationary point: z = 0 on masks matched by some neuron, and on
     unmatched masks the minimizer of || +/- X^T D_j lam + X^T (2 D_j - I) z ||
-    over z >= 0 (one small cone solve per side)."""
+    over z >= 0 (the polar-cone part of a cone projection, one NNLS per
+    side)."""
     X = np.asarray(X, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    N, d = X.shape
+    N = X.shape[0]
     matched = {n.mask.bits for n in extraction.neurons}
     z = np.zeros((len(masks), N))
     zp = np.zeros((len(masks), N))
@@ -342,26 +342,6 @@ def certifying_multipliers(X: np.ndarray, extraction: KKTExtraction,
         M = (2.0 * dm - 1.0)[:, None] * X
         v = X.T @ (dm * lam)
         if np.linalg.norm(v) > 1.0:   # z = 0 already certifies the inclusion otherwise
-            zp[j] = _min_norm_shift(M, v, tol)
-            z[j] = _min_norm_shift(M, -v, tol)
+            zp[j] = cone_projection(M, v)[1]
+            z[j] = cone_projection(M, -v)[1]
     return z, zp
-
-
-def _min_norm_shift(M: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
-    """argmin_{z >= 0} || v + M^T z ||_2 via the cone solver."""
-    N, d = M.shape
-    n = N + 1                    # variables (z, t)
-    A = np.zeros((1 + d + N, n))
-    b = np.zeros(1 + d + N)
-    A[0, N] = 1.0                # SOC head t
-    A[1:1 + d, :N] = M.T
-    b[1:1 + d] = v
-    A[1 + d:, :N] = np.eye(N)
-    c = np.zeros(n)
-    c[N] = 1.0
-    prog = ConeProgram(c=c, A=A, b=b,
-                       cones=(Cone(SOC, 1 + d), Cone(NONNEG, N)))
-    x, _, report = solve(prog, tol=tol)
-    if report.status != "optimal":
-        raise RuntimeError(f"multiplier solve failed: {report.status}")
-    return np.maximum(x[:N], 0.0)

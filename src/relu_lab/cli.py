@@ -4,8 +4,7 @@ Subcommands: arrangements, solve, flow, certify, geometry-export, reproduce.
 Global flags: --tol, --json, --out-dir, --seed, --deterministic.  Exit codes:
 0 success, 1 numerical failure, 2 usage error.  Every command that writes
 files also writes a manifest.json alongside them; CSV files carry a timestamp
-header line unless --deterministic is set.  RELU_LAB_THREADS caps the
-parallelism of per-mask solves.
+header line unless --deterministic is set.
 """
 
 from __future__ import annotations
@@ -31,8 +30,9 @@ from .convex import (NetworkParams, build_primal, network_from_convex,
 from .datasets import (BUILTIN_DATASETS, Dataset, builtin_dataset,
                        dataset_to_json, is_orthogonal_separable, load_dataset)
 from .flow import FlowConfig, network_masks, recover_dual, run_flow
-from .geometry import extreme_point, polar_gauge, rectified_ellipsoid_samples
-from .solver import SolverError, optimal_face_bounds
+from .geometry import (GAUGE_SOLVE_TOL, extreme_point,
+                       rectified_ellipsoid_samples)
+from .solver import DegenerateError, SolverError, optimal_face_bounds
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -305,7 +305,7 @@ def cmd_geometry_export(args) -> int:
     rows = []
     for mask in masks:
         for sense in ("max", "min"):
-            r = extreme_point(ds.X, mask, lam, sense, tol=args.tol)
+            r = extreme_point(ds.X, mask, lam, sense)
             rows.append((mask.as_string(), sense, float(r.u[0]),
                          float(r.u[1]), float(r.value)))
     _write_csv(out / "extreme_points.csv",
@@ -330,7 +330,8 @@ def _reproduce_notebook(args, out: Path) -> list[str]:
     outputs.append("primal.json")
 
     # pin the split-invariant functionals of the optimal set; the flat
-    # directions need a slack well below the op default (see ledger)
+    # directions need a slack well below optimal_face_bounds' 1e-6 default,
+    # at which positive_sum_coord2 spans 1.7e-3 > 1e-3
     d = problem.d
     face_slack = 5e-8
     face = {}
@@ -410,7 +411,7 @@ def _reproduce_appendix(args, out: Path, name: str) -> list[str]:
     rows = []
     for mask in masks:
         for sense in ("max", "min"):
-            r = extreme_point(ds.X, mask, dual.lam, sense, tol=args.tol)
+            r = extreme_point(ds.X, mask, dual.lam, sense)
             rows.append((mask.as_string(), sense, float(r.u[0]),
                          float(r.u[1]), float(r.value)))
     _write_csv(out / "extreme_points.csv",
@@ -507,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoints", default="")
     p.add_argument("--lambda-scale", type=float, default=1.0,
                    help="scale the recovered dual (negative-control hook)")
-    p.add_argument("--tol-cert", type=float, default=1e-6)
+    p.add_argument("--tol-cert", type=float, default=GAUGE_SOLVE_TOL)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("geometry-export",
@@ -538,12 +539,12 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (DegenerateError, SolverError, RuntimeError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SolverError, RuntimeError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

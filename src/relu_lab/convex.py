@@ -20,7 +20,8 @@ import numpy as np
 
 from .arrangements import ActivationMask, mask_of
 from .datasets import Dataset, encode_labels
-from .solver import NONNEG, SOC, Cone, ConeProgram, SolveReport, solve
+from .solver import (NONNEG, SOC, Cone, ConeProgram, DegenerateError,
+                     SolveReport, solve)
 
 DEFAULT_TOL = 1e-8
 
@@ -255,7 +256,7 @@ def network_from_convex(sol: ConvexSolution, masks: list[ActivationMask],
     (u'/sqrt||u'||, +sqrt||u'||), u_j gives (u/sqrt||u||, -sqrt||u||)."""
     active = sol.active_groups(threshold)
     if not active:
-        raise ValueError("solution has no active groups; empty network")
+        raise DegenerateError("solution has no active groups; empty network")
     cols = []
     outs = []
     for _, side, vec in active:

@@ -23,6 +23,7 @@ from .arrangements import ActivationMask, SignPattern, mask_of
 from .datasets import Dataset, encode_labels
 from .geometry import polar_gauge
 from .convex import NetworkParams, margin_objective
+from .solver import DegenerateError
 
 SIGN_EVENT_CAP = 100_000
 
@@ -109,25 +110,17 @@ def logistic_loss(X: np.ndarray, y: np.ndarray, params: NetworkParams) -> float:
     return float(np.sum(np.logaddexp(0.0, -q)))
 
 
-def g_vector(X: np.ndarray, sigma, lam: np.ndarray) -> np.ndarray:
-    """g(sigma, lam) = sum over strictly-positive entries of lam_n x_n.
-
-    sigma may be a SignPattern, a raw sign sequence, or a direction vector u
-    (then sigma = sign(Xu))."""
-    X = np.asarray(X, dtype=float)
+def g_pattern(X: np.ndarray, sigma, lam: np.ndarray) -> np.ndarray:
+    """g(sigma, lam) = sum of lam_n x_n over the strictly positive entries of
+    a sign pattern sigma (a SignPattern or a length-N sign sequence)."""
+    signs = np.asarray(sigma.signs if isinstance(sigma, SignPattern) else sigma)
     lam = np.asarray(lam, dtype=float)
-    if isinstance(sigma, SignPattern):
-        signs = np.array(sigma.signs)
-    else:
-        arr = np.asarray(sigma)
-        if arr.shape == (X.shape[1],) and arr.shape != (X.shape[0],):
-            signs = np.sign(X @ arr)
-        elif arr.shape == (X.shape[0],) and np.all(np.isin(arr, (-1, 0, 1))):
-            signs = arr
-        else:
-            signs = np.sign(X @ arr)
-    pos = signs > 0
-    return X.T @ (lam * pos)
+    return np.asarray(X, dtype=float).T @ (lam * (signs > 0))
+
+
+def g_direction(X: np.ndarray, u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """g(u, lam) = g(sign(X u), lam) for a direction u in R^d."""
+    return g_pattern(X, np.sign(np.asarray(X, dtype=float) @ u), lam)
 
 
 def g_min_max(X: np.ndarray, y: np.ndarray,
@@ -137,10 +130,10 @@ def g_min_max(X: np.ndarray, y: np.ndarray,
     """(g_min, g_max, minimizers, maximizers) of ||g(sigma, y/4)|| over the
     realizable sign patterns, the minimum restricted to nonvanishing g."""
     lam = np.asarray(y, dtype=float) / 4.0
-    norms = [float(np.linalg.norm(g_vector(X, p, lam))) for p in patterns]
+    norms = [float(np.linalg.norm(g_pattern(X, p, lam))) for p in patterns]
     nonzero = [(v, p) for v, p in zip(norms, patterns) if v > 0.0]
     if not nonzero:
-        raise ValueError("g vanishes on every realizable sign pattern")
+        raise DegenerateError("g vanishes on every realizable sign pattern")
     gmin = min(v for v, _ in nonzero)
     gmax = max(norms)
     minimizers = [p for v, p in nonzero if abs(v - gmin) <= 1e-12 * (1 + gmin)]
@@ -296,8 +289,8 @@ def time_bounds(delta: float, g0: float, vu0: float) -> TimeBounds:
 
 def recover_dual(X: np.ndarray, y: np.ndarray, params: NetworkParams,
                  masks_all: list[ActivationMask],
-                 masks_network: list[ActivationMask] | None = None,
-                 tol: float = 1e-6) -> tuple[np.ndarray, float, float]:
+                 masks_network: list[ActivationMask] | None = None
+                 ) -> tuple[np.ndarray, float, float]:
     """Dual candidate from a trained network: normalize lambda_tilde, then
     divide by the linear-objective gauge over the masks realized by the
     network's neurons (the convention of the reference experiments).  Returns
@@ -307,15 +300,15 @@ def recover_dual(X: np.ndarray, y: np.ndarray, params: NetworkParams,
     lt = lambda_tilde(X, y, params)
     nrm = np.linalg.norm(lt)
     if nrm == 0.0:
-        raise ValueError("lambda_tilde vanished (non-finite outputs?)")
+        raise DegenerateError("lambda_tilde vanished (non-finite outputs?)")
     lam = lt / nrm
     if masks_network is None:
         masks_network = network_masks(X, params)
-    rep_net = polar_gauge(X, masks_network, lam, objective="linear", tol=tol)
+    rep_net = polar_gauge(X, masks_network, lam, objective="linear")
     if rep_net.gauge <= 1e-12:
-        raise ValueError("degenerate normalizing gauge")
+        raise DegenerateError("degenerate normalizing gauge")
     lam = lam / rep_net.gauge
-    rep_all = polar_gauge(X, masks_all, lam, objective="masked", tol=tol)
+    rep_all = polar_gauge(X, masks_all, lam, objective="masked")
     return lam, float(rep_net.gauge), float(rep_all.gauge)
 
 

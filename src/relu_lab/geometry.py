@@ -2,9 +2,16 @@
 directions and figure sampling.
 
 The rectified ellipsoid of X is {(Xu)_+ : ||u|| <= 1}; its extreme point along
-a dual direction lam restricted to one arrangement cone is the cone program
+a dual direction lam restricted to one arrangement cone C = {u : M u >= 0},
+M = (2 D_j - I) X, is
 
-    max / min   lam^T D_j X u   s.t.  ||u|| <= 1,  (2 D_j - I) X u >= 0.
+    max / min   v^T u   s.t.  ||u|| <= 1,  M u >= 0,     v = X^T D_j lam.
+
+By Moreau's decomposition the maximum is ||P_C(v)|| at u = P_C(v)/||P_C(v)||,
+where P_C(v) = v + M^T z and z = argmin_{z >= 0} ||v + M^T z|| is a
+nonnegative least-squares problem (Lawson-Hanson active set, finite
+termination); the minimum is the same computation on -v.  Every solve is
+checked against the projection's KKT conditions.
 
 The polar gauge of lam is the max of |value| over masks and both senses;
 lam is dual feasible iff the gauge over the full arrangement set is <= 1.
@@ -15,27 +22,20 @@ step); the two differ in general and both are exposed.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .arrangements import ActivationMask, mask_of
-from .solver import NONNEG, SOC, Cone, ConeProgram, solve
-
-THREADS_ENV = "RELU_LAB_THREADS"
 
 FIXED_POINT_TOL = 1e-10
-CONE_SOLVE_TOL = 1e-8
+#: dual-feasibility tolerance: a gauge <= 1 + GAUGE_SOLVE_TOL certifies
 GAUGE_SOLVE_TOL = 1e-6
-
-
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
+#: cone projections: P_C(v) counts as 0 below PROJECTION_ZERO_RTOL ||v||,
+#: and its KKT conditions must hold to PROJECTION_KKT_RTOL ||M|| ||v||
+PROJECTION_ZERO_RTOL = 1e-10
+PROJECTION_KKT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -64,75 +64,66 @@ def _cone_objective(X: np.ndarray, mask: ActivationMask, lam: np.ndarray,
     raise ValueError(f"unknown objective {objective!r}")
 
 
-def _planar_extreme(v: np.ndarray, M: np.ndarray, sense: str) -> np.ndarray:
-    """Exact d=2 optimizer of v^T u over the unit disk cut by {M u >= 0}.
+def cone_projection(M: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, z) with p = P_C(v) = v + M^T z the projection of v onto
+    C = {u : M u >= 0} and z = argmin_{z >= 0} ||v + M^T z|| (Moreau: v - p
+    is the projection onto the polar cone -M^T R^N_+).
 
-    A linear function on a planar cone-disk intersection peaks at the
-    unconstrained direction when feasible, on an extreme ray of the cone
-    otherwise, or at the origin when the cone is trivial; enumerating those
-    candidates is exact and immune to sliver cones."""
-    target = v if sense == "max" else -v
-    row_norms = np.linalg.norm(M, axis=1)
-
-    def feasible(u: np.ndarray) -> bool:
-        return bool(np.all(M @ u >= -1e-11 * np.maximum(row_norms, 1.0)))
-
-    candidates = [np.zeros(2)]
-    nt = np.linalg.norm(target)
-    if nt > 0 and feasible(target / nt):
-        candidates.append(target / nt)
-    for i in range(M.shape[0]):
-        if row_norms[i] == 0.0:
-            continue
-        ray = np.array([-M[i, 1], M[i, 0]]) / row_norms[i]
-        for s in (1.0, -1.0):
-            if feasible(s * ray):
-                candidates.append(s * ray)
-    values = [float(target @ u) for u in candidates]
-    return candidates[int(np.argmax(values))]
+    p is evaluated as the projection of v onto the null space of the rows
+    with z > 0 (normalized; the cone is unchanged), the same point without
+    the cancellation of v + M^T z when ||p|| << ||v||.  Raises RuntimeError
+    when the NNLS solve stops early or the pair misses the KKT conditions
+    z >= 0, M p >= -eps, z-weighted mean |M p| <= eps, and
+    ||v + M^T z - p|| <= PROJECTION_KKT_RTOL (||v|| + ||M|| ||z||), with
+    eps = PROJECTION_KKT_RTOL ||M|| ||v||."""
+    try:
+        z, _ = nnls(M.T, -v)
+    except RuntimeError as exc:
+        raise RuntimeError(f"cone projection did not converge: {exc}") from exc
+    p = v
+    active = M[z > 0]
+    if len(active):
+        active /= np.linalg.norm(active, axis=1, keepdims=True)
+        _, s, Vt = np.linalg.svd(active)
+        rank = int(np.sum(s > s[0] * max(active.shape) * np.finfo(float).eps))
+        null = Vt[rank:]
+        p = null.T @ (null @ v)
+    slack = M @ p
+    nM, nv = np.linalg.norm(M), np.linalg.norm(v)
+    eps = PROJECTION_KKT_RTOL * nM * nv
+    comp = z @ np.abs(slack)
+    residual = np.linalg.norm(v + M.T @ z - p)
+    if (z.min(initial=0.0) < 0.0 or slack.min(initial=0.0) < -eps
+            or comp > eps * z.sum()
+            or residual > PROJECTION_KKT_RTOL * (nv + nM * np.linalg.norm(z))):
+        raise RuntimeError(
+            f"cone projection misses its KKT conditions: min M p "
+            f"{slack.min(initial=0.0):.2e}, z^T |M p| {comp:.2e} "
+            f"(eps {eps:.2e}), polar residual {residual:.2e}")
+    return p, z
 
 
 def extreme_point(X: np.ndarray, mask: ActivationMask, lam: np.ndarray,
-                  sense: str = "max", objective: str = "masked",
-                  tol: float = CONE_SOLVE_TOL) -> ExtremePointResult:
+                  sense: str = "max",
+                  objective: str = "masked") -> ExtremePointResult:
     """Optimize the gauge objective over the unit ball intersected with the
     mask's cone.  sense is "max" or "min"; value is reported in the original
-    (un-negated) orientation.
-
-    d = 2 uses the exact planar enumeration (near-antipodal samples make
-    sliver cones that defeat fixed-step first-order iterations); d >= 3 goes
-    through the cone solver with the objective vector normalized (the
-    maximizer is scale-invariant, and near-zero objectives otherwise crawl).
-    """
+    (un-negated) orientation.  Exact for every d: the optimizer is the
+    normalized cone projection of +/-v (zero when that projection vanishes
+    relative to ||v||)."""
     X = np.asarray(X, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    N, d = X.shape
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
     v = _cone_objective(X, mask, lam, objective)
     nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        return ExtremePointResult(u=np.zeros(d), value=0.0, mask=mask,
-                                  active=tuple(range(N)), sense=sense)
-    M = (2.0 * np.diag(mask.diag_vector()) - np.eye(N)) @ X
-    if d == 2:
-        x = _planar_extreme(v, M, sense)
-    else:
-        sign = -1.0 if sense == "max" else 1.0
-        # rows: SOC block (1; u), then cone rows M u >= 0
-        A = np.zeros((1 + d + N, d))
-        A[1:1 + d] = np.eye(d)
-        A[1 + d:] = M
-        b = np.zeros(1 + d + N)
-        b[0] = 1.0
-        prog = ConeProgram(c=(sign / nv) * v, A=A, b=b,
-                           cones=(Cone(SOC, d + 1), Cone(NONNEG, N)))
-        x, _, report = solve(prog, tol=tol)
-        if report.status != "optimal":
-            raise RuntimeError(
-                f"extreme-point solve did not converge: {report.status}, "
-                f"residuals ({report.primal_residual:.2e}, "
-                f"{report.dual_residual:.2e}, gap {report.gap:.2e})")
+    M = (2.0 * mask.diag_vector() - 1.0)[:, None] * X
+    x = np.zeros(X.shape[1])
+    if nv > 0.0:
+        p, _ = cone_projection(M, v if sense == "max" else -v)
+        npn = float(np.linalg.norm(p))
+        if npn > PROJECTION_ZERO_RTOL * nv:
+            x = p / npn
     slack = M @ x
     active = tuple(int(i) for i in np.where(
         np.abs(slack) <= 1e-9 * (1 + np.abs(slack).max(initial=0.0)))[0])
@@ -141,30 +132,17 @@ def extreme_point(X: np.ndarray, mask: ActivationMask, lam: np.ndarray,
 
 
 def polar_gauge(X: np.ndarray, masks: list[ActivationMask], lam: np.ndarray,
-                objective: str = "masked",
-                tol: float = GAUGE_SOLVE_TOL) -> PolarGaugeReport:
+                objective: str = "masked") -> PolarGaugeReport:
     """Max over masks and both senses of |constrained optimum|.
 
     lam is feasible for the dual norm constraint iff gauge <= 1 (masked
-    objective over the full arrangement set).  The default tolerance is
-    certificate-grade (1e-6): corner-degenerate subproblems whose optimum
-    sits at the cone apex converge only sublinearly below that.
-    """
+    objective over the full arrangement set)."""
     if not masks:
         raise ValueError("mask list must be nonempty")
     lam = np.asarray(lam, dtype=float)
-
-    def one(mask: ActivationMask) -> tuple[ActivationMask, float, float]:
-        hi = extreme_point(X, mask, lam, "max", objective, tol).value
-        lo = extreme_point(X, mask, lam, "min", objective, tol).value
-        return mask, hi, lo
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_mask = tuple(pool.map(one, masks))
-    else:
-        per_mask = tuple(one(m) for m in masks)
+    per_mask = tuple((mask, extreme_point(X, mask, lam, "max", objective).value,
+                      extreme_point(X, mask, lam, "min", objective).value)
+                     for mask in masks)
     values = [max(abs(hi), abs(lo)) for _, hi, lo in per_mask]
     best = int(np.argmax(values))
     return PolarGaugeReport(gauge=float(values[best]), per_mask=per_mask,

@@ -32,6 +32,11 @@ class SolverError(RuntimeError):
     """Raised when a solve does not reach the requested tolerance."""
 
 
+class DegenerateError(ValueError):
+    """A numerical degeneracy (a vanishing dual or gauge, an empty network):
+    a ValueError for callers, a numerical failure (exit 1) for the CLI."""
+
+
 class InconclusiveError(SolverError):
     """Phase-1 value fell in the dead zone between feasible and infeasible."""
 

@@ -24,8 +24,12 @@ from relu_lab.flow import (FlowConfig, g_min_max, recover_dual, run_flow)
 from relu_lab.geometry import stationary_direction
 from relu_lab.solver import optimal_face_bounds
 
-#: slack for the optimal-face verification (see the decisions record: the
-#: op's 1e-6 default makes the flat directions wider than the 1e-3 gap)
+#: slack for the optimal-face verification.  A face bound's interval widens
+#: with its objective slack along flat directions of the optimal set: on the
+#: notebook, positive_sum_coord2 (masks 100 + 110, side +, coordinate 2)
+#: spans [-1.731e-3, 4e-6] (width 1.735e-3) at optimal_face_bounds' default
+#: slack 1e-6, wider than criterion 03's 1e-3 bound, and [-3.29e-4, 0]
+#: (width 3.294e-4) at 5e-8
 FACE_SLACK = 5e-8
 
 #: seed for the property-band GD reproduction (the reference RNG is not

@@ -134,6 +134,17 @@ class TestCertifyCommand:
         kinds = {c["kind"] for c in payload}
         assert {"dual-feasible", "ortho-coverage", "spike-free"} <= kinds
 
+    def test_vanished_dual_exits_1(self, capsys, tmp_path):
+        # margins of 1e6 underflow every lambda_tilde entry to zero: a
+        # numerical degeneracy, not a usage error
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({"W1": [[1e3, 0.0], [0.0, 1e3]],
+                                   "w2": [1e3, -1e3]}))
+        code, _, err = run_cli(capsys, "certify", "--dataset", "notebook",
+                               "--network", str(net))
+        assert code == 1
+        assert "lambda_tilde vanished" in err
+
 
 class TestGeometryExport:
     def test_files_written(self, capsys, tmp_path):

@@ -6,10 +6,10 @@ import pytest
 from relu_lab.arrangements import enumerate_sign_patterns
 from relu_lab.convex import NetworkParams
 from relu_lab.datasets import Dataset
-from relu_lab.flow import (FlowConfig, alignment, g_min_max, g_vector,
-                           init_balanced, lambda_tilde, logistic_loss,
-                           network_masks, recover_dual, run_flow, step,
-                           time_bounds)
+from relu_lab.flow import (FlowConfig, alignment, g_direction, g_min_max,
+                           g_pattern, init_balanced, lambda_tilde,
+                           logistic_loss, network_masks, recover_dual,
+                           run_flow, step, time_bounds)
 
 # outputs printed by the reference run at its first checkpoint
 ITER10_Q = np.array([3.54896592, 4.36184346, 6.38061314])
@@ -73,25 +73,32 @@ class TestLambdaTilde:
 
 class TestGVector:
     def test_zero_pattern(self, notebook_ds):
-        assert np.all(g_vector(notebook_ds.X, np.zeros(3),
-                               notebook_ds.y / 4) == 0.0)
+        assert np.all(g_pattern(notebook_ds.X, np.zeros(3),
+                                notebook_ds.y / 4) == 0.0)
 
     def test_notebook_single_support(self, notebook_ds):
-        g = g_vector(notebook_ds.X, np.array([1, -1, -1]),
-                     notebook_ds.y / 4.0)
+        g = g_pattern(notebook_ds.X, np.array([1, -1, -1]),
+                      notebook_ds.y / 4.0)
         np.testing.assert_allclose(g, [0.25, 0.0], atol=1e-15)
 
     def test_linearity_in_dual(self, notebook_ds):
         sigma = np.array([1, 1, -1])
         lam = np.array([0.3, -0.2, 0.4])
-        np.testing.assert_allclose(g_vector(notebook_ds.X, sigma, 2 * lam),
-                                   2 * g_vector(notebook_ds.X, sigma, lam),
+        np.testing.assert_allclose(g_pattern(notebook_ds.X, sigma, 2 * lam),
+                                   2 * g_pattern(notebook_ds.X, sigma, lam),
                                    atol=1e-15)
 
     def test_direction_input_uses_strict_signs(self, notebook_ds):
-        g_dir = g_vector(notebook_ds.X, np.array([1.0, 0.0]),
-                         notebook_ds.y / 4.0)
+        g_dir = g_direction(notebook_ds.X, np.array([1.0, 0.0]),
+                            notebook_ds.y / 4.0)
         np.testing.assert_allclose(g_dir, [0.25, 0.0], atol=1e-15)
+
+    def test_square_direction_with_sign_entries(self):
+        # d == N and u has entries in {-1, 0, 1}: still a direction, so
+        # g = X^T (y * 1[X u > 0]) with X u = (-1, 0)
+        X = np.array([[-1.0, 0.0], [0.0, 1.0]])
+        g = g_direction(X, np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+        np.testing.assert_array_equal(g, [0.0, 0.0])
 
 
 class TestGMinMax:

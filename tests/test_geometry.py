@@ -1,13 +1,71 @@
 import numpy as np
 import pytest
 
-from relu_lab.arrangements import mask_from_string, mask_of
-from relu_lab.geometry import (extreme_point, polar_gauge,
+from relu_lab.arrangements import (ActivationMask, enumerate_masks,
+                                   mask_from_string, mask_of)
+from relu_lab.certify import dual_feasible
+from relu_lab.datasets import builtin_dataset
+from relu_lab.geometry import (PROJECTION_ZERO_RTOL, cone_projection,
+                               extreme_point, polar_gauge,
                                rectified_ellipsoid_samples,
                                stationary_direction)
 
 # dual variable printed by the reference run at its first checkpoint
 ITER10_LAMBDA = np.array([0.84944458, -0.3827491, -0.0513976])
+
+
+def planar_extreme(v: np.ndarray, M: np.ndarray, sense: str) -> np.ndarray:
+    """Exact d=2 optimizer of v^T u over the unit disk cut by {M u >= 0}.
+
+    A linear function on a planar cone-disk intersection peaks at the
+    unconstrained direction when feasible, on an extreme ray of the cone
+    otherwise, or at the origin when the cone is trivial; enumerating those
+    candidates is exact.  Rows are normalized first (the cone is unchanged),
+    so the feasibility test does not depend on their scale."""
+    target = v if sense == "max" else -v
+    row_norms = np.linalg.norm(M, axis=1)
+    M = M[row_norms > 0] / row_norms[row_norms > 0, None]
+
+    def feasible(u: np.ndarray) -> bool:
+        return bool(np.all(M @ u >= -1e-11))
+
+    candidates = [np.zeros(2)]
+    nt = np.linalg.norm(target)
+    if nt > 0 and feasible(target / nt):
+        candidates.append(target / nt)
+    for row in M:
+        ray = np.array([-row[1], row[0]])
+        candidates += [s * ray for s in (1.0, -1.0) if feasible(s * ray)]
+    values = [float(target @ u) for u in candidates]
+    return candidates[int(np.argmax(values))]
+
+
+def cone_rows(X: np.ndarray, mask) -> np.ndarray:
+    """M = (2 D - I) X: the mask's cone is {u : M u >= 0}."""
+    return (2.0 * mask.diag_vector() - 1.0)[:, None] * X
+
+
+def sphere_gauge(X: np.ndarray, lam: np.ndarray, samples: int,
+                 seed: int = 0) -> float:
+    """max |lam^T (X u)_+| over random unit u: a lower bound on the gauge
+    (every unit u lies in its own mask's cone)."""
+    U = np.random.default_rng(seed).standard_normal((X.shape[1], samples))
+    U /= np.linalg.norm(U, axis=0, keepdims=True)
+    return float(np.abs(lam @ np.maximum(X @ U, 0.0)).max())
+
+
+def assert_matches_planar(X, mask, lam, objective="masked"):
+    v = (X.T @ (mask.diag_vector() * lam) if objective == "masked"
+         else X.T @ lam)
+    # a projection below PROJECTION_ZERO_RTOL ||v|| counts as zero
+    scale = 2.0 * PROJECTION_ZERO_RTOL * float(np.linalg.norm(v))
+    for sense in ("max", "min"):
+        r = extreme_point(X, mask, lam, sense, objective)
+        u = planar_extreme(v, cone_rows(X, mask), sense)
+        assert r.value == pytest.approx(float(v @ u), abs=scale)
+        if abs(r.value) > 1e-9 * np.linalg.norm(v):
+            # a nonzero optimum over the disk has a unique maximizer
+            np.testing.assert_allclose(r.u, u, atol=1e-9)
 
 
 class TestExtremePoint:
@@ -99,15 +157,115 @@ class TestPolarGauge:
         with pytest.raises(ValueError):
             polar_gauge(notebook_ds.X, [], np.zeros(3))
 
-    def test_thread_cap_env_var_keeps_results(self, notebook_ds,
-                                              notebook_masks, monkeypatch):
-        lam = np.array([0.4, -0.5, 0.2])
-        base = polar_gauge(notebook_ds.X, notebook_masks, lam)
-        monkeypatch.setenv("RELU_LAB_THREADS", "3")
-        threaded = polar_gauge(notebook_ds.X, notebook_masks, lam)
-        assert threaded.gauge == base.gauge
-        assert [m.bits for m, _, _ in threaded.per_mask] == \
-               [m.bits for m, _, _ in base.per_mask]
+
+class TestPlanarOracle:
+    @pytest.mark.parametrize("name", ["notebook", "appendix-ortho"])
+    def test_every_mask_of_paper_datasets(self, name):
+        ds = builtin_dataset(name)
+        rng = np.random.default_rng(21)
+        duals = [ds.y / np.linalg.norm(ds.y)] + [
+            rng.standard_normal(ds.N) for _ in range(5)]
+        for lam in duals:
+            for mask in enumerate_masks(ds.X):
+                for objective in ("masked", "linear"):
+                    assert_matches_planar(ds.X, mask, lam, objective)
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9])
+    def test_near_antipodal_sliver_cones(self, gap):
+        # rows at angle pi - gap: the mask "11" cone is a sliver of width gap
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            t = rng.uniform(0.0, 2.0 * np.pi)
+            X = np.array([[np.cos(t), np.sin(t)],
+                          [np.cos(t + np.pi - gap), np.sin(t + np.pi - gap)]])
+            lam = rng.standard_normal(2)
+            for mask in enumerate_masks(X):
+                assert_matches_planar(X, mask, lam)
+
+    def test_rows_scaled_by_1e6(self):
+        # positive row scaling keeps every cone, so the masks of the
+        # unscaled rows serve
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            X = rng.standard_normal((5, 2))
+            masks = enumerate_masks(X, method="sweep2d")
+            X *= 10.0 ** rng.choice((-6.0, 0.0, 6.0), size=5)[:, None]
+            lam = rng.standard_normal(5)
+            for mask in masks:
+                assert_matches_planar(X, mask, lam)
+
+
+class TestHigherDimensionBounds:
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_primal_and_dual_bounds(self, d):
+        # u feasible gives value <= max; p - target = M^T z with z >= 0 and
+        # p in the cone give target^T u' <= ||p|| for every feasible u'.
+        # Masks: those of random directions, and random bits (cones that
+        # may collapse to a face or to the apex)
+        rng = np.random.default_rng(30 + d)
+        for _ in range(25):
+            N = int(rng.integers(d, 8))
+            X = rng.standard_normal((N, d))
+            lam = rng.standard_normal(N)
+            masks = [mask_of(X, rng.standard_normal(d)) for _ in range(4)]
+            masks += [ActivationMask(bits=tuple(int(b) for b in
+                                                rng.integers(0, 2, size=N)))
+                      for _ in range(2)]
+            for mask in masks:
+                M = cone_rows(X, mask)
+                nM = np.linalg.norm(M)
+                v = X.T @ (mask.diag_vector() * lam)
+                for sense, target in (("max", v), ("min", -v)):
+                    r = extreme_point(X, mask, lam, sense)
+                    assert np.linalg.norm(r.u) <= 1.0 + 1e-12
+                    assert (M @ r.u).min() >= -1e-12 * nM
+                    p, z = cone_projection(M, target)
+                    assert z.min() >= 0.0
+                    np.testing.assert_allclose(p - target, M.T @ z,
+                                               atol=1e-12 * np.linalg.norm(v))
+                    assert (M @ p).min() >= -1e-12 * nM * np.linalg.norm(v)
+                    upper = np.linalg.norm(p)
+                    lower = float(target @ r.u)
+                    assert lower <= upper + 1e-12 * np.linalg.norm(v)
+                    assert upper - lower <= 1e-10 * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_gauge_against_sphere_sampling(self, d):
+        rng = np.random.default_rng(40 + d)
+        for _ in range(4):
+            X = rng.standard_normal((6, d))
+            lam = rng.standard_normal(6)
+            gauge = polar_gauge(X, enumerate_masks(X), lam).gauge
+            sampled = sphere_gauge(X, lam, 200_000, seed=d)
+            scale = np.linalg.norm(X, 2) * np.linalg.norm(lam)
+            assert sampled <= gauge + 1e-12 * scale
+            assert gauge - sampled <= 0.02 * scale
+
+    def test_gaussian_draw_that_stalled_pdhg(self):
+        # a 6x3 Gaussian draw (built like the benchmark's certify family)
+        # on which the former first-order extreme-point solve stopped at its
+        # iteration cap; the projection route certifies it
+        rng = np.random.default_rng([0, 247])
+        X = rng.standard_normal((6, 3))
+        y = rng.choice((-1.0, 1.0), size=6)
+        lam = y * np.abs(rng.standard_normal(6))
+        lam /= np.linalg.norm(lam)
+        cert = dual_feasible(X, enumerate_masks(X), lam)
+        gauge = max(cert.slacks.values())
+        assert sphere_gauge(X, lam, 200_000) <= gauge + 1e-12
+        assert gauge == pytest.approx(1.0247378754, abs=1e-9)
+        assert not cert.verdict
+
+
+class TestConeProjection:
+    def test_polar_direction_projects_to_zero(self):
+        M = np.eye(3)
+        p, z = cone_projection(M, -np.ones(3))
+        np.testing.assert_allclose(p, 0.0, atol=1e-15)
+        np.testing.assert_allclose(z, 1.0, atol=1e-15)
+        r = extreme_point(np.eye(3), mask_from_string("111"),
+                          -np.ones(3), "max")
+        assert r.value == 0.0 and not r.u.any()
 
 
 class TestStationaryDirection:
