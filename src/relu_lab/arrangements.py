@@ -1,26 +1,33 @@
 """Hyperplane arrangements of a data matrix: activation masks and sign patterns.
 
 An activation mask is a realizable pattern I(Xw >= 0); a sign pattern is a
-realizable sign(Xw) in {-1,0,+1}^N.  Realizability of a candidate is an LP
-feasibility question; strict inequalities are encoded with a unit margin
-(a^T w <= -1), lossless by homogeneity.  For d = 2 an angular-sweep oracle
-enumerates the same sets independently of the LP route.
+realizable sign(Xw) in {-1,0,+1}^N.  Both are enumerated by one prefix-pruned
+LP search over a relation table that maps each symbol to phase-1 rows;
+strict inequalities are encoded with a unit margin (a^T w <= -1), lossless
+by homogeneity, on rows normalized to unit length (patterns do not change
+under positive row scaling).  For d = 2 one angular sweep enumerates the
+same sets independently of the LP route.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import EQ0, GE0, LE_NEG1, lp_feasible
+from .solver import lp_feasible
 
 EXHAUSTIVE_MAX_N = 22
 SIGN_PATTERN_MAX_N = 13
 
 #: relative threshold used everywhere a singular value decides rank
 RANK_RTOL = 1e-10
+
+#: Phase-1 rows of each symbol: (s, rhs) stands for s * x_n^T w <= rhs on
+#: the normalized row x_n; a negative rhs is the unit margin of a strict side.
+MASK_RELATIONS = {0: ((1.0, -1.0),), 1: ((-1.0, 0.0),)}
+SIGN_RELATIONS = {-1: ((1.0, -1.0),), 0: ((1.0, 0.0), (-1.0, 0.0)),
+                  1: ((-1.0, -1.0),)}
 
 
 @dataclass(frozen=True)
@@ -90,34 +97,38 @@ def cover_bound(N: int, r: int) -> float:
     return 2.0 * r * (np.e * (N - 1) / r) ** r
 
 
-def _mask_rows(X: np.ndarray, bits: tuple[int, ...]):
-    return [(X[n], GE0 if b else LE_NEG1) for n, b in enumerate(bits)]
+def _search(X: np.ndarray, relations: dict) -> list[tuple[tuple, tuple]]:
+    """(symbols, witness) of every realizable pattern, lexicographic.
 
+    Depth-first with prefix pruning: an infeasible prefix stays infeasible
+    for every completion, so whole subtrees are skipped.  Each node appends
+    its symbol's rows to the parent's stacked system.  A witness is divided
+    by min(1, min ||x_n|| over its strict rows), so the unit margin holds on
+    the original rows.
+    """
+    N, d = X.shape
+    norms = np.linalg.norm(X, axis=1)
+    Xn = X / np.where(norms > 0.0, norms, 1.0)[:, None]
+    table = {sym: np.array(rows).T for sym, rows in relations.items()}
+    strict = {sym for sym, (_, rhs) in table.items() if (rhs < 0).any()}
+    found = []
 
-def _mask_key(bits) -> tuple[int, ...]:
-    return tuple(int(b) for b in bits)
-
-
-def _enumerate_masks_lp(X: np.ndarray) -> list[ActivationMask]:
-    """Depth-first enumeration with prefix pruning: an infeasible prefix stays
-    infeasible for every completion, so whole subtrees are skipped."""
-    N = X.shape[0]
-    found: list[ActivationMask] = []
-
-    def recurse(prefix: list[int]):
-        rows = _mask_rows(X, tuple(prefix))
-        w = lp_feasible(rows)
+    def recurse(prefix: tuple, A: np.ndarray, b: np.ndarray):
+        w = lp_feasible(A, b)
         if w is None:
             return
-        if len(prefix) == N:
-            found.append(ActivationMask(bits=tuple(prefix),
-                                        witness=tuple(float(v) for v in w)))
+        n = len(prefix)
+        if n == N:
+            scale = min([1.0] + [norms[k] for k, sym in enumerate(prefix)
+                                 if sym in strict])
+            found.append((prefix, tuple(float(v) for v in w / scale)))
             return
-        for b in (0, 1):
-            recurse(prefix + [b])
+        for sym, (s, rhs) in table.items():
+            recurse(prefix + (sym,), np.vstack((A, np.outer(s, Xn[n]))),
+                    np.concatenate((b, rhs)))
 
-    recurse([])
-    return sorted(found, key=lambda m: m.bits)
+    recurse((), np.zeros((0, d)), np.zeros(0))
+    return sorted(found)
 
 
 def _angle_candidates(X: np.ndarray) -> list[np.ndarray]:
@@ -143,18 +154,24 @@ def _angle_candidates(X: np.ndarray) -> list[np.ndarray]:
     return cands
 
 
-def _enumerate_masks_sweep2d(X: np.ndarray) -> list[ActivationMask]:
+def _sweep2d(X: np.ndarray):
+    """(sign(Xw), w) at every `_angle_candidates` direction, in candidate
+    order, with the zero band 1e-12 max(||x_n||, 1)."""
     if X.shape[1] != 2:
         raise ValueError("sweep2d requires d = 2")
-    seen: dict[tuple[int, ...], ActivationMask] = {}
-    scale = np.linalg.norm(X, axis=1)
+    band = 1e-12 * np.maximum(np.linalg.norm(X, axis=1), 1.0)
     for w in _angle_candidates(X):
         t = X @ w
-        # boundary-tolerant ">= 0": exact zeros arise by construction
-        bits = _mask_key(t >= -1e-12 * np.maximum(scale, 1.0))
-        seen.setdefault(bits, ActivationMask(
-            bits=bits, witness=tuple(float(v) for v in w)))
-    return sorted(seen.values(), key=lambda m: m.bits)
+        signs = np.where(np.abs(t) <= band, 0, np.sign(t))
+        yield tuple(int(v) for v in signs), tuple(float(v) for v in w)
+
+
+def _first_witness(patterns) -> list[tuple[tuple, tuple]]:
+    """Distinct patterns, lexicographic, each with its first witness."""
+    seen: dict[tuple, tuple] = {}
+    for key, w in patterns:
+        seen.setdefault(key, w)
+    return sorted(seen.items())
 
 
 def enumerate_masks(X: np.ndarray, method: str = "exhaustive") -> list[ActivationMask]:
@@ -168,10 +185,13 @@ def enumerate_masks(X: np.ndarray, method: str = "exhaustive") -> list[Activatio
         if X.shape[0] > EXHAUSTIVE_MAX_N:
             raise ValueError(f"exhaustive enumeration limited to "
                              f"N <= {EXHAUSTIVE_MAX_N}")
-        return _enumerate_masks_lp(X)
-    if method == "sweep2d":
-        return _enumerate_masks_sweep2d(X)
-    raise ValueError(f"unknown method {method!r}")
+        found = _search(X, MASK_RELATIONS)
+    elif method == "sweep2d":
+        found = _first_witness((tuple(int(s >= 0) for s in signs), w)
+                               for signs, w in _sweep2d(X))
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return [ActivationMask(bits=bits, witness=w) for bits, w in found]
 
 
 def verify_mask_witness(X: np.ndarray, mask: ActivationMask) -> bool:
@@ -188,18 +208,6 @@ def verify_mask_witness(X: np.ndarray, mask: ActivationMask) -> bool:
     return True
 
 
-def _pattern_rows(X: np.ndarray, signs: tuple[int, ...]):
-    rows = []
-    for n, s in enumerate(signs):
-        if s == 0:
-            rows.append((X[n], EQ0))
-        elif s > 0:
-            rows.append((-X[n], LE_NEG1))   # x^T w >= 1
-        else:
-            rows.append((X[n], LE_NEG1))
-    return rows
-
-
 def enumerate_sign_patterns(X: np.ndarray) -> list[SignPattern]:
     """All realizable sign(Xw) patterns (3^N candidates, prefix-pruned LPs).
 
@@ -210,39 +218,11 @@ def enumerate_sign_patterns(X: np.ndarray) -> list[SignPattern]:
     if N > SIGN_PATTERN_MAX_N:
         raise ValueError(f"sign-pattern enumeration limited to "
                          f"N <= {SIGN_PATTERN_MAX_N}")
-    found: list[SignPattern] = []
-
-    def recurse(prefix: list[int]):
-        w = lp_feasible(_pattern_rows(X, tuple(prefix)))
-        if w is None:
-            return
-        if len(prefix) == N:
-            found.append(SignPattern(signs=tuple(prefix),
-                                     witness=tuple(float(v) for v in w)))
-            return
-        for s in (-1, 0, 1):
-            recurse(prefix + [s])
-
-    recurse([])
-    return sorted(found, key=lambda p: p.signs)
+    return [SignPattern(signs=signs, witness=w)
+            for signs, w in _search(X, SIGN_RELATIONS)]
 
 
 def sign_patterns_sweep2d(X: np.ndarray) -> list[SignPattern]:
     """d=2 sweep oracle for sign patterns (boundary directions give zeros)."""
-    X = np.asarray(X, dtype=float)
-    if X.shape[1] != 2:
-        raise ValueError("sweep oracle requires d = 2")
-    seen: dict[tuple[int, ...], SignPattern] = {}
-    scale = np.maximum(np.linalg.norm(X, axis=1), 1.0)
-    for w in _angle_candidates(X):
-        t = X @ w
-        signs = tuple(0 if abs(v) <= 1e-12 * s else (1 if v > 0 else -1)
-                      for v, s in zip(t, scale))
-        seen.setdefault(signs, SignPattern(
-            signs=signs, witness=tuple(float(v) for v in w)))
-    return sorted(seen.values(), key=lambda p: p.signs)
-
-
-def all_candidate_masks(N: int) -> list[tuple[int, ...]]:
-    """2^N candidate bit patterns in lexicographic order (test helper)."""
-    return [tuple(bits) for bits in itertools.product((0, 1), repeat=N)]
+    return [SignPattern(signs=signs, witness=w)
+            for signs, w in _first_witness(_sweep2d(np.asarray(X, dtype=float)))]

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrangements import ActivationMask, matrix_rank, RANK_RTOL
-from .convex import ConvexProblem, ConvexSolution, ACTIVE_RTOL
+from .convex import (ACTIVE_RTOL, ConvexProblem, ConvexSolution,
+                     completion_choices)
 from .flow import g_direction
 from .geometry import GAUGE_SOLVE_TOL, cone_projection, polar_gauge
 
-BOUNDARY_RTOL = 1e-7
 BOUNDARY_ENUM_LIMIT = 12
 
 
@@ -70,8 +70,7 @@ def _completion_residual(X: np.ndarray, lam: np.ndarray, target: np.ndarray,
 
 
 def extract_kkt(X: np.ndarray, y: np.ndarray, W1: np.ndarray, w2: np.ndarray,
-                lam: np.ndarray, tol_boundary: float = BOUNDARY_RTOL
-                ) -> KKTExtraction:
+                lam: np.ndarray) -> KKTExtraction:
     """Per-neuron KKT data.  Boundary bits are completed by enumerating all
     2^|B| choices when |B| <= 12 (residual-minimizing, lexicographic ties),
     greedily per index otherwise.  Residuals are reported, never thresholded.
@@ -82,16 +81,13 @@ def extract_kkt(X: np.ndarray, y: np.ndarray, W1: np.ndarray, w2: np.ndarray,
     W1 = np.asarray(W1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    row_norms = np.linalg.norm(X, axis=1)
     neurons = []
     for i in range(w2.shape[0]):
         if w2[i] == 0.0:
             continue
         w1 = W1[:, i]
-        t = X @ w1
-        band = tol_boundary * row_norms * np.linalg.norm(w1)
-        boundary = np.where(np.abs(t) <= band)[0]
-        strict = (t > 0) & (np.abs(t) > band)
+        strict, on_boundary = completion_choices(X, w1)
+        boundary = np.where(on_boundary)[0]
         target = w1 / w2[i]
         base = strict.astype(float)
         if len(boundary) <= BOUNDARY_ENUM_LIMIT:

@@ -1,10 +1,11 @@
 """Command-line front end: reproducible experiments and figure/table export.
 
 Subcommands: arrangements, solve, flow, certify, geometry-export, reproduce.
-Global flags: --tol, --json, --out-dir, --seed, --deterministic.  Exit codes:
-0 success, 1 numerical failure, 2 usage error.  Every command that writes
-files also writes a manifest.json alongside them; CSV files carry a timestamp
-header line unless --deterministic is set.
+Global flags: --json, --out-dir, --seed, --deterministic; solve and reproduce
+also take the solver tolerance --tol.  Exit codes: 0 success, 1 numerical
+failure, 2 usage error.  Every command that writes files also writes a
+manifest.json alongside them; CSV files carry a timestamp header line unless
+--deterministic is set.
 """
 
 from __future__ import annotations
@@ -458,12 +459,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset=True):
+    def common(p, dataset=True, tol=False):
         if dataset:
             p.add_argument("--dataset", default="notebook",
                            help="built-in name or JSON file path")
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="solver tolerance")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-8,
+                           help="solver tolerance")
         p.add_argument("--json", action="store_true",
                        help="print machine-readable JSON")
         p.add_argument("--out-dir", default="",
@@ -479,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_arrangements)
 
     p = sub.add_parser("solve", help="solve the convex max-margin program")
-    common(p)
+    common(p, tol=True)
     p.add_argument("--which", choices=("primal", "dual", "both"),
                    default="both")
     p.add_argument("--solver-trace", default="",
@@ -522,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target",
                    choices=("notebook", "appendix-ortho",
                             "appendix-nonspikefree"))
-    common(p, dataset=False)
+    common(p, dataset=False, tol=True)
     p.add_argument("--init-scale", type=float, default=1e-4)
     p.set_defaults(func=cmd_reproduce)
     return parser

@@ -28,6 +28,10 @@ DEFAULT_TOL = 1e-8
 #: groups with norm below ACTIVE_RTOL * (1 + objective) are reported inactive
 ACTIVE_RTOL = 1e-6
 
+#: x_n^T w lies on the boundary when |x_n^T w| <= BOUNDARY_RTOL ||x_n|| ||w||;
+#: one band for network-to-convex mapping and KKT extraction
+BOUNDARY_RTOL = 1e-7
+
 
 @dataclass(frozen=True)
 class ConvexProblem:
@@ -266,20 +270,18 @@ def network_from_convex(sol: ConvexSolution, masks: list[ActivationMask],
     return NetworkParams(W1=np.stack(cols, axis=1), w2=np.array(outs))
 
 
-def _completion_choices(X: np.ndarray, w: np.ndarray,
-                        boundary_rtol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def completion_choices(X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(strict bits, boundary indicator) of X w with a relative boundary band."""
     t = X @ w
     scale = np.linalg.norm(X, axis=1) * np.linalg.norm(w)
-    boundary = np.abs(t) <= boundary_rtol * np.maximum(scale, 1e-300)
+    boundary = np.abs(t) <= BOUNDARY_RTOL * np.maximum(scale, 1e-300)
     strict = (t > 0) & ~boundary
     return strict, boundary
 
 
 def convex_from_network(X: np.ndarray, W1: np.ndarray, w2: np.ndarray,
                         masks: list[ActivationMask],
-                        y: np.ndarray | None = None,
-                        boundary_rtol: float = 1e-9) -> ConvexSolution:
+                        y: np.ndarray | None = None) -> ConvexSolution:
     """Map neurons onto convex groups: neurons with equal masks merge by
     summation; a neuron matches a mask agreeing with its strict activation
     pattern off the boundary set (ties to the lexicographically smallest)."""
@@ -294,7 +296,7 @@ def convex_from_network(X: np.ndarray, W1: np.ndarray, w2: np.ndarray,
     for i in range(w2.shape[0]):
         if w2[i] == 0.0 or not np.any(W1[:, i]):
             continue
-        strict, boundary = _completion_choices(X, W1[:, i], boundary_rtol)
+        strict, boundary = completion_choices(X, W1[:, i])
         match = None
         for j in ordered:
             bits = np.array(masks[j].bits, dtype=bool)

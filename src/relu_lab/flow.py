@@ -36,7 +36,6 @@ class FlowConfig:
     iters: int = 10_000
     checkpoints: tuple[int, ...] = (10, 100, 1000, 10_000)
     seed: int = 0
-    per_class: bool = True   # multiclass datasets run K independent flows
 
     def __post_init__(self):
         if self.m < 1 or self.init_scale <= 0 or self.step <= 0 or self.iters < 0:

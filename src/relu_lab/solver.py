@@ -234,41 +234,25 @@ def solve(prog: ConeProgram, tol: float = 1e-8, max_iters: int = 200_000,
 # LP feasibility (backend for arrangement realizability tests)
 # ---------------------------------------------------------------------------
 
-GE0 = ">=0"
-LE_NEG1 = "<=-1"
-EQ0 = "=0"
+def lp_feasible(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Feasibility of the row system A w <= b.
 
-
-def lp_feasible(rows: list[tuple[np.ndarray, str]]) -> np.ndarray | None:
-    """Feasibility of {a^T w >= 0}, {a^T w <= -1}, {a^T w = 0} row systems.
-
-    Solves the phase-1 LP  min t  s.t. every row violated by at most t, t >= 0
-    (HiGHS backend).  Returns a witness w when the phase-1 value is <= 1e-9,
-    None when it exceeds 1e-6, and raises InconclusiveError in between.
+    Solves the phase-1 LP  min t  s.t.  A w - t <= b, t >= 0  (HiGHS backend).
+    Returns a witness w when the phase-1 value is <= 1e-9, None when it
+    exceeds 1e-6, and raises InconclusiveError in between.
     """
-    if not rows:
-        return np.zeros(0)
-    d = len(rows[0][0])
-    ub_rows = []
-    for a, rel in rows:
-        a = np.asarray(a, dtype=float)
-        if not np.isfinite(a).all():
-            raise ValueError("non-finite row coefficients")
-        if rel == GE0:            # a.w + t >= 0
-            ub_rows.append((-a, 0.0))
-        elif rel == LE_NEG1:      # a.w <= -1 + t
-            ub_rows.append((a, -1.0))
-        elif rel == EQ0:          # |a.w| <= t
-            ub_rows.append((a, 0.0))
-            ub_rows.append((-a, 0.0))
-        else:
-            raise ValueError(f"unknown relation {rel!r}")
-    A_ub = np.array([np.append(a, -1.0) for a, _ in ub_rows])
-    b_ub = np.array([rhs for _, rhs in ub_rows])
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("non-finite row coefficients")
+    m, d = A.shape
+    if m == 0:
+        return np.zeros(d)
     c = np.zeros(d + 1)
     c[-1] = 1.0
     bounds = [(None, None)] * d + [(0.0, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = linprog(c, A_ub=np.hstack((A, -np.ones((m, 1)))), b_ub=b,
+                  bounds=bounds, method="highs")
     if not res.success:
         raise SolverError(f"phase-1 LP failed: {res.message}")
     v = float(res.fun)

@@ -1,10 +1,53 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relu_lab.arrangements import (ActivationMask, cover_bound,
                                    enumerate_masks, enumerate_sign_patterns,
                                    mask_of, matrix_rank,
                                    sign_patterns_sweep2d, verify_mask_witness)
+
+
+SCALES = (1e-6, 1.0, 1e6)
+
+
+def assert_witnesses(X, masks):
+    """Unit margin on bit-0 rows; on bit-1 rows x^T w >= 0 relative to scale
+    (a witness may need a norm of 1e8 when row norms span 1e-6..1e6)."""
+    for m in masks:
+        w = np.array(m.witness)
+        for x, b in zip(X, m.bits):
+            if b:
+                assert x @ w >= -1e-9 * np.linalg.norm(x) * np.linalg.norm(w)
+            else:
+                assert x @ w <= -1.0 + 1e-9
+
+
+def assert_masks_match_sweep(X):
+    masks = enumerate_masks(X)
+    assert [m.bits for m in masks] == [
+        m.bits for m in enumerate_masks(X, "sweep2d")]
+    assert_witnesses(X, masks)
+
+
+@st.composite
+def degenerate_planar(draw):
+    """N <= 5 rows in the plane with small integer coordinates (zero and
+    parallel rows arise on their own), exact duplicates and antipodes of
+    earlier rows, each row scaled by 10^{-6, 0, 6}."""
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("fresh", "duplicate", "antipodal"))
+                    if rows else st.just("fresh"))
+        if kind == "fresh":
+            rows.append(np.array([draw(st.integers(-3, 3)),
+                                  draw(st.integers(-3, 3))], dtype=float))
+        else:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            rows.append(row if kind == "duplicate" else -row)
+    scales = [draw(st.sampled_from(SCALES)) for _ in rows]
+    return np.array(rows) * np.array(scales)[:, None]
 
 
 class TestEnumerateMasks:
@@ -37,6 +80,34 @@ class TestEnumerateMasks:
         a = [m.bits for m in enumerate_masks(X)]
         b = [m.bits for m in enumerate_masks(scales[:, None] * X)]
         assert a == b
+
+    def test_scaled_gaussian_rows_match_sweep(self):
+        # 25 of these 40 draws raised InconclusiveError and 7 returned a
+        # wrong mask set while the LP saw the rows unnormalized
+        for k in range(40):
+            rng = np.random.default_rng(k)
+            X = rng.standard_normal((5, 2))
+            X *= 10.0 ** rng.choice((-6, 0, 6), size=5)[:, None]
+            assert_masks_match_sweep(X)
+
+    def test_scaled_near_antipodal_pairs_match_sweep(self):
+        # 13 of these pairs raised and 12 gave a wrong mask set while the
+        # LP saw the rows unnormalized
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            a = rng.uniform(0.0, 2.0 * np.pi)
+            X = np.array([[np.cos(a), np.sin(a)],
+                          [np.cos(a + np.pi - 1e-12),
+                           np.sin(a + np.pi - 1e-12)]])
+            X *= rng.choice(SCALES, size=2)[:, None]
+            assert_masks_match_sweep(X)
+
+    @settings(max_examples=60, deadline=None)
+    @given(degenerate_planar())
+    def test_degenerate_rows_match_sweep(self, X):
+        assert_masks_match_sweep(X)
+        assert [p.signs for p in enumerate_sign_patterns(X)] == [
+            p.signs for p in sign_patterns_sweep2d(X)]
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
@@ -77,14 +148,15 @@ class TestSignPatterns:
             b = {p.signs for p in sign_patterns_sweep2d(X)}
             assert a == b
 
-    def test_open_pattern_supports_are_masks(self, notebook_ds,
-                                             notebook_masks):
-        mask_bits = {m.bits for m in notebook_masks}
-        for pat in enumerate_sign_patterns(notebook_ds.X):
-            if 0 in pat.signs:
-                continue
-            bits = tuple(1 if s > 0 else 0 for s in pat.signs)
-            assert bits in mask_bits
+    def test_open_pattern_supports_are_masks(self, notebook_ds):
+        # a random 5x3 case checks the shared search off the plane
+        for X in (notebook_ds.X, np.random.default_rng(8).normal(size=(5, 3))):
+            mask_bits = {m.bits for m in enumerate_masks(X)}
+            for pat in enumerate_sign_patterns(X):
+                if 0 in pat.signs:
+                    continue
+                bits = tuple(1 if s > 0 else 0 for s in pat.signs)
+                assert bits in mask_bits
 
     def test_size_limit(self):
         with pytest.raises(ValueError):

@@ -47,6 +47,12 @@ class TestArrangementsCommand:
         assert code == 0
         assert "2 arrangements" in out
 
+    def test_tol_rejected(self, capsys):
+        # only solve and reproduce run a solver that reads --tol
+        with pytest.raises(SystemExit) as exc:
+            main(["arrangements", "--tol", "1e-6"])
+        assert exc.value.code == 2
+
 
 class TestSolveCommand:
     def test_both_objectives_and_json(self, capsys):

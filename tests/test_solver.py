@@ -130,31 +130,32 @@ class TestSolveSOC:
 
 
 class TestLPFeasible:
+    # rows of A w <= b: x^T w >= 0 is (-x, 0), x^T w <= -1 is (x, -1)
     def test_notebook_mask_100_feasible(self, notebook_ds):
         X = notebook_ds.X
-        rows = [(X[0], ">=0"), (X[1], "<=-1"), (X[2], "<=-1")]
-        w = lp_feasible(rows)
+        w = lp_feasible(np.array([-X[0], X[1], X[2]]),
+                        np.array([0.0, -1.0, -1.0]))
         assert w is not None
         assert X[0] @ w >= -1e-9
         assert X[1] @ w <= -1 + 1e-9 and X[2] @ w <= -1 + 1e-9
 
     def test_notebook_mask_101_infeasible(self, notebook_ds):
         X = notebook_ds.X
-        rows = [(X[0], ">=0"), (X[1], "<=-1"), (X[2], ">=0")]
-        assert lp_feasible(rows) is None
+        assert lp_feasible(np.array([-X[0], X[1], -X[2]]),
+                           np.array([0.0, -1.0, 0.0])) is None
 
     def test_empty_rows(self):
-        w = lp_feasible([])
-        assert w.shape == (0,)
+        w = lp_feasible(np.zeros((0, 3)), np.zeros(0))
+        np.testing.assert_array_equal(w, np.zeros(3))
 
     def test_equality_rows(self):
-        rows = [(np.array([1.0, 0.0]), "=0"), (np.array([0.0, 1.0]), ">=0")]
-        w = lp_feasible(rows)
+        A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
+        w = lp_feasible(A, np.zeros(3))
         assert abs(w[0]) <= 1e-9
 
-    def test_unknown_relation(self):
+    def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            lp_feasible([(np.array([1.0]), ">=1")])
+            lp_feasible(np.array([[np.inf, 0.0]]), np.zeros(1))
 
 
 class TestFaceBounds:
