@@ -195,17 +195,17 @@ def enumerate_masks(X: np.ndarray, method: str = "exhaustive") -> list[Activatio
 
 
 def verify_mask_witness(X: np.ndarray, mask: ActivationMask) -> bool:
-    """Re-check the stored witness: I(Xw >= 0) equals the bits after the unit
-    margin relaxation on the strict side."""
+    """Re-check the stored witness: x_n^T w >= 0 on bit-1 rows, relative to
+    scale (>= -1e-9 ||x_n|| ||w||; a witness may need a norm of 1e8 when row
+    norms span 1e-6..1e6), and the unit margin x_n^T w <= -1 on bit-0 rows."""
     if mask.witness is None:
         return False
-    t = np.asarray(X) @ np.array(mask.witness)
-    for v, b in zip(t, mask.bits):
-        if b == 1 and v < -1e-9:
-            return False
-        if b == 0 and v > -1.0 + 1e-9:
-            return False
-    return True
+    X = np.asarray(X, dtype=float)
+    w = np.array(mask.witness, dtype=float)
+    t = X @ w
+    on = np.array(mask.bits, dtype=bool)
+    floor = -1e-9 * np.linalg.norm(X, axis=1) * np.linalg.norm(w)
+    return bool(np.all(t[on] >= floor[on]) and np.all(t[~on] <= -1.0 + 1e-9))
 
 
 def enumerate_sign_patterns(X: np.ndarray) -> list[SignPattern]:

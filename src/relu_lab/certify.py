@@ -155,8 +155,7 @@ def dual_feasible_multiclass(X: np.ndarray, masks: list[ActivationMask],
     return certs
 
 
-def ortho_coverage(extraction: KKTExtraction, y: np.ndarray,
-                   tol: float = 0.0) -> Certificate:
+def ortho_coverage(extraction: KKTExtraction, y: np.ndarray) -> Certificate:
     """Label coverage of the extracted activation patterns: some positive
     neuron's pattern must dominate I(y = 1) and some negative neuron's
     I(y = -1).  Boundary samples count toward domination (the completion is
@@ -178,8 +177,7 @@ def ortho_coverage(extraction: KKTExtraction, y: np.ndarray,
         covers(n, neg_ind) for n in extraction.neurons if n.sign < 0)
     return Certificate(kind="ortho-coverage", verdict=pos_ok and neg_ok,
                        slacks={"positive": float(pos_ok),
-                               "negative": float(neg_ok)},
-                       tolerance=tol)
+                               "negative": float(neg_ok)})
 
 
 def _pinv(X: np.ndarray) -> np.ndarray:

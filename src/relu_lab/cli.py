@@ -316,6 +316,36 @@ def cmd_geometry_export(args) -> int:
     return EXIT_OK
 
 
+#: masks whose groups on each side sum to one of the notebook's two neurons
+NOTEBOOK_PAIRS = {"+": ("100", "110"), "-": ("011", "111")}
+
+
+def notebook_face_functionals(problem):
+    """(label, functional) for the split-invariant functionals that pin the
+    notebook optimal set: each coordinate of the two pair sums
+    (positive_sum_coordK, negative_sum_coordK), then each coordinate of every
+    other group (inactive_<mask><side>_coordK), in mask order."""
+    def functional(js, side, coord):
+        f = np.zeros(problem.prog.num_vars)
+        for j in js:
+            f[problem.group_slice(j, side)][coord] = 1.0
+        return f
+
+    names = [m.as_string() for m in problem.masks]
+    pairs = {side: [j for j, name in enumerate(names) if name in pair]
+             for side, pair in NOTEBOOK_PAIRS.items()}
+    for label, side in (("positive", "+"), ("negative", "-")):
+        for coord in range(problem.d):
+            yield (f"{label}_sum_coord{coord + 1}",
+                   functional(pairs[side], side, coord))
+    for j, name in enumerate(names):
+        for side in ("-", "+"):
+            if j not in pairs[side]:
+                for coord in range(problem.d):
+                    yield (f"inactive_{name}{side}_coord{coord + 1}",
+                           functional([j], side, coord))
+
+
 def _reproduce_notebook(args, out: Path) -> list[str]:
     ds = builtin_dataset("notebook")
     masks = enumerate_masks(ds.X)
@@ -330,33 +360,8 @@ def _reproduce_notebook(args, out: Path) -> list[str]:
         json.dumps(_solution_json(sol, masks, dual.lam), indent=2) + "\n")
     outputs.append("primal.json")
 
-    # pin the split-invariant functionals of the optimal set; the flat
-    # directions need a slack well below optimal_face_bounds' 1e-6 default,
-    # at which positive_sum_coord2 spans 1.7e-3 > 1e-3
-    d = problem.d
-    face_slack = 5e-8
-    face = {}
-    pos_pair = [j for j, m in enumerate(masks) if m.as_string() in ("100", "110")]
-    neg_pair = [j for j, m in enumerate(masks) if m.as_string() in ("011", "111")]
-    for label, pair, side in (("positive", pos_pair, "+"),
-                              ("negative", neg_pair, "-")):
-        for coord in range(d):
-            f = np.zeros(problem.prog.num_vars)
-            for j in pair:
-                f[problem.group_slice(j, side)][coord] = 1.0
-            lo, hi = optimal_face_bounds(problem.prog, report.objective, f,
-                                         slack=face_slack)
-            face[f"{label}_sum_coord{coord + 1}"] = [lo, hi]
-    for j, mask in enumerate(masks):
-        for side in ("-", "+"):
-            if (side == "+" and j in pos_pair) or (side == "-" and j in neg_pair):
-                continue
-            for coord in range(d):
-                f = np.zeros(problem.prog.num_vars)
-                f[problem.group_slice(j, side)][coord] = 1.0
-                lo, hi = optimal_face_bounds(problem.prog, report.objective, f,
-                                             slack=face_slack)
-                face[f"inactive_{mask.as_string()}{side}_coord{coord + 1}"] = [lo, hi]
+    face = {label: list(optimal_face_bounds(problem.prog, report.objective, f))
+            for label, f in notebook_face_functionals(problem)}
     gaps = max(hi - lo for lo, hi in face.values())
     face["verified"] = gaps <= 1e-3
     (out / "optimal_face.json").write_text(json.dumps(face, indent=2) + "\n")
@@ -380,7 +385,8 @@ def _reproduce_notebook(args, out: Path) -> list[str]:
         duals.append({"iteration": rec.iteration,
                       "lambda": [float(v) for v in lam],
                       "gauge_network": gauge_net, "gauge_all": gauge_all,
-                      "dual_feasible": bool(gauge_all <= 1.0 + 1e-4)})
+                      "dual_feasible":
+                          bool(gauge_all <= 1.0 + GAUGE_SOLVE_TOL)})
         margin_rows.append((rec.iteration, rec.margin))
     (out / "duals.json").write_text(json.dumps(duals, indent=2) + "\n")
     outputs.append("duals.json")

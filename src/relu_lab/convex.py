@@ -20,8 +20,7 @@ import numpy as np
 
 from .arrangements import ActivationMask, mask_of
 from .datasets import Dataset, encode_labels
-from .solver import (NONNEG, SOC, Cone, ConeProgram, DegenerateError,
-                     SolveReport, solve)
+from .solver import ConeProgram, DegenerateError, SolveReport, solve
 
 DEFAULT_TOL = 1e-8
 
@@ -126,7 +125,8 @@ class NetworkParams:
 
 def build_primal(X: np.ndarray, y: np.ndarray,
                  masks: list[ActivationMask]) -> ConvexProblem:
-    """Assemble the group-norm cone program (N margin rows, 2pN cone rows)."""
+    """Assemble the group-norm cone program: N margin rows, then N cone rows
+    per group, all in the orthant; one norm group of d entries per u_j, u'_j."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if not masks:
@@ -135,56 +135,34 @@ def build_primal(X: np.ndarray, y: np.ndarray,
     p = len(masks)
     n = 2 * p * d
     YX = np.diag(y) @ X
-    A_margin = np.zeros((N, n))
-    rows = [A_margin]
-    b_parts = [-np.ones(N)]
-    cones = [Cone(NONNEG, N)]
+    A = np.zeros((N * (1 + 2 * p), n))
     for j, mask in enumerate(masks):
         dm = mask.diag_vector()
-        DYX = dm[:, None] * YX
-        A_margin[:, (2 * j) * d:(2 * j + 1) * d] = -DYX
-        A_margin[:, (2 * j + 1) * d:(2 * j + 2) * d] = DYX
+        A[:N, (2 * j) * d:(2 * j + 1) * d] = -dm[:, None] * YX
+        A[:N, (2 * j + 1) * d:(2 * j + 2) * d] = dm[:, None] * YX
         M = (2.0 * dm - 1.0)[:, None] * X
         for k in (2 * j, 2 * j + 1):
-            blk = np.zeros((N, n))
-            blk[:, k * d:(k + 1) * d] = M
-            rows.append(blk)
-            b_parts.append(np.zeros(N))
-            cones.append(Cone(NONNEG, N))
-    groups = tuple(np.arange(k * d, (k + 1) * d) for k in range(2 * p))
-    prog = ConeProgram(c=np.zeros(n), A=np.vstack(rows),
-                       b=np.concatenate(b_parts), cones=tuple(cones),
-                       groups=groups)
+            A[N * (1 + k):N * (2 + k), k * d:(k + 1) * d] = M
+    b = np.concatenate((-np.ones(N), np.zeros(2 * p * N)))
+    prog = ConeProgram(c=np.zeros(n), A=A, b=b, nonneg=A.shape[0], group=d)
     return ConvexProblem(X=X, y=y, masks=tuple(masks), prog=prog)
 
 
 def solve_primal(problem: ConvexProblem, tol: float = DEFAULT_TOL,
-                 max_iters: int = 200_000, trace_every: int = 0
+                 trace_every: int = 0
                  ) -> tuple[ConvexSolution, DualVariable, SolveReport]:
     """Solve the primal; multipliers give lam = diag(y) mu_margin and the
     per-mask cone multipliers z, z'."""
-    x, mu, report = solve(problem.prog, tol=tol, max_iters=max_iters,
-                          trace_every=trace_every)
-    N, p, d = problem.N, problem.p, problem.d
+    x, mu, report = solve(problem.prog, tol=tol, trace_every=trace_every)
+    N, p = problem.N, problem.p
     u, up = problem.split(x)
-    margins = np.diag(problem.y) @ sum(
-        m.diag_vector()[:, None] * (problem.X @ (up[j] - u[j]))[:, None]
-        for j, m in enumerate(problem.masks)).ravel()
-    cone_slack = np.inf
-    for j, mask in enumerate(problem.masks):
-        M = (2.0 * mask.diag_vector() - 1.0)[:, None] * problem.X
-        cone_slack = min(cone_slack, float((M @ u[j]).min()),
-                         float((M @ up[j]).min()))
+    slack = problem.prog.A @ x + problem.prog.b     # margins - 1, cone rows
     sol = ConvexSolution(u=u, u_prime=up, objective=report.objective,
-                         margin_slack=float(margins.min() - 1.0),
-                         cone_slack=cone_slack)
-    lam = problem.y * mu[:N]
-    z = np.empty((p, N))
-    zp = np.empty((p, N))
-    for j in range(p):
-        z[j] = mu[N + 2 * j * N: N + (2 * j + 1) * N]
-        zp[j] = mu[N + (2 * j + 1) * N: N + (2 * j + 2) * N]
-    return sol, DualVariable(lam=lam, z=z, z_prime=zp), report
+                         margin_slack=float(slack[:N].min()),
+                         cone_slack=float(slack[N:].min()))
+    z = mu[N:].reshape(p, 2, N)                     # per mask: u_j, u'_j rows
+    return sol, DualVariable(lam=problem.y * mu[:N], z=z[:, 0].copy(),
+                             z_prime=z[:, 1].copy()), report
 
 
 def build_dual_socp(X: np.ndarray, y: np.ndarray,
@@ -194,7 +172,9 @@ def build_dual_socp(X: np.ndarray, y: np.ndarray,
         s.t. || X^T D_j lam - X^T (2 D_j - I) z_{j,+}|| <= 1,
              ||-X^T D_j lam - X^T (2 D_j - I) z_{j,-}|| <= 1,
              z >= 0,  diag(y) lam >= 0.
-    Variables: lam (N), then per mask z_{j,+} (N) and z_{j,-} (N).
+    Variables: lam (N), then per mask z_{j,+} (N) and z_{j,-} (N).  Rows:
+    the N(1 + 2p) sign and z rows in the orthant, then 2p second-order
+    blocks (1, X^T D_j lam ...) of 1 + d rows.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -203,55 +183,36 @@ def build_dual_socp(X: np.ndarray, y: np.ndarray,
     N, d = X.shape
     p = len(masks)
     n = N * (1 + 2 * p)
-    rows = []
-    b_parts = []
-    cones = []
-    sign_rows = np.zeros((N, n))
-    sign_rows[:, :N] = np.diag(y)
-    rows.append(sign_rows)
-    b_parts.append(np.zeros(N))
-    cones.append(Cone(NONNEG, N))
-    nonneg_z = np.zeros((2 * p * N, n))
-    nonneg_z[:, N:] = np.eye(2 * p * N)
-    rows.append(nonneg_z)
-    b_parts.append(np.zeros(2 * p * N))
-    cones.append(Cone(NONNEG, 2 * p * N))
+    A = np.zeros((n + 2 * p * (1 + d), n))
+    b = np.zeros(A.shape[0])
+    A[:N, :N] = np.diag(y)
+    A[N:n, N:] = np.eye(2 * p * N)
     for j, mask in enumerate(masks):
         dm = mask.diag_vector()
         XD = X.T * dm[None, :]                     # X^T D_j, shape (d, N)
         XM = X.T * (2.0 * dm - 1.0)[None, :]       # X^T (2 D_j - I)
-        for sgn, z_off in ((1.0, N + (2 * j) * N), (-1.0, N + (2 * j + 1) * N)):
-            blk = np.zeros((1 + d, n))
-            blk[1:, :N] = sgn * XD
-            blk[1:, z_off:z_off + N] = -XM
-            rows.append(blk)
-            bb = np.zeros(1 + d)
-            bb[0] = 1.0
-            b_parts.append(bb)
-            cones.append(Cone(SOC, 1 + d))
+        for k, sgn in ((2 * j, 1.0), (2 * j + 1, -1.0)):
+            r = n + k * (1 + d)
+            b[r] = 1.0
+            A[r + 1:r + 1 + d, :N] = sgn * XD
+            A[r + 1:r + 1 + d, N * (1 + k):N * (2 + k)] = -XM
     c = np.zeros(n)
     c[:N] = -y      # maximize y^T lam
-    return ConeProgram(c=c, A=np.vstack(rows), b=np.concatenate(b_parts),
-                       cones=tuple(cones), groups=())
+    return ConeProgram(c=c, A=A, b=b, nonneg=n, soc=1 + d)
 
 
 def solve_dual(X: np.ndarray, y: np.ndarray, masks: list[ActivationMask],
-               tol: float = DEFAULT_TOL, max_iters: int = 200_000
+               tol: float = DEFAULT_TOL
                ) -> tuple[DualVariable, float, SolveReport]:
     """Solve the dual SOCP; returns (dual variable with z stacks, y^T lam,
     report)."""
-    prog = build_dual_socp(X, y, masks)
-    x, _, report = solve(prog, tol=tol, max_iters=max_iters)
+    x, _, report = solve(build_dual_socp(X, y, masks), tol=tol)
     N = X.shape[0]
-    p = len(masks)
     lam = x[:N]
-    zp = np.empty((p, N))
-    zm = np.empty((p, N))
-    for j in range(p):
-        zp[j] = x[N + (2 * j) * N: N + (2 * j + 1) * N]
-        zm[j] = x[N + (2 * j + 1) * N: N + (2 * j + 2) * N]
+    z = x[N:].reshape(len(masks), 2, N)
     # z_{j,+} certifies the positive-side constraint, z_{j,-} the negative
-    return DualVariable(lam=lam, z=zm, z_prime=zp), float(y @ lam), report
+    return (DualVariable(lam=lam, z=z[:, 1].copy(), z_prime=z[:, 0].copy()),
+            float(y @ lam), report)
 
 
 def network_from_convex(sol: ConvexSolution, masks: list[ActivationMask],

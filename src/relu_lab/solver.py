@@ -2,30 +2,37 @@
 
 Canonical problem shape handled by :func:`solve`:
 
-    minimize    c^T x + sum_g ||x[G_g]||_2
+    minimize    c^T x + sum_g ||x_g||_2
     subject to  A x + b in K
 
-where K is a product, row-block by row-block, of the zero cone (equalities),
-the nonnegative orthant and second-order cones.  The group index sets G_g are
-disjoint; the proximal step soft-thresholds each group's vector norm, the dual
-step projects onto K.  Everything is dense numpy and bitwise deterministic.
+over one layout: K is the nonnegative orthant on the first `nonneg` rows and
+second-order cones {(t, v) : ||v|| <= t} of `soc` rows each on the rest, and
+the x_g are contiguous norm groups of `group` entries.  The proximal step and
+the projection onto K are each one reshape over that layout.  Everything is
+dense numpy and bitwise deterministic.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linprog
 
-ZERO = "zero"
-NONNEG = "nonneg"
-SOC = "soc"
-
 #: lp_feasible verdict thresholds (phase-1 objective).
 FEASIBLE_TOL = 1e-9
 INFEASIBLE_TOL = 1e-6
+
+#: objective slack of the optimal-face bounds.  A face bound's interval
+#: widens with this slack along flat directions of the optimal set: on the
+#: notebook, positive_sum_coord2 (masks 100 + 110, side +, coordinate 2)
+#: spans [-1.731e-3, 4e-6] (width 1.735e-3, wider than criterion 03's 1e-3)
+#: at slack 1e-6 and [-3.29e-4, 0] (width 3.294e-4) at 5e-8
+FACE_SLACK = 5e-8
+
+#: iteration cap of each penalty-ladder probe of the optimal-face bounds
+FACE_PROBE_MAX_ITERS = 40_000
 
 
 class SolverError(RuntimeError):
@@ -42,26 +49,19 @@ class InconclusiveError(SolverError):
 
 
 @dataclass(frozen=True)
-class Cone:
-    kind: str  # zero | nonneg | soc
-    size: int
-
-    def __post_init__(self):
-        if self.kind not in (ZERO, NONNEG, SOC):
-            raise ValueError(f"unknown cone kind {self.kind!r}")
-        if self.size < 1 or (self.kind == SOC and self.size < 2):
-            raise ValueError(f"bad cone size {self.size} for {self.kind}")
-
-
-@dataclass(frozen=True)
 class ConeProgram:
-    """min c^T x + sum of group norms  s.t.  A x + b in K."""
+    """min c^T x + sum of group norms  s.t.  A x + b in K.
+
+    K: the orthant on the first `nonneg` rows, second-order blocks of `soc`
+    rows (norm row first) on the rest.  group > 0: the variables form
+    contiguous norm groups of `group` entries; group == 0: no norm term."""
 
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    cones: tuple[Cone, ...]
-    groups: tuple[np.ndarray, ...] = ()
+    nonneg: int
+    soc: int = 0
+    group: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
@@ -70,26 +70,24 @@ class ConeProgram:
         m, n = self.A.shape
         if self.c.shape != (n,) or self.b.shape != (m,):
             raise ValueError("inconsistent dimensions")
-        if sum(cone.size for cone in self.cones) != m:
-            raise ValueError("cone sizes do not cover the rows")
+        rest = m - self.nonneg
+        tiled = ((self.soc >= 2 and rest % self.soc == 0)
+                 or (self.soc == 0 and rest == 0))
+        if self.nonneg < 0 or rest < 0 or not tiled:
+            raise ValueError("orthant and second-order blocks do not tile "
+                             "the rows")
+        if self.group < 0 or (self.group and n % self.group):
+            raise ValueError("norm groups do not tile the variables")
         if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()
                 and np.isfinite(self.c).all()):
             raise ValueError("non-finite program data")
-        seen = np.zeros(n, dtype=bool)
-        for g in self.groups:
-            if seen[g].any():
-                raise ValueError("norm groups must be disjoint")
-            seen[g] = True
 
     @property
     def num_vars(self) -> int:
         return self.A.shape[1]
 
     def objective(self, x: np.ndarray) -> float:
-        val = float(self.c @ x)
-        for g in self.groups:
-            val += float(np.linalg.norm(x[g]))
-        return val
+        return float(self.c @ x) + float(_group_norms(x, self.group).sum())
 
 
 @dataclass
@@ -104,37 +102,35 @@ class SolveReport:
     trace: list[tuple[int, float, float, float]] = field(default_factory=list)
 
 
-def _project_cone(s: np.ndarray, cones: tuple[Cone, ...]) -> np.ndarray:
-    out = np.empty_like(s)
-    i = 0
-    for cone in cones:
-        j = i + cone.size
-        blk = s[i:j]
-        if cone.kind == ZERO:
-            out[i:j] = 0.0
-        elif cone.kind == NONNEG:
-            out[i:j] = np.maximum(blk, 0.0)
-        else:
-            t, v = blk[0], blk[1:]
-            nv = np.linalg.norm(v)
-            if nv <= t:
-                out[i:j] = blk
-            elif nv <= -t:
-                out[i:j] = 0.0
-            else:
-                a = 0.5 * (1.0 + t / nv)
-                out[i] = a * nv
-                out[i + 1:j] = a * v
-        i = j
+def _group_norms(x: np.ndarray, group: int) -> np.ndarray:
+    """Norm of each contiguous group of `group` entries (none when 0)."""
+    if not group:
+        return np.zeros(0)
+    return np.linalg.norm(x.reshape(-1, group), axis=1)
+
+
+def _project_cone(s: np.ndarray, nonneg: int, soc: int) -> np.ndarray:
+    """Projection onto the orthant prefix times the second-order blocks."""
+    out = np.maximum(s, 0.0)
+    if soc:
+        blk = s[nonneg:].reshape(-1, soc)
+        t, v = blk[:, 0], blk[:, 1:]
+        nv = np.linalg.norm(v, axis=1)
+        inside = nv <= t
+        split = ~inside & (nv > -t)     # neither in K nor in its polar
+        a = np.where(split, 0.5 * (1.0 + t / np.where(split, nv, 1.0)), 0.0)
+        proj = out[nonneg:].reshape(-1, soc)
+        proj[:, 0] = np.where(inside, t, a * nv)
+        proj[:, 1:] = np.where(inside[:, None], v, a[:, None] * v)
     return out
 
 
 def _prox_objective(v: np.ndarray, tau: float, prog: ConeProgram) -> np.ndarray:
     """prox of tau*(c^T x + sum group norms) at v: shift then group shrink."""
     x = v - tau * prog.c
-    for g in prog.groups:
-        nrm = np.linalg.norm(x[g])
-        x[g] *= max(0.0, 1.0 - tau / nrm) if nrm > 0 else 0.0
+    if prog.group:
+        shrink = 1.0 - tau / np.maximum(_group_norms(x, prog.group), tau)
+        x = (x.reshape(-1, prog.group) * shrink[:, None]).ravel()
     return x
 
 
@@ -157,17 +153,14 @@ def _operator_norm(A: np.ndarray, iters: int = 50) -> float:
 def _residuals(prog: ConeProgram, x: np.ndarray, mu: np.ndarray):
     """(primal res, dual res, gap, primal obj) with relative normalization."""
     s = prog.A @ x + prog.b
-    pres = np.linalg.norm(s - _project_cone(s, prog.cones))
+    pres = np.linalg.norm(s - _project_cone(s, prog.nonneg, prog.soc))
     pres /= 1.0 + np.linalg.norm(prog.b)
 
+    # distance of A^T mu - c to the product of unit norm balls (or to 0)
     v = prog.A.T @ mu - prog.c
-    grouped = np.zeros(prog.num_vars, dtype=bool)
-    dviol = 0.0
-    for g in prog.groups:
-        grouped[g] = True
-        dviol += max(0.0, np.linalg.norm(v[g]) - 1.0) ** 2
-    dviol += float(np.sum(v[~grouped] ** 2))
-    dres = np.sqrt(dviol) / (1.0 + np.linalg.norm(prog.c))
+    excess = (np.maximum(_group_norms(v, prog.group) - 1.0, 0.0)
+              if prog.group else v)
+    dres = np.linalg.norm(excess) / (1.0 + np.linalg.norm(prog.c))
 
     pobj = prog.objective(x)
     dobj = -float(prog.b @ mu)
@@ -208,7 +201,8 @@ def solve(prog: ConeProgram, tol: float = 1e-8, max_iters: int = 200_000,
         x_new = _prox_objective(x - tau * (At @ y), tau, prog)
         xbar = 2.0 * x_new - x
         w = y + sigma * (prog.A @ xbar)
-        y = w - sigma * (_project_cone(w / sigma + prog.b, prog.cones) - prog.b)
+        y = w - sigma * (_project_cone(w / sigma + prog.b, prog.nonneg,
+                                       prog.soc) - prog.b)
         x = x_new
         if it % check_every == 0 or it == max_iters:
             pres, dres, gap, pobj = _residuals(prog, x, -y)
@@ -267,8 +261,7 @@ def lp_feasible(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 # Optimal-face bounds
 # ---------------------------------------------------------------------------
 
-def _face_one_side(prog: ConeProgram, budget: float, f: np.ndarray,
-                   tol: float, max_iters: int) -> float:
+def _face_one_side(prog: ConeProgram, budget: float, f: np.ndarray) -> float:
     """Certified lower bound on min f^T x over {x feasible, objective <= budget}.
 
     Penalty ladder: for a multiplier rho, the cone program with objective
@@ -282,16 +275,12 @@ def _face_one_side(prog: ConeProgram, budget: float, f: np.ndarray,
     """
     if prog.c.any():
         raise SolverError("face bounds expect a pure group-norm objective")
-    grouped = np.zeros(prog.num_vars, dtype=bool)
-    for g in prog.groups:
-        grouped[g] = True
-    if not grouped.all():
+    if not prog.group:
         raise SolverError("face bounds expect every variable in a norm group")
 
     def probe(rho: float) -> float:
-        pen = ConeProgram(c=f / rho, A=prog.A, b=prog.b,
-                          cones=prog.cones, groups=prog.groups)
-        x, mu, rep = solve(pen, tol=tol, max_iters=max_iters)
+        pen = replace(prog, c=f / rho)
+        x, mu, rep = solve(pen, max_iters=FACE_PROBE_MAX_ITERS)
         dual_value = -float(pen.b @ mu)
         debit = rep.dual_residual * (1.0 + np.linalg.norm(pen.c)) * abs(budget)
         return rho * (dual_value - debit - budget)
@@ -313,9 +302,8 @@ def _face_one_side(prog: ConeProgram, budget: float, f: np.ndarray,
 
 
 def optimal_face_bounds(prog: ConeProgram, p_star: float,
-                        functional: np.ndarray, tol: float = 1e-8,
-                        max_iters: int = 40_000,
-                        slack: float = 1e-6) -> tuple[float, float]:
+                        functional: np.ndarray,
+                        slack: float = FACE_SLACK) -> tuple[float, float]:
     """Min and max of functional^T x over near-optimal feasible points
     (objective <= p_star + slack), via penalty-ladder cone solves.
 
@@ -325,6 +313,6 @@ def optimal_face_bounds(prog: ConeProgram, p_star: float,
     if not np.any(functional):
         return 0.0, 0.0
     budget = p_star + slack
-    lower = _face_one_side(prog, budget, functional, tol, max_iters)
-    upper = -_face_one_side(prog, budget, -functional, tol, max_iters)
+    lower = _face_one_side(prog, budget, functional)
+    upper = -_face_one_side(prog, budget, -functional)
     return float(lower), float(upper)

@@ -18,19 +18,17 @@ from relu_lab.arrangements import (cover_bound, enumerate_masks,
                                    enumerate_sign_patterns, matrix_rank)
 from relu_lab.certify import (convex_kkt_residuals, dual_feasible,
                               extract_kkt, ortho_coverage, spike_free)
+from relu_lab.cli import notebook_face_functionals
 from relu_lab.convex import (NetworkParams, build_primal, network_from_convex,
                              solve_dual, solve_primal)
 from relu_lab.flow import (FlowConfig, g_min_max, recover_dual, run_flow)
-from relu_lab.geometry import stationary_direction
+from relu_lab.geometry import GAUGE_SOLVE_TOL, stationary_direction
 from relu_lab.solver import optimal_face_bounds
 
-#: slack for the optimal-face verification.  A face bound's interval widens
-#: with its objective slack along flat directions of the optimal set: on the
-#: notebook, positive_sum_coord2 (masks 100 + 110, side +, coordinate 2)
-#: spans [-1.731e-3, 4e-6] (width 1.735e-3) at optimal_face_bounds' default
-#: slack 1e-6, wider than criterion 03's 1e-3 bound, and [-3.29e-4, 0]
-#: (width 3.294e-4) at 5e-8
-FACE_SLACK = 5e-8
+#: values of the notebook pair-sum face functionals on the optimal set; every
+#: other (inactive) coordinate is 0 there
+PAIR_SUM_TARGETS = {"positive_sum_coord1": 1.0, "positive_sum_coord2": 0.0,
+                    "negative_sum_coord1": 0.0, "negative_sum_coord2": 1.0}
 
 #: seed for the property-band GD reproduction (the reference RNG is not
 #: portable; this seed separates at every checkpoint)
@@ -92,36 +90,23 @@ def test_criterion_02_arrangement_enumeration(notebook_ds):
     assert ok
 
 
-def test_criterion_03_optimal_set_verification(notebook_ds, notebook_masks,
-                                               notebook_solved):
+def test_criterion_03_optimal_set_verification(notebook_solved):
     problem, _, _, report = notebook_solved
-    pos_pair = [j for j, m in enumerate(notebook_masks)
-                if m.as_string() in ("100", "110")]
-    neg_pair = [j for j, m in enumerate(notebook_masks)
-                if m.as_string() in ("011", "111")]
     ok = True
     details = []
-    for pair, side, target in ((pos_pair, "+", (1.0, 0.0)),
-                               (neg_pair, "-", (0.0, 1.0))):
-        for coord in (0, 1):
-            f = np.zeros(problem.prog.num_vars)
-            for j in pair:
-                f[problem.group_slice(j, side)][coord] = 1.0
-            lo, hi = optimal_face_bounds(problem.prog, report.objective, f,
-                                         slack=FACE_SLACK)
-            ok = ok and (hi - lo <= 1e-3) and abs(lo - target[coord]) <= 1e-3 \
-                and abs(hi - target[coord]) <= 1e-3
-            details.append(f"{side}{coord}:[{lo:+.5f},{hi:+.5f}]")
-    for j, mask in enumerate(notebook_masks):
-        for side in ("-", "+"):
-            if (side == "+" and j in pos_pair) or (side == "-" and j in neg_pair):
-                continue
-            for coord in (0, 1):
-                f = np.zeros(problem.prog.num_vars)
-                f[problem.group_slice(j, side)][coord] = 1.0
-                lo, hi = optimal_face_bounds(problem.prog, report.objective,
-                                             f, slack=FACE_SLACK)
-                ok = ok and (-1e-3 <= lo <= hi <= 1e-3)
+    labels = []
+    for label, f in notebook_face_functionals(problem):
+        labels.append(label)
+        lo, hi = optimal_face_bounds(problem.prog, report.objective, f)
+        if label in PAIR_SUM_TARGETS:
+            target = PAIR_SUM_TARGETS[label]
+            ok = ok and (hi - lo <= 1e-3) and abs(lo - target) <= 1e-3 \
+                and abs(hi - target) <= 1e-3
+            details.append(f"{label}:[{lo:+.5f},{hi:+.5f}]")
+        else:
+            ok = ok and (-1e-3 <= lo <= hi <= 1e-3)
+    # 4 pair sums and 16 inactive coordinates (6 masks, 2 sides, d = 2)
+    ok = ok and len(labels) == 20 and set(PAIR_SUM_TARGETS) <= set(labels)
     ok = verdict("03", ok, "active pair sums pinned to [1,0]/[0,1], "
                            "inactive coordinates within 1e-3 "
                  + " ".join(details))
@@ -142,7 +127,7 @@ def test_criterion_04_gd_property_band(notebook_ds, notebook_masks, gd_trace):
         params = NetworkParams(W1=rec.W1, w2=rec.w2)
         _, _, gauge_all = recover_dual(notebook_ds.X, notebook_ds.y, params,
                                        notebook_masks)
-        ok_duals = ok_duals and gauge_all <= 1.0 + 1e-4
+        ok_duals = ok_duals and gauge_all <= 1.0 + GAUGE_SOLVE_TOL
     ok = verdict("04", ok_loss and ok_margins and ok_duals,
                  f"loss {final_loss:.2e}, margins "
                  f"{['%0.3f' % m for m in margins]}, duals feasible")

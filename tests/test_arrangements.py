@@ -90,6 +90,27 @@ class TestEnumerateMasks:
             X *= 10.0 ** rng.choice((-6, 0, 6), size=5)[:, None]
             assert_masks_match_sweep(X)
 
+    def test_scaled_gaussian_witnesses_verify(self):
+        # the bit-1 check is relative to scale: 15 of these 429 witnesses
+        # (norms 8e1 to 1.5e8) failed an absolute x^T w >= -1e-9
+        for k in range(40):
+            rng = np.random.default_rng(k)
+            X = rng.standard_normal((5, 2))
+            X *= 10.0 ** rng.choice((-6, 0, 6), size=5)[:, None]
+            for mask in enumerate_masks(X):
+                assert verify_mask_witness(X, mask)
+
+    def test_witness_check_rejects(self):
+        X = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert verify_mask_witness(X, ActivationMask((1, 0), (1.0, -1.0)))
+        # bit-1 row negative beyond the relative band
+        assert not verify_mask_witness(
+            X, ActivationMask((1, 0), (-1e-6, -1.0)))
+        # bit-0 row short of the unit margin
+        assert not verify_mask_witness(
+            X, ActivationMask((1, 0), (1.0, -0.5)))
+        assert not verify_mask_witness(X, ActivationMask((1, 0)))
+
     def test_scaled_near_antipodal_pairs_match_sweep(self):
         # 13 of these pairs raised and 12 gave a wrong mask set while the
         # LP saw the rows unnormalized

@@ -35,17 +35,24 @@ class TestBuildPrimal:
     def test_notebook_shapes(self, notebook_solved):
         problem, _, _, _ = notebook_solved
         prog = problem.prog
-        assert len(prog.groups) == 12
-        assert all(len(g) == 2 for g in prog.groups)
+        # 12 norm groups of 2, every row in the orthant, no SOC block
+        assert (prog.nonneg, prog.soc, prog.group) == (3 + 36, 0, 2)
         assert prog.A.shape == (3 + 36, 24)
-        assert prog.cones[0].size == 3  # margin rows first
+        # margin rows first
+        np.testing.assert_array_equal(prog.b, np.r_[-np.ones(3), np.zeros(36)])
 
     def test_counts_scale_with_masks(self, ortho_ds):
         masks = enumerate_masks(ortho_ds.X)
         prog = build_primal(ortho_ds.X, ortho_ds.y, masks).prog
         p, N, d = len(masks), ortho_ds.N, ortho_ds.d
         assert prog.A.shape == (N + 2 * p * N, 2 * p * d)
-        assert len(prog.groups) == 2 * p
+        assert (prog.nonneg, prog.soc, prog.group) == (N + 2 * p * N, 0, d)
+        assert prog.num_vars // prog.group == 2 * p
+        dual = build_dual_socp(ortho_ds.X, ortho_ds.y, masks)
+        assert (dual.nonneg, dual.soc, dual.group) == (N * (1 + 2 * p),
+                                                       1 + d, 0)
+        assert dual.A.shape == (N * (1 + 2 * p) + 2 * p * (1 + d),
+                                N * (1 + 2 * p))
 
     def test_single_all_ones_mask_identity_data(self):
         # reduces to min ||u'|| s.t. u' >= 1 componentwise

@@ -10,6 +10,7 @@ from relu_lab.flow import (FlowConfig, alignment, g_direction, g_min_max,
                            g_pattern, init_balanced, lambda_tilde,
                            logistic_loss, network_masks, recover_dual,
                            run_flow, step, time_bounds)
+from relu_lab.geometry import GAUGE_SOLVE_TOL
 
 # outputs printed by the reference run at its first checkpoint
 ITER10_Q = np.array([3.54896592, 4.36184346, 6.38061314])
@@ -310,7 +311,7 @@ class TestRecoverDual:
             params = NetworkParams(W1=rec.W1, w2=rec.w2)
             lam, _, gauge_all = recover_dual(notebook_ds.X, notebook_ds.y,
                                              params, notebook_masks)
-            assert gauge_all <= 1.0 + 1e-4
+            assert gauge_all <= 1.0 + GAUGE_SOLVE_TOL
             objectives.append(float(notebook_ds.y @ lam))
         assert all(o <= report.objective + 1e-6 for o in objectives)
         assert all(a <= b + 1e-9 for a, b in zip(objectives, objectives[1:]))

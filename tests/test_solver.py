@@ -5,16 +5,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relu_lab.solver import (Cone, ConeProgram, InconclusiveError, NONNEG,
-                             SOC, ZERO, _prox_objective, lp_feasible,
-                             optimal_face_bounds, solve)
+from relu_lab.solver import (ConeProgram, _project_cone, _prox_objective,
+                             lp_feasible, optimal_face_bounds, solve)
 
 
 def simple_lp(c, A_ineq, b_ineq):
     """min c.x s.t. A x + b >= 0 in canonical form."""
-    return ConeProgram(c=np.asarray(c, float), A=np.asarray(A_ineq, float),
-                       b=np.asarray(b_ineq, float),
-                       cones=(Cone(NONNEG, len(b_ineq)),))
+    prog = ConeProgram(c=np.asarray(c, float), A=np.asarray(A_ineq, float),
+                       b=np.asarray(b_ineq, float), nonneg=len(b_ineq))
+    assert (prog.nonneg, prog.soc, prog.group) == (len(b_ineq), 0, 0)
+    return prog
+
+
+def soc_member(p, tol):
+    """(t, v) in the second-order cone ||v|| <= t, up to tol."""
+    return np.linalg.norm(p[1:]) <= p[0] + tol
+
+
+@st.composite
+def mixed_layout(draw):
+    """A point s of an orthant prefix times equal second-order blocks, with
+    blocks on the cone's boundary (t = ||v||), on its polar's (t = -||v||),
+    with v = 0, and generic."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nonneg = draw(st.integers(0, 4))
+    soc = draw(st.integers(2, 5))
+    blocks = []
+    for kind in draw(st.lists(st.sampled_from(
+            ("boundary", "polar", "zero", "generic")), max_size=4)):
+        v = rng.normal(size=soc - 1) * 10.0 ** rng.integers(-3, 4)
+        t = rng.normal() * 10.0 ** rng.integers(-3, 4)
+        if kind == "boundary":
+            t = np.linalg.norm(v)
+        elif kind == "polar":
+            t = -np.linalg.norm(v)
+        elif kind == "zero":
+            v = np.zeros(soc - 1)
+        blocks.append(np.concatenate(([t], v)))
+    s = np.concatenate([rng.normal(size=nonneg)] + blocks)
+    return s, nonneg, soc
 
 
 def brute_force_lp(c, A, b):
@@ -36,24 +65,29 @@ class TestProx:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.01, 10.0))
     def test_group_shrink_identity(self, seed, tau):
+        # three groups of 4; the last one is zero
         rng = np.random.default_rng(seed)
-        v = rng.normal(size=4)
-        prog = ConeProgram(c=np.zeros(4), A=np.zeros((1, 4)), b=np.zeros(1),
-                           cones=(Cone(ZERO, 1),), groups=(np.arange(4),))
+        v = np.concatenate((rng.normal(size=8), np.zeros(4)))
+        prog = ConeProgram(c=np.zeros(12), A=np.zeros((1, 12)), b=np.zeros(1),
+                           nonneg=1, group=4)
+        assert (prog.nonneg, prog.soc, prog.group) == (1, 0, 4)
         x = _prox_objective(v.copy(), tau, prog)
-        nv = np.linalg.norm(v)
-        expected = max(0.0, 1.0 - tau / nv) * v if nv > 0 else 0.0 * v
-        np.testing.assert_allclose(x, expected, atol=1e-14)
-        # subgradient optimality of the prox point: v - x in tau * d||x||
-        if np.linalg.norm(x) > 0:
-            np.testing.assert_allclose(v - x, tau * x / np.linalg.norm(x),
-                                       atol=1e-12)
-        else:
-            assert np.linalg.norm(v - x) <= tau + 1e-12
+        for g in range(3):
+            vg, xg = v[4 * g:4 * g + 4], x[4 * g:4 * g + 4]
+            nv = np.linalg.norm(vg)
+            expected = max(0.0, 1.0 - tau / nv) * vg if nv > 0 else 0.0 * vg
+            np.testing.assert_allclose(xg, expected, atol=1e-14)
+            # subgradient optimality of the prox point: v - x in tau d||x||
+            if np.linalg.norm(xg) > 0:
+                np.testing.assert_allclose(vg - xg,
+                                           tau * xg / np.linalg.norm(xg),
+                                           atol=1e-12)
+            else:
+                assert np.linalg.norm(vg - xg) <= tau + 1e-12
 
     def test_min_norm_unconstrained_is_zero(self):
         prog = ConeProgram(c=np.zeros(3), A=np.zeros((1, 3)), b=np.zeros(1),
-                           cones=(Cone(ZERO, 1),), groups=(np.arange(3),))
+                           nonneg=1, group=3)
         x, mu, rep = solve(prog)
         np.testing.assert_allclose(x, 0.0, atol=1e-10)
         assert rep.objective == pytest.approx(0.0, abs=1e-10)
@@ -123,10 +157,46 @@ class TestSolveSOC:
         A = np.zeros((4, 3))
         A[1:] = np.eye(3)
         b = np.array([1.0, 0.0, 0.0, 0.0])
-        prog = ConeProgram(c=-v, A=A, b=b, cones=(Cone(SOC, 4),))
+        prog = ConeProgram(c=-v, A=A, b=b, nonneg=0, soc=4)
+        assert (prog.nonneg, prog.soc, prog.group) == (0, 4, 0)
         x, mu, rep = solve(prog)
         assert rep.objective == pytest.approx(-1.0, abs=1e-7)
         np.testing.assert_allclose(x, v / np.linalg.norm(v), atol=1e-6)
+
+    def test_orthant_prefix_and_two_balls(self):
+        # min -v.x s.t. x >= 0, ||x[:2]|| <= 1, ||x[2:]|| <= 1: each half
+        # of x is the unit vector along the positive part of v's half
+        v = np.array([0.6, -0.8, 3.0, 4.0])
+        A = np.zeros((10, 4))
+        A[:4] = np.eye(4)
+        A[5:7, :2] = np.eye(2)
+        A[8:10, 2:] = np.eye(2)
+        b = np.zeros(10)
+        b[[4, 7]] = 1.0
+        prog = ConeProgram(c=-v, A=A, b=b, nonneg=4, soc=3)
+        assert (prog.nonneg, prog.soc, prog.group) == (4, 3, 0)
+        x, mu, rep = solve(prog)
+        assert rep.status == "optimal"
+        assert rep.objective == pytest.approx(-5.6, abs=1e-6)
+        np.testing.assert_allclose(x, [1.0, 0.0, 0.6, 0.8], atol=1e-6)
+
+
+class TestProjectCone:
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_layout())
+    def test_moreau_conditions_per_block(self, case):
+        s, nonneg, soc = case
+        p = _project_cone(s, nonneg, soc)
+        r = p - s
+        assert np.all(p[:nonneg] >= 0.0) and np.all(r[:nonneg] >= 0.0)
+        assert np.all(p[:nonneg] * r[:nonneg] == 0.0)
+        for i in range(nonneg, s.size, soc):
+            sb, pb, rb = s[i:i + soc], p[i:i + soc], r[i:i + soc]
+            scale = 1.0 + np.linalg.norm(sb)
+            # p in K, p - s in K (K is self-dual), <p, p - s> = 0
+            assert soc_member(pb, 1e-12 * scale)
+            assert soc_member(rb, 1e-12 * scale)
+            assert abs(pb @ rb) <= 1e-12 * scale ** 2
 
 
 class TestLPFeasible:
@@ -168,14 +238,13 @@ class TestFaceBounds:
         problem, sol, _, report = notebook_solved
         f = np.zeros(problem.prog.num_vars)
         f[problem.group_slice(3, "+")][0] = 1.0  # mask 100, positive side
-        lo, hi = optimal_face_bounds(problem.prog, report.objective, f,
-                                     slack=5e-8)
+        lo, hi = optimal_face_bounds(problem.prog, report.objective, f)
         value = sol.u_prime[3][0]
         assert lo - 1e-6 <= value <= hi + 1e-6
 
     def test_rejects_linear_objective(self):
         prog = ConeProgram(c=np.ones(2), A=np.eye(2), b=np.zeros(2),
-                           cones=(Cone(NONNEG, 2),))
+                           nonneg=2, group=2)
         with pytest.raises(Exception):
             optimal_face_bounds(prog, 0.0, np.array([1.0, 0.0]))
 
@@ -184,13 +253,25 @@ class TestValidation:
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
             ConeProgram(c=np.zeros(2), A=np.zeros((2, 2)), b=np.zeros(3),
-                        cones=(Cone(NONNEG, 2),))
+                        nonneg=2)
         with pytest.raises(ValueError):
             ConeProgram(c=np.zeros(2), A=np.zeros((2, 2)), b=np.zeros(2),
-                        cones=(Cone(NONNEG, 1),))
+                        nonneg=1)
         with pytest.raises(ValueError):
-            Cone("weird", 1)
+            ConeProgram(c=np.zeros(2), A=np.zeros((2, 2)), b=np.zeros(2),
+                        nonneg=3)
+
+    def test_rows_not_tiled_by_soc(self):
         with pytest.raises(ValueError):
-            ConeProgram(c=np.zeros(2), A=np.zeros((1, 2)), b=np.zeros(1),
-                        cones=(Cone(NONNEG, 1),),
-                        groups=(np.array([0, 1]), np.array([1])))
+            ConeProgram(c=np.zeros(2), A=np.zeros((5, 2)), b=np.zeros(5),
+                        nonneg=1, soc=3)
+
+    def test_soc_of_size_one(self):
+        with pytest.raises(ValueError):
+            ConeProgram(c=np.zeros(2), A=np.zeros((3, 2)), b=np.zeros(3),
+                        nonneg=1, soc=1)
+
+    def test_groups_not_tiling_variables(self):
+        with pytest.raises(ValueError):
+            ConeProgram(c=np.zeros(3), A=np.zeros((1, 3)), b=np.zeros(1),
+                        nonneg=1, group=2)
