@@ -19,7 +19,8 @@ from .arrangements import ActivationMask, matrix_rank, RANK_RTOL
 from .convex import (ACTIVE_RTOL, ConvexProblem, ConvexSolution,
                      completion_choices)
 from .flow import g_direction
-from .geometry import GAUGE_SOLVE_TOL, cone_projection, polar_gauge
+from .geometry import GAUGE_SOLVE_TOL, polar_gauge
+from .solver import cone_projection
 
 BOUNDARY_ENUM_LIMIT = 12
 

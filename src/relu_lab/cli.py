@@ -2,9 +2,10 @@
 
 Subcommands: arrangements, solve, flow, certify, geometry-export, reproduce.
 Global flags: --json, --out-dir, --seed, --deterministic; solve and reproduce
-also take the solver tolerance --tol.  Exit codes: 0 success, 1 numerical
-failure, 2 usage error.  Every command that writes files also writes a
-manifest.json alongside them; CSV files carry a timestamp header line unless
+also take the solver tolerance --tol (a finite number > 0).  Exit codes:
+0 success, 1 numerical failure (a solve that does not end optimal included),
+2 usage error.  Every command that writes files also writes a manifest.json
+alongside them; CSV files carry a timestamp header line unless
 --deterministic is set.
 """
 
@@ -158,17 +159,13 @@ def cmd_solve(args) -> int:
             _write_csv(Path(args.solver_trace),
                        ["iteration", "objective", "primal_res", "dual_res"],
                        report.trace, args)
-        if report.status != "optimal":
-            print(f"primal solve: {report.status}", file=sys.stderr)
-            return EXIT_NUMERICAL
+        report.require_optimal("primal")
         print(f"primal objective {report.objective:.6f} "
               f"({report.iterations} iterations)")
         payload["primal"] = _solution_json(sol, masks, dual.lam)
     if args.which in ("dual", "both"):
         dv, dobj, dreport = solve_dual(ds.X, ds.y, masks, tol=args.tol)
-        if dreport.status != "optimal":
-            print(f"dual solve: {dreport.status}", file=sys.stderr)
-            return EXIT_NUMERICAL
+        dreport.require_optimal("dual")
         print(f"dual objective {dobj:.6f} ({dreport.iterations} iterations)")
         payload["dual"] = {"objective": dobj,
                            "lambda": [float(v) for v in dv.lam]}
@@ -356,6 +353,7 @@ def _reproduce_notebook(args, out: Path) -> list[str]:
 
     problem = build_primal(ds.X, ds.y, masks)
     sol, dual, report = solve_primal(problem, tol=args.tol)
+    report.require_optimal("primal")
     (out / "primal.json").write_text(
         json.dumps(_solution_json(sol, masks, dual.lam), indent=2) + "\n")
     outputs.append("primal.json")
@@ -411,6 +409,7 @@ def _reproduce_appendix(args, out: Path, name: str) -> list[str]:
     masks = enumerate_masks(ds.X)
     problem = build_primal(ds.X, ds.y, masks)
     sol, dual, report = solve_primal(problem, tol=args.tol)
+    report.require_optimal("primal")
     (out / "primal.json").write_text(
         json.dumps(_solution_json(sol, masks, dual.lam), indent=2) + "\n")
     outputs.append("primal.json")
@@ -458,6 +457,17 @@ def cmd_reproduce(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite number > 0, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relu-lab",
@@ -470,8 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dataset", default="notebook",
                            help="built-in name or JSON file path")
         if tol:
-            p.add_argument("--tol", type=float, default=1e-8,
-                           help="solver tolerance")
+            p.add_argument("--tol", type=_tolerance, default=1e-8,
+                           help="solver tolerance (finite, > 0)")
         p.add_argument("--json", action="store_true",
                        help="print machine-readable JSON")
         p.add_argument("--out-dir", default="",

@@ -25,17 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .arrangements import ActivationMask, mask_of
+from .solver import PROJECTION_ZERO_RTOL, cone_projection
 
 FIXED_POINT_TOL = 1e-10
 #: dual-feasibility tolerance: a gauge <= 1 + GAUGE_SOLVE_TOL certifies
 GAUGE_SOLVE_TOL = 1e-6
-#: cone projections: P_C(v) counts as 0 below PROJECTION_ZERO_RTOL ||v||,
-#: and its KKT conditions must hold to PROJECTION_KKT_RTOL ||M|| ||v||
-PROJECTION_ZERO_RTOL = 1e-10
-PROJECTION_KKT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -62,45 +58,6 @@ def _cone_objective(X: np.ndarray, mask: ActivationMask, lam: np.ndarray,
     if objective == "linear":
         return X.T @ lam
     raise ValueError(f"unknown objective {objective!r}")
-
-
-def cone_projection(M: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, z) with p = P_C(v) = v + M^T z the projection of v onto
-    C = {u : M u >= 0} and z = argmin_{z >= 0} ||v + M^T z|| (Moreau: v - p
-    is the projection onto the polar cone -M^T R^N_+).
-
-    p is evaluated as the projection of v onto the null space of the rows
-    with z > 0 (normalized; the cone is unchanged), the same point without
-    the cancellation of v + M^T z when ||p|| << ||v||.  Raises RuntimeError
-    when the NNLS solve stops early or the pair misses the KKT conditions
-    z >= 0, M p >= -eps, z-weighted mean |M p| <= eps, and
-    ||v + M^T z - p|| <= PROJECTION_KKT_RTOL (||v|| + ||M|| ||z||), with
-    eps = PROJECTION_KKT_RTOL ||M|| ||v||."""
-    try:
-        z, _ = nnls(M.T, -v)
-    except RuntimeError as exc:
-        raise RuntimeError(f"cone projection did not converge: {exc}") from exc
-    p = v
-    active = M[z > 0]
-    if len(active):
-        active /= np.linalg.norm(active, axis=1, keepdims=True)
-        _, s, Vt = np.linalg.svd(active)
-        rank = int(np.sum(s > s[0] * max(active.shape) * np.finfo(float).eps))
-        null = Vt[rank:]
-        p = null.T @ (null @ v)
-    slack = M @ p
-    nM, nv = np.linalg.norm(M), np.linalg.norm(v)
-    eps = PROJECTION_KKT_RTOL * nM * nv
-    comp = z @ np.abs(slack)
-    residual = np.linalg.norm(v + M.T @ z - p)
-    if (z.min(initial=0.0) < 0.0 or slack.min(initial=0.0) < -eps
-            or comp > eps * z.sum()
-            or residual > PROJECTION_KKT_RTOL * (nv + nM * np.linalg.norm(z))):
-        raise RuntimeError(
-            f"cone projection misses its KKT conditions: min M p "
-            f"{slack.min(initial=0.0):.2e}, z^T |M p| {comp:.2e} "
-            f"(eps {eps:.2e}), polar residual {residual:.2e}")
-    return p, z
 
 
 def extreme_point(X: np.ndarray, mask: ActivationMask, lam: np.ndarray,

@@ -29,6 +29,8 @@ from relu_lab.solver import optimal_face_bounds
 #: other (inactive) coordinate is 0 there
 PAIR_SUM_TARGETS = {"positive_sum_coord1": 1.0, "positive_sum_coord2": 0.0,
                     "negative_sum_coord1": 0.0, "negative_sum_coord2": 1.0}
+#: criterion 03 tolerance on the width and position of each face interval
+FACE_TOL = 1e-6
 
 #: seed for the property-band GD reproduction (the reference RNG is not
 #: portable; this seed separates at every checkpoint)
@@ -100,15 +102,15 @@ def test_criterion_03_optimal_set_verification(notebook_solved):
         lo, hi = optimal_face_bounds(problem.prog, report.objective, f)
         if label in PAIR_SUM_TARGETS:
             target = PAIR_SUM_TARGETS[label]
-            ok = ok and (hi - lo <= 1e-3) and abs(lo - target) <= 1e-3 \
-                and abs(hi - target) <= 1e-3
-            details.append(f"{label}:[{lo:+.5f},{hi:+.5f}]")
+            ok = ok and (hi - lo <= FACE_TOL) and abs(lo - target) <= FACE_TOL \
+                and abs(hi - target) <= FACE_TOL
+            details.append(f"{label}:[{lo:+.7f},{hi:+.7f}]")
         else:
-            ok = ok and (-1e-3 <= lo <= hi <= 1e-3)
+            ok = ok and (-FACE_TOL <= lo <= hi <= FACE_TOL)
     # 4 pair sums and 16 inactive coordinates (6 masks, 2 sides, d = 2)
     ok = ok and len(labels) == 20 and set(PAIR_SUM_TARGETS) <= set(labels)
     ok = verdict("03", ok, "active pair sums pinned to [1,0]/[0,1], "
-                           "inactive coordinates within 1e-3 "
+                           "inactive coordinates within 1e-6 "
                  + " ".join(details))
     assert ok
 

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import relu_lab.cli
 from relu_lab.cli import main
 
 
@@ -47,11 +49,20 @@ class TestArrangementsCommand:
         assert code == 0
         assert "2 arrangements" in out
 
-    def test_tol_rejected(self, capsys):
+    def test_tol_rejected(self, capsys, tmp_path):
         # only solve and reproduce run a solver that reads --tol
         with pytest.raises(SystemExit) as exc:
             main(["arrangements", "--tol", "1e-6"])
         assert exc.value.code == 2
+        # and there it must be a finite number > 0, checked before any work
+        for command in (["solve"], ["reproduce", "appendix-ortho"]):
+            for value in ("0", "-1e-8", "nan", "inf", "-inf", "tight"):
+                with pytest.raises(SystemExit) as exc:
+                    main(command + ["--out-dir", str(tmp_path),
+                                    f"--tol={value}"])
+                assert exc.value.code == 2
+                assert "--tol" in capsys.readouterr().err
+                assert not list(tmp_path.iterdir())
 
 
 class TestSolveCommand:
@@ -77,6 +88,38 @@ class TestSolveCommand:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["dataset_name"] == "appendix-ortho"
         assert "solution.json" in manifest["outputs"]
+
+
+@pytest.fixture
+def primal_stops_at_max_iters(monkeypatch):
+    """Make every CLI primal solve end in a max_iters report."""
+    solve_primal = relu_lab.cli.solve_primal
+
+    def capped(*args, **kwargs):
+        sol, dual, report = solve_primal(*args, **kwargs)
+        return sol, dual, dataclasses.replace(report, status="max_iters")
+
+    monkeypatch.setattr(relu_lab.cli, "solve_primal", capped)
+
+
+class TestNonOptimalSolve:
+    def test_solve_exits_1(self, capsys, primal_stops_at_max_iters):
+        code, out, err = run_cli(capsys, "solve", "--dataset",
+                                 "appendix-ortho", "--which", "primal")
+        assert code == 1
+        assert "primal solve: max_iters" in err
+        assert "primal objective" not in out
+
+    @pytest.mark.parametrize("target", ["notebook", "appendix-ortho",
+                                        "appendix-nonspikefree"])
+    def test_reproduce_exits_1_without_primal(self, capsys, tmp_path, target,
+                                              primal_stops_at_max_iters):
+        code, _, err = run_cli(capsys, "reproduce", target,
+                               "--out-dir", str(tmp_path))
+        assert code == 1
+        assert "primal solve: max_iters" in err
+        assert not (tmp_path / "primal.json").exists()
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestFlowCommand:

@@ -5,10 +5,10 @@ from relu_lab.arrangements import (ActivationMask, enumerate_masks,
                                    mask_from_string, mask_of)
 from relu_lab.certify import dual_feasible
 from relu_lab.datasets import builtin_dataset
-from relu_lab.geometry import (PROJECTION_ZERO_RTOL, cone_projection,
-                               extreme_point, polar_gauge,
+from relu_lab.geometry import (extreme_point, polar_gauge,
                                rectified_ellipsoid_samples,
                                stationary_direction)
+from relu_lab.solver import PROJECTION_ZERO_RTOL, cone_projection
 
 # dual variable printed by the reference run at its first checkpoint
 ITER10_LAMBDA = np.array([0.84944458, -0.3827491, -0.0513976])
@@ -266,6 +266,13 @@ class TestConeProjection:
         r = extreme_point(np.eye(3), mask_from_string("111"),
                           -np.ones(3), "max")
         assert r.value == 0.0 and not r.u.any()
+
+    def test_no_rows_is_the_whole_space(self):
+        # scipy's nnls aborts the process on a matrix with no columns
+        v = np.array([0.3, -1.2, 2.0])
+        p, z = cone_projection(np.zeros((0, 3)), v)
+        np.testing.assert_array_equal(p, v)
+        assert z.shape == (0,)
 
 
 class TestStationaryDirection:

@@ -1,12 +1,18 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relu_lab.solver import (ConeProgram, _project_cone, _prox_objective,
-                             lp_feasible, optimal_face_bounds, solve)
+from conftest import random_orthogonal_separable
+from relu_lab.arrangements import enumerate_masks
+from relu_lab.cli import notebook_face_functionals
+from relu_lab.convex import build_primal, solve_primal
+from relu_lab.solver import (ConeProgram, DegenerateError, SolverError,
+                             _project_cone, _prox_objective, lp_feasible,
+                             optimal_face_bounds, solve)
 
 
 def simple_lp(c, A_ineq, b_ineq):
@@ -15,6 +21,52 @@ def simple_lp(c, A_ineq, b_ineq):
                        b=np.asarray(b_ineq, float), nonneg=len(b_ineq))
     assert (prog.nonneg, prog.soc, prog.group) == (len(b_ineq), 0, 0)
     return prog
+
+
+def ladder_lower_bound(prog, budget, f):
+    """Certified lower bound on min f^T x over {x feasible, objective <=
+    budget}: the outer-bound oracle of the optimal-face bounds.
+
+    Penalty ladder: for a multiplier rho, the program with objective
+    (f/rho)^T x + group norms is solved and its dual value d turned into the
+    weak-duality bound rho * (d - debit - budget), where the debit
+    dres * (1 + ||c||) * budget accounts for the dual point's norm-ball
+    infeasibility.  rho climbs geometrically; the best certificate is kept,
+    stopping after two declines."""
+    def probe(rho):
+        pen = replace(prog, c=f / rho)
+        _, mu, rep = solve(pen, max_iters=40_000)
+        debit = rep.dual_residual * (1.0 + np.linalg.norm(pen.c)) * abs(budget)
+        return rho * (-float(pen.b @ mu) - debit - budget)
+
+    best, declines = -np.inf, 0
+    rho = 1.0 + 2.0 * float(np.linalg.norm(f))
+    for _ in range(12):
+        lb = probe(rho)
+        if lb > best:
+            best, declines = lb, 0
+        else:
+            declines += 1
+            if declines >= 2:
+                break
+        rho *= 4.0
+    return best
+
+
+def assert_inside_ladder(prog, p_star, f, slack):
+    lo, hi = optimal_face_bounds(prog, p_star, f, slack=slack)
+    outer_lo = ladder_lower_bound(prog, p_star + slack, f)
+    outer_hi = -ladder_lower_bound(prog, p_star + slack, -f)
+    # on a single-point face the two LP ends may cross by HiGHS's rounding
+    assert outer_lo <= lo <= hi + 1e-12 and hi <= outer_hi
+
+
+def unit_weight_program(a):
+    """min sum |x_i|  s.t.  a^T x >= 1: one norm group per variable, no
+    group rows; the optimal face puts all weight on the largest a_i."""
+    a = np.asarray(a, dtype=float)
+    return ConeProgram(c=np.zeros(len(a)), A=a[None, :], b=-np.ones(1),
+                       nonneg=1, group=1)
 
 
 def soc_member(p, tol):
@@ -245,8 +297,67 @@ class TestFaceBounds:
     def test_rejects_linear_objective(self):
         prog = ConeProgram(c=np.ones(2), A=np.eye(2), b=np.zeros(2),
                            nonneg=2, group=2)
-        with pytest.raises(Exception):
+        with pytest.raises(SolverError):
             optimal_face_bounds(prog, 0.0, np.array([1.0, 0.0]))
+
+    def test_rejects_ungrouped_variables(self):
+        prog = ConeProgram(c=np.zeros(2), A=np.eye(2), b=np.zeros(2),
+                           nonneg=2)
+        assert prog.group == 0
+        with pytest.raises(SolverError):
+            optimal_face_bounds(prog, 0.0, np.array([1.0, 0.0]))
+
+    def test_tie_spans_the_whole_edge(self):
+        # a_1 = a_2: every split of x_1 + x_2 = 1 is optimal; a p_star below
+        # the exact optimal value 1 is lifted to it
+        for p_star in (1.0, 0.5):
+            lo, hi = optimal_face_bounds(unit_weight_program([1.0, 1.0]),
+                                         p_star, np.array([1.0, 0.0]))
+            assert lo == pytest.approx(0.0, abs=1e-9)
+            assert hi == pytest.approx(1.0, abs=1e-9)
+
+    def test_strict_winner_is_a_single_point(self):
+        # the optimum is x = (0, 1/2), p* = 1/2
+        prog = unit_weight_program([1.0, 2.0])
+        for f, value in (([1.0, 0.0], 0.0), ([0.0, 1.0], 0.5),
+                         ([1.0, 1.0], 0.5)):
+            lo, hi = optimal_face_bounds(prog, 0.5, np.array(f))
+            assert lo == pytest.approx(value, abs=1e-9)
+            assert hi == pytest.approx(value, abs=1e-9)
+
+    def test_near_tie_is_degenerate(self):
+        # gamma_1 = 1/(1 + 1e-4) lies between 1 - sqrt(delta) and 1 - delta
+        with pytest.raises(DegenerateError):
+            optimal_face_bounds(unit_weight_program([1.0, 1.0 + 1e-4]), 1.0,
+                                np.array([1.0, 0.0]))
+
+    def test_infeasible_program_raises(self):
+        # x_1 + x_2 >= 1 and -(x_1 + x_2) >= 0
+        prog = ConeProgram(c=np.zeros(2), A=np.array([[1.0, 1.0],
+                                                      [-1.0, -1.0]]),
+                           b=np.array([-1.0, 0.0]), nonneg=2, group=1)
+        with pytest.raises(SolverError):
+            optimal_face_bounds(prog, 1.0, np.array([1.0, 0.0]))
+
+    def test_inside_ladder_on_notebook(self, notebook_solved):
+        problem, _, _, report = notebook_solved
+        faces = dict(notebook_face_functionals(problem))
+        for label in ("positive_sum_coord1", "negative_sum_coord2"):
+            assert_inside_ladder(problem.prog, report.objective, faces[label],
+                                 slack=5e-8)
+
+    @pytest.mark.parametrize("seed", [1, 4, 6])
+    def test_inside_ladder_on_orthogonal_separable(self, seed):
+        rng = np.random.default_rng(seed)
+        X, y = random_orthogonal_separable(rng, int(rng.integers(1, 4)),
+                                           int(rng.integers(1, 4)))
+        problem = build_primal(X, y, enumerate_masks(X))
+        _, _, report = solve_primal(problem)
+        assert report.status == "optimal"
+        f = np.zeros(problem.prog.num_vars)   # first coordinate, side +
+        for j in range(problem.p):
+            f[problem.group_slice(j, "+")][0] = 1.0
+        assert_inside_ladder(problem.prog, report.objective, f, slack=5e-8)
 
 
 class TestValidation:
