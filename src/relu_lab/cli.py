@@ -2,7 +2,8 @@
 
 Subcommands: arrangements, solve, flow, certify, geometry-export, reproduce.
 Global flags: --json, --out-dir, --seed, --deterministic; solve and reproduce
-also take the solver tolerance --tol (a finite number > 0).  Exit codes:
+also take the solver tolerance --tol, certify the dual-feasibility tolerance
+--tol-cert (each a finite number > 0).  Exit codes:
 0 success, 1 numerical failure (a solve that does not end optimal included),
 2 usage error.  Every command that writes files also writes a manifest.json
 alongside them; CSV files carry a timestamp header line unless
@@ -188,23 +189,30 @@ def _parse_checkpoints(spec: str, iters: int) -> tuple[int, ...]:
     return tuple(c for c in points if 1 <= c <= iters)
 
 
-def _flow_rows(trace):
-    for rec in trace.records:
-        for i, nr in enumerate(rec.neurons):
-            yield (rec.iteration, rec.loss,
-                   None if rec.margin is None else rec.margin, i, nr.r,
-                   *[float(v) for v in nr.u], nr.s, nr.mask.as_string(),
-                   None if nr.alignment is None else nr.alignment)
+def _flow_config(args) -> FlowConfig:
+    """FlowConfig from the options added by the parser's flow_options."""
+    return FlowConfig(m=args.m, init_scale=args.init_scale, step=args.step,
+                      iters=args.iters,
+                      checkpoints=_parse_checkpoints(args.checkpoints,
+                                                     args.iters),
+                      seed=args.seed)
+
+
+def _write_flow_trace(path: Path, trace, d: int, args):
+    """flow_trace.csv: one row per neuron per recorded iteration."""
+    cols = (["iter", "loss", "margin", "neuron_id", "r"]
+            + [f"u{i + 1}" for i in range(d)] + ["s", "mask", "alignment"])
+    rows = ((rec.iteration, rec.loss, rec.margin, i, nr.r,
+             *[float(v) for v in nr.u], nr.s, nr.mask.as_string(),
+             nr.alignment)
+            for rec in trace.records for i, nr in enumerate(rec.neurons))
+    _write_csv(path, cols, rows, args)
 
 
 def cmd_flow(args) -> int:
     t0 = time.perf_counter()
     ds = _dataset_from_args(args)
-    cfg = FlowConfig(m=args.m, init_scale=args.init_scale, step=args.step,
-                     iters=args.iters,
-                     checkpoints=_parse_checkpoints(args.checkpoints, args.iters),
-                     seed=args.seed)
-    trace = run_flow(ds, cfg)
+    trace = run_flow(ds, _flow_config(args))
     traces = trace if isinstance(trace, list) else [trace]
     for k, tr in enumerate(traces):
         tag = f"class {k + 1}: " if len(traces) > 1 else ""
@@ -220,12 +228,9 @@ def cmd_flow(args) -> int:
     if args.out_dir:
         out = _out_dir(args)
         outputs = []
-        d = ds.d
-        cols = (["iter", "loss", "margin", "neuron_id", "r"]
-                + [f"u{i + 1}" for i in range(d)] + ["s", "mask", "alignment"])
         for k, tr in enumerate(traces):
             name = "flow_trace.csv" if len(traces) == 1 else f"flow_trace_class{k + 1}.csv"
-            _write_csv(out / name, cols, _flow_rows(tr), args)
+            _write_flow_trace(out / name, tr, ds.d, args)
             outputs.append(name)
         _manifest(args, ds, outputs, t0).write(out)
     return EXIT_OK
@@ -249,12 +254,7 @@ def cmd_certify(args) -> int:
     if args.network:
         nets = [(None, _load_network(args.network))]
     else:
-        cfg = FlowConfig(m=args.m, init_scale=args.init_scale, step=args.step,
-                         iters=args.iters,
-                         checkpoints=_parse_checkpoints(args.checkpoints,
-                                                        args.iters),
-                         seed=args.seed)
-        trace = run_flow(ds, cfg)
+        trace = run_flow(ds, _flow_config(args))
         nets = [(rec.iteration, NetworkParams(W1=rec.W1, w2=rec.w2))
                 for rec in trace.records if rec.iteration > 0]
     certificates = []
@@ -343,8 +343,7 @@ def notebook_face_functionals(problem):
                            functional([j], side, coord))
 
 
-def _reproduce_notebook(args, out: Path) -> list[str]:
-    ds = builtin_dataset("notebook")
+def _reproduce_notebook(args, ds: Dataset, out: Path) -> list[str]:
     masks = enumerate_masks(ds.X)
     outputs = []
     table = np.array([m.bits for m in masks]).T
@@ -368,9 +367,7 @@ def _reproduce_notebook(args, out: Path) -> list[str]:
     cfg = FlowConfig(m=8, init_scale=args.init_scale, step=1.0, iters=10_000,
                      checkpoints=(10, 100, 1000, 10_000), seed=args.seed)
     trace = run_flow(ds, cfg)
-    cols = (["iter", "loss", "margin", "neuron_id", "r", "u1", "u2", "s",
-             "mask", "alignment"])
-    _write_csv(out / "flow_trace.csv", cols, _flow_rows(trace), args)
+    _write_flow_trace(out / "flow_trace.csv", trace, ds.d, args)
     outputs.append("flow_trace.csv")
 
     duals = []
@@ -396,8 +393,7 @@ def _reproduce_notebook(args, out: Path) -> list[str]:
     return outputs
 
 
-def _reproduce_appendix(args, out: Path, name: str) -> list[str]:
-    ds = builtin_dataset(name)
+def _reproduce_appendix(args, ds: Dataset, out: Path) -> list[str]:
     outputs = []
     thetas, pts = rectified_ellipsoid_samples(ds.X, 1024)
     _write_csv(out / "ellipsoid.csv",
@@ -427,27 +423,20 @@ def _reproduce_appendix(args, out: Path, name: str) -> list[str]:
     cfg = FlowConfig(m=10, init_scale=args.init_scale, step=0.1, iters=10_000,
                      checkpoints=(1, 10, 100, 1000, 10_000), seed=args.seed)
     trace = run_flow(ds, cfg)
-    cols = (["iter", "loss", "margin", "neuron_id", "r", "u1", "u2", "s",
-             "mask", "alignment"])
-    _write_csv(out / "flow_trace.csv", cols, _flow_rows(trace), args)
+    _write_flow_trace(out / "flow_trace.csv", trace, ds.d, args)
     outputs.append("flow_trace.csv")
-    print(f"{name} reproduction in {out}: primal {report.objective:.4f}, "
+    print(f"{ds.name} reproduction in {out}: primal {report.objective:.4f}, "
           f"{len(masks)} arrangements")
     return outputs
 
 
 def cmd_reproduce(args) -> int:
     t0 = time.perf_counter()
-    if args.target == "notebook":
-        ds = builtin_dataset("notebook")
-        out = _out_dir(args)
-        outputs = _reproduce_notebook(args, out)
-    elif args.target in ("appendix-ortho", "appendix-nonspikefree"):
-        ds = builtin_dataset(args.target)
-        out = _out_dir(args)
-        outputs = _reproduce_appendix(args, out, args.target)
-    else:
-        raise UsageError(f"unknown reproduce target {args.target!r}")
+    ds = builtin_dataset(args.target)
+    out = _out_dir(args)
+    reproduce = (_reproduce_notebook if args.target == "notebook"
+                 else _reproduce_appendix)
+    outputs = reproduce(args, ds, out)
     args.dataset = args.target
     _manifest(args, ds, outputs, t0).write(out)
     return EXIT_OK
@@ -458,7 +447,7 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _tolerance(text: str) -> float:
-    """A --tol value: a finite number > 0, else a usage error."""
+    """A --tol or --tol-cert value: a finite number > 0, else a usage error."""
     try:
         value = float(text)
     except ValueError:
@@ -505,28 +494,28 @@ def build_parser() -> argparse.ArgumentParser:
                         "CSV of the primal solve here")
     p.set_defaults(func=cmd_solve)
 
+    def flow_options(p):
+        p.add_argument("--m", type=int, default=8, help="neuron count")
+        p.add_argument("--init-scale", type=float, default=1e-4)
+        p.add_argument("--step", type=float, default=1.0)
+        p.add_argument("--iters", type=int, default=10_000)
+        p.add_argument("--checkpoints", default="",
+                       help="comma-separated iteration list")
+
     p = sub.add_parser("flow", help="run the subgradient-descent simulator")
     common(p)
-    p.add_argument("--m", type=int, default=8, help="neuron count")
-    p.add_argument("--init-scale", type=float, default=1e-4)
-    p.add_argument("--step", type=float, default=1.0)
-    p.add_argument("--iters", type=int, default=10_000)
-    p.add_argument("--checkpoints", default="",
-                   help="comma-separated iteration list")
+    flow_options(p)
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("certify", help="certificates for a trained network")
     common(p)
     p.add_argument("--network", default="",
                    help="JSON file with W1 (d x m) and w2 (m)")
-    p.add_argument("--m", type=int, default=8)
-    p.add_argument("--init-scale", type=float, default=1e-4)
-    p.add_argument("--step", type=float, default=1.0)
-    p.add_argument("--iters", type=int, default=10_000)
-    p.add_argument("--checkpoints", default="")
+    flow_options(p)
     p.add_argument("--lambda-scale", type=float, default=1.0,
                    help="scale the recovered dual (negative-control hook)")
-    p.add_argument("--tol-cert", type=float, default=GAUGE_SOLVE_TOL)
+    p.add_argument("--tol-cert", type=_tolerance, default=GAUGE_SOLVE_TOL,
+                   help="dual-feasibility tolerance (finite, > 0)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("geometry-export",

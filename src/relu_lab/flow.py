@@ -9,7 +9,9 @@ with q_n = y_n f(x_n), the zero subgradient at the ReLU kink, and balanced
 initialization ||w1_i|| = |w2_i| = eps.  Balance is conserved by the
 continuous flow; the simulator tracks the discrete drift, the second-layer
 signs, every activation sign-pattern change, and per-checkpoint polar
-coordinates, margins and alignments.
+coordinates, margins and alignments.  The loop keeps W1, w2 and Z = X W1 as
+arrays and computes Z once per step: the next update, its forward pass and
+the sign-pattern tracking all read it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ class FlowConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 1 or self.init_scale <= 0 or self.step <= 0 or self.iters < 0:
+        if (self.m < 1 or self.iters < 0
+                or not (np.isfinite(self.init_scale) and self.init_scale > 0)
+                or not (np.isfinite(self.step) and self.step > 0)):
             raise ValueError("bad flow configuration")
         if any(c < 1 or c > max(self.iters, 1) for c in self.checkpoints):
             raise ValueError("checkpoints must lie in [1, iters]")
@@ -100,8 +104,12 @@ def init_balanced(cfg: FlowConfig, d: int) -> NetworkParams:
 
 def lambda_tilde(X: np.ndarray, y: np.ndarray, params: NetworkParams) -> np.ndarray:
     """lt_n = y_n / (1 + exp(q_n)), q_n = y_n f(x_n); sign(lt_n) = y_n."""
-    q = np.asarray(y, dtype=float) * params.forward(X)
-    return np.asarray(y, dtype=float) * expit(-q)
+    return _lambda_of_output(np.asarray(y, dtype=float), params.forward(X))
+
+
+def _lambda_of_output(y: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """lambda_tilde from the network outputs f = f(X)."""
+    return y * expit(-(y * f))
 
 
 def logistic_loss(X: np.ndarray, y: np.ndarray, params: NetworkParams) -> float:
@@ -141,20 +149,15 @@ def g_min_max(X: np.ndarray, y: np.ndarray,
     return gmin, gmax, minimizers, maximizers
 
 
-def step(X: np.ndarray, y: np.ndarray, params: NetworkParams, eta: float,
-         lam: np.ndarray | None = None) -> NetworkParams:
-    """One forward-Euler subgradient step (old parameters on the right-hand
-    side, strict activations I(x^T w > 0)).  lam overrides lambda_tilde for
-    unit tests."""
-    if eta <= 0:
-        raise ValueError("step size must be positive")
-    X = np.asarray(X, dtype=float)
-    Z = X @ params.W1
-    lt = lambda_tilde(X, y, params) if lam is None else np.asarray(lam, dtype=float)
+def step(X: np.ndarray, y: np.ndarray, W1: np.ndarray, w2: np.ndarray,
+         Z: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """One forward-Euler subgradient step from (W1, w2) with Z = X @ W1 (old
+    parameters on the right-hand side, strict activations I(x^T w > 0));
+    X and y are float arrays.  Returns the new (W1, w2)."""
+    R = np.maximum(Z, 0.0)
+    lt = _lambda_of_output(y, R @ w2)
     G = X.T @ (lt[:, None] * (Z > 0.0))
-    W1 = params.W1 + eta * G * params.w2[None, :]
-    w2 = params.w2 + eta * (np.maximum(Z, 0.0).T @ lt)
-    return NetworkParams(W1=W1, w2=w2)
+    return W1 + eta * G * w2[None, :], w2 + eta * (R.T @ lt)
 
 
 def alignment(X: np.ndarray, u: np.ndarray, lam: np.ndarray) -> float | None:
@@ -208,42 +211,45 @@ def run_flow(ds: Dataset, cfg: FlowConfig):
 
 
 def _run_binary(X: np.ndarray, y: np.ndarray, cfg: FlowConfig) -> FlowTrace:
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
     params = init_balanced(cfg, X.shape[1])
+    W1, w2 = params.W1, params.w2
+    Z = X @ W1
     trace = FlowTrace(config=cfg)
     checkpoints = set(cfg.checkpoints)
-    init_signs = np.sign(params.w2)
-    prev_sigma = np.sign(X @ params.W1).astype(int)
+    init_signs = np.sign(w2)
+    prev_sigma = np.sign(Z).astype(int)
     trace.records.append(_record(X, y, params, 0))
-    for it in range(1, cfg.iters + 1):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                params = step(X, y, params, cfg.step)
-        except ValueError:
-            trace.aborted_at = it   # non-finite parameters
-            break
-        if not (np.isfinite(params.W1).all() and np.isfinite(params.w2).all()):
-            trace.aborted_at = it
-            break
-        sigma = np.sign(X @ params.W1).astype(int)
-        changed = np.nonzero(np.any(sigma != prev_sigma, axis=0))[0]
-        for i in changed:
-            if len(trace.sign_events) >= SIGN_EVENT_CAP:
-                trace.sign_events_truncated = True
+    # a diverging run overflows before it aborts on non-finite parameters
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, cfg.iters + 1):
+            W1, w2 = step(X, y, W1, w2, Z, cfg.step)
+            if not (np.isfinite(W1).all() and np.isfinite(w2).all()):
+                trace.aborted_at = it
                 break
-            trace.sign_events.append(SignChangeEvent(
-                iteration=it, neuron=int(i),
-                old=tuple(int(v) for v in prev_sigma[:, i]),
-                new=tuple(int(v) for v in sigma[:, i])))
-        prev_sigma = sigma
-        with np.errstate(over="ignore", invalid="ignore"):
-            drift = np.abs(np.sum(params.W1 ** 2, axis=0) - params.w2 ** 2)
-        if np.isfinite(drift).all():
-            trace.max_balance_drift = max(trace.max_balance_drift,
-                                          float(drift.max()))
-        trace.w2_sign_flips += int(np.sum(np.sign(params.w2) * init_signs < 0))
-        init_signs = np.where(params.w2 == 0.0, init_signs, np.sign(params.w2))
-        if it in checkpoints:
-            trace.records.append(_record(X, y, params, it))
+            Z = X @ W1
+            sigma = np.sign(Z).astype(int)
+            changed = np.nonzero(np.any(sigma != prev_sigma, axis=0))[0]
+            for i in changed:
+                if len(trace.sign_events) >= SIGN_EVENT_CAP:
+                    trace.sign_events_truncated = True
+                    break
+                trace.sign_events.append(SignChangeEvent(
+                    iteration=it, neuron=int(i),
+                    old=tuple(int(v) for v in prev_sigma[:, i]),
+                    new=tuple(int(v) for v in sigma[:, i])))
+            prev_sigma = sigma
+            drift = np.abs(np.sum(W1 ** 2, axis=0) - w2 ** 2)
+            if np.isfinite(drift).all():
+                trace.max_balance_drift = max(trace.max_balance_drift,
+                                              float(drift.max()))
+            s = np.sign(w2)
+            trace.w2_sign_flips += int(np.sum(s * init_signs < 0))
+            init_signs = np.where(s == 0.0, init_signs, s)
+            if it in checkpoints:
+                trace.records.append(
+                    _record(X, y, NetworkParams(W1=W1, w2=w2), it))
     return trace
 
 

@@ -173,16 +173,17 @@ def solve(prog: ConeProgram, tol: float = 1e-8, max_iters: int = 200_000,
     residuals and the duality gap are checked against `tol`."""
     m, n = prog.A.shape
     L = _operator_norm(prog.A) * 1.02
-    if L == 0.0:
-        x = _prox_objective(np.zeros(n), 1.0, prog)
-        return x, np.zeros(m), SolveReport("optimal", prog.objective(x),
-                                           0.0, 0.0, 0.0, 0)
-
-    tau = sigma = 0.99 / L
     x, y = np.zeros(n), np.zeros(m)
-    At = prog.A.T.copy()
     trace: list[tuple[int, float, float, float]] = []
     it = 0
+    if L == 0.0:
+        # A = 0: x minimizes the objective alone, no iterations; whether b
+        # lies in K is judged by the residuals, as at every other exit
+        x = _prox_objective(x, 1.0, prog)
+        max_iters = 0
+    else:
+        tau = sigma = 0.99 / L
+    At = prog.A.T.copy()
     for it in range(1, max_iters + 1):
         x_new = _prox_objective(x - tau * (At @ y), tau, prog)
         xbar = 2.0 * x_new - x

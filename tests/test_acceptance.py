@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_orthogonal_separable
+from conftest import GD_SEED, random_orthogonal_separable
 from relu_lab.arrangements import (cover_bound, enumerate_masks,
                                    enumerate_sign_patterns, matrix_rank)
 from relu_lab.certify import (convex_kkt_residuals, dual_feasible,
@@ -32,21 +32,10 @@ PAIR_SUM_TARGETS = {"positive_sum_coord1": 1.0, "positive_sum_coord2": 0.0,
 #: criterion 03 tolerance on the width and position of each face interval
 FACE_TOL = 1e-6
 
-#: seed for the property-band GD reproduction (the reference RNG is not
-#: portable; this seed separates at every checkpoint)
-GD_SEED = 1
-
 
 def verdict(num: str, ok: bool, desc: str) -> bool:
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {desc}")
     return ok
-
-
-@pytest.fixture(scope="module")
-def gd_trace(notebook_ds):
-    cfg = FlowConfig(m=8, init_scale=1e-4, step=1.0, iters=10_000,
-                     checkpoints=(10, 100, 1000, 10_000), seed=GD_SEED)
-    return run_flow(notebook_ds, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -115,15 +104,17 @@ def test_criterion_03_optimal_set_verification(notebook_solved):
     assert ok
 
 
-def test_criterion_04_gd_property_band(notebook_ds, notebook_masks, gd_trace):
-    margins = [rec.margin for rec in gd_trace.records if rec.iteration > 0]
-    final_loss = gd_trace.final().loss
+def test_criterion_04_gd_property_band(notebook_ds, notebook_masks,
+                                       notebook_flow):
+    margins = [rec.margin for rec in notebook_flow.records
+               if rec.iteration > 0]
+    final_loss = notebook_flow.final().loss
     ok_loss = final_loss <= 1e-4
     ok_margins = (all(m is not None for m in margins)
                   and all(a > b for a, b in zip(margins, margins[1:]))
                   and 2.0 <= margins[-1] <= 2.10)
     ok_duals = True
-    for rec in gd_trace.records:
+    for rec in notebook_flow.records:
         if rec.iteration == 0:
             continue
         params = NetworkParams(W1=rec.W1, w2=rec.w2)
@@ -173,19 +164,19 @@ def test_criterion_06_alignment_condition(alignment_traces):
     assert ok
 
 
-def test_criterion_07_balance_conservation(notebook_ds, gd_trace,
+def test_criterion_07_balance_conservation(notebook_ds, notebook_flow,
                                            alignment_traces):
     cfg_half = FlowConfig(m=8, init_scale=1e-4, step=0.5, iters=20_000,
                           checkpoints=(20_000,), seed=GD_SEED)
     half = run_flow(notebook_ds, cfg_half)
-    ratio = gd_trace.max_balance_drift / half.max_balance_drift
+    ratio = notebook_flow.max_balance_drift / half.max_balance_drift
     ok_ratio = 1.6 <= ratio <= 2.4
-    ok_flips = (gd_trace.w2_sign_flips == 0
+    ok_flips = (notebook_flow.w2_sign_flips == 0
                 and all(t.w2_sign_flips == 0
                         for t in alignment_traces.values()))
     ok = verdict("07", ok_ratio and ok_flips,
                  f"drift ratio {ratio:.3f}, sign flips "
-                 f"{gd_trace.w2_sign_flips}")
+                 f"{notebook_flow.w2_sign_flips}")
     assert ok
 
 

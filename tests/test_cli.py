@@ -146,6 +146,14 @@ class TestFlowCommand:
         assert (d1 / "flow_trace.csv").read_bytes() == \
                (d2 / "flow_trace.csv").read_bytes()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_step_exits_2(self, capsys, value):
+        code, _, err = run_cli(capsys, "flow", "--dataset", "notebook",
+                               "--iters", "10", "--checkpoints", "10",
+                               "--step", value)
+        assert code == 2
+        assert "bad flow configuration" in err
+
     def test_iters_zero_initialization_row(self, capsys, tmp_path):
         out_dir = tmp_path / "zero"
         code, _, _ = run_cli(capsys, "flow", "--dataset", "notebook",
@@ -170,6 +178,14 @@ class TestCertifyCommand:
                                "--seed", "1", "--lambda-scale", "10")
         assert code == 0
         assert "dual-feasible: false" in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_tol_cert_must_be_finite_positive(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--dataset", "appendix-ortho",
+                  f"--tol-cert={value}"])
+        assert exc.value.code == 2
+        assert "--tol-cert" in capsys.readouterr().err
 
     def test_network_file_input(self, capsys, tmp_path):
         net = tmp_path / "net.json"

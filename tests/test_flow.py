@@ -5,7 +5,7 @@ import pytest
 
 from relu_lab.arrangements import enumerate_sign_patterns
 from relu_lab.convex import NetworkParams
-from relu_lab.datasets import Dataset
+from relu_lab.datasets import Dataset, builtin_dataset
 from relu_lab.flow import (FlowConfig, alignment, g_direction, g_min_max,
                            g_pattern, init_balanced, lambda_tilde,
                            logistic_loss, network_masks, recover_dual,
@@ -15,6 +15,60 @@ from relu_lab.geometry import GAUGE_SOLVE_TOL
 # outputs printed by the reference run at its first checkpoint
 ITER10_Q = np.array([3.54896592, 4.36184346, 6.38061314])
 ITER10_LAMBDA = np.array([0.84944458, -0.3827491, -0.0513976])
+
+
+def reference_flow(X, y, cfg):
+    """The flow loop in its first formulation: a NetworkParams and a
+    lambda_tilde forward pass every step, and X @ W1 recomputed for the
+    update, the forward pass and the sign tracking.  Returns the (iteration,
+    W1, w2) checkpoints, sign events, max balance drift, w2 sign flips and
+    abort iteration."""
+    params = init_balanced(cfg, X.shape[1])
+    records = [(0, params.W1, params.w2)]
+    init_signs = np.sign(params.w2)
+    prev = np.sign(X @ params.W1).astype(int)
+    events, max_drift, flips, aborted = [], 0.0, 0, None
+    for it in range(1, cfg.iters + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            Z = X @ params.W1
+            lt = lambda_tilde(X, y, params)
+            G = X.T @ (lt[:, None] * (Z > 0.0))
+            W1 = params.W1 + cfg.step * G * params.w2[None, :]
+            w2 = params.w2 + cfg.step * (np.maximum(Z, 0.0).T @ lt)
+        try:
+            params = NetworkParams(W1=W1, w2=w2)
+        except ValueError:
+            aborted = it
+            break
+        sigma = np.sign(X @ params.W1).astype(int)
+        for i in np.nonzero(np.any(sigma != prev, axis=0))[0]:
+            events.append((it, int(i), tuple(int(v) for v in prev[:, i]),
+                           tuple(int(v) for v in sigma[:, i])))
+        prev = sigma
+        with np.errstate(over="ignore", invalid="ignore"):
+            drift = np.abs(np.sum(params.W1 ** 2, axis=0) - params.w2 ** 2)
+        if np.isfinite(drift).all():
+            max_drift = max(max_drift, float(drift.max()))
+        flips += int(np.sum(np.sign(params.w2) * init_signs < 0))
+        init_signs = np.where(params.w2 == 0.0, init_signs,
+                              np.sign(params.w2))
+        if it in cfg.checkpoints:
+            records.append((it, params.W1, params.w2))
+    return records, events, max_drift, flips, aborted
+
+
+def assert_matches_reference(ds, trace):
+    records, events, max_drift, flips, aborted = reference_flow(
+        ds.X, ds.y, trace.config)
+    assert [r.iteration for r in trace.records] == [r[0] for r in records]
+    for rec, (_, W1, w2) in zip(trace.records, records):
+        assert np.array_equal(rec.W1, W1) and np.array_equal(rec.w2, w2)
+    assert [(e.iteration, e.neuron, e.old, e.new)
+            for e in trace.sign_events] == events
+    assert trace.max_balance_drift == max_drift
+    assert trace.w2_sign_flips == flips
+    assert trace.aborted_at == aborted
+    assert events   # the cases below all change activation patterns
 
 
 class TestInitBalanced:
@@ -39,6 +93,11 @@ class TestInitBalanced:
             FlowConfig(m=0)
         with pytest.raises(ValueError):
             FlowConfig(init_scale=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                FlowConfig(step=bad)
+            with pytest.raises(ValueError):
+                FlowConfig(init_scale=bad)
         with pytest.raises(ValueError):
             FlowConfig(iters=100, checkpoints=(200,))
 
@@ -122,27 +181,23 @@ class TestGMinMax:
             assert 0.0 < gmin <= gmax
 
 
-class TestStep:
-    def test_injected_zero_dual_freezes(self, notebook_ds):
-        params = init_balanced(FlowConfig(m=4, seed=2), 2)
-        after = step(notebook_ds.X, notebook_ds.y, params, 0.5,
-                     lam=np.zeros(3))
-        assert np.array_equal(after.W1, params.W1)
-        assert np.array_equal(after.w2, params.w2)
+def step_from(ds, W1, w2, eta):
+    return step(ds.X, ds.y, W1, w2, ds.X @ W1, eta)
 
+
+class TestStep:
     def test_zero_params_fixed_point(self, notebook_ds):
-        params = NetworkParams(W1=np.zeros((2, 3)), w2=np.zeros(3))
-        after = step(notebook_ds.X, notebook_ds.y, params, 1.0)
-        assert np.array_equal(after.W1, params.W1)
-        assert np.array_equal(after.w2, params.w2)
+        W1, w2 = np.zeros((2, 3)), np.zeros(3)
+        W1_new, w2_new = step_from(notebook_ds, W1, w2, 1.0)
+        assert np.array_equal(W1_new, W1)
+        assert np.array_equal(w2_new, w2)
 
     def test_one_step_balance_drift_is_quadratic_in_eta(self, notebook_ds):
         params = init_balanced(FlowConfig(m=6, init_scale=0.5, seed=4), 2)
 
         def drift(eta):
-            after = step(notebook_ds.X, notebook_ds.y, params, eta)
-            return np.abs(np.sum(after.W1 ** 2, axis=0)
-                          - after.w2 ** 2).max()
+            W1, w2 = step_from(notebook_ds, params.W1, params.w2, eta)
+            return np.abs(np.sum(W1 ** 2, axis=0) - w2 ** 2).max()
 
         ratio = drift(0.2) / drift(0.1)
         assert ratio == pytest.approx(4.0, rel=0.05)
@@ -152,9 +207,7 @@ class TestStep:
         rng = np.random.default_rng(10)
         W1 = rng.normal(size=(2, 3))
         w2 = rng.normal(size=3)
-        params = NetworkParams(W1=W1, w2=w2)
-        after = step(notebook_ds.X, notebook_ds.y, params, 1.0)
-        update = after.w2 - w2
+        update = step_from(notebook_ds, W1, w2, 1.0)[1] - w2
         h = 1e-6
         for i in range(3):
             wp, wm = w2.copy(), w2.copy()
@@ -206,8 +259,24 @@ class TestRunFlow:
         cfg = FlowConfig(m=4, init_scale=1.0, step=1e12, iters=2000,
                          checkpoints=(1,), seed=1)
         trace = run_flow(notebook_ds, cfg)
-        assert trace.aborted_at is not None
+        assert trace.aborted_at == 26
         assert all(np.isfinite(r.loss) for r in trace.records)
+
+    def test_notebook_matches_reference_loop(self, notebook_ds,
+                                             notebook_flow):
+        assert_matches_reference(notebook_ds, notebook_flow)
+
+    @pytest.mark.parametrize("name, cfg", [
+        ("appendix-ortho", FlowConfig(m=8, init_scale=1e-4, step=0.1,
+                                      iters=4000, checkpoints=(10, 4000),
+                                      seed=1)),
+        # overflows: sign flips, sign events and the abort at iteration 26
+        ("notebook", FlowConfig(m=4, init_scale=1.0, step=1e12, iters=2000,
+                                checkpoints=(1, 20), seed=1)),
+    ])
+    def test_matches_reference_loop(self, name, cfg):
+        ds = builtin_dataset(name)
+        assert_matches_reference(ds, run_flow(ds, cfg))
 
     def test_balance_conserved_in_continuous_limit(self, notebook_ds):
         drift = {}
@@ -299,13 +368,10 @@ class TestRecoverDual:
         assert [m.as_string() for m in masks] == ["100"]
 
     def test_weak_duality_and_progress(self, notebook_ds, notebook_masks,
-                                       notebook_solved):
+                                       notebook_solved, notebook_flow):
         _, _, _, report = notebook_solved
-        cfg = FlowConfig(m=8, init_scale=1e-4, step=1.0, iters=10_000,
-                         checkpoints=(10, 100, 1000, 10_000), seed=1)
-        trace = run_flow(notebook_ds, cfg)
         objectives = []
-        for rec in trace.records:
+        for rec in notebook_flow.records:
             if rec.iteration == 0:
                 continue
             params = NetworkParams(W1=rec.W1, w2=rec.w2)

@@ -143,6 +143,7 @@ class TestProx:
         x, mu, rep = solve(prog)
         np.testing.assert_allclose(x, 0.0, atol=1e-10)
         assert rep.objective == pytest.approx(0.0, abs=1e-10)
+        assert rep.status == "optimal"     # A = 0 and b lies in K
 
 
 class TestSolveLP:
@@ -175,6 +176,17 @@ class TestSolveLP:
         assert np.all(mu >= -1e-9)
         s = A @ x + b
         assert float(np.abs(mu * s).max()) <= 1e-6
+
+    @pytest.mark.parametrize("c, b", [
+        ([0.0, 0.0], -1.0),     # the row 0 x - 1 >= 0 holds for no x
+        ([3.0, 0.0], 1.0),      # |x1| + |x2| + 3 x1 is unbounded below
+    ])
+    def test_zero_matrix_unsolvable_is_not_optimal(self, c, b):
+        prog = ConeProgram(c=np.array(c), A=np.zeros((1, 2)),
+                           b=np.array([b]), nonneg=1, group=1)
+        _, _, rep = solve(prog)
+        assert rep.status != "optimal"
+        assert max(rep.primal_residual, rep.dual_residual) > 0.1
 
     def test_determinism(self):
         rng = np.random.default_rng(2)
