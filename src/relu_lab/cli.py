@@ -120,12 +120,12 @@ def _out_dir(args) -> Path:
 
 def cmd_arrangements(args) -> int:
     ds = _dataset_from_args(args)
-    masks = enumerate_masks(ds.X, method=args.method)
+    masks = enumerate_masks(ds.X)
     # samples as rows, one column per arrangement
     table = np.array([m.bits for m in masks]).T
     print(table)
     r = matrix_rank(ds.X)
-    bound = cover_bound(ds.N, r) if ds.N >= 2 else float("inf")
+    bound = cover_bound(ds.N, r) if ds.N >= 2 and r >= 1 else float("inf")
     print(f"{len(masks)} arrangements; counting bound "
           f"2r(e(N-1)/r)^r = {bound:.4f} at rank {r}")
     if args.json:
@@ -180,13 +180,17 @@ def cmd_solve(args) -> int:
 
 
 def _parse_checkpoints(spec: str, iters: int) -> tuple[int, ...]:
-    if not spec:
-        return tuple(c for c in (10, 100, 1000, 10_000) if c <= iters)
+    """The listed checkpoints (default 10, 100, 1000, 10000 up to iters),
+    each in [1, iters], and iters itself, sorted."""
     try:
-        points = tuple(sorted({int(tok) for tok in spec.split(",") if tok}))
+        points = ({int(tok) for tok in spec.split(",") if tok} if spec else
+                  {c for c in (10, 100, 1000, 10_000) if c <= iters})
     except ValueError as exc:
         raise UsageError(f"bad checkpoint list {spec!r}") from exc
-    return tuple(c for c in points if 1 <= c <= iters)
+    for c in sorted(points):
+        if not 1 <= c <= iters:
+            raise UsageError(f"checkpoint {c} is outside [1, --iters {iters}]")
+    return tuple(sorted(points | ({iters} if iters >= 1 else set())))
 
 
 def _flow_config(args) -> FlowConfig:
@@ -481,8 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("arrangements", help="enumerate activation masks")
     common(p)
-    p.add_argument("--method", choices=("exhaustive", "sweep2d"),
-                   default="exhaustive")
     p.set_defaults(func=cmd_arrangements)
 
     p = sub.add_parser("solve", help="solve the convex max-margin program")
@@ -500,7 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--step", type=float, default=1.0)
         p.add_argument("--iters", type=int, default=10_000)
         p.add_argument("--checkpoints", default="",
-                       help="comma-separated iteration list")
+                       help="comma-separated iterations in [1, --iters]; "
+                            "--iters itself is always recorded")
 
     p = sub.add_parser("flow", help="run the subgradient-descent simulator")
     common(p)

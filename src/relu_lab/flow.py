@@ -40,10 +40,16 @@ class FlowConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if (self.m < 1 or self.iters < 0
-                or not (np.isfinite(self.init_scale) and self.init_scale > 0)
-                or not (np.isfinite(self.step) and self.step > 0)):
-            raise ValueError("bad flow configuration")
+        for name, ok, want in (
+                ("m", self.m >= 1, "an integer >= 1"),
+                ("iters", self.iters >= 0, "an integer >= 0"),
+                ("init_scale", np.isfinite(self.init_scale)
+                 and self.init_scale > 0, "a finite number > 0"),
+                ("step", np.isfinite(self.step) and self.step > 0,
+                 "a finite number > 0")):
+            if not ok:
+                raise ValueError(f"bad flow configuration: {name} = "
+                                 f"{getattr(self, name)!r} is not {want}")
         if any(c < 1 or c > max(self.iters, 1) for c in self.checkpoints):
             raise ValueError("checkpoints must lie in [1, iters]")
 

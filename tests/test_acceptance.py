@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import GD_SEED, random_orthogonal_separable
+from oracles import sweep_masks
 from relu_lab.arrangements import (cover_bound, enumerate_masks,
                                    enumerate_sign_patterns, matrix_rank)
 from relu_lab.certify import (convex_kkt_residuals, dual_feasible,
@@ -73,11 +74,11 @@ def test_criterion_02_arrangement_enumeration(notebook_ds):
     for _ in range(20):
         N = int(rng.integers(2, 9))
         X = rng.normal(size=(N, 2))
-        exact = {m.bits for m in enumerate_masks(X, "exhaustive")}
-        sweep = {m.bits for m in enumerate_masks(X, "sweep2d")}
+        exact = [m.bits for m in enumerate_masks(X)]
+        sweep = [m.bits for m in sweep_masks(X)]
         ok_oracle = ok_oracle and (exact == sweep)
     ok = verdict("02", ok_notebook and ok_oracle,
-                 "6 reference masks; sweep == exhaustive on 20 random sets")
+                 "6 reference masks; enumerator == sweep on 20 random sets")
     assert ok
 
 

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relu_lab.arrangements import (ActivationMask, cover_bound,
+from relu_lab.arrangements import (MAX_REGIONS, ActivationMask, cover_bound,
                                    enumerate_masks, enumerate_sign_patterns,
-                                   mask_of, matrix_rank,
-                                   sign_patterns_sweep2d, verify_mask_witness)
+                                   mask_of, matrix_rank, verify_mask_witness)
+from relu_lab.solver import DegenerateError
+
+from oracles import (lp_masks, lp_sign_patterns, sweep_masks,
+                     sweep_sign_patterns)
 
 
 SCALES = (1e-6, 1.0, 1e6)
@@ -26,9 +29,28 @@ def assert_witnesses(X, masks):
 
 def assert_masks_match_sweep(X):
     masks = enumerate_masks(X)
-    assert [m.bits for m in masks] == [
-        m.bits for m in enumerate_masks(X, "sweep2d")]
+    assert [m.bits for m in masks] == [m.bits for m in sweep_masks(X)]
     assert_witnesses(X, masks)
+
+
+def assert_sign_witnesses(X, patterns):
+    """Each witness reproduces its pattern, zero relative to scale."""
+    for p in patterns:
+        w = np.array(p.witness)
+        t = X @ w
+        band = 1e-9 * np.linalg.norm(X, axis=1) * np.linalg.norm(w)
+        assert tuple(np.where(np.abs(t) <= band, 0, np.sign(t))) == p.signs
+
+
+def assert_match_lp_oracle(X):
+    """Masks and sign patterns equal the LP oracle's in content and order,
+    and every witness verifies."""
+    masks, patterns = enumerate_masks(X), enumerate_sign_patterns(X)
+    assert [m.bits for m in masks] == [m.bits for m in lp_masks(X)]
+    assert [p.signs for p in patterns] == [
+        p.signs for p in lp_sign_patterns(X)]
+    assert all(verify_mask_witness(X, m) for m in masks)
+    assert_sign_witnesses(X, patterns)
 
 
 @st.composite
@@ -50,6 +72,33 @@ def degenerate_planar(draw):
     return np.array(rows) * np.array(scales)[:, None]
 
 
+@st.composite
+def degenerate_spatial(draw):
+    """1 <= N <= 6 rows in d = 3 or 4 with coordinates in -2..2: fresh,
+    zero, duplicate, antipodal or a sum of two earlier rows (so rank(X) < d
+    and d == N both arise), each scaled by 10^{-6, 0, 6}."""
+    d = draw(st.sampled_from((3, 4)))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("fresh", "zero", "duplicate",
+                                     "antipodal", "sum"))
+                    if rows else st.just("fresh"))
+        pick = (lambda: rows[draw(st.integers(0, len(rows) - 1))])
+        if kind == "fresh":
+            rows.append(np.array(draw(st.lists(st.integers(-2, 2),
+                                               min_size=d, max_size=d)),
+                                 dtype=float))
+        elif kind == "zero":
+            rows.append(np.zeros(d))
+        elif kind == "sum":
+            rows.append(pick() + pick())
+        else:
+            row = pick()
+            rows.append(row if kind == "duplicate" else -row)
+    scales = [draw(st.sampled_from(SCALES)) for _ in rows]
+    return np.array(rows) * np.array(scales)[:, None]
+
+
 class TestEnumerateMasks:
     def test_notebook_six_masks(self, notebook_ds):
         masks = enumerate_masks(notebook_ds.X)
@@ -65,9 +114,9 @@ class TestEnumerateMasks:
         for _ in range(20):
             N = rng.integers(2, 9)
             X = rng.normal(size=(N, 2))
-            a = {m.bits for m in enumerate_masks(X, "exhaustive")}
-            b = {m.bits for m in enumerate_masks(X, "sweep2d")}
-            assert a == b
+            a = [m.bits for m in enumerate_masks(X)]
+            assert a == [m.bits for m in sweep_masks(X)]
+            assert a == [m.bits for m in lp_masks(X)]
 
     def test_witnesses_stored_and_valid(self, notebook_ds):
         for mask in enumerate_masks(notebook_ds.X):
@@ -122,29 +171,68 @@ class TestEnumerateMasks:
                            np.sin(a + np.pi - 1e-12)]])
             X *= rng.choice(SCALES, size=2)[:, None]
             assert_masks_match_sweep(X)
+            # the sweep's zero band reads the unnormalized rows, so its sign
+            # patterns here mix the antipodal and the generic reading
+            patterns = enumerate_sign_patterns(X)
+            assert [p.signs for p in patterns] == [
+                p.signs for p in lp_sign_patterns(X)]
+            assert_sign_witnesses(X, patterns)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 1.7, 4.0])
+    def test_near_parallel_rows_match_an_oracle_or_raise(self, theta):
+        # rows at angle g or pi - g: the LP oracle and the sweep disagree
+        # for g in 1e-12..1e-9; one zero band decides, or the restricted
+        # norm sin(g) falls in the degenerate band and raises
+        def x(t):
+            return np.array([np.cos(t), np.sin(t)])
+
+        for k in range(3, 17):
+            for sign in (1.0, -1.0):
+                X = np.array([x(theta), sign * x(theta + 10.0 ** -k)])
+                try:
+                    got = ([m.bits for m in enumerate_masks(X)],
+                           [p.signs for p in enumerate_sign_patterns(X)])
+                except DegenerateError:
+                    assert k in (10, 11)
+                    continue
+                oracles = [([m.bits for m in lp_masks(X)],
+                            [p.signs for p in lp_sign_patterns(X)]),
+                           ([m.bits for m in sweep_masks(X)],
+                            [p.signs for p in sweep_sign_patterns(X)])]
+                assert got in oracles
 
     @settings(max_examples=60, deadline=None)
     @given(degenerate_planar())
     def test_degenerate_rows_match_sweep(self, X):
         assert_masks_match_sweep(X)
         assert [p.signs for p in enumerate_sign_patterns(X)] == [
-            p.signs for p in sign_patterns_sweep2d(X)]
+            p.signs for p in sweep_sign_patterns(X)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(degenerate_spatial())
+    def test_degenerate_spatial_rows_match_lp_oracle(self, X):
+        assert_match_lp_oracle(X)
 
     def test_size_limit(self):
+        # Cover's count 2 sum_{k<r} C(N-1, k): 112 regions for N = 56 at
+        # rank 2 (plus the all-ones mask of w = 0), 6322 > MAX_REGIONS for
+        # N = 80 at rank 3
+        rng = np.random.default_rng(0)
+        assert len(enumerate_masks(rng.standard_normal((56, 2)))) == 113
+        assert 6322 > MAX_REGIONS
         with pytest.raises(ValueError):
-            enumerate_masks(np.zeros((23, 2)))
+            enumerate_masks(rng.standard_normal((80, 3)))
 
     def test_sweep_requires_d2(self):
         with pytest.raises(ValueError):
-            enumerate_masks(np.zeros((3, 3)), "sweep2d")
+            sweep_masks(np.zeros((3, 3)))
 
     def test_boundary_only_mask_found(self):
         # all-ones realizable only with an exact boundary direction
         X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         masks = {m.bits for m in enumerate_masks(X)}
         assert (1, 1, 1) in masks
-        sweep = {m.bits for m in enumerate_masks(X, "sweep2d")}
-        assert masks == sweep
+        assert masks == {m.bits for m in sweep_masks(X)}
 
 
 class TestSignPatterns:
@@ -157,17 +245,16 @@ class TestSignPatterns:
         assert [p.signs for p in pats] == [(-1,), (0,), (1,)]
 
     def test_sweep_oracle_agreement(self, notebook_ds):
-        a = {p.signs for p in enumerate_sign_patterns(notebook_ds.X)}
-        b = {p.signs for p in sign_patterns_sweep2d(notebook_ds.X)}
-        assert a == b
+        a = [p.signs for p in enumerate_sign_patterns(notebook_ds.X)]
+        assert a == [p.signs for p in sweep_sign_patterns(notebook_ds.X)]
+        assert a == [p.signs for p in lp_sign_patterns(notebook_ds.X)]
 
     def test_sweep_oracle_random(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             X = rng.normal(size=(int(rng.integers(2, 7)), 2))
-            a = {p.signs for p in enumerate_sign_patterns(X)}
-            b = {p.signs for p in sign_patterns_sweep2d(X)}
-            assert a == b
+            a = [p.signs for p in enumerate_sign_patterns(X)]
+            assert a == [p.signs for p in sweep_sign_patterns(X)]
 
     def test_open_pattern_supports_are_masks(self, notebook_ds):
         # a random 5x3 case checks the shared search off the plane
@@ -180,8 +267,14 @@ class TestSignPatterns:
                 assert bits in mask_bits
 
     def test_size_limit(self):
+        # the one cap of both enumerators: N = 8 at rank 8 has 2^8 regions,
+        # N = 14 at rank 14 has 2^14 > MAX_REGIONS
+        rng = np.random.default_rng(1)
+        assert len(enumerate_sign_patterns(rng.standard_normal((8, 8)))) \
+            == 3 ** 8
+        assert 2 ** 14 > MAX_REGIONS
         with pytest.raises(ValueError):
-            enumerate_sign_patterns(np.zeros((14, 2)))
+            enumerate_sign_patterns(rng.standard_normal((14, 14)))
 
 
 class TestMaskOf:

@@ -6,6 +6,9 @@ import pytest
 
 import relu_lab.cli
 from relu_lab.cli import main
+from relu_lab.datasets import builtin_dataset
+
+from oracles import sweep_masks
 
 
 def run_cli(capsys, *argv):
@@ -34,12 +37,17 @@ class TestArrangementsCommand:
         assert code == 2
         assert "unknown dataset" in err
 
-    def test_sweep_method(self, capsys):
+    def test_json_masks_match_sweep_oracle(self, capsys):
         code, out, _ = run_cli(capsys, "arrangements", "--dataset",
-                               "notebook", "--method", "sweep2d", "--json")
+                               "notebook", "--json")
         assert code == 0
         payload = json.loads(out.strip().splitlines()[-1])
-        assert payload["masks"] == ["000", "001", "011", "100", "110", "111"]
+        X = builtin_dataset("notebook").X
+        assert payload["masks"] == [m.as_string() for m in sweep_masks(X)]
+        # one enumerator is left, so there is no --method to choose
+        with pytest.raises(SystemExit) as exc:
+            main(["arrangements", "--method", "sweep2d"])
+        assert exc.value.code == 2
 
     def test_dataset_from_file(self, capsys, tmp_path):
         path = tmp_path / "ds.json"
@@ -48,6 +56,18 @@ class TestArrangementsCommand:
         code, out, _ = run_cli(capsys, "arrangements", "--dataset", str(path))
         assert code == 0
         assert "2 arrangements" in out
+
+    def test_zero_rows_have_no_bound(self, capsys, tmp_path):
+        # rank 0: the counting bound needs r >= 1, as it needs N >= 2
+        path = tmp_path / "zeros.json"
+        path.write_text(json.dumps({"name": "zeros", "X": [[0.0, 0.0]] * 3,
+                                    "y": [1, -1, 1]}))
+        code, out, _ = run_cli(capsys, "arrangements", "--dataset",
+                               str(path))
+        assert code == 0
+        assert "[[1]\n [1]\n [1]]" in out
+        assert "1 arrangements; counting bound 2r(e(N-1)/r)^r = inf at " \
+               "rank 0" in out
 
     def test_tol_rejected(self, capsys, tmp_path):
         # only solve and reproduce run a solver that reads --tol
@@ -153,6 +173,33 @@ class TestFlowCommand:
                                "--step", value)
         assert code == 2
         assert "bad flow configuration" in err
+
+    @pytest.mark.parametrize("option, value, field", [
+        ("--m", "0", "m"), ("--iters", "-1", "iters"),
+        ("--step", "nan", "step")])
+    def test_bad_flow_option_is_named(self, capsys, option, value, field):
+        code, _, err = run_cli(capsys, "flow", "--dataset", "notebook",
+                               option, value)
+        assert code == 2
+        assert f"bad flow configuration: {field} = " in err
+
+    def test_checkpoint_above_iters_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "flow", "--dataset", "notebook",
+                                 "--iters", "100", "--checkpoints", "500")
+        assert code == 2
+        assert "checkpoint 500" in err
+        assert out == ""
+
+    def test_last_step_always_recorded(self, capsys, tmp_path):
+        # --checkpoints 50 of a 100-step run still reports iteration 100
+        out_dir = tmp_path / "flow"
+        code, out, _ = run_cli(capsys, "flow", "--dataset", "notebook",
+                               "--iters", "100", "--checkpoints", "50",
+                               "--out-dir", str(out_dir), "--deterministic")
+        assert code == 0
+        assert out.startswith("iteration 100: ")
+        rows = (out_dir / "flow_trace.csv").read_text().splitlines()[1:]
+        assert sorted({int(row.split(",")[0]) for row in rows}) == [0, 50, 100]
 
     def test_iters_zero_initialization_row(self, capsys, tmp_path):
         out_dir = tmp_path / "zero"

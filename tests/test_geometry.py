@@ -10,6 +10,8 @@ from relu_lab.geometry import (extreme_point, polar_gauge,
                                stationary_direction)
 from relu_lab.solver import PROJECTION_ZERO_RTOL, cone_projection
 
+from oracles import sweep_masks
+
 # dual variable printed by the reference run at its first checkpoint
 ITER10_LAMBDA = np.array([0.84944458, -0.3827491, -0.0513976])
 
@@ -188,7 +190,7 @@ class TestPlanarOracle:
         rng = np.random.default_rng(8)
         for _ in range(20):
             X = rng.standard_normal((5, 2))
-            masks = enumerate_masks(X, method="sweep2d")
+            masks = sweep_masks(X)
             X *= 10.0 ** rng.choice((-6.0, 0.0, 6.0), size=5)[:, None]
             lam = rng.standard_normal(5)
             for mask in masks:
