@@ -1,34 +1,32 @@
 """Hyperplane arrangements of a data matrix: activation masks and sign patterns.
 
 An activation mask is a realizable pattern I(Xw >= 0); a sign pattern is a
-realizable sign(Xw) in {-1,0,+1}^N.  Both come from one LP-free recursion
-over the flats of the arrangement of the rows, normalized to unit length
-(patterns do not change under positive row scaling).  Sign patterns are its
-faces; masks are their images under sign >= 0 -> 1.  A row vanishes on a
-flat when its restricted norm is at most ZERO_TOL, and a restricted norm
-between ZERO_TOL and DEGENERATE_TOL raises DegenerateError.
+realizable sign(Xw) in {-1,0,+1}^N.  Both are enumerated by one prefix-pruned
+LP search over a relation table that maps each symbol to phase-1 rows;
+strict inequalities are encoded with a unit margin (a^T w <= -1), lossless
+by homogeneity, on rows normalized to unit length (patterns do not change
+under positive row scaling).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import DegenerateError
+from .solver import lp_feasible
 
-#: zero band of a row's norm restricted to a flat: at most ZERO_TOL counts as
-#: zero, and a norm in (ZERO_TOL, DEGENERATE_TOL) raises DegenerateError
-ZERO_TOL = 1e-11
-DEGENERATE_TOL = 1e-10
-
-#: largest region count 2 sum_{k<r} C(N-1, k) of N rows at rank r (Cover
-#: 1965; the count in general position) that an enumeration accepts
-MAX_REGIONS = 5_000
+EXHAUSTIVE_MAX_N = 22
+SIGN_PATTERN_MAX_N = 13
 
 #: relative threshold used everywhere a singular value decides rank
 RANK_RTOL = 1e-10
+
+#: Phase-1 rows of each symbol: (s, rhs) stands for s * x_n^T w <= rhs on
+#: the normalized row x_n; a negative rhs is the unit margin of a strict side.
+MASK_RELATIONS = {0: ((1.0, -1.0),), 1: ((-1.0, 0.0),)}
+SIGN_RELATIONS = {-1: ((1.0, -1.0),), 0: ((1.0, 0.0), (-1.0, 0.0)),
+                  1: ((-1.0, -1.0),)}
 
 
 @dataclass(frozen=True)
@@ -98,6 +96,50 @@ def cover_bound(N: int, r: int) -> float:
     return 2.0 * r * (np.e * (N - 1) / r) ** r
 
 
+def _search(X: np.ndarray, relations: dict) -> list[tuple[tuple, tuple]]:
+    """(symbols, witness) of every realizable pattern, lexicographic.
+
+    Depth-first with prefix pruning: an infeasible prefix stays infeasible
+    for every completion, so whole subtrees are skipped.  Each node appends
+    its symbol's rows to the parent's stacked system.  A witness is divided
+    by min(1, min ||x_n|| over its strict rows), so the unit margin holds on
+    the original rows.
+    """
+    N, d = X.shape
+    norms = np.linalg.norm(X, axis=1)
+    Xn = X / np.where(norms > 0.0, norms, 1.0)[:, None]
+    table = {sym: np.array(rows).T for sym, rows in relations.items()}
+    strict = {sym for sym, (_, rhs) in table.items() if (rhs < 0).any()}
+    found = []
+
+    def recurse(prefix: tuple, A: np.ndarray, b: np.ndarray):
+        w = lp_feasible(A, b)
+        if w is None:
+            return
+        n = len(prefix)
+        if n == N:
+            scale = min([1.0] + [norms[k] for k, sym in enumerate(prefix)
+                                 if sym in strict])
+            found.append((prefix, tuple(float(v) for v in w / scale)))
+            return
+        for sym, (s, rhs) in table.items():
+            recurse(prefix + (sym,), np.vstack((A, np.outer(s, Xn[n]))),
+                    np.concatenate((b, rhs)))
+
+    recurse((), np.zeros((0, d)), np.zeros(0))
+    return sorted(found)
+
+
+def enumerate_masks(X: np.ndarray) -> list[ActivationMask]:
+    """All realizable activation masks of X (prefix-pruned LPs, N <= 22),
+    lexicographic, each with a witness."""
+    X = np.asarray(X, dtype=float)
+    if X.shape[0] > EXHAUSTIVE_MAX_N:
+        raise ValueError(f"mask enumeration limited to N <= {EXHAUSTIVE_MAX_N}")
+    return [ActivationMask(bits=bits, witness=w)
+            for bits, w in _search(X, MASK_RELATIONS)]
+
+
 def verify_mask_witness(X: np.ndarray, mask: ActivationMask) -> bool:
     """Re-check the stored witness: x_n^T w >= 0 on bit-1 rows, relative to
     scale (>= -1e-9 ||x_n|| ||w||; a witness may need a norm of 1e8 when row
@@ -112,94 +154,15 @@ def verify_mask_witness(X: np.ndarray, mask: ActivationMask) -> bool:
     return bool(np.all(t[on] >= floor[on]) and np.all(t[~on] <= -1.0 + 1e-9))
 
 
-def _vanishing(Xn: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Rows of Xn that vanish on the flat spanned by the orthonormal B."""
-    rho = np.linalg.norm(Xn @ B, axis=1)
-    if np.any((rho > ZERO_TOL) & (rho < DEGENERATE_TOL)):
-        raise DegenerateError(f"a row's restricted norm lies in ({ZERO_TOL}, "
-                              f"{DEGENERATE_TOL}): near-parallel rows")
-    return rho <= ZERO_TOL
-
-
-def _faces(X: np.ndarray) -> list[tuple[tuple, np.ndarray]]:
-    """(sign(Xw), w) for every face of the arrangement of X, lexicographic.
-
-    Recursion over flats L (an orthonormal basis B), memoized on the rows
-    that vanish on L.  A face of L is the origin's face, a face of
-    L' = L cap x_i^perp for a row x_i nonzero on L, or a region of L.  A
-    region has a facet, a region F of some L', and is reached from F's
-    witness by w_F +- eps n, with n x_i's unit normal in L and eps half the
-    smallest |x_j^T w_F| / |x_j^T n| over the rows nonzero on F (at most
-    ||w_F||, 1 at w_F = 0): only the rows that vanish on L' but not on L
-    change sign, to +-sign(x_j^T n).
-    """
-    N, d = X.shape
-    r = matrix_rank(X)
-    if 2 * sum(math.comb(N - 1, k) for k in range(r)) > MAX_REGIONS:
-        raise ValueError(f"{N} rows at rank {r} may have more than "
-                         f"{MAX_REGIONS} regions")
-    norms = np.linalg.norm(X, axis=1)
-    Xn = X / np.where(norms > 0.0, norms, 1.0)[:, None]
-    memo: dict[bytes, tuple] = {}
-
-    def faces(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows vanishing on span B, patterns, witnesses) of the flat."""
-        zero = _vanishing(Xn, B)
-        key = zero.tobytes()
-        if key in memo:
-            return memo[key]
-        found = {(0,) * N: np.zeros(d)}
-        for i in np.flatnonzero(~zero):
-            c = B.T @ Xn[i]
-            c /= np.linalg.norm(c)
-            n = B @ c
-            # the right singular vectors after c span c^perp within L
-            sub_zero, S, W = faces(B @ np.linalg.svd(c[None, :])[2][1:].T)
-            for signs, w in zip(S.tolist(), W):
-                found.setdefault(tuple(signs), w)
-            region = np.all((S == 0) == sub_zero, axis=1)
-            S, W = S[region], W[region]
-            q = Xn @ n
-            live = ~sub_zero & (q != 0.0)
-            eps = np.minimum(np.linalg.norm(W, axis=1), 0.5 * np.min(
-                np.abs(W @ Xn[live].T) / np.abs(q[live]), axis=1,
-                initial=np.inf))
-            eps[eps == 0.0] = 1.0
-            flip = np.where(sub_zero & ~zero, np.sign(q), 0.0).astype(int)
-            for s in (1, -1):
-                for signs, w in zip((S + s * flip).tolist(),
-                                    W + s * eps[:, None] * n):
-                    found.setdefault(tuple(signs), w)
-        memo[key] = (zero, np.array(list(found)).reshape(len(found), N),
-                     np.array(list(found.values())))
-        return memo[key]
-
-    _, S, W = faces(np.eye(d))
-    return sorted(zip(map(tuple, S.tolist()), W), key=lambda f: f[0])
-
-
 def enumerate_sign_patterns(X: np.ndarray) -> list[SignPattern]:
-    """All realizable sign(Xw) patterns, lexicographic, each with a witness w.
+    """All realizable sign(Xw) patterns (3^N candidates, prefix-pruned LPs).
 
     Always contains the all-zero pattern (w = 0).
     """
-    return [SignPattern(signs=signs, witness=tuple(float(v) for v in w))
-            for signs, w in _faces(np.asarray(X, dtype=float))]
-
-
-def enumerate_masks(X: np.ndarray) -> list[ActivationMask]:
-    """All realizable activation masks of X, lexicographic.
-
-    Each mask's witness is that of its lexicographically largest face (its
-    region when it has one), divided by min(-x_n^T w) over the face's
-    negative rows so that the unit margin holds on X.
-    """
     X = np.asarray(X, dtype=float)
-    masks: dict[tuple, np.ndarray] = {}
-    for signs, w in reversed(_faces(X)):
-        bits = tuple(int(s >= 0) for s in signs)
-        if bits not in masks:
-            neg = -(X[np.array(signs) < 0] @ w)
-            masks[bits] = w / neg.min() if len(neg) else w
-    return [ActivationMask(bits=bits, witness=tuple(float(v) for v in w))
-            for bits, w in sorted(masks.items(), key=lambda m: m[0])]
+    N = X.shape[0]
+    if N > SIGN_PATTERN_MAX_N:
+        raise ValueError(f"sign-pattern enumeration limited to "
+                         f"N <= {SIGN_PATTERN_MAX_N}")
+    return [SignPattern(signs=signs, witness=w)
+            for signs, w in _search(X, SIGN_RELATIONS)]
