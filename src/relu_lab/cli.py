@@ -213,22 +213,33 @@ def _write_flow_trace(path: Path, trace, d: int, args):
     _write_csv(path, cols, rows, args)
 
 
+def _report_abort(trace, tag: str = "") -> bool:
+    """Say on stderr where a flow aborted; True when it did."""
+    if trace.aborted_at is None:
+        return False
+    print(f"{tag}aborted at iteration {trace.aborted_at} "
+          f"(non-finite parameters)", file=sys.stderr)
+    return True
+
+
 def cmd_flow(args) -> int:
     t0 = time.perf_counter()
     ds = _dataset_from_args(args)
     trace = run_flow(ds, _flow_config(args))
     traces = trace if isinstance(trace, list) else [trace]
+    aborted = False
     for k, tr in enumerate(traces):
         tag = f"class {k + 1}: " if len(traces) > 1 else ""
         final = tr.final()
         margin = "n/a" if final.margin is None else f"{final.margin:.6f}"
+        truncated = (f", sign events truncated at {len(tr.sign_events)}"
+                     if tr.sign_events_truncated else "")
         print(f"{tag}iteration {final.iteration}: loss {final.loss:.6e}, "
               f"margin {margin}, sign flips {tr.w2_sign_flips}, "
-              f"max balance drift {tr.max_balance_drift:.3e}")
-        if tr.aborted_at is not None:
-            print(f"{tag}aborted at iteration {tr.aborted_at} "
-                  f"(non-finite parameters)", file=sys.stderr)
-            return EXIT_NUMERICAL
+              f"max balance drift {tr.max_balance_drift:.3e}{truncated}")
+        aborted = _report_abort(tr, tag) or aborted
+    if aborted:
+        return EXIT_NUMERICAL
     if args.out_dir:
         out = _out_dir(args)
         outputs = []
@@ -259,6 +270,8 @@ def cmd_certify(args) -> int:
         nets = [(None, _load_network(args.network))]
     else:
         trace = run_flow(ds, _flow_config(args))
+        if _report_abort(trace):
+            return EXIT_NUMERICAL
         nets = [(rec.iteration, NetworkParams(W1=rec.W1, w2=rec.w2))
                 for rec in trace.records if rec.iteration > 0]
     certificates = []

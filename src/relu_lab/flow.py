@@ -11,11 +11,14 @@ continuous flow; the simulator tracks the discrete drift, the second-layer
 signs, every activation sign-pattern change, and per-checkpoint polar
 coordinates, margins and alignments.  The loop keeps W1, w2 and Z = X W1 as
 arrays and computes Z once per step: the next update, its forward pass and
-the sign-pattern tracking all read it.
+the sign-pattern tracking all read it.  The balance drift doubles as the
+finite check, and the sign-event and w2-sign bookkeeping runs only on the
+steps where a sign changed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,7 +166,7 @@ def step(X: np.ndarray, y: np.ndarray, W1: np.ndarray, w2: np.ndarray,
     R = np.maximum(Z, 0.0)
     lt = _lambda_of_output(y, R @ w2)
     G = X.T @ (lt[:, None] * (Z > 0.0))
-    return W1 + eta * G * w2[None, :], w2 + eta * (R.T @ lt)
+    return W1 + eta * G * w2, w2 + eta * (R.T @ lt)
 
 
 def alignment(X: np.ndarray, u: np.ndarray, lam: np.ndarray) -> float | None:
@@ -225,38 +228,51 @@ def _run_binary(X: np.ndarray, y: np.ndarray, cfg: FlowConfig) -> FlowTrace:
     trace = FlowTrace(config=cfg)
     checkpoints = set(cfg.checkpoints)
     init_signs = np.sign(w2)
-    prev_sigma = np.sign(Z).astype(int)
+    prev_sigma = np.sign(Z)
+    max_drift, eta = 0.0, cfg.step
     trace.records.append(_record(X, y, params, 0))
     # a diverging run overflows before it aborts on non-finite parameters
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.iters + 1):
-            W1, w2 = step(X, y, W1, w2, Z, cfg.step)
-            if not (np.isfinite(W1).all() and np.isfinite(w2).all()):
+            W1, w2 = step(X, y, W1, w2, Z, eta)
+            # max propagates nan and inf, so a finite drift proves W1 and w2
+            # finite; finite parameters may still overflow their squares
+            drift = float(np.abs((W1 ** 2).sum(axis=0) - w2 ** 2).max())
+            if math.isfinite(drift):
+                if drift > max_drift:
+                    max_drift = drift
+            elif not (np.isfinite(W1).all() and np.isfinite(w2).all()):
                 trace.aborted_at = it
                 break
             Z = X @ W1
-            sigma = np.sign(Z).astype(int)
-            changed = np.nonzero(np.any(sigma != prev_sigma, axis=0))[0]
-            for i in changed:
-                if len(trace.sign_events) >= SIGN_EVENT_CAP:
-                    trace.sign_events_truncated = True
-                    break
-                trace.sign_events.append(SignChangeEvent(
-                    iteration=it, neuron=int(i),
-                    old=tuple(int(v) for v in prev_sigma[:, i]),
-                    new=tuple(int(v) for v in sigma[:, i])))
+            sigma = np.sign(Z)
+            if (sigma != prev_sigma).any():
+                _add_sign_events(trace, it, prev_sigma, sigma)
             prev_sigma = sigma
-            drift = np.abs(np.sum(W1 ** 2, axis=0) - w2 ** 2)
-            if np.isfinite(drift).all():
-                trace.max_balance_drift = max(trace.max_balance_drift,
-                                              float(drift.max()))
-            s = np.sign(w2)
-            trace.w2_sign_flips += int(np.sum(s * init_signs < 0))
-            init_signs = np.where(s == 0.0, init_signs, s)
+            # only a zero or flipped w2_i changes the flip count or the signs
+            if not (w2 * init_signs).min() > 0.0:
+                s = np.sign(w2)
+                trace.w2_sign_flips += int(np.sum(s * init_signs < 0))
+                init_signs = np.where(s == 0.0, init_signs, s)
             if it in checkpoints:
                 trace.records.append(
                     _record(X, y, NetworkParams(W1=W1, w2=w2), it))
+    trace.max_balance_drift = max_drift
     return trace
+
+
+def _add_sign_events(trace: FlowTrace, it: int, old: np.ndarray,
+                     new: np.ndarray) -> None:
+    """One SignChangeEvent per neuron (column) whose activation signs differ
+    between old and new, until SIGN_EVENT_CAP events are kept."""
+    old, new = old.astype(int), new.astype(int)
+    for i in np.nonzero(np.any(new != old, axis=0))[0]:
+        if len(trace.sign_events) >= SIGN_EVENT_CAP:
+            trace.sign_events_truncated = True
+            break
+        trace.sign_events.append(SignChangeEvent(
+            iteration=it, neuron=int(i), old=tuple(old[:, i].tolist()),
+            new=tuple(new[:, i].tolist())))
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,16 @@ import numpy as np
 import pytest
 
 import relu_lab.cli
+import relu_lab.flow
 from relu_lab.cli import main
 from relu_lab.datasets import builtin_dataset
 
 from oracles import sweep_masks
+
+
+#: flow options whose run overflows and aborts at iteration 26 on the notebook
+OVERFLOW_FLOW = ("--m", "4", "--init-scale", "1", "--step", "1e12",
+                 "--iters", "100", "--checkpoints", "1,20", "--seed", "1")
 
 
 def run_cli(capsys, *argv):
@@ -211,6 +217,35 @@ class TestFlowCommand:
         assert len(lines) == 1 + 8  # header + m rows at iteration 0
 
 
+    def test_multiclass_abort_reports_every_class(self, capsys, tmp_path):
+        # one-vs-all flows of the notebook rows labelled 1, 2, 3: classes 1
+        # and 3 overflow, class 2 runs out; every class is reported
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps({
+            "X": builtin_dataset("notebook").X.tolist(), "y": [1, 2, 3],
+            "K": 3}))
+        out_dir = tmp_path / "flow"
+        code, out, err = run_cli(capsys, "flow", "--dataset", str(path),
+                                 *OVERFLOW_FLOW, "--out-dir", str(out_dir))
+        assert code == 1
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "class 1", "class 2", "class 3"]
+        assert err.splitlines() == [
+            "class 1: aborted at iteration 26 (non-finite parameters)",
+            "class 3: aborted at iteration 25 (non-finite parameters)"]
+        assert not out_dir.exists()
+
+    def test_truncated_sign_events_on_summary(self, capsys, monkeypatch):
+        args = ("flow", "--dataset", "appendix-ortho", "--iters", "4000",
+                "--step", "0.1", "--seed", "1")
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0 and "truncated" not in out
+        monkeypatch.setattr(relu_lab.flow, "SIGN_EVENT_CAP", 3)
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert out.rstrip().endswith(", sign events truncated at 3")
+
+
 class TestCertifyCommand:
     def test_feasible_verdicts(self, capsys):
         code, out, _ = run_cli(capsys, "certify", "--dataset", "notebook",
@@ -245,6 +280,16 @@ class TestCertifyCommand:
         payload = json.loads(out.strip().splitlines()[-1])
         kinds = {c["kind"] for c in payload}
         assert {"dual-feasible", "ortho-coverage", "spike-free"} <= kinds
+
+    def test_aborted_flow_exits_1(self, capsys, tmp_path):
+        # the flow overflows at iteration 26; no checkpoint is certified
+        out_dir = tmp_path / "cert"
+        code, out, err = run_cli(capsys, "certify", "--dataset", "notebook",
+                                 *OVERFLOW_FLOW, "--out-dir", str(out_dir))
+        assert code == 1
+        assert out == ""
+        assert err == "aborted at iteration 26 (non-finite parameters)\n"
+        assert not (out_dir / "certificates.json").exists()
 
     def test_vanished_dual_exits_1(self, capsys, tmp_path):
         # margins of 1e6 underflow every lambda_tilde entry to zero: a

@@ -1,8 +1,11 @@
+import math
 from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
 
+import relu_lab.flow
+from conftest import random_orthogonal_separable
 from relu_lab.arrangements import enumerate_sign_patterns
 from relu_lab.convex import NetworkParams
 from relu_lab.datasets import Dataset, builtin_dataset
@@ -69,6 +72,19 @@ def assert_matches_reference(ds, trace):
     assert trace.w2_sign_flips == flips
     assert trace.aborted_at == aborted
     assert events   # the cases below all change activation patterns
+
+
+def flow_dataset(name):
+    """A built-in dataset, or "ortho-separable-5": an orthogonally separable
+    N = 5, d = 2 set shaped like the coverage-sweep benchmark's."""
+    if name == "ortho-separable-5":
+        X, y = random_orthogonal_separable(np.random.default_rng(1), 3, 2)
+        return Dataset(X=X, labels=y.astype(int))
+    return builtin_dataset(name)
+
+
+#: iteration at which each reference-loop case aborts (None: it runs out)
+REFERENCE_ABORTS = {"notebook": 26}
 
 
 class TestInitBalanced:
@@ -270,13 +286,35 @@ class TestRunFlow:
         ("appendix-ortho", FlowConfig(m=8, init_scale=1e-4, step=0.1,
                                       iters=4000, checkpoints=(10, 4000),
                                       seed=1)),
-        # overflows: sign flips, sign events and the abort at iteration 26
+        # overflows: sign flips, sign events and the abort at iteration 26;
+        # the squares in the balance drift overflow from iteration 13 on
+        # while the parameters stay finite
         ("notebook", FlowConfig(m=4, init_scale=1.0, step=1e12, iters=2000,
                                 checkpoints=(1, 20), seed=1)),
+        ("ortho-separable-5", FlowConfig(m=8, init_scale=1e-4, step=0.5,
+                                         iters=4000, checkpoints=(4000,),
+                                         seed=1)),
     ])
     def test_matches_reference_loop(self, name, cfg):
-        ds = builtin_dataset(name)
-        assert_matches_reference(ds, run_flow(ds, cfg))
+        ds = flow_dataset(name)
+        trace = run_flow(ds, cfg)
+        assert_matches_reference(ds, trace)
+        assert trace.aborted_at == REFERENCE_ABORTS.get(name)
+        assert math.isfinite(trace.max_balance_drift)
+
+    def test_sign_event_cap(self, monkeypatch):
+        ds = builtin_dataset("appendix-ortho")
+        cfg = FlowConfig(m=8, init_scale=1e-4, step=0.1, iters=4000,
+                         checkpoints=(10, 4000), seed=1)
+        full = run_flow(ds, cfg)
+        assert len(full.sign_events) > 3 and not full.sign_events_truncated
+        monkeypatch.setattr(relu_lab.flow, "SIGN_EVENT_CAP", 3)
+        capped = run_flow(ds, cfg)
+        assert capped.sign_events == full.sign_events[:3]
+        assert capped.sign_events_truncated
+        for a, b in zip(capped.records, full.records, strict=True):
+            assert a.iteration == b.iteration
+            assert np.array_equal(a.W1, b.W1) and np.array_equal(a.w2, b.w2)
 
     def test_balance_conserved_in_continuous_limit(self, notebook_ds):
         drift = {}
