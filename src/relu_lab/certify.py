@@ -14,8 +14,10 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import null_space
 
-from .arrangements import ActivationMask, matrix_rank, RANK_RTOL
+from .arrangements import (ActivationMask, RANK_RTOL,
+                           enumerate_sign_patterns)
 from .convex import (ACTIVE_RTOL, ConvexProblem, ConvexSolution,
                      completion_choices)
 from .flow import g_direction
@@ -23,6 +25,10 @@ from .geometry import GAUGE_SOLVE_TOL, polar_gauge
 from .solver import cone_projection
 
 BOUNDARY_ENUM_LIMIT = 12
+
+#: slack of both spike-free conditions: max ||z|| <= 1 + SPIKE_FREE_TOL and
+#: range residual <= SPIKE_FREE_TOL * ||X||_2
+SPIKE_FREE_TOL = 1e-9
 
 
 @dataclass
@@ -54,14 +60,12 @@ class Certificate:
     verdict: bool
     slacks: dict[str, float] = field(default_factory=dict)
     tolerance: float = 0.0
-    approximate: bool = False
     detail: str = ""
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "verdict": bool(self.verdict),
                 "slacks": {k: float(v) for k, v in self.slacks.items()},
                 "tolerance": float(self.tolerance),
-                "approximate": bool(self.approximate),
                 "detail": self.detail}
 
 
@@ -181,41 +185,45 @@ def ortho_coverage(extraction: KKTExtraction, y: np.ndarray) -> Certificate:
                                "negative": float(neg_ok)})
 
 
-def _pinv(X: np.ndarray) -> np.ndarray:
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    keep = s > RANK_RTOL * (s[0] if s.size else 1.0)
-    s_inv = np.where(keep, 1.0 / np.where(s == 0, 1.0, s), 0.0)
-    return (Vt.T * s_inv[None, :]) @ U.T
-
-
-def spike_free(X: np.ndarray, grid: int = 4096, tol: float = 1e-6) -> Certificate:
-    """Sampling check of the spike-free property: every rectified image
-    (Xu)_+ with ||u|| <= 1 must equal Xz for some ||z|| <= 1.  Sweeps unit
-    directions (uniform angles for d = 2, seeded random unit vectors
-    otherwise), takes z = pinv(X) (Xu)_+, skips directions failing the range
-    condition, and compares max ||z|| with 1.  Approximate by construction.
+def spike_free(X: np.ndarray) -> Certificate:
+    """Exact spike-free check: every (Xu)_+ with ||u|| <= 1 must equal Xz
+    for some ||z|| <= 1.  On a face of the arrangement (a realizable sign
+    pattern sigma), u = F w with F an orthonormal basis of null(X_{sigma=0})
+    and (Xu)_+ = V w, V = D_{sigma>0} X F.  range_residual is the largest
+    ||(I - X X^+) V||_2; max_z_norm^2 is the largest eigenvalue of
+    (X^+ V)^T (X^+ V) whose eigenvector gives u = +/-F w strictly inside
+    its face.  The maximum over the unit sphere is attained in some face's
+    relative interior, at such an eigenvector; one on a face's boundary lies
+    in a lower face's span, where both maps agree, so a repeated eigenvalue
+    is found again lower down.  Spike-free iff range_residual <=
+    SPIKE_FREE_TOL ||X||_2 and max_z_norm <= 1 + SPIKE_FREE_TOL.  Raises
+    ValueError above SIGN_PATTERN_MAX_N rows.
     """
     X = np.asarray(X, dtype=float)
-    N, d = X.shape
-    if d == 2:
-        thetas = 2.0 * np.pi * np.arange(grid) / grid
-        U = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    else:
-        rng = np.random.default_rng(0)
-        U = rng.standard_normal((grid, d))
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-    P = _pinv(X)
-    V = np.maximum(U @ X.T, 0.0)            # rows (Xu)_+
-    Z = V @ P.T                              # rows z = pinv(X) v
-    range_err = np.linalg.norm(Z @ X.T - V, axis=1)
-    in_range = range_err <= tol * np.maximum(np.linalg.norm(V, axis=1), 1e-300)
-    z_norms = np.linalg.norm(Z, axis=1)
-    worst = float(z_norms[in_range].max()) if in_range.any() else 0.0
-    return Certificate(kind="spike-free", verdict=worst <= 1.0 + tol,
-                       slacks={"max_z_norm": worst,
-                               "excluded_directions": float(np.sum(~in_range))},
-                       tolerance=tol, approximate=True,
-                       detail=f"grid={grid}")
+    faces = enumerate_sign_patterns(X)
+    norms = np.linalg.norm(X, axis=1)
+    Xn = X / np.where(norms > 0.0, norms, 1.0)[:, None]
+    P = np.linalg.pinv(X, rcond=RANK_RTOL)
+    residual = top = 0.0
+    for face in faces:
+        sigma = np.array(face.signs)
+        F = null_space(Xn[sigma == 0].reshape(-1, X.shape[1]), rcond=RANK_RTOL)
+        V = (sigma > 0)[:, None] * (X @ F)
+        Z = P @ V                                   # X^+ (Xu)_+ = Z w
+        residual = max(residual, float(np.linalg.norm(V - X @ Z, 2)))
+        eigvals, W = np.linalg.eigh(Z.T @ Z)
+        T = (sigma[:, None] * (Xn @ F @ W))[sigma != 0]
+        inside = (T > 0.0).all(axis=0) | (T < 0.0).all(axis=0)
+        top = max([top, *eigvals[inside]])
+    max_z = float(np.sqrt(top))
+    return Certificate(
+        kind="spike-free",
+        verdict=(residual <= SPIKE_FREE_TOL * np.linalg.norm(X, 2)
+                 and max_z <= 1.0 + SPIKE_FREE_TOL),
+        slacks={"max_z_norm": max_z, "range_residual": residual},
+        tolerance=SPIKE_FREE_TOL,
+        detail=f"max_z_norm={max_z:.9f} range_residual={residual:.3e} "
+               f"faces={len(faces)}")
 
 
 def local_extremum(X: np.ndarray, y: np.ndarray, u: np.ndarray,

@@ -25,14 +25,13 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .arrangements import cover_bound, enumerate_masks, matrix_rank
-from .certify import (dual_feasible, extract_kkt, local_extremum,
-                      ortho_coverage, spike_free)
-from .convex import (NetworkParams, build_primal, network_from_convex,
-                     solve_dual, solve_primal)
+from .arrangements import (SIGN_PATTERN_MAX_N, cover_bound, enumerate_masks,
+                           matrix_rank)
+from .certify import dual_feasible, extract_kkt, ortho_coverage, spike_free
+from .convex import NetworkParams, build_primal, solve_dual, solve_primal
 from .datasets import (BUILTIN_DATASETS, Dataset, builtin_dataset,
                        dataset_to_json, is_orthogonal_separable, load_dataset)
-from .flow import FlowConfig, network_masks, recover_dual, run_flow
+from .flow import FlowConfig, recover_dual, run_flow
 from .geometry import (GAUGE_SOLVE_TOL, extreme_point,
                        rectified_ellipsoid_samples)
 from .solver import DegenerateError, SolverError, optimal_face_bounds
@@ -288,10 +287,13 @@ def cmd_certify(args) -> int:
             cov = ortho_coverage(extraction, ds.y)
             print(f"{tag}ortho-coverage: {str(cov.verdict).lower()}")
             certificates.append((it, cov))
-    sf = spike_free(ds.X)
-    print(f"spike-free: {str(sf.verdict).lower()} "
-          f"(max ||z|| = {sf.slacks['max_z_norm']:.6f}, approximate)")
-    certificates.append((None, sf))
+    if ds.N > SIGN_PATTERN_MAX_N:
+        print(f"spike-free: not checked (N = {ds.N} > {SIGN_PATTERN_MAX_N})",
+              file=sys.stderr)
+    else:
+        sf = spike_free(ds.X)
+        print(f"spike-free: {str(sf.verdict).lower()} ({sf.detail})")
+        certificates.append((None, sf))
     if args.json:
         print(json.dumps([{"iteration": it, **c.to_json()}
                           for it, c in certificates]))
@@ -304,28 +306,40 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
+def _write_ellipsoid(out: Path, X: np.ndarray, samples: int, args) -> str:
+    """ellipsoid.csv: the rectified-ellipsoid trace at `samples` angles."""
+    thetas, pts = rectified_ellipsoid_samples(X, samples)
+    _write_csv(out / "ellipsoid.csv",
+               ["theta"] + [f"q{i + 1}" for i in range(X.shape[0])],
+               ((float(t), *[float(v) for v in row])
+                for t, row in zip(thetas, pts)), args)
+    return "ellipsoid.csv"
+
+
+def _write_extreme_points(out: Path, X: np.ndarray, masks, lam: np.ndarray,
+                          args) -> str:
+    """extreme_points.csv: the max and min extreme point of every mask."""
+    rows = []
+    for mask in masks:
+        for sense in ("max", "min"):
+            r = extreme_point(X, mask, lam, sense)
+            rows.append((mask.as_string(), sense, float(r.u[0]),
+                         float(r.u[1]), float(r.value)))
+    _write_csv(out / "extreme_points.csv",
+               ["mask", "sense", "u1", "u2", "value"], rows, args)
+    return "extreme_points.csv"
+
+
 def cmd_geometry_export(args) -> int:
     t0 = time.perf_counter()
     ds = _dataset_from_args(args)
     if ds.d != 2:
         raise UsageError("geometry export requires d = 2")
     out = _out_dir(args)
-    thetas, pts = rectified_ellipsoid_samples(ds.X, args.samples)
-    _write_csv(out / "ellipsoid.csv",
-               ["theta"] + [f"q{i + 1}" for i in range(ds.N)],
-               ((float(t), *[float(v) for v in row])
-                for t, row in zip(thetas, pts)), args)
-    masks = enumerate_masks(ds.X)
-    lam = ds.y / np.linalg.norm(ds.y)
-    rows = []
-    for mask in masks:
-        for sense in ("max", "min"):
-            r = extreme_point(ds.X, mask, lam, sense)
-            rows.append((mask.as_string(), sense, float(r.u[0]),
-                         float(r.u[1]), float(r.value)))
-    _write_csv(out / "extreme_points.csv",
-               ["mask", "sense", "u1", "u2", "value"], rows, args)
-    _manifest(args, ds, ["ellipsoid.csv", "extreme_points.csv"], t0).write(out)
+    outputs = [_write_ellipsoid(out, ds.X, args.samples, args)]
+    outputs.append(_write_extreme_points(out, ds.X, enumerate_masks(ds.X),
+                                         ds.y / np.linalg.norm(ds.y), args))
+    _manifest(args, ds, outputs, t0).write(out)
     print(f"wrote ellipsoid.csv and extreme_points.csv to {out}")
     return EXIT_OK
 
@@ -360,18 +374,24 @@ def notebook_face_functionals(problem):
                            functional([j], side, coord))
 
 
+def _write_primal(args, ds: Dataset, masks, out: Path):
+    """Solve the primal, require it optimal and write primal.json; returns
+    (problem, dual, report)."""
+    problem = build_primal(ds.X, ds.y, masks)
+    sol, dual, report = solve_primal(problem, tol=args.tol)
+    report.require_optimal("primal")
+    (out / "primal.json").write_text(
+        json.dumps(_solution_json(sol, masks, dual.lam), indent=2) + "\n")
+    return problem, dual, report
+
+
 def _reproduce_notebook(args, ds: Dataset, out: Path) -> list[str]:
     masks = enumerate_masks(ds.X)
     outputs = []
     table = np.array([m.bits for m in masks]).T
     (out / "masks.txt").write_text(f"{table}\n")
     outputs.append("masks.txt")
-
-    problem = build_primal(ds.X, ds.y, masks)
-    sol, dual, report = solve_primal(problem, tol=args.tol)
-    report.require_optimal("primal")
-    (out / "primal.json").write_text(
-        json.dumps(_solution_json(sol, masks, dual.lam), indent=2) + "\n")
+    problem, _, report = _write_primal(args, ds, masks, out)
     outputs.append("primal.json")
 
     face = {label: list(optimal_face_bounds(problem.prog, report.objective, f))
@@ -411,31 +431,11 @@ def _reproduce_notebook(args, ds: Dataset, out: Path) -> list[str]:
 
 
 def _reproduce_appendix(args, ds: Dataset, out: Path) -> list[str]:
-    outputs = []
-    thetas, pts = rectified_ellipsoid_samples(ds.X, 1024)
-    _write_csv(out / "ellipsoid.csv",
-               ["theta"] + [f"q{i + 1}" for i in range(ds.N)],
-               ((float(t), *[float(v) for v in row])
-                for t, row in zip(thetas, pts)), args)
-    outputs.append("ellipsoid.csv")
-
+    outputs = [_write_ellipsoid(out, ds.X, 1024, args)]
     masks = enumerate_masks(ds.X)
-    problem = build_primal(ds.X, ds.y, masks)
-    sol, dual, report = solve_primal(problem, tol=args.tol)
-    report.require_optimal("primal")
-    (out / "primal.json").write_text(
-        json.dumps(_solution_json(sol, masks, dual.lam), indent=2) + "\n")
+    _, dual, report = _write_primal(args, ds, masks, out)
     outputs.append("primal.json")
-
-    rows = []
-    for mask in masks:
-        for sense in ("max", "min"):
-            r = extreme_point(ds.X, mask, dual.lam, sense)
-            rows.append((mask.as_string(), sense, float(r.u[0]),
-                         float(r.u[1]), float(r.value)))
-    _write_csv(out / "extreme_points.csv",
-               ["mask", "sense", "u1", "u2", "value"], rows, args)
-    outputs.append("extreme_points.csv")
+    outputs.append(_write_extreme_points(out, ds.X, masks, dual.lam, args))
 
     cfg = FlowConfig(m=10, init_scale=args.init_scale, step=0.1, iters=10_000,
                      checkpoints=(1, 10, 100, 1000, 10_000), seed=args.seed)

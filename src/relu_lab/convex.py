@@ -291,7 +291,9 @@ def margin_objective(X: np.ndarray, y: np.ndarray, W1: np.ndarray,
     Rescales the first layer so min_n y_n f(x_n) = 1, balances each neuron,
     and returns (balanced params, sum w2_i^2).  The value equals the group-l1
     objective of the matching convex solution and 0.5(||W1||_F^2 + ||w2||^2)
-    of the balanced net.  Returns None when the network does not separate.
+    of the balanced net.  Returns None when the network does not separate;
+    raises DegenerateError when the rescaled network is not finite (outputs
+    that overflow).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -308,6 +310,9 @@ def margin_objective(X: np.ndarray, y: np.ndarray, W1: np.ndarray,
     scale = np.sqrt(np.linalg.norm(W1, axis=0) / np.abs(w2))
     W1 = W1 / scale[None, :]
     w2 = w2 * scale
+    if not (np.isfinite(W1).all() and np.isfinite(w2).all()):
+        raise DegenerateError("rescaled network is not finite "
+                              "(network outputs overflow)")
     return NetworkParams(W1=W1, w2=w2), float(np.sum(w2 ** 2))
 
 

@@ -150,7 +150,11 @@ def encode_labels(labels: np.ndarray, K: int) -> EncodedLabels:
     return EncodedLabels(Y=Y)
 
 
-def _pair_scan(X: np.ndarray, same_class: np.ndarray) -> SeparabilityReport:
+def is_orthogonal_separable(ds: Dataset) -> SeparabilityReport:
+    """Same-label pairs must have positive inner products, cross-label pairs
+    nonpositive; binary and multiclass labels alike.  Zero rows fail (the
+    same-label strict inequality cannot hold against themselves)."""
+    X, labels = ds.X, ds.labels
     N = X.shape[0]
     norms = np.linalg.norm(X, axis=1)
     for n in range(N):
@@ -159,7 +163,7 @@ def _pair_scan(X: np.ndarray, same_class: np.ndarray) -> SeparabilityReport:
     G = X @ X.T
     for n in range(N):
         for n2 in range(n + 1, N):
-            if same_class[n, n2]:
+            if labels[n] == labels[n2]:
                 if G[n, n2] <= 0.0:
                     return SeparabilityReport(
                         False, (n, n2), "same-label inner product <= 0")
@@ -167,25 +171,6 @@ def _pair_scan(X: np.ndarray, same_class: np.ndarray) -> SeparabilityReport:
                 return SeparabilityReport(
                     False, (n, n2), "cross-label inner product > 0")
     return SeparabilityReport(True)
-
-
-def is_orthogonal_separable(ds: Dataset) -> SeparabilityReport:
-    """Same-label pairs must have positive inner products, cross-label pairs
-    nonpositive.  Zero rows fail (the same-label strict inequality cannot
-    hold against themselves)."""
-    if not ds.is_binary:
-        raise ValueError("binary labels required; "
-                         "use is_orthogonal_separable_multiclass")
-    same = ds.labels[:, None] == ds.labels[None, :]
-    return _pair_scan(ds.X, same)
-
-
-def is_orthogonal_separable_multiclass(ds: Dataset) -> SeparabilityReport:
-    """Multiclass variant: label equality replaces sign equality."""
-    if ds.is_binary:
-        raise ValueError("multiclass labels required")
-    same = ds.labels[:, None] == ds.labels[None, :]
-    return _pair_scan(ds.X, same)
 
 
 def x_max(ds: Dataset) -> float:

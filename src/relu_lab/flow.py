@@ -230,9 +230,9 @@ def _run_binary(X: np.ndarray, y: np.ndarray, cfg: FlowConfig) -> FlowTrace:
     init_signs = np.sign(w2)
     prev_sigma = np.sign(Z)
     max_drift, eta = 0.0, cfg.step
-    trace.records.append(_record(X, y, params, 0))
     # a diverging run overflows before it aborts on non-finite parameters
     with np.errstate(over="ignore", invalid="ignore"):
+        trace.records.append(_record(X, y, params, 0))
         for it in range(1, cfg.iters + 1):
             W1, w2 = step(X, y, W1, w2, Z, eta)
             # max propagates nan and inf, so a finite drift proves W1 and w2
@@ -315,8 +315,7 @@ def time_bounds(delta: float, g0: float, vu0: float) -> TimeBounds:
 
 
 def recover_dual(X: np.ndarray, y: np.ndarray, params: NetworkParams,
-                 masks_all: list[ActivationMask],
-                 masks_network: list[ActivationMask] | None = None
+                 masks_all: list[ActivationMask]
                  ) -> tuple[np.ndarray, float, float]:
     """Dual candidate from a trained network: normalize lambda_tilde, then
     divide by the linear-objective gauge over the masks realized by the
@@ -329,9 +328,7 @@ def recover_dual(X: np.ndarray, y: np.ndarray, params: NetworkParams,
     if nrm == 0.0:
         raise DegenerateError("lambda_tilde vanished (non-finite outputs?)")
     lam = lt / nrm
-    if masks_network is None:
-        masks_network = network_masks(X, params)
-    rep_net = polar_gauge(X, masks_network, lam, objective="linear")
+    rep_net = polar_gauge(X, network_masks(X, params), lam, objective="linear")
     if rep_net.gauge <= 1e-12:
         raise DegenerateError("degenerate normalizing gauge")
     lam = lam / rep_net.gauge

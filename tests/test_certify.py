@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relu_lab.arrangements import enumerate_masks
-from relu_lab.certify import (convex_kkt_residuals, dual_feasible,
-                              extract_kkt, local_extremum, ortho_coverage,
-                              spike_free, certifying_multipliers)
+from relu_lab.arrangements import (RANK_RTOL, SIGN_PATTERN_MAX_N,
+                                   enumerate_masks)
+from relu_lab.certify import (SPIKE_FREE_TOL, convex_kkt_residuals,
+                              dual_feasible, extract_kkt, local_extremum,
+                              ortho_coverage, spike_free,
+                              certifying_multipliers)
 from relu_lab.convex import (NetworkParams, build_primal, convex_from_network,
                              network_from_convex, solve_primal)
 from relu_lab.datasets import is_orthogonal_separable
@@ -134,15 +138,54 @@ class TestOrthoCoverage:
         assert ortho_coverage(ex, y).verdict
 
 
+@st.composite
+def degenerate_rows(draw):
+    """1 <= N <= 5 rows in d = 3 or 4 with coordinates in -2..2: fresh,
+    zero, or a duplicate or antipode of an earlier row."""
+    d = draw(st.sampled_from((3, 4)))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("fresh", "zero", "duplicate",
+                                     "antipodal"))
+                    if rows else st.just("fresh"))
+        if kind == "fresh":
+            rows.append(np.array(draw(st.lists(st.integers(-2, 2),
+                                               min_size=d, max_size=d)),
+                                 dtype=float))
+        elif kind == "zero":
+            rows.append(np.zeros(d))
+        else:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            rows.append(row if kind == "duplicate" else -row)
+    return np.array(rows)
+
+
+def sampled_max_z_norm(X, count=40_000):
+    """max ||X^+ (Xu)_+|| over seeded random unit directions u."""
+    U = np.random.default_rng(0).standard_normal((count, X.shape[1]))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    P = np.linalg.pinv(X, rcond=RANK_RTOL)
+    return float(np.linalg.norm(np.maximum(U @ X.T, 0.0) @ P.T, axis=1).max())
+
+
 class TestSpikeFree:
     def test_identity_is_spike_free(self):
         cert = spike_free(np.eye(2))
-        assert cert.verdict and cert.approximate
+        assert cert.verdict
+        assert cert.slacks == {"max_z_norm": 1.0, "range_residual": 0.0}
+        assert cert.tolerance == SPIKE_FREE_TOL
+        assert "approximate" not in cert.to_json()
 
     def test_ortho_matrix_is_not_spike_free(self, ortho_ds):
         cert = spike_free(ortho_ds.X)
         assert not cert.verdict
-        assert cert.slacks["max_z_norm"] == pytest.approx(1.2222, abs=1e-3)
+        x1, x2 = ortho_ds.X
+        sin_theta = abs(np.linalg.det(ortho_ds.X)) / (
+            np.linalg.norm(x1) * np.linalg.norm(x2))
+        assert cert.slacks["max_z_norm"] == pytest.approx(1.222195075,
+                                                          abs=1e-9)
+        assert cert.slacks["max_z_norm"] == pytest.approx(1.0 / sin_theta,
+                                                          abs=1e-12)
 
     def test_acute_rows_matrix_is_boundary_spike_free(self, nonspikefree_ds):
         # rows with positive inner product: the clipped branch peaks on the
@@ -151,7 +194,7 @@ class TestSpikeFree:
         # labels this matrix the other way)
         cert = spike_free(nonspikefree_ds.X)
         assert cert.verdict
-        assert cert.slacks["max_z_norm"] == pytest.approx(1.0, abs=1e-9)
+        assert cert.slacks["max_z_norm"] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_invariance(self, ortho_ds):
         theta = 0.7
@@ -161,16 +204,62 @@ class TestSpikeFree:
         b = spike_free(ortho_ds.X @ Q)
         assert a.verdict == b.verdict
         assert a.slacks["max_z_norm"] == pytest.approx(
-            b.slacks["max_z_norm"], abs=1e-3)
+            b.slacks["max_z_norm"], abs=1e-12)
 
-    def test_random_mode_for_higher_dimension(self):
-        cert = spike_free(np.eye(3), grid=2000)
+    def test_identity_in_three_dimensions(self):
+        cert = spike_free(np.eye(3))
         assert cert.verdict
+        assert cert.slacks["max_z_norm"] == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic(self, ortho_ds):
         a = spike_free(ortho_ds.X)
         b = spike_free(ortho_ds.X)
         assert a.slacks == b.slacks
+
+    def test_notebook_images_leave_the_range(self, notebook_ds):
+        # u = (1, 0) gives (Xu)_+ = (1, 0, 0), outside range(X)
+        cert = spike_free(notebook_ds.X)
+        assert not cert.verdict
+        assert cert.slacks["range_residual"] == pytest.approx(
+            np.sqrt(2.0 / 3.0), abs=1e-12)
+
+    def test_gaussian_five_by_two_is_not_spike_free(self):
+        X = np.random.default_rng(0).standard_normal((5, 2))
+        cert = spike_free(X)
+        assert not cert.verdict
+        assert cert.slacks["range_residual"] == pytest.approx(0.986, abs=1e-3)
+
+    def test_gaussian_three_by_three_exact_maximum(self):
+        # direction sampling read 2.3401 here
+        X = np.random.default_rng(1).standard_normal((3, 3))
+        cert = spike_free(X)
+        assert not cert.verdict
+        assert cert.slacks["max_z_norm"] == pytest.approx(2.352617674,
+                                                          abs=1e-9)
+
+    def test_whitened_rows_are_spike_free(self):
+        # X X^T = I with N <= d: ||z|| = ||(Xu)_+|| <= ||Xu|| <= 1
+        Q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((4, 4)))
+        X = Q[:3]
+        np.testing.assert_allclose(X @ X.T, np.eye(3), atol=1e-12)
+        cert = spike_free(X)
+        assert cert.verdict
+        assert cert.slacks["range_residual"] <= 1e-12
+
+    def test_above_sign_pattern_cap_raises(self):
+        X = np.random.default_rng(3).standard_normal((SIGN_PATTERN_MAX_N + 1,
+                                                      2))
+        with pytest.raises(ValueError, match="sign-pattern enumeration"):
+            spike_free(X)
+
+    @settings(max_examples=30, deadline=None)
+    @given(degenerate_rows())
+    def test_sampling_never_exceeds_exact_maximum(self, X):
+        exact = spike_free(X).slacks["max_z_norm"]
+        sampled = sampled_max_z_norm(X)
+        assert sampled <= exact + 1e-9
+        # the maximum is attained on a face, so dense sampling comes close
+        assert sampled >= 0.95 * exact
 
 
 class TestLocalExtremum:

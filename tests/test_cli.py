@@ -235,6 +235,14 @@ class TestFlowCommand:
             "class 3: aborted at iteration 25 (non-finite parameters)"]
         assert not out_dir.exists()
 
+    def test_overflowing_initial_network_exits_1(self, capsys):
+        # the iteration-0 record's rescaled network overflows: a numerical
+        # failure, not a usage error
+        code, _, err = run_cli(capsys, "flow", "--dataset", "notebook",
+                               "--init-scale", "1e160", "--iters", "10")
+        assert code == 1
+        assert "numerical failure: rescaled network is not finite" in err
+
     def test_truncated_sign_events_on_summary(self, capsys, monkeypatch):
         args = ("flow", "--dataset", "appendix-ortho", "--iters", "4000",
                 "--step", "0.1", "--seed", "1")
@@ -281,6 +289,35 @@ class TestCertifyCommand:
         kinds = {c["kind"] for c in payload}
         assert {"dual-feasible", "ortho-coverage", "spike-free"} <= kinds
 
+    def test_notebook_is_not_spike_free(self, capsys):
+        code, out, _ = run_cli(capsys, "certify", "--dataset", "notebook",
+                               "--iters", "100", "--checkpoints", "100")
+        assert code == 0
+        assert "spike-free: false (max_z_norm=1.059862267 " \
+               "range_residual=8.165e-01 faces=13)" in out
+
+    def test_spike_free_skipped_above_sign_pattern_cap(self, capsys,
+                                                       tmp_path):
+        # 14 rows on an arc: every other certificate is still written
+        angles = np.linspace(0.0, 1.0, 14)
+        path = tmp_path / "arc.json"
+        path.write_text(json.dumps({
+            "X": np.column_stack((np.cos(angles), np.sin(angles))).tolist(),
+            "y": [1] * 7 + [-1] * 7}))
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({"W1": [[1.0, 0.0], [0.0, 1.0]],
+                                   "w2": [-1.0, 1.0]}))
+        out_dir = tmp_path / "cert"
+        code, out, err = run_cli(capsys, "certify", "--dataset", str(path),
+                                 "--network", str(net),
+                                 "--out-dir", str(out_dir))
+        assert code == 0
+        assert err == "spike-free: not checked (N = 14 > 13)\n"
+        assert "dual-feasible: " in out
+        kinds = [c["kind"] for c in json.loads(
+            (out_dir / "certificates.json").read_text())]
+        assert "dual-feasible" in kinds and "spike-free" not in kinds
+
     def test_aborted_flow_exits_1(self, capsys, tmp_path):
         # the flow overflows at iteration 26; no checkpoint is certified
         out_dir = tmp_path / "cert"
@@ -323,6 +360,13 @@ class TestReproduce:
         with pytest.raises(SystemExit) as exc:
             main(["reproduce", "unknown-target"])
         assert exc.value.code == 2
+
+    def test_overflowing_initial_network_exits_1(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "reproduce", "appendix-ortho",
+                               "--init-scale", "1e160",
+                               "--out-dir", str(tmp_path / "repro"))
+        assert code == 1
+        assert "numerical failure: rescaled network is not finite" in err
 
     def test_appendix_nonspikefree_outputs(self, capsys, tmp_path):
         out_dir = tmp_path / "repro"

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from relu_lab.datasets import (Dataset, builtin_dataset, dataset_to_json,
                                encode_labels, is_orthogonal_separable,
-                               is_orthogonal_separable_multiclass,
                                load_dataset, x_max)
 
 
@@ -96,16 +95,16 @@ class TestOrthogonalSeparable:
 
     def test_multiclass_matches_binary_for_k2(self, ortho_ds):
         ds2 = Dataset(X=ortho_ds.X, labels=np.array([1, 2]), K=2)
-        assert is_orthogonal_separable_multiclass(ds2).separable
+        assert is_orthogonal_separable(ds2).separable
 
     def test_multiclass_single_sample(self):
         ds = Dataset(X=np.array([[3.0, 1.0]]), labels=np.array([2]), K=4)
-        assert is_orthogonal_separable_multiclass(ds).separable
+        assert is_orthogonal_separable(ds).separable
 
     def test_multiclass_positive_cross_inner(self):
         ds = Dataset(X=np.array([[1.0, 0.0], [0.5, 0.0]]),
                      labels=np.array([1, 2]), K=2)
-        rep = is_orthogonal_separable_multiclass(ds)
+        rep = is_orthogonal_separable(ds)
         assert not rep.separable and rep.witness == (0, 1)
 
     @settings(max_examples=25, deadline=None)
@@ -127,7 +126,7 @@ class TestOrthogonalSeparable:
         for _ in range(20):
             X = rng.normal(size=(4, 2))
             labels = rng.choice([1, 2], size=4)
-            multi = is_orthogonal_separable_multiclass(
+            multi = is_orthogonal_separable(
                 Dataset(X=X, labels=labels, K=2)).separable
             y = np.where(labels == 1, 1, -1)
             binary = is_orthogonal_separable(Dataset(X=X, labels=y)).separable
