@@ -46,13 +46,6 @@ class ActivationMask:
     def diag_vector(self) -> np.ndarray:
         return np.array(self.bits, dtype=float)
 
-    def dominates(self, indicator: np.ndarray) -> bool:
-        """Componentwise bits >= indicator."""
-        return bool(np.all(self.diag_vector() >= np.asarray(indicator, dtype=float)))
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
 
 @dataclass(frozen=True)
 class SignPattern:
@@ -67,10 +60,6 @@ class SignPattern:
 
     def positive_support(self) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.signs) if s > 0)
-
-
-def mask_from_string(s: str) -> ActivationMask:
-    return ActivationMask(bits=tuple(int(ch) for ch in s))
 
 
 def mask_of(X: np.ndarray, u: np.ndarray) -> ActivationMask:

@@ -20,7 +20,6 @@ from .arrangements import (ActivationMask, RANK_RTOL,
                            enumerate_sign_patterns)
 from .convex import (ACTIVE_RTOL, ConvexProblem, ConvexSolution,
                      completion_choices)
-from .flow import g_direction
 from .geometry import GAUGE_SOLVE_TOL, polar_gauge
 from .solver import cone_projection
 
@@ -139,27 +138,6 @@ def dual_feasible(X: np.ndarray, masks: list[ActivationMask], lam: np.ndarray,
                               f"argmax={report.argmax_mask.as_string()}")
 
 
-def dual_feasible_multiclass(X: np.ndarray, masks: list[ActivationMask],
-                             Lambda: np.ndarray, y_encoded: np.ndarray,
-                             tol: float = GAUGE_SOLVE_TOL) -> list[Certificate]:
-    """Per-class dual feasibility: the binary certifier applied to each
-    column of the stacked dual matrix, plus the per-class sign condition
-    diag(y_k) lam_k >= 0."""
-    Lambda = np.asarray(Lambda, dtype=float)
-    y_encoded = np.asarray(y_encoded, dtype=float)
-    if Lambda.shape != y_encoded.shape:
-        raise ValueError("dual matrix and encoded labels must align")
-    certs = []
-    for k in range(Lambda.shape[1]):
-        cert = dual_feasible(X, masks, Lambda[:, k], tol=tol)
-        sign_viol = max(0.0, float((-(y_encoded[:, k] * Lambda[:, k])).max()))
-        cert.slacks["sign_violation"] = sign_viol
-        cert.verdict = cert.verdict and sign_viol <= tol
-        cert.detail += f" class={k}"
-        certs.append(cert)
-    return certs
-
-
 def ortho_coverage(extraction: KKTExtraction, y: np.ndarray) -> Certificate:
     """Label coverage of the extracted activation patterns: some positive
     neuron's pattern must dominate I(y = 1) and some negative neuron's
@@ -224,34 +202,6 @@ def spike_free(X: np.ndarray) -> Certificate:
         tolerance=SPIKE_FREE_TOL,
         detail=f"max_z_norm={max_z:.9f} range_residual={residual:.3e} "
                f"faces={len(faces)}")
-
-
-def local_extremum(X: np.ndarray, y: np.ndarray, u: np.ndarray,
-                   tol: float = 1e-9) -> Certificate:
-    """Classify a unit direction as a local max/min of y^T (Xu)_+ on the unit
-    ball via the alignment criterion cos angle(u, g(u, y)) = +/-1 (valid on
-    orthogonal-separable data).  For a local max the consequence
-    <u, x_n> > 0 on every positive-label sample is also checked."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    g = g_direction(X, u, y)
-    ng = np.linalg.norm(g)
-    if ng == 0.0:
-        raise ValueError("g(u, y) vanished; classification undefined")
-    a = float(u @ g / (np.linalg.norm(u) * ng))
-    if a >= 1.0 - tol:
-        kind = "local-max"
-    elif a <= -(1.0 - tol):
-        kind = "local-min"
-    else:
-        kind = "neither"
-    slacks = {"alignment": a}
-    if kind == "local-max":
-        pos = y == 1
-        slacks["min_pos_inner"] = float((X[pos] @ u).min()) if pos.any() else np.inf
-    return Certificate(kind=kind, verdict=kind != "neither", slacks=slacks,
-                       tolerance=tol)
 
 
 @dataclass

@@ -3,7 +3,8 @@
 Subcommands: arrangements, solve, flow, certify, geometry-export, reproduce.
 Global flags: --json, --out-dir, --seed, --deterministic; solve and reproduce
 also take the solver tolerance --tol, certify the dual-feasibility tolerance
---tol-cert (each a finite number > 0).  Exit codes:
+--tol-cert and the dual scale --lambda-scale (each a finite number > 0).
+Exit codes:
 0 success, 1 numerical failure (a solve that does not end optimal included),
 2 usage error.  Every command that writes files also writes a manifest.json
 alongside them; CSV files carry a timestamp header line unless
@@ -179,16 +180,13 @@ def cmd_solve(args) -> int:
 
 
 def _parse_checkpoints(spec: str, iters: int) -> tuple[int, ...]:
-    """The listed checkpoints (default 10, 100, 1000, 10000 up to iters),
-    each in [1, iters], and iters itself, sorted."""
+    """The listed checkpoints (default 10, 100, 1000, 10000 up to iters)
+    and iters itself, sorted; FlowConfig checks that each is in [1, iters]."""
     try:
         points = ({int(tok) for tok in spec.split(",") if tok} if spec else
                   {c for c in (10, 100, 1000, 10_000) if c <= iters})
     except ValueError as exc:
         raise UsageError(f"bad checkpoint list {spec!r}") from exc
-    for c in sorted(points):
-        if not 1 <= c <= iters:
-            raise UsageError(f"checkpoint {c} is outside [1, --iters {iters}]")
     return tuple(sorted(points | ({iters} if iters >= 1 else set())))
 
 
@@ -266,7 +264,11 @@ def cmd_certify(args) -> int:
         raise UsageError("certify drives binary datasets")
     masks = enumerate_masks(ds.X)
     if args.network:
-        nets = [(None, _load_network(args.network))]
+        net = _load_network(args.network)
+        if net.W1.shape[0] != ds.d:
+            raise UsageError(f"network W1 has {net.W1.shape[0]} rows but "
+                             f"the dataset has d = {ds.d}")
+        nets = [(None, net)]
     else:
         trace = run_flow(ds, _flow_config(args))
         if _report_abort(trace):
@@ -385,7 +387,8 @@ def _write_primal(args, ds: Dataset, masks, out: Path):
     return problem, dual, report
 
 
-def _reproduce_notebook(args, ds: Dataset, out: Path) -> list[str]:
+def _reproduce_notebook(args, ds: Dataset, out: Path,
+                        cfg: FlowConfig) -> list[str]:
     masks = enumerate_masks(ds.X)
     outputs = []
     table = np.array([m.bits for m in masks]).T
@@ -401,8 +404,6 @@ def _reproduce_notebook(args, ds: Dataset, out: Path) -> list[str]:
     (out / "optimal_face.json").write_text(json.dumps(face, indent=2) + "\n")
     outputs.append("optimal_face.json")
 
-    cfg = FlowConfig(m=8, init_scale=args.init_scale, step=1.0, iters=10_000,
-                     checkpoints=(10, 100, 1000, 10_000), seed=args.seed)
     trace = run_flow(ds, cfg)
     _write_flow_trace(out / "flow_trace.csv", trace, ds.d, args)
     outputs.append("flow_trace.csv")
@@ -430,15 +431,14 @@ def _reproduce_notebook(args, ds: Dataset, out: Path) -> list[str]:
     return outputs
 
 
-def _reproduce_appendix(args, ds: Dataset, out: Path) -> list[str]:
+def _reproduce_appendix(args, ds: Dataset, out: Path,
+                        cfg: FlowConfig) -> list[str]:
     outputs = [_write_ellipsoid(out, ds.X, 1024, args)]
     masks = enumerate_masks(ds.X)
     _, dual, report = _write_primal(args, ds, masks, out)
     outputs.append("primal.json")
     outputs.append(_write_extreme_points(out, ds.X, masks, dual.lam, args))
 
-    cfg = FlowConfig(m=10, init_scale=args.init_scale, step=0.1, iters=10_000,
-                     checkpoints=(1, 10, 100, 1000, 10_000), seed=args.seed)
     trace = run_flow(ds, cfg)
     _write_flow_trace(out / "flow_trace.csv", trace, ds.d, args)
     outputs.append("flow_trace.csv")
@@ -450,10 +450,19 @@ def _reproduce_appendix(args, ds: Dataset, out: Path) -> list[str]:
 def cmd_reproduce(args) -> int:
     t0 = time.perf_counter()
     ds = builtin_dataset(args.target)
+    # the flow configuration is checked before anything is solved or written
+    if args.target == "notebook":
+        reproduce = _reproduce_notebook
+        cfg = FlowConfig(m=8, init_scale=args.init_scale, step=1.0,
+                         iters=10_000, checkpoints=(10, 100, 1000, 10_000),
+                         seed=args.seed)
+    else:
+        reproduce = _reproduce_appendix
+        cfg = FlowConfig(m=10, init_scale=args.init_scale, step=0.1,
+                         iters=10_000, checkpoints=(1, 10, 100, 1000, 10_000),
+                         seed=args.seed)
     out = _out_dir(args)
-    reproduce = (_reproduce_notebook if args.target == "notebook"
-                 else _reproduce_appendix)
-    outputs = reproduce(args, ds, out)
+    outputs = reproduce(args, ds, out, cfg)
     args.dataset = args.target
     _manifest(args, ds, outputs, t0).write(out)
     return EXIT_OK
@@ -464,7 +473,8 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _tolerance(text: str) -> float:
-    """A --tol or --tol-cert value: a finite number > 0, else a usage error."""
+    """A finite number > 0 (--tol, --tol-cert, --lambda-scale), else a
+    usage error."""
     try:
         value = float(text)
     except ValueError:
@@ -528,8 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", default="",
                    help="JSON file with W1 (d x m) and w2 (m)")
     flow_options(p)
-    p.add_argument("--lambda-scale", type=float, default=1.0,
-                   help="scale the recovered dual (negative-control hook)")
+    p.add_argument("--lambda-scale", type=_tolerance, default=1.0,
+                   help="scale the recovered dual (negative-control hook; "
+                        "finite, > 0)")
     p.add_argument("--tol-cert", type=_tolerance, default=GAUGE_SOLVE_TOL,
                    help="dual-feasibility tolerance (finite, > 0)")
     p.set_defaults(func=cmd_certify)

@@ -14,12 +14,11 @@ sign condition diag(y) lam >= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangements import ActivationMask, mask_of
-from .datasets import Dataset, encode_labels
+from .arrangements import ActivationMask
 from .solver import ConeProgram, DegenerateError, SolveReport, solve
 
 DEFAULT_TOL = 1e-8
@@ -71,11 +70,10 @@ class ConvexSolution:
     margin_slack: float            # min_n margin_n - 1 (>= -tol when feasible)
     cone_slack: float              # min over all cone rows
 
-    def active_groups(self, threshold: float | None = None
-                      ) -> list[tuple[int, str, np.ndarray]]:
-        """(mask index, side, vector) for groups above the activity threshold."""
-        if threshold is None:
-            threshold = ACTIVE_RTOL * (1.0 + self.objective)
+    def active_groups(self) -> list[tuple[int, str, np.ndarray]]:
+        """(mask index, side, vector) for groups with norm above
+        ACTIVE_RTOL * (1 + objective)."""
+        threshold = ACTIVE_RTOL * (1.0 + self.objective)
         out = []
         for j, vec in enumerate(self.u):
             if np.linalg.norm(vec) > threshold:
@@ -118,9 +116,6 @@ class NetworkParams:
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         return np.maximum(np.asarray(X) @ self.W1, 0.0) @ self.w2
-
-    def squared_norm_half(self) -> float:
-        return 0.5 * (float(np.sum(self.W1 ** 2)) + float(np.sum(self.w2 ** 2)))
 
 
 def build_primal(X: np.ndarray, y: np.ndarray,
@@ -215,11 +210,11 @@ def solve_dual(X: np.ndarray, y: np.ndarray, masks: list[ActivationMask],
             float(y @ lam), report)
 
 
-def network_from_convex(sol: ConvexSolution, masks: list[ActivationMask],
-                        threshold: float | None = None) -> NetworkParams:
+def network_from_convex(sol: ConvexSolution,
+                        masks: list[ActivationMask]) -> NetworkParams:
     """Balanced splitting of active groups into neurons: u'_j gives
     (u'/sqrt||u'||, +sqrt||u'||), u_j gives (u/sqrt||u||, -sqrt||u||)."""
-    active = sol.active_groups(threshold)
+    active = sol.active_groups()
     if not active:
         raise DegenerateError("solution has no active groups; empty network")
     cols = []
@@ -314,30 +309,3 @@ def margin_objective(X: np.ndarray, y: np.ndarray, W1: np.ndarray,
         raise DegenerateError("rescaled network is not finite "
                               "(network outputs overflow)")
     return NetworkParams(W1=W1, w2=w2), float(np.sum(w2 ** 2))
-
-
-@dataclass
-class ClassSolve:
-    k: int                        # 0-based class index
-    solution: ConvexSolution
-    dual: DualVariable
-    report: SolveReport
-
-
-def solve_class(ds: Dataset, k: int, masks: list[ActivationMask],
-                tol: float = DEFAULT_TOL) -> ClassSolve:
-    """Solve the one-vs-all subproblem of class k (0-based) of a multiclass
-    dataset."""
-    if ds.is_binary:
-        raise ValueError("dataset is binary; solve it directly")
-    enc = encode_labels(ds.labels, ds.K)
-    problem = build_primal(ds.X, enc.column(k), masks)
-    sol, dual, report = solve_primal(problem, tol=tol)
-    return ClassSolve(k=k, solution=sol, dual=dual, report=report)
-
-
-def solve_multiclass(ds: Dataset, masks: list[ActivationMask],
-                     tol: float = DEFAULT_TOL) -> tuple[list[ClassSolve], float]:
-    """All K subproblems; total objective is the sum over classes."""
-    solves = [solve_class(ds, k, masks, tol=tol) for k in range(ds.K)]
-    return solves, float(sum(s.solution.objective for s in solves))

@@ -1,15 +1,16 @@
-"""Datasets, label encoding and separability predicates.
+"""Datasets and the orthogonal-separability predicate.
 
 A dataset is a data matrix X (rows are samples) with either binary labels
-y in {+1,-1}^N (K == 0) or multiclass labels in {1..K}^N (K >= 1).  The three
-built-in reference datasets used throughout the test suite and CLI are
-registered in BUILTIN_DATASETS.
+y in {+1,-1}^N (K == 0) or multiclass labels in {1..K}^N (K >= 1); class k
+of a multiclass dataset is the one-vs-all problem y_k = +1 iff label == k.
+The three built-in reference datasets used throughout the test suite and CLI
+are registered in BUILTIN_DATASETS.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,27 +59,8 @@ class Dataset:
     def y(self) -> np.ndarray:
         """Binary +/-1 label vector (binary datasets only)."""
         if not self.is_binary:
-            raise ValueError("dataset has multiclass labels; use encode_labels")
+            raise ValueError("dataset has multiclass labels; no binary y")
         return self.labels.astype(float)
-
-
-@dataclass(frozen=True)
-class EncodedLabels:
-    """N x K matrix with entries +/-1 and exactly one +1 per row."""
-
-    Y: np.ndarray
-
-    def __post_init__(self):
-        Y = np.asarray(self.Y, dtype=float)
-        object.__setattr__(self, "Y", Y)
-        if Y.ndim != 2 or not np.all(np.isin(Y, (-1.0, 1.0))):
-            raise ValueError("encoded labels must be an N x K +/-1 matrix")
-        if not np.all(np.sum(Y == 1.0, axis=1) == 1):
-            raise ValueError("each row must have exactly one +1")
-
-    def column(self, k: int) -> np.ndarray:
-        """Binary label vector y_k of the k-th one-vs-all subproblem (0-based)."""
-        return self.Y[:, k].copy()
 
 
 @dataclass(frozen=True)
@@ -138,18 +120,6 @@ def dataset_to_json(ds: Dataset) -> dict:
             "y": ds.labels.tolist(), "K": ds.K}
 
 
-def encode_labels(labels: np.ndarray, K: int) -> EncodedLabels:
-    """One-vs-all +/-1 encoding: Y[n, k] = +1 iff label_n == k+1."""
-    labels = np.asarray(labels, dtype=int)
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if labels.min() < 1 or labels.max() > K:
-        raise ValueError("label out of range 1..K")
-    Y = -np.ones((labels.shape[0], K))
-    Y[np.arange(labels.shape[0]), labels - 1] = 1.0
-    return EncodedLabels(Y=Y)
-
-
 def is_orthogonal_separable(ds: Dataset) -> SeparabilityReport:
     """Same-label pairs must have positive inner products, cross-label pairs
     nonpositive; binary and multiclass labels alike.  Zero rows fail (the
@@ -171,8 +141,3 @@ def is_orthogonal_separable(ds: Dataset) -> SeparabilityReport:
                 return SeparabilityReport(
                     False, (n, n2), "cross-label inner product > 0")
     return SeparabilityReport(True)
-
-
-def x_max(ds: Dataset) -> float:
-    """Largest sample 2-norm."""
-    return float(np.max(np.linalg.norm(ds.X, axis=1)))

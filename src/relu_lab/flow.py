@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expit
 
 from .arrangements import ActivationMask, SignPattern, mask_of
-from .datasets import Dataset, encode_labels
+from .datasets import Dataset
 from .geometry import polar_gauge
 from .convex import NetworkParams, margin_objective
 from .solver import DegenerateError
@@ -53,8 +53,10 @@ class FlowConfig:
             if not ok:
                 raise ValueError(f"bad flow configuration: {name} = "
                                  f"{getattr(self, name)!r} is not {want}")
-        if any(c < 1 or c > max(self.iters, 1) for c in self.checkpoints):
-            raise ValueError("checkpoints must lie in [1, iters]")
+        for c in sorted(self.checkpoints):
+            if not 1 <= c <= self.iters:
+                raise ValueError(f"checkpoint {c} is outside "
+                                 f"[1, iters {self.iters}]")
 
 
 @dataclass
@@ -134,11 +136,6 @@ def g_pattern(X: np.ndarray, sigma, lam: np.ndarray) -> np.ndarray:
     return np.asarray(X, dtype=float).T @ (lam * (signs > 0))
 
 
-def g_direction(X: np.ndarray, u: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """g(u, lam) = g(sign(X u), lam) for a direction u in R^d."""
-    return g_pattern(X, np.sign(np.asarray(X, dtype=float) @ u), lam)
-
-
 def g_min_max(X: np.ndarray, y: np.ndarray,
               patterns: list[SignPattern]) -> tuple[float, float,
                                                     list[SignPattern],
@@ -214,8 +211,8 @@ def run_flow(ds: Dataset, cfg: FlowConfig):
     """Simulate the flow; returns a FlowTrace (binary labels) or a list of
     per-class FlowTraces (multiclass datasets run K independent flows)."""
     if not ds.is_binary:
-        enc = encode_labels(ds.labels, ds.K)
-        return [_run_binary(ds.X, enc.column(k), cfg) for k in range(ds.K)]
+        return [_run_binary(ds.X, np.where(ds.labels == k + 1, 1.0, -1.0), cfg)
+                for k in range(ds.K)]
     return _run_binary(ds.X, ds.y, cfg)
 
 
@@ -273,45 +270,6 @@ def _add_sign_events(trace: FlowTrace, it: int, old: np.ndarray,
         trace.sign_events.append(SignChangeEvent(
             iteration=it, neuron=int(i), old=tuple(old[:, i].tolist()),
             new=tuple(new[:, i].tolist())))
-
-
-@dataclass(frozen=True)
-class TimeBounds:
-    """Alignment-time formula evaluators; all inputs dimensionless."""
-
-    delta: float
-    g0: float
-    vu0: float     # v(0)^T u(0)
-
-    def __post_init__(self):
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
-        if self.g0 <= 0.0:
-            raise ValueError("g0 must be positive")
-        if abs(self.vu0) >= self._root():
-            raise ValueError("v0^T u0 out of the admissible interval")
-
-    def _root(self) -> float:
-        return float(np.sqrt(1.0 - self.delta / 8.0))
-
-    def _log_ratio(self, c: float) -> float:
-        s = self._root()
-        if s - c <= 0.0 or s + c <= 0.0:
-            raise ValueError("log argument not positive")
-        return float(np.log((s + c) / (s - c)))
-
-    def t_star(self) -> float:
-        return self.t_shift(1.0 - self.delta)
-
-    def t_shift(self, c: float) -> float:
-        if not (0.0 < c <= 1.0 - self.delta):
-            raise ValueError("c must lie in (0, 1 - delta]")
-        s = self._root()
-        return (self._log_ratio(c) - self._log_ratio(self.vu0)) / (2.0 * self.g0 * s)
-
-
-def time_bounds(delta: float, g0: float, vu0: float) -> TimeBounds:
-    return TimeBounds(delta=delta, g0=g0, vu0=vu0)
 
 
 def recover_dual(X: np.ndarray, y: np.ndarray, params: NetworkParams,

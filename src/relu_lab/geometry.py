@@ -39,7 +39,6 @@ class ExtremePointResult:
     u: np.ndarray
     value: float          # lam^T D_j X u at the optimum (signed)
     mask: ActivationMask
-    active: tuple[int, ...]   # cone rows tight at the optimum
     sense: str
 
 
@@ -81,11 +80,7 @@ def extreme_point(X: np.ndarray, mask: ActivationMask, lam: np.ndarray,
         npn = float(np.linalg.norm(p))
         if npn > PROJECTION_ZERO_RTOL * nv:
             x = p / npn
-    slack = M @ x
-    active = tuple(int(i) for i in np.where(
-        np.abs(slack) <= 1e-9 * (1 + np.abs(slack).max(initial=0.0)))[0])
-    return ExtremePointResult(u=x, value=float(v @ x), mask=mask,
-                              active=active, sense=sense)
+    return ExtremePointResult(u=x, value=float(v @ x), mask=mask, sense=sense)
 
 
 def polar_gauge(X: np.ndarray, masks: list[ActivationMask], lam: np.ndarray,
@@ -106,10 +101,10 @@ def polar_gauge(X: np.ndarray, masks: list[ActivationMask], lam: np.ndarray,
                             argmax_mask=per_mask[best][0], objective=objective)
 
 
-def stationary_direction(X: np.ndarray, lam: np.ndarray, u0: np.ndarray,
-                         max_iters: int = 1000,
-                         tol: float = FIXED_POINT_TOL) -> tuple[np.ndarray, float, int]:
-    """Fixed-point iteration u <- X^T D(u) lam / ||X^T D(u) lam||.
+def stationary_direction(X: np.ndarray, lam: np.ndarray,
+                         u0: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Fixed-point iteration u <- X^T D(u) lam / ||X^T D(u) lam||, to a step
+    of at most FIXED_POINT_TOL within 1000 iterations.
 
     Keeps the previous activation pattern when the update vector vanishes
     transiently; declares failure when the pattern cycles without converging.
@@ -135,13 +130,14 @@ def stationary_direction(X: np.ndarray, lam: np.ndarray, u0: np.ndarray,
 
     seen: dict[tuple[int, ...], np.ndarray] = {}
     mask = None
+    max_iters = 1000
     for it in range(1, max_iters + 1):
         u_next, mask = update(u, mask)
-        if np.linalg.norm(u_next - u) <= tol:
+        if np.linalg.norm(u_next - u) <= FIXED_POINT_TOL:
             res_vec, _ = update(u_next, mask)
             return u_next, float(np.linalg.norm(u_next - res_vec)), it
         key = mask.bits
-        if key in seen and np.linalg.norm(seen[key] - u_next) > tol:
+        if key in seen and np.linalg.norm(seen[key] - u_next) > FIXED_POINT_TOL:
             raise RuntimeError("activation-pattern cycle without convergence")
         seen[key] = u_next
         u = u_next

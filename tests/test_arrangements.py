@@ -285,11 +285,6 @@ class TestMaskHelpers:
         with pytest.raises(ValueError):
             ActivationMask(bits=(0, 2))
 
-    def test_dominates(self):
-        m = ActivationMask(bits=(1, 1, 0))
-        assert m.dominates(np.array([1, 0, 0]))
-        assert not m.dominates(np.array([0, 0, 1]))
-
     def test_rank(self):
         assert matrix_rank(np.array([[1.0, 0.0], [2.0, 0.0]])) == 1
         assert matrix_rank(np.eye(3)) == 3

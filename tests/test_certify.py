@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from relu_lab.arrangements import (RANK_RTOL, SIGN_PATTERN_MAX_N,
                                    enumerate_masks)
 from relu_lab.certify import (SPIKE_FREE_TOL, convex_kkt_residuals,
-                              dual_feasible, extract_kkt, local_extremum,
+                              dual_feasible, extract_kkt,
                               ortho_coverage, spike_free,
                               certifying_multipliers)
 from relu_lab.convex import (NetworkParams, build_primal, convex_from_network,
@@ -262,38 +262,6 @@ class TestSpikeFree:
         assert sampled >= 0.95 * exact
 
 
-class TestLocalExtremum:
-    def test_notebook_positive_neuron_is_local_max(self, notebook_ds):
-        cert = local_extremum(notebook_ds.X, notebook_ds.y,
-                              np.array([1.0, 0.0]))
-        assert cert.kind == "local-max"
-        assert cert.slacks["min_pos_inner"] > 0.0
-
-    def test_sign_symmetry(self, notebook_ds):
-        cert = local_extremum(notebook_ds.X, -notebook_ds.y,
-                              np.array([1.0, 0.0]))
-        assert cert.kind == "local-min"
-
-    def test_misaligned_is_neither(self, ortho_ds):
-        # direction activating both samples is pulled sideways
-        u = np.array([0.0, 1.0])
-        cert = local_extremum(ortho_ds.X, ortho_ds.y, u)
-        assert cert.kind == "neither"
-
-    def test_zero_g_errors(self, notebook_ds):
-        with pytest.raises(ValueError):
-            local_extremum(notebook_ds.X, notebook_ds.y,
-                           np.array([-1.0, -1.0]) / np.sqrt(2))
-
-    def test_local_max_matches_stationary_direction(self, notebook_ds):
-        from relu_lab.geometry import stationary_direction
-        u, res, _ = stationary_direction(notebook_ds.X, notebook_ds.y / 4.0,
-                                         np.array([1.0, -1.0]) / np.sqrt(2))
-        cert = local_extremum(notebook_ds.X, notebook_ds.y, u)
-        assert cert.kind == "local-max"
-        assert cert.slacks["alignment"] == pytest.approx(1.0, abs=1e-10)
-
-
 class TestConvexKKTResiduals:
     def test_joint_optimum_families_small(self, notebook_solved):
         problem, sol, dual, _ = notebook_solved
@@ -345,26 +313,6 @@ class TestConvexKKTResiduals:
                                    notebook_masks, y=notebook_ds.y)
         rep = convex_kkt_residuals(problem, back, dual.lam, z, zp)
         assert rep.max_family_residual() <= 1e-4
-
-
-class TestMulticlassCertification:
-    def test_per_class_loop(self, notebook_ds, notebook_masks,
-                            notebook_solved):
-        from relu_lab.certify import dual_feasible_multiclass
-        from relu_lab.datasets import encode_labels
-        _, _, dual, _ = notebook_solved
-        labels = np.where(notebook_ds.labels == 1, 1, 2)
-        enc = encode_labels(labels, 2)
-        # class-1 dual is the binary optimum, class-2 its sign flip
-        Lambda = np.stack([dual.lam, -dual.lam], axis=1)
-        certs = dual_feasible_multiclass(notebook_ds.X, notebook_masks,
-                                         Lambda, enc.Y)
-        assert len(certs) == 2
-        assert all(c.verdict for c in certs)
-        bad = dual_feasible_multiclass(notebook_ds.X, notebook_masks,
-                                       np.stack([dual.lam, dual.lam], axis=1),
-                                       enc.Y)
-        assert not bad[1].verdict  # sign condition fails on the flipped class
 
 
 class TestCoverageImpliesFeasibility:

@@ -269,6 +269,16 @@ class TestCertifyCommand:
         assert code == 0
         assert "dual-feasible: false" in out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_lambda_scale_must_be_finite_positive(self, capsys, value):
+        # a negative scale flips diag(y) lam <= 0, which the gauge alone
+        # would certify; a non-finite one has no dual to certify
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--dataset", "notebook", "--iters", "200",
+                  "--checkpoints", "200", f"--lambda-scale={value}"])
+        assert exc.value.code == 2
+        assert "--lambda-scale" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_tol_cert_must_be_finite_positive(self, capsys, value):
         with pytest.raises(SystemExit) as exc:
@@ -288,6 +298,18 @@ class TestCertifyCommand:
         payload = json.loads(out.strip().splitlines()[-1])
         kinds = {c["kind"] for c in payload}
         assert {"dual-feasible", "ortho-coverage", "spike-free"} <= kinds
+
+    def test_network_shape_mismatch_is_named(self, capsys, tmp_path):
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({"W1": [[1.0, 0.0], [0.0, 1.0],
+                                          [0.0, 0.0]],
+                                   "w2": [1.0, -1.0]}))
+        code, out, err = run_cli(capsys, "certify", "--dataset", "notebook",
+                                 "--network", str(net))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: network W1 has 3 rows but the dataset has "
+                       "d = 2\n")
 
     def test_notebook_is_not_spike_free(self, capsys):
         code, out, _ = run_cli(capsys, "certify", "--dataset", "notebook",
@@ -360,6 +382,18 @@ class TestReproduce:
         with pytest.raises(SystemExit) as exc:
             main(["reproduce", "unknown-target"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("target", ["notebook", "appendix-ortho"])
+    def test_bad_init_scale_exits_2_before_any_output(self, capsys, tmp_path,
+                                                       target):
+        out_dir = tmp_path / "repro"
+        code, out, err = run_cli(capsys, "reproduce", target,
+                                 "--init-scale", "nan",
+                                 "--out-dir", str(out_dir))
+        assert code == 2
+        assert out == ""
+        assert "bad flow configuration: init_scale = nan" in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
     def test_overflowing_initial_network_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "reproduce", "appendix-ortho",

@@ -4,9 +4,7 @@ import pytest
 from relu_lab.arrangements import ActivationMask, enumerate_masks
 from relu_lab.convex import (build_dual_socp, build_primal,
                              convex_from_network, margin_objective,
-                             network_from_convex, solve_class, solve_dual,
-                             solve_multiclass, solve_primal)
-from relu_lab.datasets import Dataset
+                             network_from_convex, solve_dual, solve_primal)
 from relu_lab.solver import solve
 
 
@@ -193,8 +191,8 @@ class TestNetworkConversions:
         net = network_from_convex(sol, notebook_masks)
         margins = notebook_ds.y * net.forward(notebook_ds.X)
         assert margins.min() >= 1.0 - 1e-6
-        assert net.squared_norm_half() == pytest.approx(report.objective,
-                                                        abs=1e-6)
+        half_norm = 0.5 * (np.sum(net.W1 ** 2) + np.sum(net.w2 ** 2))
+        assert half_norm == pytest.approx(report.objective, abs=1e-6)
 
     def test_all_zero_solution_rejected(self, notebook_masks, notebook_solved):
         _, sol, _, _ = notebook_solved
@@ -253,7 +251,8 @@ class TestMarginObjective:
         c = float(np.min(notebook_ds.y * before))
         np.testing.assert_allclose(net.forward(notebook_ds.X), before / c,
                                    atol=1e-9)
-        assert value == pytest.approx(net.squared_norm_half(), abs=1e-9)
+        half_norm = 0.5 * (np.sum(net.W1 ** 2) + np.sum(net.w2 ** 2))
+        assert value == pytest.approx(half_norm, abs=1e-9)
 
     def test_non_separating_returns_none(self, notebook_ds):
         W1 = np.array([[1.0], [0.0]])
@@ -274,41 +273,3 @@ class TestMarginObjective:
                 continue
             found += 1
             assert result[1] >= report.objective - 1e-6
-
-
-class TestMulticlass:
-    def test_k1_matches_binary(self, notebook_ds, notebook_masks,
-                               notebook_solved):
-        _, _, _, report = notebook_solved
-        labels = np.where(notebook_ds.labels == 1, 1, 1)
-        # K=1: every sample in class 1, y_1 = all ones; compare directly
-        ds1 = Dataset(X=notebook_ds.X, labels=np.ones(3, dtype=int), K=1)
-        cs = solve_class(ds1, 0, notebook_masks)
-        sol2, _, rep2 = solve_primal(
-            build_primal(notebook_ds.X, np.ones(3), notebook_masks))
-        assert cs.solution.objective == pytest.approx(rep2.objective, abs=1e-6)
-
-    def test_k2_swap_symmetry(self, notebook_ds, notebook_masks):
-        labels = np.where(notebook_ds.labels == 1, 1, 2)
-        ds2 = Dataset(X=notebook_ds.X, labels=labels, K=2)
-        c1 = solve_class(ds2, 0, notebook_masks)
-        c2 = solve_class(ds2, 1, notebook_masks)
-        assert c1.solution.objective == pytest.approx(
-            c2.solution.objective, abs=1e-5)
-        for j in range(len(notebook_masks)):
-            np.testing.assert_allclose(c1.solution.u[j],
-                                       c2.solution.u_prime[j], atol=1e-4)
-            np.testing.assert_allclose(c1.solution.u_prime[j],
-                                       c2.solution.u[j], atol=1e-4)
-
-    def test_k2_lift_doubles_objective(self, notebook_ds, notebook_masks,
-                                       notebook_solved):
-        _, _, _, report = notebook_solved
-        labels = np.where(notebook_ds.labels == 1, 1, 2)
-        ds2 = Dataset(X=notebook_ds.X, labels=labels, K=2)
-        _, total = solve_multiclass(ds2, notebook_masks)
-        assert total == pytest.approx(2 * report.objective, abs=1e-4)
-
-    def test_binary_dataset_rejected(self, notebook_ds, notebook_masks):
-        with pytest.raises(ValueError):
-            solve_class(notebook_ds, 0, notebook_masks)

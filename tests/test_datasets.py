@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relu_lab.datasets import (Dataset, builtin_dataset, dataset_to_json,
-                               encode_labels, is_orthogonal_separable,
-                               load_dataset, x_max)
+                               is_orthogonal_separable, load_dataset)
 
 
 class TestLoadDataset:
@@ -48,29 +47,6 @@ class TestLoadDataset:
         ds2 = load_dataset(p)
         np.testing.assert_array_equal(ds.X, ds2.X)
         np.testing.assert_array_equal(ds.labels, ds2.labels)
-
-
-class TestEncodeLabels:
-    def test_two_classes(self):
-        enc = encode_labels(np.array([1, 2]), 2)
-        np.testing.assert_array_equal(enc.Y, [[1, -1], [-1, 1]])
-
-    def test_single_class(self):
-        enc = encode_labels(np.array([1, 1, 1]), 1)
-        np.testing.assert_array_equal(enc.Y, [[1], [1], [1]])
-
-    def test_three_classes(self):
-        enc = encode_labels(np.array([2, 1, 2]), 3)
-        np.testing.assert_array_equal(
-            enc.Y, [[-1, 1, -1], [1, -1, -1], [-1, 1, -1]])
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            encode_labels(np.array([1, 4]), 3)
-
-    def test_one_positive_per_row(self):
-        enc = encode_labels(np.array([3, 1, 2, 3]), 3)
-        assert np.all(np.sum(enc.Y == 1, axis=1) == 1)
 
 
 class TestOrthogonalSeparable:
@@ -131,19 +107,6 @@ class TestOrthogonalSeparable:
             y = np.where(labels == 1, 1, -1)
             binary = is_orthogonal_separable(Dataset(X=X, labels=y)).separable
             assert multi == binary
-
-
-class TestXMax:
-    def test_notebook(self, notebook_ds):
-        assert x_max(notebook_ds) == pytest.approx(np.sqrt(2.0))
-
-    def test_zero_row(self):
-        ds = Dataset(X=np.array([[0.0, 0.0]]), labels=np.array([1]))
-        assert x_max(ds) == 0.0
-
-    def test_appendix(self, ortho_ds):
-        assert x_max(ortho_ds) == pytest.approx(
-            np.linalg.norm([1.65, -0.47]))
 
 
 class TestBuiltins:

@@ -1,5 +1,4 @@
 import math
-from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
@@ -9,10 +8,9 @@ from conftest import random_orthogonal_separable
 from relu_lab.arrangements import enumerate_sign_patterns
 from relu_lab.convex import NetworkParams
 from relu_lab.datasets import Dataset, builtin_dataset
-from relu_lab.flow import (FlowConfig, alignment, g_direction, g_min_max,
-                           g_pattern, init_balanced, lambda_tilde,
-                           logistic_loss, network_masks, recover_dual,
-                           run_flow, step, time_bounds)
+from relu_lab.flow import (FlowConfig, alignment, g_min_max, g_pattern,
+                           init_balanced, lambda_tilde, logistic_loss,
+                           network_masks, recover_dual, run_flow, step)
 from relu_lab.geometry import GAUGE_SOLVE_TOL
 
 # outputs printed by the reference run at its first checkpoint
@@ -114,8 +112,11 @@ class TestInitBalanced:
                 FlowConfig(step=bad)
             with pytest.raises(ValueError):
                 FlowConfig(init_scale=bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="checkpoint 200 "):
             FlowConfig(iters=100, checkpoints=(200,))
+        # [1, iters] is empty for iters = 0, so any checkpoint is refused
+        with pytest.raises(ValueError, match="checkpoint 1 "):
+            FlowConfig(iters=0, checkpoints=(1,))
 
 
 class TestLambdaTilde:
@@ -163,18 +164,6 @@ class TestGVector:
         np.testing.assert_allclose(g_pattern(notebook_ds.X, sigma, 2 * lam),
                                    2 * g_pattern(notebook_ds.X, sigma, lam),
                                    atol=1e-15)
-
-    def test_direction_input_uses_strict_signs(self, notebook_ds):
-        g_dir = g_direction(notebook_ds.X, np.array([1.0, 0.0]),
-                            notebook_ds.y / 4.0)
-        np.testing.assert_allclose(g_dir, [0.25, 0.0], atol=1e-15)
-
-    def test_square_direction_with_sign_entries(self):
-        # d == N and u has entries in {-1, 0, 1}: still a direction, so
-        # g = X^T (y * 1[X u > 0]) with X u = (-1, 0)
-        X = np.array([[-1.0, 0.0], [0.0, 1.0]])
-        g = g_direction(X, np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-        np.testing.assert_array_equal(g, [0.0, 0.0])
 
 
 class TestGMinMax:
@@ -267,9 +256,17 @@ class TestRunFlow:
     def test_multiclass_runs_k_flows(self, notebook_ds):
         labels = np.where(notebook_ds.labels == 1, 1, 2)
         ds2 = Dataset(X=notebook_ds.X, labels=labels, K=2)
-        traces = run_flow(ds2, FlowConfig(m=4, iters=50, checkpoints=(50,),
-                                          seed=1))
+        cfg = FlowConfig(m=4, iters=50, checkpoints=(10, 50), seed=1)
+        traces = run_flow(ds2, cfg)
         assert isinstance(traces, list) and len(traces) == 2
+        # class k is the binary run on y_k = +1 where label == k + 1
+        for k, trace in enumerate(traces):
+            y_k = np.where(labels == k + 1, 1, -1)
+            binary = run_flow(Dataset(X=notebook_ds.X, labels=y_k), cfg)
+            assert len(trace.records) == len(binary.records) == 3
+            for rec, ref in zip(trace.records, binary.records):
+                assert np.array_equal(rec.W1, ref.W1)
+                assert np.array_equal(rec.w2, ref.w2)
 
     def test_overflow_aborts_with_last_good_record(self, notebook_ds):
         cfg = FlowConfig(m=4, init_scale=1.0, step=1e12, iters=2000,
@@ -342,37 +339,6 @@ class TestAlignment:
     def test_zero_reference_flag(self, notebook_ds):
         assert alignment(notebook_ds.X, np.array([-1.0, -1.0]),
                          np.array([0.0, 0.0, 0.0])) is None
-
-
-class TestTimeBounds:
-    def test_shift_at_one_minus_delta_equals_t_star(self):
-        tb = time_bounds(0.2, 0.5, 0.1)
-        assert tb.t_shift(0.8) == tb.t_star()
-
-    def test_aligned_start_gives_zero(self):
-        tb = time_bounds(0.1, 0.25, 0.9)
-        assert tb.t_star() == pytest.approx(0.0, abs=1e-12)
-
-    def test_against_high_precision_oracle(self):
-        getcontext().prec = 50
-        delta, g0, vu0 = Decimal("0.1"), Decimal("0.25"), Decimal("0.2")
-        s = (1 - delta / 8).sqrt()
-        term1 = ((s + 1 - delta) / (s - (1 - delta))).ln()
-        term2 = ((s + vu0) / (s - vu0)).ln()
-        expected = (term1 - term2) / (2 * g0 * s)
-        tb = time_bounds(0.1, 0.25, 0.2)
-        assert tb.t_star() == pytest.approx(float(expected), rel=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            time_bounds(1.5, 0.25, 0.2)
-        with pytest.raises(ValueError):
-            time_bounds(0.1, -1.0, 0.2)
-        with pytest.raises(ValueError):
-            time_bounds(0.1, 0.25, 0.999)
-        tb = time_bounds(0.1, 0.25, 0.2)
-        with pytest.raises(ValueError):
-            tb.t_shift(0.95)
 
 
 class TestRecoverDual:

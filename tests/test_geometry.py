@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from relu_lab.arrangements import (ActivationMask, enumerate_masks,
-                                   mask_from_string, mask_of)
+from relu_lab.arrangements import ActivationMask, enumerate_masks, mask_of
 from relu_lab.certify import dual_feasible
 from relu_lab.datasets import builtin_dataset
 from relu_lab.geometry import (extreme_point, polar_gauge,
@@ -74,21 +73,22 @@ class TestExtremePoint:
     def test_slack_cone_matches_closed_form(self, notebook_ds):
         # interior optimum: u = X^T D lam / ||X^T D lam||
         lam = np.array([0.6, 0.2, -0.1])
-        mask = mask_from_string("110")
+        mask = ActivationMask(bits=(1, 1, 0))
         r = extreme_point(notebook_ds.X, mask, lam, "max")
         v = notebook_ds.X.T @ (mask.diag_vector() * lam)
         assert r.value == pytest.approx(np.linalg.norm(v), abs=1e-7)
         np.testing.assert_allclose(r.u, v / np.linalg.norm(v), atol=1e-6)
 
     def test_zero_dual_gives_zero_value(self, notebook_ds):
-        r = extreme_point(notebook_ds.X, mask_from_string("110"),
+        r = extreme_point(notebook_ds.X, ActivationMask(bits=(1, 1, 0)),
                           np.zeros(3), "max")
         assert r.value == 0.0
 
     def test_sense_min_flips_sign_on_symmetric_cone(self, notebook_ds):
         lam = np.array([0.2, -0.5, 0.1])
-        hi = extreme_point(notebook_ds.X, mask_from_string("111"), lam, "max")
-        lo = extreme_point(notebook_ds.X, mask_from_string("111"), lam, "min")
+        mask = ActivationMask(bits=(1, 1, 1))
+        hi = extreme_point(notebook_ds.X, mask, lam, "max")
+        lo = extreme_point(notebook_ds.X, mask, lam, "min")
         assert lo.value <= hi.value
 
     def test_dominates_sampled_feasible_points(self, notebook_ds,
@@ -265,7 +265,7 @@ class TestConeProjection:
         p, z = cone_projection(M, -np.ones(3))
         np.testing.assert_allclose(p, 0.0, atol=1e-15)
         np.testing.assert_allclose(z, 1.0, atol=1e-15)
-        r = extreme_point(np.eye(3), mask_from_string("111"),
+        r = extreme_point(np.eye(3), ActivationMask(bits=(1, 1, 1)),
                           -np.ones(3), "max")
         assert r.value == 0.0 and not r.u.any()
 
