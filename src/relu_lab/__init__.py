@@ -4,9 +4,9 @@ Library layout:
 
 - ``datasets``      data matrices, label encoding, separability predicates
 - ``arrangements``  activation masks, sign patterns, Cover counting bound
-- ``solver``        first-order cone solver, LP feasibility, face bounds
+- ``solver``        first-order group-norm solver, LP feasibility, face bounds
 - ``geometry``      rectified-ellipsoid extreme points and polar gauge
-- ``convex``        primal group-norm program, dual SOCP, network conversions
+- ``convex``        group-norm primal, certified dual, network conversions
 - ``flow``          subgradient-descent simulator and dual recovery
 - ``certify``       KKT extraction and feasibility/coverage certificates
 - ``cli``           reproducible experiment front end

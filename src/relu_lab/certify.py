@@ -79,12 +79,16 @@ def extract_kkt(X: np.ndarray, y: np.ndarray, W1: np.ndarray, w2: np.ndarray,
     2^|B| choices when |B| <= 12 (residual-minimizing, lexicographic ties),
     greedily per index otherwise.  Residuals are reported, never thresholded.
     Neurons with w2_i = 0 are skipped per the stationarity hypothesis.
+    ValueError names lam, W1 or w2 when it is not finite.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     W1 = np.asarray(W1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
     lam = np.asarray(lam, dtype=float)
+    for name, value in (("lam", lam), ("W1", W1), ("w2", w2)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"extract_kkt: {name} is not finite")
     neurons = []
     for i in range(w2.shape[0]):
         if w2[i] == 0.0:

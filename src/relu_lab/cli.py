@@ -2,8 +2,10 @@
 
 Subcommands: arrangements, solve, flow, certify, geometry-export, reproduce.
 Global flags: --json, --out-dir, --seed, --deterministic; solve and reproduce
-also take the solver tolerance --tol, certify the dual-feasibility tolerance
---tol-cert and the dual scale --lambda-scale (each a finite number > 0).
+also take the solver tolerance --tol (default solver.DEFAULT_TOL), certify
+the dual-feasibility tolerance --tol-cert and the dual scale --lambda-scale
+(each a finite number > 0).  solve runs one primal solve for every --which:
+the dual it reports is that solve's certified multiplier.
 Exit codes:
 0 success, 1 numerical failure (a solve that does not end optimal included),
 2 usage error.  Every command that writes files also writes a manifest.json
@@ -29,13 +31,14 @@ from . import __version__
 from .arrangements import (SIGN_PATTERN_MAX_N, cover_bound, enumerate_masks,
                            matrix_rank)
 from .certify import dual_feasible, extract_kkt, ortho_coverage, spike_free
-from .convex import NetworkParams, build_primal, solve_dual, solve_primal
+from .convex import NetworkParams, build_primal, solve_primal
 from .datasets import (BUILTIN_DATASETS, Dataset, builtin_dataset,
                        dataset_to_json, is_orthogonal_separable, load_dataset)
 from .flow import FlowConfig, recover_dual, run_flow
 from .geometry import (GAUGE_SOLVE_TOL, extreme_point,
                        rectified_ellipsoid_samples)
-from .solver import DegenerateError, SolverError, optimal_face_bounds
+from .solver import (DEFAULT_TOL, DegenerateError, SolverError,
+                     optimal_face_bounds)
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -151,25 +154,18 @@ def cmd_solve(args) -> int:
                          "encode multiclass data per class")
     masks = enumerate_masks(ds.X)
     payload: dict = {}
+    sol, dual, report = solve_primal(build_primal(ds.X, ds.y, masks),
+                                     tol=args.tol)
+    report.require_optimal("primal")
     if args.which in ("primal", "both"):
-        trace_every = 100 if args.solver_trace else 0
-        sol, dual, report = solve_primal(build_primal(ds.X, ds.y, masks),
-                                         tol=args.tol,
-                                         trace_every=trace_every)
-        if args.solver_trace:
-            _write_csv(Path(args.solver_trace),
-                       ["iteration", "objective", "primal_res", "dual_res"],
-                       report.trace, args)
-        report.require_optimal("primal")
         print(f"primal objective {report.objective:.6f} "
               f"({report.iterations} iterations)")
         payload["primal"] = _solution_json(sol, masks, dual.lam)
     if args.which in ("dual", "both"):
-        dv, dobj, dreport = solve_dual(ds.X, ds.y, masks, tol=args.tol)
-        dreport.require_optimal("dual")
-        print(f"dual objective {dobj:.6f} ({dreport.iterations} iterations)")
+        dobj = float(ds.y @ dual.lam)
+        print(f"dual objective {dobj:.6f} (same solve, certified)")
         payload["dual"] = {"objective": dobj,
-                           "lambda": [float(v) for v in dv.lam]}
+                           "lambda": [float(v) for v in dual.lam]}
     if args.json:
         print(json.dumps(payload))
     if args.out_dir:
@@ -496,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dataset", default="notebook",
                            help="built-in name or JSON file path")
         if tol:
-            p.add_argument("--tol", type=_tolerance, default=1e-8,
+            p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                            help="solver tolerance (finite, > 0)")
         p.add_argument("--json", action="store_true",
                        help="print machine-readable JSON")
@@ -514,9 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, tol=True)
     p.add_argument("--which", choices=("primal", "dual", "both"),
                    default="both")
-    p.add_argument("--solver-trace", default="",
-                   help="write (iteration, objective, primal_res, dual_res) "
-                        "CSV of the primal solve here")
     p.set_defaults(func=cmd_solve)
 
     def flow_options(p):

@@ -1,4 +1,4 @@
-"""Convex max-margin program, its dual SOCP, and network conversions.
+"""Convex max-margin program, its certified dual, and network conversions.
 
 The primal over an arrangement list D_1..D_p is the group-norm program
 
@@ -7,9 +7,10 @@ The primal over an arrangement list D_1..D_p is the group-norm program
          (2 D_j - I) X u_j >= 0,  (2 D_j - I) X u'_j >= 0.
 
 Variable layout: per mask j, group 2j is u_j (negative side, w2 < 0) and
-group 2j+1 is u'_j (positive side).  The dual SOCP maximizes y^T lam subject
-to the per-mask norm constraints with slack variables z_{j,+/-} >= 0 and the
-sign condition diag(y) lam >= 0.
+group 2j+1 is u'_j (positive side).  The dual maximizes y^T lam subject to
+diag(y) lam >= 0 and polar gauge(lam) <= 1 over the arrangement cones.  One
+solve gives both sides: lam = diag(y) mu_margin, divided by its exact gauge
+when that exceeds 1, with the cone multipliers z, z' (see solve_primal).
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrangements import ActivationMask
-from .solver import ConeProgram, DegenerateError, SolveReport, solve
-
-DEFAULT_TOL = 1e-8
+from .geometry import polar_gauge
+from .solver import (DEFAULT_TOL, ConeProgram, DegenerateError, SolveReport,
+                     solve)
 
 #: groups with norm below ACTIVE_RTOL * (1 + objective) are reported inactive
 ACTIVE_RTOL = 1e-6
@@ -87,8 +88,8 @@ class ConvexSolution:
 @dataclass
 class DualVariable:
     lam: np.ndarray
-    z: np.ndarray | None = None        # (p, N) cone multipliers, negative side
-    z_prime: np.ndarray | None = None  # (p, N), positive side
+    z: np.ndarray          # (p, N) cone multipliers, negative side
+    z_prime: np.ndarray    # (p, N), positive side
 
 
 @dataclass(frozen=True)
@@ -139,75 +140,42 @@ def build_primal(X: np.ndarray, y: np.ndarray,
         for k in (2 * j, 2 * j + 1):
             A[N * (1 + k):N * (2 + k), k * d:(k + 1) * d] = M
     b = np.concatenate((-np.ones(N), np.zeros(2 * p * N)))
-    prog = ConeProgram(c=np.zeros(n), A=A, b=b, nonneg=A.shape[0], group=d)
+    prog = ConeProgram(A=A, b=b, group=d)
     return ConvexProblem(X=X, y=y, masks=tuple(masks), prog=prog)
 
 
-def solve_primal(problem: ConvexProblem, tol: float = DEFAULT_TOL,
-                 trace_every: int = 0
+def solve_primal(problem: ConvexProblem, tol: float = DEFAULT_TOL
                  ) -> tuple[ConvexSolution, DualVariable, SolveReport]:
-    """Solve the primal; multipliers give lam = diag(y) mu_margin and the
-    per-mask cone multipliers z, z'."""
-    x, mu, report = solve(problem.prog, tol=tol, trace_every=trace_every)
+    """Solve the primal; its multipliers give lam = diag(y) mu_margin and the
+    per-mask cone multipliers z, z'.  When the solve ends optimal, mu is
+    clipped at 0 and divided by max(1, gamma), gamma the exact polar gauge
+    of lam over the problem's masks, so lam is dual feasible and, over the
+    full arrangement set, y^T lam <= p*.  Any other status returns the raw
+    multipliers."""
+    x, mu, report = solve(problem.prog, tol=tol)
     N, p = problem.N, problem.p
     u, up = problem.split(x)
     slack = problem.prog.A @ x + problem.prog.b     # margins - 1, cone rows
     sol = ConvexSolution(u=u, u_prime=up, objective=report.objective,
                          margin_slack=float(slack[:N].min()),
                          cone_slack=float(slack[N:].min()))
+    if report.status == "optimal":
+        mu = np.maximum(mu, 0.0)    # the orthant step can leave -1e-17
+        gauge = polar_gauge(problem.X, problem.masks, problem.y * mu[:N]).gauge
+        mu = mu / max(1.0, gauge)
     z = mu[N:].reshape(p, 2, N)                     # per mask: u_j, u'_j rows
     return sol, DualVariable(lam=problem.y * mu[:N], z=z[:, 0].copy(),
                              z_prime=z[:, 1].copy()), report
 
 
-def build_dual_socp(X: np.ndarray, y: np.ndarray,
-                    masks: list[ActivationMask]) -> ConeProgram:
-    """SOCP
-        max y^T lam
-        s.t. || X^T D_j lam - X^T (2 D_j - I) z_{j,+}|| <= 1,
-             ||-X^T D_j lam - X^T (2 D_j - I) z_{j,-}|| <= 1,
-             z >= 0,  diag(y) lam >= 0.
-    Variables: lam (N), then per mask z_{j,+} (N) and z_{j,-} (N).  Rows:
-    the N(1 + 2p) sign and z rows in the orthant, then 2p second-order
-    blocks (1, X^T D_j lam ...) of 1 + d rows.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not masks:
-        raise ValueError("mask list must be nonempty")
-    N, d = X.shape
-    p = len(masks)
-    n = N * (1 + 2 * p)
-    A = np.zeros((n + 2 * p * (1 + d), n))
-    b = np.zeros(A.shape[0])
-    A[:N, :N] = np.diag(y)
-    A[N:n, N:] = np.eye(2 * p * N)
-    for j, mask in enumerate(masks):
-        dm = mask.diag_vector()
-        XD = X.T * dm[None, :]                     # X^T D_j, shape (d, N)
-        XM = X.T * (2.0 * dm - 1.0)[None, :]       # X^T (2 D_j - I)
-        for k, sgn in ((2 * j, 1.0), (2 * j + 1, -1.0)):
-            r = n + k * (1 + d)
-            b[r] = 1.0
-            A[r + 1:r + 1 + d, :N] = sgn * XD
-            A[r + 1:r + 1 + d, N * (1 + k):N * (2 + k)] = -XM
-    c = np.zeros(n)
-    c[:N] = -y      # maximize y^T lam
-    return ConeProgram(c=c, A=A, b=b, nonneg=n, soc=1 + d)
-
-
 def solve_dual(X: np.ndarray, y: np.ndarray, masks: list[ActivationMask],
                tol: float = DEFAULT_TOL
                ) -> tuple[DualVariable, float, SolveReport]:
-    """Solve the dual SOCP; returns (dual variable with z stacks, y^T lam,
-    report)."""
-    x, _, report = solve(build_dual_socp(X, y, masks), tol=tol)
-    N = X.shape[0]
-    lam = x[:N]
-    z = x[N:].reshape(len(masks), 2, N)
-    # z_{j,+} certifies the positive-side constraint, z_{j,-} the negative
-    return (DualVariable(lam=lam, z=z[:, 1].copy(), z_prime=z[:, 0].copy()),
-            float(y @ lam), report)
+    """The certified dual of one primal solve: (dual variable, y^T lam,
+    report), with lam, z and z' as :func:`solve_primal` returns them."""
+    problem = build_primal(X, y, masks)
+    _, dual, report = solve_primal(problem, tol=tol)
+    return dual, float(problem.y @ dual.lam), report
 
 
 def network_from_convex(sol: ConvexSolution,

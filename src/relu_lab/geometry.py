@@ -9,7 +9,7 @@ M = (2 D_j - I) X, is
 
 By Moreau's decomposition the maximum is ||P_C(v)|| at u = P_C(v)/||P_C(v)||,
 where P_C(v) = v + M^T z and z = argmin_{z >= 0} ||v + M^T z|| is a
-nonnegative least-squares problem (Lawson-Hanson active set, finite
+non-negative least-squares problem (Lawson-Hanson active set, finite
 termination); the minimum is the same computation on -v.  Every solve is
 checked against the projection's KKT conditions.
 

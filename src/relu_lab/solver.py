@@ -1,22 +1,25 @@
-"""First-order conic solver (primal-dual operator splitting), HiGHS LPs,
-cone projections and the exact optimal face.
+"""First-order group-norm solver (primal-dual operator splitting), HiGHS
+LPs, cone projections and the exact optimal face.
 
-:func:`solve` handles  min c^T x + sum_g ||x_g||_2  s.t.  A x + b in K  over
-one layout: K is the nonnegative orthant on the first `nonneg` rows and
-second-order cones {(t, v) : ||v|| <= t} of `soc` rows each on the rest, and
-the x_g are contiguous norm groups of `group` entries; the proximal step and
-the projection onto K are each one reshape over that layout.  The optimal
-face (:func:`optimal_face_bounds`) is exact: one solve's multipliers, one
-cone projection per group, HiGHS LPs over the active extreme directions.
+:func:`solve` handles the one program of the paper,
+min sum_g ||x_g||_2  s.t.  A x + b >= 0, where the x_g are contiguous norm
+groups of `group` entries; the proximal step is one reshape over the groups
+and the projection onto the orthant one clip.  The optimal face
+(:func:`optimal_face_bounds`) is exact: one solve's multipliers, one cone
+projection per group, HiGHS LPs over the active extreme directions.
 Everything is dense numpy and bitwise deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog, nnls
+
+#: relative residual and gap at which a solve ends optimal (the default of
+#: solve, solve_primal, solve_dual and the CLI's --tol)
+DEFAULT_TOL = 1e-8
 
 #: lp_feasible verdict thresholds (phase-1 objective).
 FEASIBLE_TOL = 1e-9
@@ -46,34 +49,22 @@ class InconclusiveError(SolverError):
 
 @dataclass(frozen=True)
 class ConeProgram:
-    """min c^T x + sum of group norms  s.t.  A x + b in K.  K: the orthant
-    on the first `nonneg` rows, second-order blocks of `soc` rows (norm row
-    first) on the rest.  group > 0: contiguous norm groups of `group`
-    variables; group == 0: no norm term."""
+    """min sum of group norms  s.t.  A x + b >= 0, over contiguous norm
+    groups of `group` >= 1 variables."""
 
-    c: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    nonneg: int
-    soc: int = 0
-    group: int = 0
+    group: int
 
     def __post_init__(self):
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         m, n = self.A.shape
-        if self.c.shape != (n,) or self.b.shape != (m,):
+        if self.b.shape != (m,):
             raise ValueError("inconsistent dimensions")
-        rest = m - self.nonneg
-        tiled = ((self.soc >= 2 and rest % self.soc == 0)
-                 or (self.soc == 0 and rest == 0))
-        if self.nonneg < 0 or rest < 0 or not tiled:
-            raise ValueError("orthant and second-order blocks do not tile "
-                             "the rows")
-        if self.group < 0 or (self.group and n % self.group):
+        if self.group < 1 or n % self.group:
             raise ValueError("norm groups do not tile the variables")
-        if not all(np.isfinite(a).all() for a in (self.A, self.b, self.c)):
+        if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()):
             raise ValueError("non-finite program data")
 
     @property
@@ -81,7 +72,7 @@ class ConeProgram:
         return self.A.shape[1]
 
     def objective(self, x: np.ndarray) -> float:
-        return float(self.c @ x) + float(_group_norms(x, self.group).sum())
+        return float(_group_norms(x, self.group).sum())
 
 
 @dataclass
@@ -92,7 +83,6 @@ class SolveReport:
     dual_residual: float
     gap: float
     iterations: int
-    trace: list[tuple[int, float, float, float]] = field(default_factory=list)
 
     def require_optimal(self, what: str) -> None:
         """Raise SolverError unless the solve reached its tolerance."""
@@ -101,34 +91,14 @@ class SolveReport:
 
 
 def _group_norms(x: np.ndarray, group: int) -> np.ndarray:
-    """Norm of each contiguous group of `group` entries (none when 0)."""
-    return (np.linalg.norm(x.reshape(-1, group), axis=1) if group
-            else np.zeros(0))
-
-
-def _project_cone(s: np.ndarray, nonneg: int, soc: int) -> np.ndarray:
-    """Projection onto the orthant prefix times the second-order blocks."""
-    out = np.maximum(s, 0.0)
-    if soc:
-        blk = s[nonneg:].reshape(-1, soc)
-        t, v = blk[:, 0], blk[:, 1:]
-        nv = np.linalg.norm(v, axis=1)
-        inside = nv <= t
-        split = ~inside & (nv > -t)     # neither in K nor in its polar
-        a = np.where(split, 0.5 * (1.0 + t / np.where(split, nv, 1.0)), 0.0)
-        proj = out[nonneg:].reshape(-1, soc)
-        proj[:, 0] = np.where(inside, t, a * nv)
-        proj[:, 1:] = np.where(inside[:, None], v, a[:, None] * v)
-    return out
+    """Norm of each contiguous group of `group` entries."""
+    return np.linalg.norm(x.reshape(-1, group), axis=1)
 
 
 def _prox_objective(v: np.ndarray, tau: float, prog: ConeProgram) -> np.ndarray:
-    """prox of tau*(c^T x + sum group norms) at v: shift then group shrink."""
-    x = v - tau * prog.c
-    if prog.group:
-        shrink = 1.0 - tau / np.maximum(_group_norms(x, prog.group), tau)
-        x = (x.reshape(-1, prog.group) * shrink[:, None]).ravel()
-    return x
+    """prox of tau * (sum of group norms) at v: one group shrink."""
+    shrink = 1.0 - tau / np.maximum(_group_norms(v, prog.group), tau)
+    return (v.reshape(-1, prog.group) * shrink[:, None]).ravel()
 
 
 def _operator_norm(A: np.ndarray, iters: int = 50) -> float:
@@ -149,36 +119,35 @@ def _operator_norm(A: np.ndarray, iters: int = 50) -> float:
 def _residuals(prog: ConeProgram, x: np.ndarray, mu: np.ndarray):
     """(primal res, dual res, gap, primal obj) with relative normalization."""
     s = prog.A @ x + prog.b
-    pres = np.linalg.norm(s - _project_cone(s, prog.nonneg, prog.soc))
+    pres = np.linalg.norm(s - np.maximum(s, 0.0))
     pres /= 1.0 + np.linalg.norm(prog.b)
-    # distance of A^T mu - c to the product of unit norm balls (or to 0)
-    v = prog.A.T @ mu - prog.c
-    excess = (np.maximum(_group_norms(v, prog.group) - 1.0, 0.0)
-              if prog.group else v)
-    dres = np.linalg.norm(excess) / (1.0 + np.linalg.norm(prog.c))
+    # distance of A^T mu to the product of unit norm balls
+    excess = np.maximum(_group_norms(prog.A.T @ mu, prog.group) - 1.0, 0.0)
+    dres = np.linalg.norm(excess)
     pobj = prog.objective(x)
     dobj = -float(prog.b @ mu)
     gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     return pres, dres, gap, pobj
 
 
-def solve(prog: ConeProgram, tol: float = 1e-8, max_iters: int = 200_000,
-          trace_every: int = 0) -> tuple[np.ndarray, np.ndarray, SolveReport]:
+def solve(prog: ConeProgram, tol: float = DEFAULT_TOL,
+          max_iters: int = 200_000
+          ) -> tuple[np.ndarray, np.ndarray, SolveReport]:
     """Run primal-dual hybrid gradient on the cone program.
 
-    Returns (x, mu, report): A^T mu - c lies in the sub-differential of the
-    norm objective, mu is in K (the orthant and SOC blocks are self-dual) and
-    mu^T (Ax + b) -> 0 at the optimum.  Fixed step sizes from 50 power
-    iterations, no restarts; every 25 iterations the relative primal and dual
-    residuals and the duality gap are checked against `tol`."""
+    Returns (x, mu, report): A^T mu lies in the sub-differential of the
+    norm objective, mu >= 0 up to rounding (the orthant step can leave
+    -1e-17 on slack rows) and mu^T (Ax + b) -> 0 at the optimum.  Fixed
+    step sizes from 50 power iterations, no restarts; every 25 iterations
+    the relative primal and dual residuals and the duality gap are checked
+    against `tol`."""
     m, n = prog.A.shape
     L = _operator_norm(prog.A) * 1.02
     x, y = np.zeros(n), np.zeros(m)
-    trace: list[tuple[int, float, float, float]] = []
     it = 0
     if L == 0.0:
         # A = 0: x minimizes the objective alone, no iterations; whether b
-        # lies in K is judged by the residuals, as at every other exit
+        # is >= 0 is judged by the residuals, as at every other exit
         x = _prox_objective(x, 1.0, prog)
         max_iters = 0
     else:
@@ -188,13 +157,10 @@ def solve(prog: ConeProgram, tol: float = 1e-8, max_iters: int = 200_000,
         x_new = _prox_objective(x - tau * (At @ y), tau, prog)
         xbar = 2.0 * x_new - x
         w = y + sigma * (prog.A @ xbar)
-        y = w - sigma * (_project_cone(w / sigma + prog.b, prog.nonneg,
-                                       prog.soc) - prog.b)
+        y = w - sigma * (np.maximum(w / sigma + prog.b, 0.0) - prog.b)
         x = x_new
         if it % 25 == 0 or it == max_iters:
-            pres, dres, gap, pobj = _residuals(prog, x, -y)
-            if trace_every and (it % trace_every == 0):
-                trace.append((it, pobj, pres, dres))
+            pres, dres, gap, _ = _residuals(prog, x, -y)
             if max(pres, dres, gap) <= tol:
                 break
 
@@ -202,7 +168,7 @@ def solve(prog: ConeProgram, tol: float = 1e-8, max_iters: int = 200_000,
     pres, dres, gap, pobj = _residuals(prog, x, mu)
     status = ("optimal" if max(pres, dres, gap) <= tol else
               "infeasible-suspected" if pres > np.sqrt(tol) else "max_iters")
-    return x, mu, SolveReport(status, pobj, pres, dres, gap, it, trace)
+    return x, mu, SolveReport(status, pobj, pres, dres, gap, it)
 
 
 def _highs(what: str, c, A_ub, b_ub, bounds):
@@ -275,8 +241,8 @@ def cone_projection(M: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def optimal_face_bounds(prog: ConeProgram, p_star: float,
                         functional: np.ndarray,
                         slack: float = 0.0) -> tuple[float, float]:
-    """Min and max of functional^T x over the optimal face of a pure
-    group-norm orthant program, widened by `slack` of objective.
+    """Min and max of functional^T x over the optimal face of the program,
+    widened by `slack` of objective.
 
     Rows with b = 0 and support in one group g alone form g's cone C_g; the
     others couple.  With mu from one `solve` and v_g the coupling rows' part
@@ -285,9 +251,6 @@ def optimal_face_bounds(prog: ConeProgram, p_star: float,
     groups with gamma_g >= 1 - FACE_GAUGE_TOL, t >= 0, coupling rows met, so
     min sum t is the optimal value p*_LP; each end is one HiGHS LP in t
     under sum t <= max(p_star, p*_LP) + slack."""
-    if prog.c.any() or prog.soc or not prog.group:
-        raise SolverError("face bounds expect a pure group-norm objective "
-                          "over orthant rows")
     _, mu, report = solve(prog)
     report.require_optimal("face multiplier")
     (m, n), d = prog.A.shape, prog.group

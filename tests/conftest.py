@@ -23,7 +23,8 @@ def notebook_masks(notebook_ds):
 
 @pytest.fixture(scope="session")
 def notebook_solved(notebook_ds, notebook_masks):
-    """(problem, solution, dual, report) of the notebook primal at 1e-8."""
+    """(problem, solution, dual, report) of the notebook primal at
+    solver.DEFAULT_TOL."""
     problem = build_primal(notebook_ds.X, notebook_ds.y, notebook_masks)
     sol, dual, report = solve_primal(problem)
     assert report.status == "optimal"

@@ -75,6 +75,14 @@ class TestExtractKKT:
             extract_kkt(notebook_ds.X, notebook_ds.y, np.ones((2, 2)),
                         np.zeros(2), np.ones(3))
 
+    @pytest.mark.parametrize("name", ["lam", "W1", "w2"])
+    def test_non_finite_input_is_named(self, notebook_ds, name):
+        args = {"W1": np.eye(2), "w2": np.array([1.0, -1.0]),
+                "lam": np.array([1.0, -1.0, 0.0])}
+        args[name] = np.full_like(args[name], np.nan)
+        with pytest.raises(ValueError, match=f"{name} is not finite"):
+            extract_kkt(notebook_ds.X, notebook_ds.y, **args)
+
     def test_large_boundary_set_uses_greedy_pass(self):
         # 14 boundary samples exceed the enumeration limit; the greedy pass
         # must still find the residual-minimizing completion (all bits on)

@@ -1,11 +1,16 @@
 import dataclasses
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import relu_lab.cli
+import relu_lab.convex
 import relu_lab.flow
+import relu_lab.solver
 from relu_lab.cli import main
 from relu_lab.datasets import builtin_dataset
 
@@ -114,6 +119,48 @@ class TestSolveCommand:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["dataset_name"] == "appendix-ortho"
         assert "solution.json" in manifest["outputs"]
+
+
+    @pytest.mark.parametrize("which", ["primal", "dual", "both"])
+    def test_one_cone_solve(self, capsys, monkeypatch, which):
+        # the dual is the certified multiplier of the primal's one solve
+        calls = []
+        solve = relu_lab.solver.solve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        for module in (relu_lab.solver, relu_lab.convex):
+            monkeypatch.setattr(module, "solve", counted)
+        code, out, _ = run_cli(capsys, "solve", "--dataset", "notebook",
+                               "--which", which)
+        assert code == 0
+        assert len(calls) == 1
+        assert ("dual objective" in out) == (which != "primal")
+        assert ("primal objective" in out) == (which != "dual")
+
+
+def readme_commands() -> list[list[str]]:
+    """argv of every `relu-lab ...` line in the README's bash blocks, with
+    backslash continuations joined and # comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv and argv[0] == "relu-lab":
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    # parsed only, never run: a flag that leaves the CLI fails here
+    commands = readme_commands()
+    assert len(commands) >= 7
+    parser = relu_lab.cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 @pytest.fixture

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from relu_lab.arrangements import ActivationMask, enumerate_masks
-from relu_lab.convex import (build_dual_socp, build_primal,
-                             convex_from_network, margin_objective,
-                             network_from_convex, solve_dual, solve_primal)
+from relu_lab.certify import dual_feasible
+from relu_lab.convex import (build_primal, convex_from_network,
+                             margin_objective, network_from_convex,
+                             solve_dual, solve_primal)
+from relu_lab.datasets import builtin_dataset
+from relu_lab.geometry import polar_gauge
 from relu_lab.solver import solve
 
 
@@ -33,8 +36,8 @@ class TestBuildPrimal:
     def test_notebook_shapes(self, notebook_solved):
         problem, _, _, _ = notebook_solved
         prog = problem.prog
-        # 12 norm groups of 2, every row in the orthant, no SOC block
-        assert (prog.nonneg, prog.soc, prog.group) == (3 + 36, 0, 2)
+        # 12 norm groups of 2; every row is an inequality A x + b >= 0
+        assert prog.group == 2
         assert prog.A.shape == (3 + 36, 24)
         # margin rows first
         np.testing.assert_array_equal(prog.b, np.r_[-np.ones(3), np.zeros(36)])
@@ -44,13 +47,8 @@ class TestBuildPrimal:
         prog = build_primal(ortho_ds.X, ortho_ds.y, masks).prog
         p, N, d = len(masks), ortho_ds.N, ortho_ds.d
         assert prog.A.shape == (N + 2 * p * N, 2 * p * d)
-        assert (prog.nonneg, prog.soc, prog.group) == (N + 2 * p * N, 0, d)
+        assert prog.group == d
         assert prog.num_vars // prog.group == 2 * p
-        dual = build_dual_socp(ortho_ds.X, ortho_ds.y, masks)
-        assert (dual.nonneg, dual.soc, dual.group) == (N * (1 + 2 * p),
-                                                       1 + d, 0)
-        assert dual.A.shape == (N * (1 + 2 * p) + 2 * p * (1 + d),
-                                N * (1 + 2 * p))
 
     def test_single_all_ones_mask_identity_data(self):
         # reduces to min ||u'|| s.t. u' >= 1 componentwise
@@ -104,6 +102,39 @@ class TestNotebookOptimum:
                 total_neg += vec
         np.testing.assert_allclose(total_pos, [1.0, 0.0], atol=1e-5)
         np.testing.assert_allclose(total_neg, [0.0, 1.0], atol=1e-5)
+
+
+class TestCertifiedDual:
+    @pytest.mark.parametrize("name", ["notebook", "appendix-ortho",
+                                      "appendix-nonspikefree"])
+    def test_exactly_dual_feasible(self, name):
+        ds = builtin_dataset(name)
+        masks = enumerate_masks(ds.X)
+        dv, dobj, report = solve_dual(ds.X, ds.y, masks)
+        assert report.status == "optimal"
+        assert dual_feasible(ds.X, masks, dv.lam, tol=1e-12).verdict
+        assert np.all(ds.y * dv.lam >= 0.0)
+        assert np.all(dv.z >= 0.0) and np.all(dv.z_prime >= 0.0)
+        # the one solve: solve_primal returns the same certified dual
+        _, dual, _ = solve_primal(build_primal(ds.X, ds.y, masks))
+        assert np.array_equal(dual.lam, dv.lam)
+        if name == "notebook":
+            # weak duality against the exact p* = 2
+            assert 2.0 - 1e-6 <= dobj <= 2.0
+
+    def test_scaled_by_the_exact_gauge(self, notebook_solved):
+        # the notebook's raw multipliers have gauge 1 + 1e-9 > 1: lam and
+        # both cone multipliers are divided by it
+        problem, _, dual, _ = notebook_solved
+        _, mu, _ = solve(problem.prog)
+        mu, N = np.maximum(mu, 0.0), problem.N
+        gauge = polar_gauge(problem.X, problem.masks,
+                            problem.y * mu[:N]).gauge
+        assert gauge > 1.0
+        np.testing.assert_array_equal(dual.lam, problem.y * (mu[:N] / gauge))
+        z = (mu[N:] / gauge).reshape(problem.p, 2, N)
+        np.testing.assert_array_equal(dual.z, z[:, 0])
+        np.testing.assert_array_equal(dual.z_prime, z[:, 1])
 
 
 class TestDualBruteForce:

@@ -1,62 +1,107 @@
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from conftest import random_orthogonal_separable
 from relu_lab.arrangements import enumerate_masks
 from relu_lab.cli import notebook_face_functionals
 from relu_lab.convex import build_primal, solve_primal
-from relu_lab.solver import (ConeProgram, DegenerateError, SolverError,
-                             _project_cone, _prox_objective, lp_feasible,
+from relu_lab.solver import (DEFAULT_TOL, ConeProgram, DegenerateError,
+                             SolverError, _prox_objective, lp_feasible,
                              optimal_face_bounds, solve)
 
 
-def simple_lp(c, A_ineq, b_ineq):
-    """min c.x s.t. A x + b >= 0 in canonical form."""
-    prog = ConeProgram(c=np.asarray(c, float), A=np.asarray(A_ineq, float),
-                       b=np.asarray(b_ineq, float), nonneg=len(b_ineq))
-    assert (prog.nonneg, prog.soc, prog.group) == (len(b_ineq), 0, 0)
-    return prog
+def l1_program(A, b):
+    """min ||x||_1  s.t.  A x + b >= 0: one norm group per variable."""
+    return ConeProgram(A=np.asarray(A, float), b=np.asarray(b, float),
+                       group=1)
+
+
+def highs_l1(A, b):
+    """Exact optimum of l1_program(A, b) by HiGHS on the split LP
+    x = x+ - x-:  min 1^T (x+ + x-)  s.t.  A (x+ - x-) + b >= 0, x+- >= 0."""
+    n = A.shape[1]
+    res = linprog(np.ones(2 * n), A_ub=-np.hstack((A, -A)), b_ub=b,
+                  bounds=(0.0, None), method="highs")
+    assert res.status == 0
+    return float(res.fun)
+
+
+def brute_force_l1(A, b):
+    """min ||x||_1 over {Ax + b >= 0} by vertex enumeration: the optimum is
+    a vertex of the polyhedron cut by one closed orthant, so n of the rows
+    of A and the coordinate planes x_i = 0 meet there."""
+    m, n = A.shape
+    rows = np.vstack((A, np.eye(n)))
+    rhs = np.concatenate((b, np.zeros(n)))
+    best = np.inf
+    for idx in itertools.combinations(range(m + n), n):
+        sub = rows[list(idx)]
+        if abs(np.linalg.det(sub)) < 1e-12:
+            continue
+        x = np.linalg.solve(sub, -rhs[list(idx)])
+        if np.all(A @ x + b >= -1e-9):
+            best = min(best, float(np.abs(x).sum()))
+    return best
+
+
+def random_l1(rng, m, n):
+    """A, b with a feasible point x0 (slack in [0, 1)) and b of both signs,
+    so x = 0 is not feasible in general."""
+    A = rng.normal(size=(m, n))
+    b = -A @ rng.normal(size=n) + rng.uniform(0.0, 1.0, size=m)
+    return A, b
+
+
+def polygon_lp(prog, K, f=None, budget=np.inf):
+    """HiGHS on the relaxation of {A x + b >= 0, sum_g ||x_g|| <= budget}
+    (norm groups of 2 variables) that replaces each disc ||x_g|| <= t_g by
+    the circumscribed regular K-gon: min f^T x, or min sum_g t_g when f is
+    None.  Returns (value, x)."""
+    assert prog.group == 2
+    (m, n), G = prog.A.shape, prog.num_vars // 2
+    angles = 2.0 * np.pi * np.arange(K) / K
+    dirs = np.column_stack((np.cos(angles), np.sin(angles)))
+    polygon = np.zeros((K * G, n + G))          # dirs x_g - t_g <= 0
+    for g in range(G):
+        polygon[g * K:(g + 1) * K, 2 * g:2 * g + 2] = dirs
+        polygon[g * K:(g + 1) * K, n + g] = -1.0
+    A_ub = np.vstack((np.hstack((-prog.A, np.zeros((m, G)))), polygon))
+    b_ub = np.concatenate((prog.b, np.zeros(K * G)))
+    if np.isfinite(budget):
+        A_ub = np.vstack((A_ub, np.r_[np.zeros(n), np.ones(G)]))
+        b_ub = np.append(b_ub, budget)
+    c = np.r_[np.zeros(n), np.ones(G)] if f is None else np.r_[f, np.zeros(G)]
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, method="highs",
+                  bounds=[(None, None)] * n + [(0.0, None)] * G)
+    assert res.status == 0
+    return float(res.fun), res.x[:n]
 
 
 def ladder_lower_bound(prog, budget, f):
     """Certified lower bound on min f^T x over {x feasible, objective <=
     budget}: the outer-bound oracle of the optimal-face bounds.
 
-    Penalty ladder: for a multiplier rho, the program with objective
-    (f/rho)^T x + group norms is solved and its dual value d turned into the
-    weak-duality bound rho * (d - debit - budget), where the debit
-    dres * (1 + ||c||) * budget accounts for the dual point's norm-ball
-    infeasibility.  rho climbs geometrically; the best certificate is kept,
-    stopping after two declines."""
-    def probe(rho):
-        pen = replace(prog, c=f / rho)
-        _, mu, rep = solve(pen, max_iters=40_000)
-        debit = rep.dual_residual * (1.0 + np.linalg.norm(pen.c)) * abs(budget)
-        return rho * (-float(pen.b @ mu) - debit - budget)
-
-    best, declines = -np.inf, 0
-    rho = 1.0 + 2.0 * float(np.linalg.norm(f))
-    for _ in range(12):
-        lb = probe(rho)
-        if lb > best:
-            best, declines = lb, 0
-        else:
-            declines += 1
-            if declines >= 2:
-                break
-        rho *= 4.0
-    return best
+    Polygon ladder: each rung is the K-gon relaxation of :func:`polygon_lp`,
+    an LP whose value bounds the minimum from below.  K climbs 8, 32, 128,
+    512; each rung's polygon lies inside the one before, so the bounds
+    rise up to HiGHS's feasibility tolerance 1e-7, and the best is kept."""
+    bounds = [polygon_lp(prog, K, f, budget)[0] for K in (8, 32, 128, 512)]
+    assert np.all(np.diff(bounds) >= -1e-7)
+    return max(bounds)
 
 
 def assert_inside_ladder(prog, p_star, f, slack):
     lo, hi = optimal_face_bounds(prog, p_star, f, slack=slack)
-    outer_lo = ladder_lower_bound(prog, p_star + slack, f)
-    outer_hi = -ladder_lower_bound(prog, p_star + slack, -f)
+    # the face bounds lift p_star to the exact optimum; the objective of a
+    # feasible point (the minimizer of the 512-gon relaxation) is above it
+    budget = max(p_star, prog.objective(polygon_lp(prog, 512)[1])) + slack
+    outer_lo = ladder_lower_bound(prog, budget, f)
+    outer_hi = -ladder_lower_bound(prog, budget, -f)
     # on a single-point face the two LP ends may cross by HiGHS's rounding
     assert outer_lo <= lo <= hi + 1e-12 and hi <= outer_hi
 
@@ -65,52 +110,7 @@ def unit_weight_program(a):
     """min sum |x_i|  s.t.  a^T x >= 1: one norm group per variable, no
     group rows; the optimal face puts all weight on the largest a_i."""
     a = np.asarray(a, dtype=float)
-    return ConeProgram(c=np.zeros(len(a)), A=a[None, :], b=-np.ones(1),
-                       nonneg=1, group=1)
-
-
-def soc_member(p, tol):
-    """(t, v) in the second-order cone ||v|| <= t, up to tol."""
-    return np.linalg.norm(p[1:]) <= p[0] + tol
-
-
-@st.composite
-def mixed_layout(draw):
-    """A point s of an orthant prefix times equal second-order blocks, with
-    blocks on the cone's boundary (t = ||v||), on its polar's (t = -||v||),
-    with v = 0, and generic."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    nonneg = draw(st.integers(0, 4))
-    soc = draw(st.integers(2, 5))
-    blocks = []
-    for kind in draw(st.lists(st.sampled_from(
-            ("boundary", "polar", "zero", "generic")), max_size=4)):
-        v = rng.normal(size=soc - 1) * 10.0 ** rng.integers(-3, 4)
-        t = rng.normal() * 10.0 ** rng.integers(-3, 4)
-        if kind == "boundary":
-            t = np.linalg.norm(v)
-        elif kind == "polar":
-            t = -np.linalg.norm(v)
-        elif kind == "zero":
-            v = np.zeros(soc - 1)
-        blocks.append(np.concatenate(([t], v)))
-    s = np.concatenate([rng.normal(size=nonneg)] + blocks)
-    return s, nonneg, soc
-
-
-def brute_force_lp(c, A, b):
-    """Enumerate basic feasible solutions of {Ax + b >= 0} and minimize."""
-    c, A, b = map(np.asarray, (c, A, b))
-    m, n = A.shape
-    best = np.inf
-    for rows in itertools.combinations(range(m), n):
-        sub = A[list(rows)]
-        if abs(np.linalg.det(sub)) < 1e-12:
-            continue
-        x = np.linalg.solve(sub, -b[list(rows)])
-        if np.all(A @ x + b >= -1e-9):
-            best = min(best, float(c @ x))
-    return best
+    return ConeProgram(A=a[None, :], b=-np.ones(1), group=1)
 
 
 class TestProx:
@@ -120,9 +120,7 @@ class TestProx:
         # three groups of 4; the last one is zero
         rng = np.random.default_rng(seed)
         v = np.concatenate((rng.normal(size=8), np.zeros(4)))
-        prog = ConeProgram(c=np.zeros(12), A=np.zeros((1, 12)), b=np.zeros(1),
-                           nonneg=1, group=4)
-        assert (prog.nonneg, prog.soc, prog.group) == (1, 0, 4)
+        prog = ConeProgram(A=np.zeros((1, 12)), b=np.zeros(1), group=4)
         x = _prox_objective(v.copy(), tau, prog)
         for g in range(3):
             vg, xg = v[4 * g:4 * g + 4], x[4 * g:4 * g + 4]
@@ -138,129 +136,57 @@ class TestProx:
                 assert np.linalg.norm(vg - xg) <= tau + 1e-12
 
     def test_min_norm_unconstrained_is_zero(self):
-        prog = ConeProgram(c=np.zeros(3), A=np.zeros((1, 3)), b=np.zeros(1),
-                           nonneg=1, group=3)
+        prog = ConeProgram(A=np.zeros((1, 3)), b=np.zeros(1), group=3)
         x, mu, rep = solve(prog)
         np.testing.assert_allclose(x, 0.0, atol=1e-10)
         assert rep.objective == pytest.approx(0.0, abs=1e-10)
-        assert rep.status == "optimal"     # A = 0 and b lies in K
+        assert rep.status == "optimal"     # A = 0 and b >= 0
 
 
 class TestSolveLP:
+    """PDHG on min ||x||_1 s.t. Ax + b >= 0 (group = 1) against exact
+    references: HiGHS on the split LP and vertex enumeration."""
+
     def test_random_lps_match_vertex_enumeration(self):
         rng = np.random.default_rng(0)
-        solved = 0
         for _ in range(12):
-            n = 4
-            A = rng.normal(size=(9, n))
-            # bound the feasible set: box rows keep vertices finite
-            A = np.vstack([A, np.eye(n), -np.eye(n)])
-            b = np.concatenate([rng.uniform(0.5, 2.0, size=9),
-                                np.full(2 * n, 5.0)])
-            c = rng.normal(size=n)
-            expected = brute_force_lp(c, A, b)
-            if not np.isfinite(expected):
-                continue
-            x, mu, rep = solve(simple_lp(c, A, b), tol=1e-9)
+            A, b = random_l1(rng, 9, 4)
+            expected = highs_l1(A, b)
+            assert brute_force_l1(A, b) == pytest.approx(expected, abs=1e-9)
+            x, mu, rep = solve(l1_program(A, b), tol=1e-9)
             assert rep.status == "optimal"
             assert rep.objective == pytest.approx(expected, abs=1e-6)
-            solved += 1
-        assert solved >= 8
+            assert float(np.abs(x).sum()) == pytest.approx(expected, abs=1e-6)
 
     def test_multipliers_sign_and_complementarity(self):
         rng = np.random.default_rng(1)
-        A = np.vstack([rng.normal(size=(5, 3)), np.eye(3), -np.eye(3)])
-        b = np.concatenate([rng.uniform(0.5, 1.5, size=5), np.full(6, 4.0)])
-        c = rng.normal(size=3)
-        x, mu, rep = solve(simple_lp(c, A, b), tol=1e-9)
+        A, b = random_l1(rng, 8, 3)
+        x, mu, rep = solve(l1_program(A, b), tol=1e-9)
+        assert rep.status == "optimal"
         assert np.all(mu >= -1e-9)
-        s = A @ x + b
-        assert float(np.abs(mu * s).max()) <= 1e-6
+        assert float(np.abs(mu * (A @ x + b)).max()) <= 1e-6
+        # weak duality is tight: -b^T mu is the exact optimum
+        assert -float(b @ mu) == pytest.approx(highs_l1(A, b), abs=1e-6)
 
-    @pytest.mark.parametrize("c, b", [
-        ([0.0, 0.0], -1.0),     # the row 0 x - 1 >= 0 holds for no x
-        ([3.0, 0.0], 1.0),      # |x1| + |x2| + 3 x1 is unbounded below
-    ])
-    def test_zero_matrix_unsolvable_is_not_optimal(self, c, b):
-        prog = ConeProgram(c=np.array(c), A=np.zeros((1, 2)),
-                           b=np.array([b]), nonneg=1, group=1)
+    def test_zero_matrix_unsolvable_is_not_optimal(self):
+        # the row 0 x - 1 >= 0 holds for no x
+        prog = ConeProgram(A=np.zeros((1, 2)), b=np.array([-1.0]), group=1)
         _, _, rep = solve(prog)
         assert rep.status != "optimal"
         assert max(rep.primal_residual, rep.dual_residual) > 0.1
 
     def test_determinism(self):
         rng = np.random.default_rng(2)
-        A = np.vstack([rng.normal(size=(6, 3)), np.eye(3), -np.eye(3)])
-        b = np.concatenate([rng.uniform(0.5, 1.5, size=6), np.full(6, 3.0)])
-        prog = simple_lp(rng.normal(size=3), A, b)
+        prog = l1_program(*random_l1(rng, 6, 3))
         x1, mu1, r1 = solve(prog)
         x2, mu2, r2 = solve(prog)
         assert np.array_equal(x1, x2) and np.array_equal(mu1, mu2)
         assert r1.iterations == r2.iterations
 
-    def test_best_iterate_objective_trend(self, notebook_solved):
-        problem, _, _, _ = notebook_solved
-        x, mu, rep = solve(problem.prog, trace_every=100)
-        objs = [row[1] for row in rep.trace]
-        best = np.minimum.accumulate(objs)
-        # best-so-far objective is monotone by construction; the recorded
-        # trend should track it closely rather than oscillate upward
-        assert np.all(np.diff(best) <= 1e-12)
-        assert objs[-1] == pytest.approx(rep.objective, rel=1e-6)
-
     def test_gap_small_at_optimal(self, notebook_solved):
         _, _, _, report = notebook_solved
         assert max(report.primal_residual, report.dual_residual,
-                   report.gap) <= 1e-8
-
-
-class TestSolveSOC:
-    def test_projection_ball_program(self):
-        # min -v.x s.t. ||x|| <= 1 has optimum -||v||
-        v = np.array([0.6, -0.8, 0.0])
-        A = np.zeros((4, 3))
-        A[1:] = np.eye(3)
-        b = np.array([1.0, 0.0, 0.0, 0.0])
-        prog = ConeProgram(c=-v, A=A, b=b, nonneg=0, soc=4)
-        assert (prog.nonneg, prog.soc, prog.group) == (0, 4, 0)
-        x, mu, rep = solve(prog)
-        assert rep.objective == pytest.approx(-1.0, abs=1e-7)
-        np.testing.assert_allclose(x, v / np.linalg.norm(v), atol=1e-6)
-
-    def test_orthant_prefix_and_two_balls(self):
-        # min -v.x s.t. x >= 0, ||x[:2]|| <= 1, ||x[2:]|| <= 1: each half
-        # of x is the unit vector along the positive part of v's half
-        v = np.array([0.6, -0.8, 3.0, 4.0])
-        A = np.zeros((10, 4))
-        A[:4] = np.eye(4)
-        A[5:7, :2] = np.eye(2)
-        A[8:10, 2:] = np.eye(2)
-        b = np.zeros(10)
-        b[[4, 7]] = 1.0
-        prog = ConeProgram(c=-v, A=A, b=b, nonneg=4, soc=3)
-        assert (prog.nonneg, prog.soc, prog.group) == (4, 3, 0)
-        x, mu, rep = solve(prog)
-        assert rep.status == "optimal"
-        assert rep.objective == pytest.approx(-5.6, abs=1e-6)
-        np.testing.assert_allclose(x, [1.0, 0.0, 0.6, 0.8], atol=1e-6)
-
-
-class TestProjectCone:
-    @settings(max_examples=60, deadline=None)
-    @given(mixed_layout())
-    def test_moreau_conditions_per_block(self, case):
-        s, nonneg, soc = case
-        p = _project_cone(s, nonneg, soc)
-        r = p - s
-        assert np.all(p[:nonneg] >= 0.0) and np.all(r[:nonneg] >= 0.0)
-        assert np.all(p[:nonneg] * r[:nonneg] == 0.0)
-        for i in range(nonneg, s.size, soc):
-            sb, pb, rb = s[i:i + soc], p[i:i + soc], r[i:i + soc]
-            scale = 1.0 + np.linalg.norm(sb)
-            # p in K, p - s in K (K is self-dual), <p, p - s> = 0
-            assert soc_member(pb, 1e-12 * scale)
-            assert soc_member(rb, 1e-12 * scale)
-            assert abs(pb @ rb) <= 1e-12 * scale ** 2
+                   report.gap) <= DEFAULT_TOL
 
 
 class TestLPFeasible:
@@ -306,19 +232,6 @@ class TestFaceBounds:
         value = sol.u_prime[3][0]
         assert lo - 1e-6 <= value <= hi + 1e-6
 
-    def test_rejects_linear_objective(self):
-        prog = ConeProgram(c=np.ones(2), A=np.eye(2), b=np.zeros(2),
-                           nonneg=2, group=2)
-        with pytest.raises(SolverError):
-            optimal_face_bounds(prog, 0.0, np.array([1.0, 0.0]))
-
-    def test_rejects_ungrouped_variables(self):
-        prog = ConeProgram(c=np.zeros(2), A=np.eye(2), b=np.zeros(2),
-                           nonneg=2)
-        assert prog.group == 0
-        with pytest.raises(SolverError):
-            optimal_face_bounds(prog, 0.0, np.array([1.0, 0.0]))
-
     def test_tie_spans_the_whole_edge(self):
         # a_1 = a_2: every split of x_1 + x_2 = 1 is optimal; a p_star below
         # the exact optimal value 1 is lifted to it
@@ -345,9 +258,8 @@ class TestFaceBounds:
 
     def test_infeasible_program_raises(self):
         # x_1 + x_2 >= 1 and -(x_1 + x_2) >= 0
-        prog = ConeProgram(c=np.zeros(2), A=np.array([[1.0, 1.0],
-                                                      [-1.0, -1.0]]),
-                           b=np.array([-1.0, 0.0]), nonneg=2, group=1)
+        prog = ConeProgram(A=np.array([[1.0, 1.0], [-1.0, -1.0]]),
+                           b=np.array([-1.0, 0.0]), group=1)
         with pytest.raises(SolverError):
             optimal_face_bounds(prog, 1.0, np.array([1.0, 0.0]))
 
@@ -375,26 +287,11 @@ class TestFaceBounds:
 class TestValidation:
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
-            ConeProgram(c=np.zeros(2), A=np.zeros((2, 2)), b=np.zeros(3),
-                        nonneg=2)
+            ConeProgram(A=np.zeros((2, 2)), b=np.zeros(3), group=1)
         with pytest.raises(ValueError):
-            ConeProgram(c=np.zeros(2), A=np.zeros((2, 2)), b=np.zeros(2),
-                        nonneg=1)
-        with pytest.raises(ValueError):
-            ConeProgram(c=np.zeros(2), A=np.zeros((2, 2)), b=np.zeros(2),
-                        nonneg=3)
-
-    def test_rows_not_tiled_by_soc(self):
-        with pytest.raises(ValueError):
-            ConeProgram(c=np.zeros(2), A=np.zeros((5, 2)), b=np.zeros(5),
-                        nonneg=1, soc=3)
-
-    def test_soc_of_size_one(self):
-        with pytest.raises(ValueError):
-            ConeProgram(c=np.zeros(2), A=np.zeros((3, 2)), b=np.zeros(3),
-                        nonneg=1, soc=1)
+            ConeProgram(A=np.zeros((2, 2)), b=np.full(2, np.nan), group=1)
 
     def test_groups_not_tiling_variables(self):
-        with pytest.raises(ValueError):
-            ConeProgram(c=np.zeros(3), A=np.zeros((1, 3)), b=np.zeros(1),
-                        nonneg=1, group=2)
+        for group in (2, 0, -1):
+            with pytest.raises(ValueError):
+                ConeProgram(A=np.zeros((1, 3)), b=np.zeros(1), group=group)
