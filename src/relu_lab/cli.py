@@ -393,8 +393,10 @@ def _reproduce_notebook(args, ds: Dataset, out: Path,
     problem, _, report = _write_primal(args, ds, masks, out)
     outputs.append("primal.json")
 
-    face = {label: list(optimal_face_bounds(problem.prog, report.objective, f))
-            for label, f in notebook_face_functionals(problem)}
+    labels, functionals = zip(*notebook_face_functionals(problem))
+    face = {label: list(bounds) for label, bounds in zip(
+        labels, optimal_face_bounds(problem.prog, report.objective,
+                                    np.array(functionals)))}
     gaps = max(hi - lo for lo, hi in face.values())
     face["verified"] = gaps <= 1e-3
     (out / "optimal_face.json").write_text(json.dumps(face, indent=2) + "\n")

@@ -4,10 +4,13 @@ LPs, cone projections and the exact optimal face.
 :func:`solve` handles the one program of the paper,
 min sum_g ||x_g||_2  s.t.  A x + b >= 0, where the x_g are contiguous norm
 groups of `group` entries; the proximal step is one reshape over the groups
-and the projection onto the orthant one clip.  The optimal face
-(:func:`optimal_face_bounds`) is exact: one solve's multipliers, one cone
-projection per group, HiGHS LPs over the active extreme directions.
-Everything is dense numpy and bitwise deterministic.
+and the projection onto the orthant one clip.  Every LP goes through
+:func:`_highs`, one direct call into scipy's bundled HiGHS core with the
+options ``linprog(method="highs")`` sends, so the results are linprog's to
+the bit without its per-call option checks and sparse conversion.  The
+optimal face (:func:`optimal_face_bounds`) is exact: one solve's
+multipliers, one cone projection per group, HiGHS LPs over the active
+extreme directions.  Everything is dense numpy and bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, nnls
+from scipy.optimize import nnls
+from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus,
+                                           HighsOptions, MatrixFormat, _Highs,
+                                           kHighsInf, simplex_constants)
 
 #: relative residual and gap at which a solve ends optimal (the default of
 #: solve, solve_primal, solve_dual and the CLI's --tol)
@@ -33,6 +39,15 @@ PROJECTION_KKT_RTOL = 1e-9
 #: optimal face: a norm group is active at gauge gamma_g >= 1 - delta, inactive
 #: at <= 1 - sqrt(delta), degenerate otherwise (delta = FACE_GAUGE_TOL)
 FACE_GAUGE_TOL = 1e-6
+
+#: the options linprog(method="highs") sets: presolve, dual simplex, quiet
+#: (its debug level, none, is HiGHS's default)
+_HIGHS_OPTIONS = HighsOptions()
+_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.simplex_strategy = (
+    simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+_HIGHS_OPTIONS.output_flag = False
+_HIGHS_OPTIONS.log_to_console = False
 
 
 class SolverError(RuntimeError):
@@ -171,12 +186,37 @@ def solve(prog: ConeProgram, tol: float = DEFAULT_TOL,
     return x, mu, SolveReport(status, pobj, pres, dres, gap, it)
 
 
-def _highs(what: str, c, A_ub, b_ub, bounds):
-    """HiGHS  min c^T x  s.t.  A_ub x <= b_ub; SolverError unless optimal."""
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if res.status != 0:
-        raise SolverError(f"{what} LP failed: {res.message}")
-    return res
+def _highs(what: str, c: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray,
+           lower: np.ndarray) -> tuple[np.ndarray, float]:
+    """(x, min c^T x) s.t. A_ub x <= b_ub, x >= lower (-inf for free), by a
+    fresh HiGHS instance; SolverError unless HiGHS ends optimal.  A_ub goes
+    in column-wise without its exact zeros, as scipy's csc_array stores it."""
+    m, n = A_ub.shape
+    At = A_ub.T
+    nonzero = At != 0.0
+    lp = HighsLp()
+    lp.num_col_, lp.num_row_ = n, m
+    lp.col_cost_ = c
+    lp.col_lower_ = lower
+    lp.col_upper_ = np.full(n, kHighsInf)
+    lp.row_lower_ = np.full(m, -kHighsInf)
+    lp.row_upper_ = b_ub
+    a = lp.a_matrix_
+    a.format_ = MatrixFormat.kColwise
+    a.num_col_, a.num_row_ = n, m
+    a.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
+    a.index_ = np.nonzero(nonzero)[1]
+    a.value_ = At[nonzero]
+    highs = _Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    highs.passModel(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != HighsModelStatus.kOptimal:
+        raise SolverError(
+            f"{what} LP failed: {highs.modelStatusToString(status)}")
+    return (np.array(highs.getSolution().col_value),
+            highs.getInfo().objective_function_value)
 
 
 def lp_feasible(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -191,11 +231,10 @@ def lp_feasible(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         return np.zeros(d)
     c = np.zeros(d + 1)
     c[-1] = 1.0
-    bounds = [(None, None)] * d + [(0.0, None)]
-    res = _highs("phase-1", c, np.hstack((A, -np.ones((m, 1)))), b, bounds)
-    v = float(res.fun)
+    lower = np.append(np.full(d, -np.inf), 0.0)
+    x, v = _highs("phase-1", c, np.hstack((A, -np.ones((m, 1)))), b, lower)
     if v <= FEASIBLE_TOL:
-        return res.x[:d]
+        return x[:d]
     if v > INFEASIBLE_TOL:
         return None
     raise InconclusiveError(f"phase-1 value {v:.3e} in dead zone")
@@ -239,10 +278,12 @@ def cone_projection(M: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def optimal_face_bounds(prog: ConeProgram, p_star: float,
-                        functional: np.ndarray,
-                        slack: float = 0.0) -> tuple[float, float]:
+                        functional: np.ndarray, slack: float = 0.0
+                        ) -> tuple[float, float] | list[tuple[float, float]]:
     """Min and max of functional^T x over the optimal face of the program,
-    widened by `slack` of objective.
+    widened by `slack` of objective: one (lo, hi) for a 1-D functional, a
+    list of one (lo, hi) per row for a (k, n) stack, which shares the solve,
+    the cone projections and the p*_LP LP.
 
     Rows with b = 0 and support in one group g alone form g's cone C_g; the
     others couple.  With mu from one `solve` and v_g the coupling rows' part
@@ -274,9 +315,14 @@ def optimal_face_bounds(prog: ConeProgram, p_star: float,
     # LPs in t: the coupling rows -A_c E t <= b_c, then sum t <= budget
     E = np.array(E).T
     A_ub = np.vstack((-prog.A[~own] @ E, np.ones(E.shape[1])))
-    p_lp = _highs("face", A_ub[-1], A_ub[:-1], prog.b[~own], (0.0, None)).fun
+    lower = np.zeros(E.shape[1])
+    _, p_lp = _highs("face", A_ub[-1], A_ub[:-1], prog.b[~own], lower)
     b_ub = np.append(prog.b[~own], max(p_star, p_lp) + slack)
-    f = np.asarray(functional, dtype=float) @ E
-    lo, hi = (_highs("face", sign * f, A_ub, b_ub, (0.0, None)).fun
-              for sign in (1.0, -1.0))
-    return float(lo), -float(hi)
+    functional = np.asarray(functional, dtype=float)
+    bounds = []
+    for row in np.atleast_2d(functional):
+        f = row @ E
+        lo, hi = (_highs("face", sign * f, A_ub, b_ub, lower)[1]
+                  for sign in (1.0, -1.0))
+        bounds.append((float(lo), -float(hi)))
+    return bounds if functional.ndim == 2 else bounds[0]

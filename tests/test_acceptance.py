@@ -86,10 +86,10 @@ def test_criterion_03_optimal_set_verification(notebook_solved):
     problem, _, _, report = notebook_solved
     ok = True
     details = []
-    labels = []
-    for label, f in notebook_face_functionals(problem):
-        labels.append(label)
-        lo, hi = optimal_face_bounds(problem.prog, report.objective, f)
+    labels, functionals = zip(*notebook_face_functionals(problem))
+    bounds = optimal_face_bounds(problem.prog, report.objective,
+                                 np.array(functionals))
+    for label, (lo, hi) in zip(labels, bounds):
         if label in PAIR_SUM_TARGETS:
             target = PAIR_SUM_TARGETS[label]
             ok = ok and (hi - lo <= FACE_TOL) and abs(lo - target) <= FACE_TOL \

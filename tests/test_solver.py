@@ -11,8 +11,8 @@ from relu_lab.arrangements import enumerate_masks
 from relu_lab.cli import notebook_face_functionals
 from relu_lab.convex import build_primal, solve_primal
 from relu_lab.solver import (DEFAULT_TOL, ConeProgram, DegenerateError,
-                             SolverError, _prox_objective, lp_feasible,
-                             optimal_face_bounds, solve)
+                             SolverError, _highs, _prox_objective,
+                             lp_feasible, optimal_face_bounds, solve)
 
 
 def l1_program(A, b):
@@ -218,6 +218,84 @@ class TestLPFeasible:
             lp_feasible(np.array([[np.inf, 0.0]]), np.zeros(1))
 
 
+def phase1_lp(rng, m, d):
+    """(c, A_ub, b_ub, lower) of lp_feasible's phase-1 LP on Gaussian rows,
+    about a third of the coefficients exactly zero, the first row scaled by
+    1e6 and the last by 1e-6."""
+    A = rng.normal(size=(m, d))
+    A[rng.random(size=A.shape) < 0.3] = 0.0
+    A[0] *= 1e6
+    A[-1] *= 1e-6
+    c = np.zeros(d + 1)
+    c[-1] = 1.0
+    return (c, np.hstack((A, -np.ones((m, 1)))),
+            rng.choice([0.0, -1.0], size=m),
+            np.append(np.full(d, -np.inf), 0.0))
+
+
+def face_lp(rng, m, k):
+    """(c, A_ub, b_ub, lower) shaped as optimal_face_bounds's LPs in t >= 0:
+    coupling rows G t >= r met at t0 = 1/k (a fifth of G exactly zero, the
+    first row scaled by 1e6), then the budget row sum t <= 2."""
+    G = np.abs(rng.normal(size=(m, k)))
+    G[rng.random(size=G.shape) < 0.2] = 0.0
+    G[0] *= 1e6
+    r = G.mean(axis=1) * rng.uniform(0.0, 1.0, size=m)
+    c = rng.normal(size=k)
+    c[0] = 0.0
+    return (c, np.vstack((-G, np.ones(k))), np.append(-r, 2.0),
+            np.zeros(k))
+
+
+def same_bits(a, b) -> bool:
+    """Equal as float64 bit patterns (0.0 and -0.0 differ)."""
+    return np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()
+
+
+def assert_matches_linprog(c, A_ub, b_ub, lower):
+    x, fun = _highs("oracle", c, A_ub, b_ub, lower)
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, method="highs",
+                  bounds=[(None if np.isinf(lo) else lo, None)
+                          for lo in lower])
+    assert res.status == 0
+    assert same_bits(x, res.x) and same_bits(fun, res.fun)
+
+
+class TestHighs:
+    """The direct HiGHS call against linprog(method="highs"), to the bit."""
+
+    def test_phase1_lps_match_linprog(self):
+        rng = np.random.default_rng(3)
+        for _ in range(60):
+            assert_matches_linprog(*phase1_lp(rng, int(rng.integers(2, 9)),
+                                              int(rng.integers(2, 5))))
+
+    def test_face_lps_match_linprog(self):
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            assert_matches_linprog(*face_lp(rng, int(rng.integers(1, 6)),
+                                            int(rng.integers(2, 6))))
+
+    def test_infeasible_and_unbounded_name_the_status(self):
+        # t >= 0, t <= -1; then min -t over t >= 0 with t - s <= 0
+        with pytest.raises(SolverError, match="face LP failed: Infeasible"):
+            _highs("face", np.ones(1), np.ones((1, 1)), -np.ones(1),
+                   np.zeros(1))
+        with pytest.raises(SolverError, match="face LP failed: Unbounded"):
+            _highs("face", np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]),
+                   np.zeros(1), np.zeros(2))
+
+    def test_no_state_carried_between_lps(self):
+        rng = np.random.default_rng(5)
+        lp = phase1_lp(rng, 6, 3)
+        x, fun = _highs("first", *lp)
+        for _ in range(20):
+            _highs("other", *face_lp(rng, 4, 5))
+            _highs("other", *phase1_lp(rng, 8, 4))
+        x_again, fun_again = _highs("again", *lp)
+        assert same_bits(x, x_again) and same_bits(fun, fun_again)
+
+
 class TestFaceBounds:
     def test_zero_functional(self, notebook_solved):
         problem, _, _, report = notebook_solved
@@ -269,6 +347,28 @@ class TestFaceBounds:
         for label in ("positive_sum_coord1", "negative_sum_coord2"):
             assert_inside_ladder(problem.prog, report.objective, faces[label],
                                  slack=5e-8)
+
+    def test_stacked_equals_one_row_calls_on_notebook(self, notebook_solved):
+        problem, _, _, report = notebook_solved
+        F = np.array([f for _, f in notebook_face_functionals(problem)])
+        stacked = optimal_face_bounds(problem.prog, report.objective, F)
+        assert len(stacked) == len(F) and same_bits(
+            stacked, [optimal_face_bounds(problem.prog, report.objective, f)
+                      for f in F])
+
+    def test_stacked_equals_one_row_calls_on_orthogonal_separable(self):
+        rng = np.random.default_rng(4)
+        X, y = random_orthogonal_separable(rng, 2, 3)
+        problem = build_primal(X, y, enumerate_masks(X))
+        _, _, report = solve_primal(problem)
+        F = rng.normal(size=(5, problem.prog.num_vars))
+        F[0] = 0.0
+        stacked = optimal_face_bounds(problem.prog, report.objective, F,
+                                      slack=5e-8)
+        assert len(stacked) == len(F) and same_bits(
+            stacked, [optimal_face_bounds(problem.prog, report.objective, f,
+                                          slack=5e-8)
+                      for f in F])
 
     @pytest.mark.parametrize("seed", [1, 4, 6])
     def test_inside_ladder_on_orthogonal_separable(self, seed):
