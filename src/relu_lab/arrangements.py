@@ -11,13 +11,18 @@ under positive row scaling).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .solver import lp_feasible
 
+#: row cap of both enumerations: the search is N levels deep, and its LP
+#: count grows with N even where the face count stays small
 EXHAUSTIVE_MAX_N = 22
-SIGN_PATTERN_MAX_N = 13
+#: sign patterns are refused above this general-position face count
+#: (face_count_bound): 3^7, every full-rank input up to 7 x 7
+FACE_COUNT_MAX = 3 ** 7
 
 #: relative threshold used everywhere a singular value decides rank
 RANK_RTOL = 1e-10
@@ -76,6 +81,35 @@ def matrix_rank(X: np.ndarray) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > RANK_RTOL * s[0]))
+
+
+def face_count_bound(N: int, r: int) -> int:
+    """Faces of N central hyperplanes in general position in rank r, the
+    most sign patterns any rank-r matrix of N rows has: 1 + sum_{k<r}
+    C(N, k) regions(N - k, r - k), with regions(n, r) = 2 sum_{i<r}
+    C(n - 1, i) and regions(0, .) = regions(., 0) = 1."""
+    def regions(n: int, r: int) -> int:
+        if n == 0 or r == 0:
+            return 1
+        return 2 * sum(comb(n - 1, i) for i in range(r))
+
+    return 1 + sum(comb(N, k) * regions(N - k, r - k) for k in range(r))
+
+
+def check_sign_pattern_size(X: np.ndarray) -> None:
+    """ValueError when enumerate_sign_patterns refuses X: more than
+    EXHAUSTIVE_MAX_N rows, or more than FACE_COUNT_MAX faces by
+    face_count_bound at X's rank."""
+    N = np.shape(X)[0]
+    if N > EXHAUSTIVE_MAX_N:
+        raise ValueError(f"sign-pattern enumeration limited to "
+                         f"N <= {EXHAUSTIVE_MAX_N}")
+    r = matrix_rank(X)
+    faces = face_count_bound(N, r)
+    if faces > FACE_COUNT_MAX:
+        raise ValueError(f"sign-pattern enumeration limited to "
+                         f"{FACE_COUNT_MAX} faces; N = {N} at rank {r} "
+                         f"has up to {faces}")
 
 
 def cover_bound(N: int, r: int) -> float:
@@ -144,14 +178,12 @@ def verify_mask_witness(X: np.ndarray, mask: ActivationMask) -> bool:
 
 
 def enumerate_sign_patterns(X: np.ndarray) -> list[SignPattern]:
-    """All realizable sign(Xw) patterns (3^N candidates, prefix-pruned LPs).
+    """All realizable sign(Xw) patterns (3^N candidates, prefix-pruned LPs),
+    lexicographic; ValueError from check_sign_pattern_size first.
 
     Always contains the all-zero pattern (w = 0).
     """
     X = np.asarray(X, dtype=float)
-    N = X.shape[0]
-    if N > SIGN_PATTERN_MAX_N:
-        raise ValueError(f"sign-pattern enumeration limited to "
-                         f"N <= {SIGN_PATTERN_MAX_N}")
+    check_sign_pattern_size(X)
     return [SignPattern(signs=signs, witness=w)
             for signs, w in _search(X, SIGN_RELATIONS)]

@@ -5,7 +5,9 @@ activation pattern with free boundary bits, the direction residual
 ||w1_i / w2_i - X^T D_i lam|| and the norm residual | ||X^T D_i lam|| - 1 |.
 dual_feasible evaluates the polar-gauge membership; ortho_coverage and
 spike_free check the two sufficient conditions; convex_kkt_residuals
-evaluates the five optimality families of the convex program.
+evaluates the five optimality families of the convex program at a primal
+point and lam alone, the cone multipliers being those of lam's exact cone
+projections.
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ def spike_free(X: np.ndarray) -> Certificate:
     in a lower face's span, where both maps agree, so a repeated eigenvalue
     is found again lower down.  Spike-free iff range_residual <=
     SPIKE_FREE_TOL ||X||_2 and max_z_norm <= 1 + SPIKE_FREE_TOL.  Raises
-    ValueError above SIGN_PATTERN_MAX_N rows.
+    ValueError where arrangements.check_sign_pattern_size refuses X.
     """
     X = np.asarray(X, dtype=float)
     faces = enumerate_sign_patterns(X)
@@ -218,7 +220,6 @@ class ConvexKKTReport:
     primal_margin_violation: float
     primal_cone_violation: float
     dual_sign_violation: float
-    z_negativity: float
 
     def families(self) -> dict[str, float]:
         return {"stationarity_neg": self.stationarity_neg,
@@ -232,73 +233,44 @@ class ConvexKKTReport:
 
 
 def convex_kkt_residuals(problem: ConvexProblem, sol: ConvexSolution,
-                         lam: np.ndarray, z: np.ndarray,
-                         z_prime: np.ndarray) -> ConvexKKTReport:
+                         lam: np.ndarray) -> ConvexKKTReport:
     """Evaluate the five optimality families of the convex program at the
-    supplied primal/dual point.  Zero groups use the norm-ball inclusion,
-    nonzero groups the exact subgradient equality.  Feasibility violations
-    are reported separately (pure evaluation; nothing is thresholded)."""
+    primal point sol and the dual lam.  The cone multipliers of mask j are
+    those of the projections P_j(-/+ X^T D_j lam) = -/+ X^T D_j lam + M_j^T z
+    onto the cone {u : M_j u >= 0}, M_j = (2 D_j - I) X; a zero group needs
+    ||P_j|| <= 1, a nonzero group u needs P_j = u / ||u||.  Feasibility
+    violations are reported separately (pure evaluation; nothing is
+    thresholded)."""
     X, y, masks = problem.X, problem.y, problem.masks
     lam = np.asarray(lam, dtype=float)
-    z = np.asarray(z, dtype=float)
-    z_prime = np.asarray(z_prime, dtype=float)
     threshold = ACTIVE_RTOL * (1.0 + sol.objective)
-    st_neg = st_pos = 0.0
-    cs_neg = cs_pos = 0.0
+    stationarity = {"neg": 0.0, "pos": 0.0}
+    comp_slack = {"neg": 0.0, "pos": 0.0}
     cone_viol = 0.0
     outputs = np.zeros(problem.N)
     for j, mask in enumerate(masks):
         dm = mask.diag_vector()
         M = (2.0 * dm - 1.0)[:, None] * X
-        v_neg = -X.T @ (dm * lam) + M.T @ z[j]
-        v_pos = X.T @ (dm * lam) + M.T @ z_prime[j]
-        for v, vec, acc in ((v_neg, sol.u[j], "neg"), (v_pos, sol.u_prime[j], "pos")):
+        g = X.T @ (dm * lam)
+        for side, v, vec in (("neg", -g, sol.u[j]), ("pos", g, sol.u_prime[j])):
+            proj, z = cone_projection(M, v)
             nrm = np.linalg.norm(vec)
             if nrm > threshold:
-                res = float(np.linalg.norm(v - vec / nrm))
+                res = float(np.linalg.norm(proj - vec / nrm))
             else:
-                res = max(0.0, float(np.linalg.norm(v)) - 1.0)
-            if acc == "neg":
-                st_neg = max(st_neg, res)
-            else:
-                st_pos = max(st_pos, res)
-        cs_neg = max(cs_neg, float(np.abs(z[j] * (M @ sol.u[j])).max()))
-        cs_pos = max(cs_pos, float(np.abs(z_prime[j] * (M @ sol.u_prime[j])).max()))
-        cone_viol = max(cone_viol, float(-np.minimum(M @ sol.u[j], 0.0).min()),
-                        float(-np.minimum(M @ sol.u_prime[j], 0.0).min()))
+                res = max(0.0, float(np.linalg.norm(proj)) - 1.0)
+            stationarity[side] = max(stationarity[side], res)
+            comp_slack[side] = max(comp_slack[side],
+                                   float(np.abs(z * (M @ vec)).max()))
+            cone_viol = max(cone_viol, float(-np.minimum(M @ vec, 0.0).min()))
         outputs += dm * (X @ (sol.u_prime[j] - sol.u[j]))
     margin_cs = float(np.abs(lam * (outputs - y)).max())
     return ConvexKKTReport(
-        stationarity_neg=st_neg, stationarity_pos=st_pos,
+        stationarity_neg=stationarity["neg"],
+        stationarity_pos=stationarity["pos"],
         margin_comp_slack=margin_cs,
-        cone_comp_slack_neg=cs_neg, cone_comp_slack_pos=cs_pos,
+        cone_comp_slack_neg=comp_slack["neg"],
+        cone_comp_slack_pos=comp_slack["pos"],
         primal_margin_violation=max(0.0, float((1.0 - y * outputs).max())),
         primal_cone_violation=cone_viol,
-        dual_sign_violation=max(0.0, float((-(y * lam)).max())),
-        z_negativity=max(0.0, float(-min(z.min(), z_prime.min()))))
-
-
-def certifying_multipliers(X: np.ndarray, extraction: KKTExtraction,
-                           lam: np.ndarray, masks: list[ActivationMask]
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Cone multipliers certifying the convex KKT point built from a
-    nonconvex stationary point: z = 0 on masks matched by some neuron, and on
-    unmatched masks the minimizer of || +/- X^T D_j lam + X^T (2 D_j - I) z ||
-    over z >= 0 (the polar-cone part of a cone projection, one NNLS per
-    side)."""
-    X = np.asarray(X, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    N = X.shape[0]
-    matched = {n.mask.bits for n in extraction.neurons}
-    z = np.zeros((len(masks), N))
-    zp = np.zeros((len(masks), N))
-    for j, mask in enumerate(masks):
-        if mask.bits in matched:
-            continue
-        dm = mask.diag_vector()
-        M = (2.0 * dm - 1.0)[:, None] * X
-        v = X.T @ (dm * lam)
-        if np.linalg.norm(v) > 1.0:   # z = 0 already certifies the inclusion otherwise
-            zp[j] = cone_projection(M, v)[1]
-            z[j] = cone_projection(M, -v)[1]
-    return z, zp
+        dual_sign_violation=max(0.0, float((-(y * lam)).max())))

@@ -28,8 +28,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .arrangements import (SIGN_PATTERN_MAX_N, cover_bound, enumerate_masks,
-                           matrix_rank)
+from .arrangements import (check_sign_pattern_size, cover_bound,
+                           enumerate_masks, matrix_rank)
 from .certify import dual_feasible, extract_kkt, ortho_coverage, spike_free
 from .convex import NetworkParams, build_primal, solve_primal
 from .datasets import (BUILTIN_DATASETS, Dataset, builtin_dataset,
@@ -154,18 +154,18 @@ def cmd_solve(args) -> int:
                          "encode multiclass data per class")
     masks = enumerate_masks(ds.X)
     payload: dict = {}
-    sol, dual, report = solve_primal(build_primal(ds.X, ds.y, masks),
-                                     tol=args.tol)
+    sol, lam, report = solve_primal(build_primal(ds.X, ds.y, masks),
+                                    tol=args.tol)
     report.require_optimal("primal")
     if args.which in ("primal", "both"):
         print(f"primal objective {report.objective:.6f} "
               f"({report.iterations} iterations)")
-        payload["primal"] = _solution_json(sol, masks, dual.lam)
+        payload["primal"] = _solution_json(sol, masks, lam)
     if args.which in ("dual", "both"):
-        dobj = float(ds.y @ dual.lam)
+        dobj = float(ds.y @ lam)
         print(f"dual objective {dobj:.6f} (same solve, certified)")
         payload["dual"] = {"objective": dobj,
-                           "lambda": [float(v) for v in dual.lam]}
+                           "lambda": [float(v) for v in lam]}
     if args.json:
         print(json.dumps(payload))
     if args.out_dir:
@@ -285,9 +285,10 @@ def cmd_certify(args) -> int:
             cov = ortho_coverage(extraction, ds.y)
             print(f"{tag}ortho-coverage: {str(cov.verdict).lower()}")
             certificates.append((it, cov))
-    if ds.N > SIGN_PATTERN_MAX_N:
-        print(f"spike-free: not checked (N = {ds.N} > {SIGN_PATTERN_MAX_N})",
-              file=sys.stderr)
+    try:
+        check_sign_pattern_size(ds.X)
+    except ValueError as exc:
+        print(f"spike-free: not checked ({exc})", file=sys.stderr)
     else:
         sf = spike_free(ds.X)
         print(f"spike-free: {str(sf.verdict).lower()} ({sf.detail})")
@@ -374,13 +375,13 @@ def notebook_face_functionals(problem):
 
 def _write_primal(args, ds: Dataset, masks, out: Path):
     """Solve the primal, require it optimal and write primal.json; returns
-    (problem, dual, report)."""
+    (problem, lam, report)."""
     problem = build_primal(ds.X, ds.y, masks)
-    sol, dual, report = solve_primal(problem, tol=args.tol)
+    sol, lam, report = solve_primal(problem, tol=args.tol)
     report.require_optimal("primal")
     (out / "primal.json").write_text(
-        json.dumps(_solution_json(sol, masks, dual.lam), indent=2) + "\n")
-    return problem, dual, report
+        json.dumps(_solution_json(sol, masks, lam), indent=2) + "\n")
+    return problem, lam, report
 
 
 def _reproduce_notebook(args, ds: Dataset, out: Path,
@@ -433,9 +434,9 @@ def _reproduce_appendix(args, ds: Dataset, out: Path,
                         cfg: FlowConfig) -> list[str]:
     outputs = [_write_ellipsoid(out, ds.X, 1024, args)]
     masks = enumerate_masks(ds.X)
-    _, dual, report = _write_primal(args, ds, masks, out)
+    _, lam, report = _write_primal(args, ds, masks, out)
     outputs.append("primal.json")
-    outputs.append(_write_extreme_points(out, ds.X, masks, dual.lam, args))
+    outputs.append(_write_extreme_points(out, ds.X, masks, lam, args))
 
     trace = run_flow(ds, cfg)
     _write_flow_trace(out / "flow_trace.csv", trace, ds.d, args)

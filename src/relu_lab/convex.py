@@ -9,8 +9,10 @@ The primal over an arrangement list D_1..D_p is the group-norm program
 Variable layout: per mask j, group 2j is u_j (negative side, w2 < 0) and
 group 2j+1 is u'_j (positive side).  The dual maximizes y^T lam subject to
 diag(y) lam >= 0 and polar gauge(lam) <= 1 over the arrangement cones.  One
-solve gives both sides: lam = diag(y) mu_margin, divided by its exact gauge
-when that exceeds 1, with the cone multipliers z, z' (see solve_primal).
+solve gives both sides, and lam is the whole dual: lam = diag(y) mu_margin,
+divided by its exact gauge when that exceeds 1 (see solve_primal).  The cone
+multipliers are a function of lam (the projection multipliers that
+certify.convex_kkt_residuals computes), so they are not returned.
 """
 
 from __future__ import annotations
@@ -85,13 +87,6 @@ class ConvexSolution:
         return out
 
 
-@dataclass
-class DualVariable:
-    lam: np.ndarray
-    z: np.ndarray          # (p, N) cone multipliers, negative side
-    z_prime: np.ndarray    # (p, N), positive side
-
-
 @dataclass(frozen=True)
 class NetworkParams:
     """Two-layer ReLU network f(x) = sum_i w2_i (x^T W1[:, i])_+."""
@@ -145,37 +140,36 @@ def build_primal(X: np.ndarray, y: np.ndarray,
 
 
 def solve_primal(problem: ConvexProblem, tol: float = DEFAULT_TOL
-                 ) -> tuple[ConvexSolution, DualVariable, SolveReport]:
-    """Solve the primal; its multipliers give lam = diag(y) mu_margin and the
-    per-mask cone multipliers z, z'.  When the solve ends optimal, mu is
-    clipped at 0 and divided by max(1, gamma), gamma the exact polar gauge
-    of lam over the problem's masks, so lam is dual feasible and, over the
-    full arrangement set, y^T lam <= p*.  Any other status returns the raw
+                 ) -> tuple[ConvexSolution, np.ndarray, SolveReport]:
+    """Solve the primal; (solution, lam, report) with lam = diag(y) mu off
+    the margin multipliers mu.  When the solve ends optimal, mu is clipped
+    at 0 and divided by max(1, gamma), gamma the exact polar gauge of lam
+    over the problem's masks, so lam is dual feasible and, over the full
+    arrangement set, y^T lam <= p*.  Any other status returns the raw
     multipliers."""
     x, mu, report = solve(problem.prog, tol=tol)
-    N, p = problem.N, problem.p
+    N = problem.N
     u, up = problem.split(x)
     slack = problem.prog.A @ x + problem.prog.b     # margins - 1, cone rows
     sol = ConvexSolution(u=u, u_prime=up, objective=report.objective,
                          margin_slack=float(slack[:N].min()),
                          cone_slack=float(slack[N:].min()))
+    mu = mu[:N]
     if report.status == "optimal":
         mu = np.maximum(mu, 0.0)    # the orthant step can leave -1e-17
-        gauge = polar_gauge(problem.X, problem.masks, problem.y * mu[:N]).gauge
+        gauge = polar_gauge(problem.X, problem.masks, problem.y * mu).gauge
         mu = mu / max(1.0, gauge)
-    z = mu[N:].reshape(p, 2, N)                     # per mask: u_j, u'_j rows
-    return sol, DualVariable(lam=problem.y * mu[:N], z=z[:, 0].copy(),
-                             z_prime=z[:, 1].copy()), report
+    return sol, problem.y * mu, report
 
 
 def solve_dual(X: np.ndarray, y: np.ndarray, masks: list[ActivationMask],
                tol: float = DEFAULT_TOL
-               ) -> tuple[DualVariable, float, SolveReport]:
-    """The certified dual of one primal solve: (dual variable, y^T lam,
-    report), with lam, z and z' as :func:`solve_primal` returns them."""
+               ) -> tuple[np.ndarray, float, SolveReport]:
+    """The certified dual of one primal solve: (lam, y^T lam, report), lam
+    as :func:`solve_primal` returns it."""
     problem = build_primal(X, y, masks)
-    _, dual, report = solve_primal(problem, tol=tol)
-    return dual, float(problem.y @ dual.lam), report
+    _, lam, report = solve_primal(problem, tol=tol)
+    return lam, float(problem.y @ lam), report
 
 
 def network_from_convex(sol: ConvexSolution,

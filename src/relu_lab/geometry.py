@@ -18,6 +18,12 @@ lam is dual feasible iff the gauge over the full arrangement set is <= 1.
 The "linear" objective variant replaces lam^T D_j X u with lam^T X u on the
 same cone (the convention used by the reference experiments' dual-recovery
 step); the two differ in general and both are exposed.
+
+A stationary direction of lam is a fixed point of
+u -> X^T D(u) lam / ||X^T D(u) lam||, D(u) = diag(I(Xu > 0)), a direction a
+positive neuron can align with at a stationary point of the flow.  Each
+strict pattern has at most one candidate, so one pass over the arrangement
+finds them all, exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ import numpy as np
 from .arrangements import ActivationMask, mask_of
 from .solver import PROJECTION_ZERO_RTOL, cone_projection
 
-FIXED_POINT_TOL = 1e-10
 #: dual-feasibility tolerance: a gauge <= 1 + GAUGE_SOLVE_TOL certifies
 GAUGE_SOLVE_TOL = 1e-6
 
@@ -101,47 +106,32 @@ def polar_gauge(X: np.ndarray, masks: list[ActivationMask], lam: np.ndarray,
                             argmax_mask=per_mask[best][0], objective=objective)
 
 
-def stationary_direction(X: np.ndarray, lam: np.ndarray,
-                         u0: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Fixed-point iteration u <- X^T D(u) lam / ||X^T D(u) lam||, to a step
-    of at most FIXED_POINT_TOL within 1000 iterations.
+def stationary_directions(X: np.ndarray, masks: list[ActivationMask],
+                          lam: np.ndarray
+                          ) -> list[tuple[np.ndarray, ActivationMask]]:
+    """Every fixed point u = X^T D(u) lam / ||X^T D(u) lam|| with its
+    pattern D(u) = I(Xu > 0), in mask order.
 
-    Keeps the previous activation pattern when the update vector vanishes
-    transiently; declares failure when the pattern cycles without converging.
-    Returns (u, residual, iterations).
+    The strict patterns I(Xu > 0) are exactly s = 1 - m over the realizable
+    masks m = I(Xw >= 0) (take u = -w), and the only candidate with pattern
+    s is u_s = X^T diag(s) lam / ||X^T diag(s) lam||; u_s is kept iff
+    mask_of(X, u_s) = s.  A pattern whose update X^T diag(s) lam vanishes
+    has no fixed point.  Complete when masks is the full arrangement set.
     """
     X = np.asarray(X, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    u = np.asarray(u0, dtype=float).copy()
-    if abs(np.linalg.norm(u) - 1.0) > 1e-9:
-        raise ValueError("u0 must be a unit vector")
-
-    def update(vec: np.ndarray, fallback_mask=None):
-        mask = mask_of(X, vec)
-        g = X.T @ (mask.diag_vector() * lam)
-        if np.linalg.norm(g) == 0.0:
-            if fallback_mask is None:
-                raise RuntimeError("zero update vector for the initial mask")
-            g = X.T @ (fallback_mask.diag_vector() * lam)
-            if np.linalg.norm(g) == 0.0:
-                raise RuntimeError("zero update vector; iteration stuck")
-            mask = fallback_mask
-        return g / np.linalg.norm(g), mask
-
-    seen: dict[tuple[int, ...], np.ndarray] = {}
-    mask = None
-    max_iters = 1000
-    for it in range(1, max_iters + 1):
-        u_next, mask = update(u, mask)
-        if np.linalg.norm(u_next - u) <= FIXED_POINT_TOL:
-            res_vec, _ = update(u_next, mask)
-            return u_next, float(np.linalg.norm(u_next - res_vec)), it
-        key = mask.bits
-        if key in seen and np.linalg.norm(seen[key] - u_next) > FIXED_POINT_TOL:
-            raise RuntimeError("activation-pattern cycle without convergence")
-        seen[key] = u_next
-        u = u_next
-    raise RuntimeError(f"no fixed point within {max_iters} iterations")
+    found = []
+    for mask in masks:
+        s = 1.0 - mask.diag_vector()
+        g = X.T @ (s * lam)
+        norm = np.linalg.norm(g)
+        if norm == 0.0:
+            continue
+        u = g / norm
+        pattern = mask_of(X, u)
+        if np.array_equal(pattern.diag_vector(), s):
+            found.append((u, pattern))
+    return found
 
 
 def rectified_ellipsoid_samples(X: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:

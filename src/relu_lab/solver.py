@@ -27,6 +27,9 @@ from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus,
 #: solve, solve_primal, solve_dual and the CLI's --tol)
 DEFAULT_TOL = 1e-8
 
+#: PDHG iteration cap of solve; a solve that reaches it ends max_iters
+MAX_ITERS = 200_000
+
 #: lp_feasible verdict thresholds (phase-1 objective).
 FEASIBLE_TOL = 1e-9
 INFEASIBLE_TOL = 1e-6
@@ -145,8 +148,7 @@ def _residuals(prog: ConeProgram, x: np.ndarray, mu: np.ndarray):
     return pres, dres, gap, pobj
 
 
-def solve(prog: ConeProgram, tol: float = DEFAULT_TOL,
-          max_iters: int = 200_000
+def solve(prog: ConeProgram, tol: float = DEFAULT_TOL
           ) -> tuple[np.ndarray, np.ndarray, SolveReport]:
     """Run primal-dual hybrid gradient on the cone program.
 
@@ -155,11 +157,11 @@ def solve(prog: ConeProgram, tol: float = DEFAULT_TOL,
     -1e-17 on slack rows) and mu^T (Ax + b) -> 0 at the optimum.  Fixed
     step sizes from 50 power iterations, no restarts; every 25 iterations
     the relative primal and dual residuals and the duality gap are checked
-    against `tol`."""
+    against `tol`, for at most MAX_ITERS iterations."""
     m, n = prog.A.shape
     L = _operator_norm(prog.A) * 1.02
     x, y = np.zeros(n), np.zeros(m)
-    it = 0
+    it, max_iters = 0, MAX_ITERS
     if L == 0.0:
         # A = 0: x minimizes the objective alone, no iterations; whether b
         # is >= 0 is judged by the residuals, as at every other exit

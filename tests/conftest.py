@@ -23,12 +23,12 @@ def notebook_masks(notebook_ds):
 
 @pytest.fixture(scope="session")
 def notebook_solved(notebook_ds, notebook_masks):
-    """(problem, solution, dual, report) of the notebook primal at
+    """(problem, solution, lam, report) of the notebook primal at
     solver.DEFAULT_TOL."""
     problem = build_primal(notebook_ds.X, notebook_ds.y, notebook_masks)
-    sol, dual, report = solve_primal(problem)
+    sol, lam, report = solve_primal(problem)
     assert report.status == "optimal"
-    return problem, sol, dual, report
+    return problem, sol, lam, report
 
 
 @pytest.fixture(scope="session")

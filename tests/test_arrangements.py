@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from relu_lab.arrangements import (ActivationMask, cover_bound,
                                    enumerate_masks, enumerate_sign_patterns,
-                                   mask_of, matrix_rank, verify_mask_witness)
+                                   face_count_bound, mask_of, matrix_rank,
+                                   verify_mask_witness)
 
 from oracles import (face_masks, face_sign_patterns, sweep_masks,
                      sweep_sign_patterns)
@@ -236,9 +237,22 @@ class TestSignPatterns:
                 bits = tuple(1 if s > 0 else 0 for s in pat.signs)
                 assert bits in mask_bits
 
+    def test_face_count_bound_is_the_general_position_count(self):
+        rng = np.random.default_rng(21)
+        for N, d in ((3, 2), (4, 3), (5, 4), (6, 3)):
+            X = rng.standard_normal((N, d))
+            assert len(enumerate_sign_patterns(X)) == face_count_bound(N, d)
+        # duplicate and antipodal rows only lose faces
+        X = rng.standard_normal((3, 3))
+        X = np.vstack((X, X[0], -X[1]))
+        assert len(enumerate_sign_patterns(X)) < face_count_bound(5, 3)
+        assert face_count_bound(13, 13) == 3 ** 13
+        assert face_count_bound(14, 0) == 1
+
     def test_size_limit(self):
-        with pytest.raises(ValueError):
-            enumerate_sign_patterns(np.zeros((14, 2)))
+        # the row cap holds at rank 0 too, where the face count is 1
+        with pytest.raises(ValueError, match="N <= 22"):
+            enumerate_sign_patterns(np.zeros((23, 2)))
 
 
 class TestMaskOf:

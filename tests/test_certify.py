@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relu_lab.arrangements import (RANK_RTOL, SIGN_PATTERN_MAX_N,
-                                   enumerate_masks)
+from relu_lab.arrangements import RANK_RTOL, enumerate_masks
 from relu_lab.certify import (SPIKE_FREE_TOL, convex_kkt_residuals,
                               dual_feasible, extract_kkt,
-                              ortho_coverage, spike_free,
-                              certifying_multipliers)
+                              ortho_coverage, spike_free)
 from relu_lab.convex import (NetworkParams, build_primal, convex_from_network,
                              network_from_convex, solve_primal)
 from relu_lab.datasets import is_orthogonal_separable
@@ -17,15 +15,14 @@ from relu_lab.flow import FlowConfig, run_flow
 
 @pytest.fixture(scope="module")
 def notebook_network(notebook_masks, notebook_solved):
-    _, sol, dual, _ = notebook_solved
-    return network_from_convex(sol, notebook_masks), dual
+    _, sol, lam, _ = notebook_solved
+    return network_from_convex(sol, notebook_masks), lam
 
 
 class TestExtractKKT:
     def test_optimal_network_residuals(self, notebook_ds, notebook_network):
-        net, dual = notebook_network
-        ex = extract_kkt(notebook_ds.X, notebook_ds.y, net.W1, net.w2,
-                         dual.lam)
+        net, lam = notebook_network
+        ex = extract_kkt(notebook_ds.X, notebook_ds.y, net.W1, net.w2, lam)
         assert ex.max_direction_residual() <= 1e-6
         assert ex.max_norm_residual() <= 1e-6
         assert float(ex.comp_slack.max()) <= 1e-6
@@ -34,10 +31,10 @@ class TestExtractKKT:
                                                       notebook_solved):
         # exactly-boundary neurons: the completion search must pick the bit
         # choice matching the dual variable
-        _, _, dual, _ = notebook_solved
+        _, _, lam, _ = notebook_solved
         W1 = np.array([[1.0, 0.0], [0.0, 1.0]])
         w2 = np.array([1.0, -1.0])
-        ex = extract_kkt(notebook_ds.X, notebook_ds.y, W1, w2, dual.lam)
+        ex = extract_kkt(notebook_ds.X, notebook_ds.y, W1, w2, lam)
         by_index = {n.index: n for n in ex.neurons}
         assert by_index[0].boundary == (1,)   # x2 on the kink of (1, 0)
         assert by_index[1].boundary == (0,)   # x1 on the kink of (0, 1)
@@ -47,9 +44,8 @@ class TestExtractKKT:
 
     def test_completion_masks_on_solved_network(self, notebook_ds,
                                                 notebook_network):
-        net, dual = notebook_network
-        ex = extract_kkt(notebook_ds.X, notebook_ds.y, net.W1, net.w2,
-                         dual.lam)
+        net, lam = notebook_network
+        ex = extract_kkt(notebook_ds.X, notebook_ds.y, net.W1, net.w2, lam)
         for neuron in ex.neurons:
             assert neuron.mask.as_string() in ("100", "011")
 
@@ -85,7 +81,7 @@ class TestExtractKKT:
 
     def test_large_boundary_set_uses_greedy_pass(self):
         # 14 boundary samples exceed the enumeration limit; the greedy pass
-        # must still find the residual-minimizing completion (all bits on)
+        # must still find the residual-minimizing completion (all bits off)
         N = 14
         X = np.tile([1.0, 0.0], (N, 1))
         y = np.ones(N)
@@ -107,15 +103,15 @@ class TestDualFeasible:
 
     def test_optimal_dual_feasible(self, notebook_ds, notebook_masks,
                                    notebook_solved):
-        _, _, dual, _ = notebook_solved
-        cert = dual_feasible(notebook_ds.X, notebook_masks, dual.lam)
+        _, _, lam, _ = notebook_solved
+        cert = dual_feasible(notebook_ds.X, notebook_masks, lam)
         assert cert.verdict
 
     def test_scaled_dual_infeasible_with_matching_gauge(self, notebook_ds,
                                                         notebook_masks,
                                                         notebook_solved):
-        _, _, dual, _ = notebook_solved
-        cert = dual_feasible(notebook_ds.X, notebook_masks, 10 * dual.lam)
+        _, _, lam, _ = notebook_solved
+        cert = dual_feasible(notebook_ds.X, notebook_masks, 10 * lam)
         assert not cert.verdict
         assert max(cert.slacks.values()) == pytest.approx(10.0, abs=1e-3)
 
@@ -255,9 +251,9 @@ class TestSpikeFree:
         assert cert.slacks["range_residual"] <= 1e-12
 
     def test_above_sign_pattern_cap_raises(self):
-        X = np.random.default_rng(3).standard_normal((SIGN_PATTERN_MAX_N + 1,
-                                                      2))
-        with pytest.raises(ValueError, match="sign-pattern enumeration"):
+        # full rank 13 x 13: 3^13 faces, refused before any LP
+        X = np.random.default_rng(3).standard_normal((13, 13))
+        with pytest.raises(ValueError, match="has up to 1594323"):
             spike_free(X)
 
     @settings(max_examples=30, deadline=None)
@@ -272,9 +268,8 @@ class TestSpikeFree:
 
 class TestConvexKKTResiduals:
     def test_joint_optimum_families_small(self, notebook_solved):
-        problem, sol, dual, _ = notebook_solved
-        rep = convex_kkt_residuals(problem, sol, dual.lam, dual.z,
-                                   dual.z_prime)
+        problem, sol, lam, _ = notebook_solved
+        rep = convex_kkt_residuals(problem, sol, lam)
         assert rep.max_family_residual() <= 1e-5
         assert rep.primal_margin_violation <= 1e-6
         assert rep.dual_sign_violation <= 1e-9
@@ -284,10 +279,8 @@ class TestConvexKKTResiduals:
         zero_sol = type(sol)(u=[np.zeros(2)] * 6, u_prime=[np.zeros(2)] * 6,
                              objective=0.0, margin_slack=-1.0,
                              cone_slack=0.0)
-        p = len(problem.masks)
-        rep = convex_kkt_residuals(problem, zero_sol, np.zeros(3),
-                                   np.zeros((p, 3)), np.zeros((p, 3)))
-        assert rep.stationarity_neg == 0.0 and rep.stationarity_pos == 0.0
+        rep = convex_kkt_residuals(problem, zero_sol, np.zeros(3))
+        assert rep.max_family_residual() == 0.0
         assert rep.primal_margin_violation == pytest.approx(1.0)
 
     def test_perturbed_dual_breaks_complementarity(self):
@@ -298,28 +291,27 @@ class TestConvexKKTResiduals:
         y = np.array([1.0, -1.0, -1.0, 1.0])
         masks = enumerate_masks(X)
         problem = build_primal(X, y, masks)
-        sol, dual, report = solve_primal(problem)
-        base = convex_kkt_residuals(problem, sol, dual.lam, dual.z,
-                                    dual.z_prime)
+        sol, lam, report = solve_primal(problem)
+        base = convex_kkt_residuals(problem, sol, lam)
         assert base.margin_comp_slack <= 1e-5
-        lam = dual.lam + 0.1
-        rep = convex_kkt_residuals(problem, sol, lam, dual.z, dual.z_prime)
+        rep = convex_kkt_residuals(problem, sol, lam + 0.1)
         assert rep.margin_comp_slack > 0.05
+        # doubling lam doubles each projection, and an active group's unit
+        # direction was one of them: stationarity reads its norm, 1
+        doubled = convex_kkt_residuals(problem, sol, 2.0 * lam)
+        assert max(doubled.stationarity_neg, doubled.stationarity_pos) \
+            == pytest.approx(1.0, abs=1e-6)
 
     def test_certified_roundtrip(self, notebook_ds, notebook_masks,
                                 notebook_solved, notebook_network):
-        problem, _, dual, _ = notebook_solved
+        problem, _, lam, _ = notebook_solved
         net, _ = notebook_network
-        ex = extract_kkt(notebook_ds.X, notebook_ds.y, net.W1, net.w2,
-                         dual.lam)
+        ex = extract_kkt(notebook_ds.X, notebook_ds.y, net.W1, net.w2, lam)
         assert ex.max_direction_residual() <= 1e-6
-        assert dual_feasible(notebook_ds.X, notebook_masks,
-                             dual.lam).verdict
-        z, zp = certifying_multipliers(notebook_ds.X, ex, dual.lam,
-                                     notebook_masks)
+        assert dual_feasible(notebook_ds.X, notebook_masks, lam).verdict
         back = convex_from_network(notebook_ds.X, net.W1, net.w2,
                                    notebook_masks, y=notebook_ds.y)
-        rep = convex_kkt_residuals(problem, back, dual.lam, z, zp)
+        rep = convex_kkt_residuals(problem, back, lam)
         assert rep.max_family_residual() <= 1e-4
 
 

@@ -169,8 +169,8 @@ def primal_stops_at_max_iters(monkeypatch):
     solve_primal = relu_lab.cli.solve_primal
 
     def capped(*args, **kwargs):
-        sol, dual, report = solve_primal(*args, **kwargs)
-        return sol, dual, dataclasses.replace(report, status="max_iters")
+        sol, lam, report = solve_primal(*args, **kwargs)
+        return sol, lam, dataclasses.replace(report, status="max_iters")
 
     monkeypatch.setattr(relu_lab.cli, "solve_primal", capped)
 
@@ -367,7 +367,30 @@ class TestCertifyCommand:
 
     def test_spike_free_skipped_above_sign_pattern_cap(self, capsys,
                                                        tmp_path):
-        # 14 rows on an arc: every other certificate is still written
+        # full rank 8 x 8 (3^8 faces): every other certificate is still
+        # written
+        path = tmp_path / "eye.json"
+        path.write_text(json.dumps({"X": np.eye(8).tolist(),
+                                    "y": [1, -1] * 4}))
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({"W1": np.eye(8)[:, :2].tolist(),
+                                   "w2": [1.0, -1.0]}))
+        out_dir = tmp_path / "cert"
+        code, out, err = run_cli(capsys, "certify", "--dataset", str(path),
+                                 "--network", str(net),
+                                 "--out-dir", str(out_dir))
+        assert code == 0
+        assert err == ("spike-free: not checked (sign-pattern enumeration "
+                       "limited to 2187 faces; N = 8 at rank 8 has up to "
+                       "6561)\n")
+        assert "dual-feasible: " in out
+        kinds = [c["kind"] for c in json.loads(
+            (out_dir / "certificates.json").read_text())]
+        assert "dual-feasible" in kinds and "spike-free" not in kinds
+
+    def test_spike_free_checked_on_fourteen_rank_two_rows(self, capsys,
+                                                          tmp_path):
+        # 14 rows on an arc span only the plane: 57 faces
         angles = np.linspace(0.0, 1.0, 14)
         path = tmp_path / "arc.json"
         path.write_text(json.dumps({
@@ -376,16 +399,14 @@ class TestCertifyCommand:
         net = tmp_path / "net.json"
         net.write_text(json.dumps({"W1": [[1.0, 0.0], [0.0, 1.0]],
                                    "w2": [-1.0, 1.0]}))
-        out_dir = tmp_path / "cert"
         code, out, err = run_cli(capsys, "certify", "--dataset", str(path),
-                                 "--network", str(net),
-                                 "--out-dir", str(out_dir))
+                                 "--network", str(net), "--json")
         assert code == 0
-        assert err == "spike-free: not checked (N = 14 > 13)\n"
-        assert "dual-feasible: " in out
-        kinds = [c["kind"] for c in json.loads(
-            (out_dir / "certificates.json").read_text())]
-        assert "dual-feasible" in kinds and "spike-free" not in kinds
+        assert err == ""
+        assert "faces=57)" in out
+        kinds = [c["kind"] for c in json.loads(out.splitlines()[-1])]
+        assert "spike-free" in kinds
+
 
     def test_aborted_flow_exits_1(self, capsys, tmp_path):
         # the flow overflows at iteration 26; no checkpoint is certified

@@ -55,7 +55,7 @@ class TestBuildPrimal:
         X = np.eye(2)
         y = np.array([1.0, 1.0])
         masks = [ActivationMask(bits=(1, 1))]
-        sol, dual, report = solve_primal(build_primal(X, y, masks))
+        sol, _, report = solve_primal(build_primal(X, y, masks))
         assert report.objective == pytest.approx(np.sqrt(2.0), abs=1e-6)
         np.testing.assert_allclose(sol.u_prime[0], [1.0, 1.0], atol=1e-5)
 
@@ -77,19 +77,19 @@ class TestNotebookOptimum:
     def test_dual_socp_strong_duality(self, notebook_ds, notebook_masks,
                                       notebook_solved):
         _, _, _, report = notebook_solved
-        dv, dobj, dreport = solve_dual(notebook_ds.X, notebook_ds.y,
-                                       notebook_masks)
+        lam, dobj, dreport = solve_dual(notebook_ds.X, notebook_ds.y,
+                                        notebook_masks)
         assert dreport.status == "optimal"
         assert dobj == pytest.approx(report.objective, abs=1e-3)
-        assert np.all(notebook_ds.y * dv.lam >= -1e-6)
+        assert np.all(notebook_ds.y * lam >= -1e-6)
 
     def test_complementary_slackness(self, notebook_solved):
-        problem, sol, dual, _ = notebook_solved
+        problem, sol, lam, _ = notebook_solved
         outputs = sum(
             m.diag_vector() * (problem.X @ (sol.u_prime[j] - sol.u[j]))
             for j, m in enumerate(problem.masks))
         margins = problem.y * outputs
-        assert float(np.abs(dual.lam * (margins - 1.0)).max()) <= 1e-6
+        assert float(np.abs(lam * (margins - 1.0)).max()) <= 1e-6
 
     def test_active_groups_split_positive_neuron(self, notebook_solved):
         problem, sol, _, _ = notebook_solved
@@ -110,31 +110,27 @@ class TestCertifiedDual:
     def test_exactly_dual_feasible(self, name):
         ds = builtin_dataset(name)
         masks = enumerate_masks(ds.X)
-        dv, dobj, report = solve_dual(ds.X, ds.y, masks)
+        lam, dobj, report = solve_dual(ds.X, ds.y, masks)
         assert report.status == "optimal"
-        assert dual_feasible(ds.X, masks, dv.lam, tol=1e-12).verdict
-        assert np.all(ds.y * dv.lam >= 0.0)
-        assert np.all(dv.z >= 0.0) and np.all(dv.z_prime >= 0.0)
+        assert dual_feasible(ds.X, masks, lam, tol=1e-12).verdict
+        assert np.all(ds.y * lam >= 0.0)
         # the one solve: solve_primal returns the same certified dual
-        _, dual, _ = solve_primal(build_primal(ds.X, ds.y, masks))
-        assert np.array_equal(dual.lam, dv.lam)
+        _, primal_lam, _ = solve_primal(build_primal(ds.X, ds.y, masks))
+        assert np.array_equal(primal_lam, lam)
         if name == "notebook":
             # weak duality against the exact p* = 2
             assert 2.0 - 1e-6 <= dobj <= 2.0
 
     def test_scaled_by_the_exact_gauge(self, notebook_solved):
-        # the notebook's raw multipliers have gauge 1 + 1e-9 > 1: lam and
-        # both cone multipliers are divided by it
-        problem, _, dual, _ = notebook_solved
+        # the notebook's raw multipliers have gauge 1 + 1e-9 > 1: lam is
+        # divided by it
+        problem, _, lam, _ = notebook_solved
         _, mu, _ = solve(problem.prog)
         mu, N = np.maximum(mu, 0.0), problem.N
         gauge = polar_gauge(problem.X, problem.masks,
                             problem.y * mu[:N]).gauge
         assert gauge > 1.0
-        np.testing.assert_array_equal(dual.lam, problem.y * (mu[:N] / gauge))
-        z = (mu[N:] / gauge).reshape(problem.p, 2, N)
-        np.testing.assert_array_equal(dual.z, z[:, 0])
-        np.testing.assert_array_equal(dual.z_prime, z[:, 1])
+        np.testing.assert_array_equal(lam, problem.y * (mu[:N] / gauge))
 
 
 class TestDualBruteForce:
@@ -157,8 +153,8 @@ class TestDualBruteForce:
 class TestAppendixOptima:
     def test_ortho_two_active_groups(self, ortho_ds):
         masks = enumerate_masks(ortho_ds.X)
-        sol, dual, report = solve_primal(build_primal(ortho_ds.X, ortho_ds.y,
-                                                      masks))
+        sol, _, report = solve_primal(build_primal(ortho_ds.X, ortho_ds.y,
+                                                   masks))
         active = sol.active_groups()
         assert len(active) == 2
         values = {side: vec for _, side, vec in active}
@@ -168,7 +164,7 @@ class TestAppendixOptima:
     def test_nonspikefree_single_group(self, nonspikefree_ds):
         ds = nonspikefree_ds
         masks = enumerate_masks(ds.X)
-        sol, dual, report = solve_primal(build_primal(ds.X, ds.y, masks))
+        sol, _, report = solve_primal(build_primal(ds.X, ds.y, masks))
         active = sol.active_groups()
         assert len(active) == 1
         _, side, vec = active[0]

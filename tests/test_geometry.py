@@ -6,7 +6,7 @@ from relu_lab.certify import dual_feasible
 from relu_lab.datasets import builtin_dataset
 from relu_lab.geometry import (extreme_point, polar_gauge,
                                rectified_ellipsoid_samples,
-                               stationary_direction)
+                               stationary_directions)
 from relu_lab.solver import PROJECTION_ZERO_RTOL, cone_projection
 
 from oracles import sweep_masks
@@ -277,52 +277,89 @@ class TestConeProjection:
         assert z.shape == (0,)
 
 
-class TestStationaryDirection:
-    def test_fixed_point_immediately(self, notebook_ds):
-        u0 = np.array([1.0, 0.0])
-        lam = np.array([0.25, -0.25, -0.25])
-        u, res, iters = stationary_direction(notebook_ds.X, lam, u0)
-        np.testing.assert_allclose(u, u0, atol=1e-12)
-        assert res == 0.0 and iters == 1
+def sampled_fixed_points(X: np.ndarray, lam: np.ndarray,
+                         count: int = 20_000) -> np.ndarray:
+    """Fixed points of T(u) = X^T D(u) lam / ||X^T D(u) lam||, D(u) =
+    I(Xu > 0), among the images T(u) of seeded random unit directions:
+    t = T(u) is kept iff T(t) = t to 1e-12; one row per point."""
+    U = np.random.default_rng(0).standard_normal((count, X.shape[1]))
 
-    def test_notebook_converges_to_positive_neuron(self, notebook_ds):
-        u0 = np.array([1.0, -1.0]) / np.sqrt(2)
-        lam = notebook_ds.y / 4.0
-        u, res, _ = stationary_direction(notebook_ds.X, lam, u0)
-        np.testing.assert_allclose(u, [1.0, 0.0], atol=1e-10)
-        assert res <= 1e-10
+    def T(V):
+        G = ((V @ X.T > 0) * lam) @ X
+        norms = np.linalg.norm(G, axis=1)
+        keep = norms > 0.0
+        return G[keep] / norms[keep, None], keep
+
+    images, _ = T(U)
+    again, keep = T(images)
+    fixed = images[keep][np.linalg.norm(again - images[keep], axis=1)
+                         <= 1e-12]
+    return np.unique(fixed.round(12), axis=0)
+
+
+def assert_same_points(A: np.ndarray, B: np.ndarray, atol: float = 1e-9):
+    """Every row of A lies within atol of a row of B, and vice versa."""
+    for P, Q in ((A, B), (B, A)):
+        for p in P:
+            assert len(Q) and np.linalg.norm(Q - p, axis=1).min() <= atol
+
+
+class TestStationaryDirection:
+    def test_notebook_positive_neuron(self, notebook_ds, notebook_masks):
+        found = stationary_directions(notebook_ds.X, notebook_masks,
+                                      notebook_ds.y / 4.0)
+        assert [(list(u), m.as_string()) for u, m in found] == [
+            ([1.0, 0.0], "100")]
 
     def test_appendix_alignment_identity(self, ortho_ds):
         lam = ortho_ds.y / np.linalg.norm(ortho_ds.y)
-        u0 = ortho_ds.X[0] / np.linalg.norm(ortho_ds.X[0])
-        u, res, _ = stationary_direction(ortho_ds.X, lam, u0)
-        assert res <= 1e-10
-        g = ortho_ds.X.T @ (lam * (ortho_ds.X @ u > 0))
-        cos = u @ g / np.linalg.norm(g)
-        assert cos == pytest.approx(1.0, abs=1e-10)
+        found = stationary_directions(ortho_ds.X, enumerate_masks(ortho_ds.X),
+                                      lam)
+        np.testing.assert_allclose([u for u, _ in found],
+                                   [[0.96174359, -0.27395121]], atol=1e-8)
+        for u, _ in found:
+            g = ortho_ds.X.T @ (lam * (ortho_ds.X @ u > 0))
+            assert u @ g / np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
 
-    def test_limit_satisfies_fixed_point_identity(self, notebook_ds):
+    def test_limit_satisfies_fixed_point_identity(self, notebook_ds,
+                                                  notebook_masks):
+        # each direction is its own update, which never vanishes, and its
+        # pattern is the strict one
         rng = np.random.default_rng(12)
-        lam = np.array([0.4, -0.3, -0.2])
-        for _ in range(5):
-            u0 = rng.normal(size=2)
-            u0 /= np.linalg.norm(u0)
-            try:
-                u, res, _ = stationary_direction(notebook_ds.X, lam, u0)
-            except RuntimeError:
-                continue
-            g = notebook_ds.X.T @ (lam * (notebook_ds.X @ u > 0))
-            np.testing.assert_allclose(np.linalg.norm(g) * u, g, atol=1e-9)
+        for lam in [np.array([0.4, -0.3, -0.2]), *rng.normal(size=(5, 3))]:
+            for u, mask in stationary_directions(notebook_ds.X,
+                                                 notebook_masks, lam):
+                assert mask == mask_of(notebook_ds.X, u)
+                g = notebook_ds.X.T @ (mask.diag_vector() * lam)
+                assert np.linalg.norm(g) > 0.0
+                np.testing.assert_array_equal(u, g / np.linalg.norm(g))
 
-    def test_requires_unit_start(self, notebook_ds):
-        with pytest.raises(ValueError):
-            stationary_direction(notebook_ds.X, notebook_ds.y, np.array([2.0, 0.0]))
+    def test_zero_update_has_no_fixed_point(self, notebook_ds,
+                                            notebook_masks):
+        assert stationary_directions(notebook_ds.X, notebook_masks,
+                                     np.zeros(3)) == []
 
-    def test_zero_update_errors(self, notebook_ds):
-        # lam supported only off the initial activation set
-        with pytest.raises(RuntimeError):
-            stationary_direction(notebook_ds.X, np.array([0.0, 0.0, 0.0]),
-                                 np.array([1.0, 0.0]))
+    def test_fixed_point_between_antipodal_rows(self):
+        # (0, 1) lies on the antipodal pair's hyperplane: its strict pattern
+        # 001 is no mask, but the complement of the mask 110 of (0, -1)
+        X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        found = stationary_directions(X, enumerate_masks(X),
+                                      np.array([0.3, 0.5, 1.0]))
+        assert ([0.0, 1.0], "001") in [(list(u), m.as_string())
+                                        for u, m in found]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_equals_sampled_fixed_points(self, d):
+        rng = np.random.default_rng([5, d])
+        for _ in range(40):
+            X = rng.standard_normal((int(rng.integers(2, 7)), d))
+            lam = rng.standard_normal(X.shape[0])
+            found = stationary_directions(X, enumerate_masks(X), lam)
+            for u, mask in found:
+                g = X.T @ (mask.diag_vector() * lam)
+                np.testing.assert_array_equal(u, g / np.linalg.norm(g))
+            assert_same_points(np.array([u for u, _ in found]).reshape(-1, d),
+                               sampled_fixed_points(X, lam))
 
 
 class TestRectifiedEllipsoid:
