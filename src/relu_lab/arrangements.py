@@ -5,7 +5,8 @@ realizable sign(Xw) in {-1,0,+1}^N.  Both are enumerated by one prefix-pruned
 LP search over a relation table that maps each symbol to phase-1 rows;
 strict inequalities are encoded with a unit margin (a^T w <= -1), lossless
 by homogeneity, on rows normalized to unit length (patterns do not change
-under positive row scaling).
+under positive row scaling).  A child whose rows the parent's witness
+already meets inherits that witness, so an LP runs only where it does not.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .solver import lp_feasible
+from .solver import FEASIBLE_TOL, lp_feasible
 
 #: row cap of both enumerations: the search is N levels deep, and its LP
 #: count grows with N even where the face count stays small
@@ -124,9 +125,13 @@ def _search(X: np.ndarray, relations: dict) -> list[tuple[tuple, tuple]]:
 
     Depth-first with prefix pruning: an infeasible prefix stays infeasible
     for every completion, so whole subtrees are skipped.  Each node appends
-    its symbol's rows to the parent's stacked system.  A witness is divided
-    by min(1, min ||x_n|| over its strict rows), so the unit margin holds on
-    the original rows.
+    its symbol's rows to the parent's stacked system and runs an LP only
+    when the parent's witness misses one of them by more than FEASIBLE_TOL.
+    The inherited witness is never scaled up to meet a unit margin: that
+    reads 1-ulp differences between normalized parallel rows as a margin
+    and admits unrealizable patterns.  A witness is divided by min(1, min
+    ||x_n|| over its strict rows), so the unit margin holds on the original
+    rows.
     """
     N, d = X.shape
     norms = np.linalg.norm(X, axis=1)
@@ -135,10 +140,7 @@ def _search(X: np.ndarray, relations: dict) -> list[tuple[tuple, tuple]]:
     strict = {sym for sym, (_, rhs) in table.items() if (rhs < 0).any()}
     found = []
 
-    def recurse(prefix: tuple, A: np.ndarray, b: np.ndarray):
-        w = lp_feasible(A, b)
-        if w is None:
-            return
+    def recurse(prefix: tuple, A: np.ndarray, b: np.ndarray, w: np.ndarray):
         n = len(prefix)
         if n == N:
             scale = min([1.0] + [norms[k] for k, sym in enumerate(prefix)
@@ -146,10 +148,14 @@ def _search(X: np.ndarray, relations: dict) -> list[tuple[tuple, tuple]]:
             found.append((prefix, tuple(float(v) for v in w / scale)))
             return
         for sym, (s, rhs) in table.items():
-            recurse(prefix + (sym,), np.vstack((A, np.outer(s, Xn[n]))),
-                    np.concatenate((b, rhs)))
+            A2 = np.vstack((A, np.outer(s, Xn[n])))
+            b2 = np.concatenate((b, rhs))
+            w2 = (w if (A2 @ w - b2).max() <= FEASIBLE_TOL
+                  else lp_feasible(A2, b2))
+            if w2 is not None:
+                recurse(prefix + (sym,), A2, b2, w2)
 
-    recurse((), np.zeros((0, d)), np.zeros(0))
+    recurse((), np.zeros((0, d)), np.zeros(0), np.zeros(d))
     return sorted(found)
 
 

@@ -5,9 +5,10 @@ LPs, cone projections and the exact optimal face.
 min sum_g ||x_g||_2  s.t.  A x + b >= 0, where the x_g are contiguous norm
 groups of `group` entries; the proximal step is one reshape over the groups
 and the projection onto the orthant one clip.  Every LP goes through
-:func:`_highs`, one direct call into scipy's bundled HiGHS core with the
-options ``linprog(method="highs")`` sends, so the results are linprog's to
-the bit without its per-call option checks and sparse conversion.  The
+:func:`_highs`, which runs it on one module-level instance of scipy's
+bundled HiGHS core, given the options ``linprog(method="highs")`` sends
+once and cleared of the last model before each LP, so the results are
+linprog's to the bit without its per-call set-up and sparse conversion.  The
 optimal face (:func:`optimal_face_bounds`) is exact: one solve's
 multipliers, one cone projection per group, HiGHS LPs over the active
 extreme directions.  Everything is dense numpy and bitwise deterministic.
@@ -51,6 +52,10 @@ _HIGHS_OPTIONS.simplex_strategy = (
     simplex_constants.SimplexStrategy.kSimplexStrategyDual)
 _HIGHS_OPTIONS.output_flag = False
 _HIGHS_OPTIONS.log_to_console = False
+
+#: the one HiGHS instance every LP runs on (_highs clears its model first)
+_HIGHS = _Highs()
+_HIGHS.passOptions(_HIGHS_OPTIONS)
 
 
 class SolverError(RuntimeError):
@@ -190,9 +195,10 @@ def solve(prog: ConeProgram, tol: float = DEFAULT_TOL
 
 def _highs(what: str, c: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray,
            lower: np.ndarray) -> tuple[np.ndarray, float]:
-    """(x, min c^T x) s.t. A_ub x <= b_ub, x >= lower (-inf for free), by a
-    fresh HiGHS instance; SolverError unless HiGHS ends optimal.  A_ub goes
-    in column-wise without its exact zeros, as scipy's csc_array stores it."""
+    """(x, min c^T x) s.t. A_ub x <= b_ub, x >= lower (-inf for free), on
+    _HIGHS cleared of the last model (its options stay); SolverError unless
+    HiGHS ends optimal.  A_ub goes in column-wise without its exact zeros,
+    as scipy's csc_array stores it."""
     m, n = A_ub.shape
     At = A_ub.T
     nonzero = At != 0.0
@@ -209,16 +215,15 @@ def _highs(what: str, c: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray,
     a.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
     a.index_ = np.nonzero(nonzero)[1]
     a.value_ = At[nonzero]
-    highs = _Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
-    highs.passModel(lp)
-    highs.run()
-    status = highs.getModelStatus()
+    _HIGHS.clearModel()
+    _HIGHS.passModel(lp)
+    _HIGHS.run()
+    status = _HIGHS.getModelStatus()
     if status != HighsModelStatus.kOptimal:
         raise SolverError(
-            f"{what} LP failed: {highs.modelStatusToString(status)}")
-    return (np.array(highs.getSolution().col_value),
-            highs.getInfo().objective_function_value)
+            f"{what} LP failed: {_HIGHS.modelStatusToString(status)}")
+    return (np.array(_HIGHS.getSolution().col_value),
+            _HIGHS.getInfo().objective_function_value)
 
 
 def lp_feasible(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:

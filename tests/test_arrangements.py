@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relu_lab.arrangements import (ActivationMask, cover_bound,
                                    enumerate_masks, enumerate_sign_patterns,
                                    face_count_bound, mask_of, matrix_rank,
                                    verify_mask_witness)
+from relu_lab.datasets import builtin_dataset
+from relu_lab.solver import lp_feasible
 
 from oracles import (face_masks, face_sign_patterns, sweep_masks,
                      sweep_sign_patterns)
@@ -180,6 +182,11 @@ class TestEnumerateMasks:
 
     @settings(max_examples=60, deadline=None)
     @given(degenerate_planar())
+    # an inherited witness scaled up to the unit margin read 1-ulp
+    # differences between the normalized parallel rows 0, 1 and 3 as a
+    # margin and returned the unrealizable sign pattern (0, 0, -1, 1, 0)
+    @example(np.array([[3e-6, 2e-6], [3e-6, 2e-6], [1e-6, 0.0], [3e6, 2e6],
+                       [0.0, 0.0]]))
     def test_degenerate_rows_match_sweep(self, X):
         assert_masks_match_sweep(X)
         assert [p.signs for p in enumerate_sign_patterns(X)] == [
@@ -204,6 +211,34 @@ class TestEnumerateMasks:
         masks = {m.bits for m in enumerate_masks(X)}
         assert (1, 1, 1) in masks
         assert masks == {m.bits for m in sweep_masks(X)}
+
+
+class TestLPCount:
+    """LPs per enumeration, pinned: a child keeps its parent's witness when
+    that meets the child's rows, so mostly only the other side runs an LP."""
+
+    @pytest.mark.parametrize("name, mask_lps, pattern_lps", [
+        # 103 and 523 LPs when every node ran one
+        ("gaussian-6x3", 59, 392),
+        ("notebook", 8, 30),            # 15 and 40
+        ("appendix-ortho", 3, 10),      # 7 and 13
+    ])
+    def test_lp_counts(self, monkeypatch, name, mask_lps, pattern_lps):
+        X = (np.random.default_rng([20211012, 0]).standard_normal((6, 3))
+             if name == "gaussian-6x3" else builtin_dataset(name).X)
+        calls = []
+
+        def counted(A, b):
+            calls.append(1)
+            return lp_feasible(A, b)
+
+        monkeypatch.setattr("relu_lab.arrangements.lp_feasible", counted)
+        enumerate_masks(X)
+        assert len(calls) == mask_lps
+        calls.clear()
+        enumerate_sign_patterns(X)
+        assert len(calls) == pattern_lps
+        assert_match_face_oracle(X)
 
 
 class TestSignPatterns:

@@ -261,6 +261,13 @@ def assert_matches_linprog(c, A_ub, b_ub, lower):
     assert same_bits(x, res.x) and same_bits(fun, res.fun)
 
 
+#: (c, A_ub, b_ub, lower) of an Infeasible LP, t >= 0 and t <= -1, and of
+#: an Unbounded one, min -t over t, s >= 0 with t - s <= 0
+INFEASIBLE_LP = (np.ones(1), np.ones((1, 1)), -np.ones(1), np.zeros(1))
+UNBOUNDED_LP = (np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.zeros(1),
+                np.zeros(2))
+
+
 class TestHighs:
     """The direct HiGHS call against linprog(method="highs"), to the bit."""
 
@@ -277,21 +284,23 @@ class TestHighs:
                                             int(rng.integers(2, 6))))
 
     def test_infeasible_and_unbounded_name_the_status(self):
-        # t >= 0, t <= -1; then min -t over t >= 0 with t - s <= 0
         with pytest.raises(SolverError, match="face LP failed: Infeasible"):
-            _highs("face", np.ones(1), np.ones((1, 1)), -np.ones(1),
-                   np.zeros(1))
+            _highs("face", *INFEASIBLE_LP)
         with pytest.raises(SolverError, match="face LP failed: Unbounded"):
-            _highs("face", np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]),
-                   np.zeros(1), np.zeros(2))
+            _highs("face", *UNBOUNDED_LP)
 
     def test_no_state_carried_between_lps(self):
+        # every LP runs on one HiGHS instance: neither the LPs solved in
+        # between nor the failed ones move the repeated LP's bits
         rng = np.random.default_rng(5)
         lp = phase1_lp(rng, 6, 3)
         x, fun = _highs("first", *lp)
         for _ in range(20):
             _highs("other", *face_lp(rng, 4, 5))
             _highs("other", *phase1_lp(rng, 8, 4))
+        for failing in (INFEASIBLE_LP, UNBOUNDED_LP):
+            with pytest.raises(SolverError):
+                _highs("failing", *failing)
         x_again, fun_again = _highs("again", *lp)
         assert same_bits(x, x_again) and same_bits(fun, fun_again)
 
