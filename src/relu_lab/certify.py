@@ -22,7 +22,7 @@ from .arrangements import (ActivationMask, RANK_RTOL,
                            enumerate_sign_patterns)
 from .convex import (ACTIVE_RTOL, ConvexProblem, ConvexSolution,
                      completion_choices)
-from .geometry import GAUGE_SOLVE_TOL, polar_gauge
+from .geometry import GAUGE_SOLVE_TOL, cone_rows, polar_gauge
 from .solver import cone_projection
 
 BOUNDARY_ENUM_LIMIT = 12
@@ -133,9 +133,9 @@ def extract_kkt(X: np.ndarray, y: np.ndarray, W1: np.ndarray, w2: np.ndarray,
 
 def dual_feasible(X: np.ndarray, masks: list[ActivationMask], lam: np.ndarray,
                   tol: float = GAUGE_SOLVE_TOL) -> Certificate:
-    """Polar-gauge membership: max over the full arrangement list of the
-    masked-objective optimum magnitudes must not exceed 1."""
-    report = polar_gauge(X, masks, lam, objective="masked")
+    """Polar-gauge membership: the polar gauge of lam over the full
+    arrangement list must not exceed 1."""
+    report = polar_gauge(X, masks, lam)
     slacks = {m.as_string(): max(abs(hi), abs(lo))
               for m, hi, lo in report.per_mask}
     return Certificate(kind="dual-feasible", verdict=report.gauge <= 1.0 + tol,
@@ -217,8 +217,6 @@ class ConvexKKTReport:
     margin_comp_slack: float     # family (iii)
     cone_comp_slack_neg: float   # family (iv)
     cone_comp_slack_pos: float   # family (v)
-    primal_margin_violation: float
-    primal_cone_violation: float
     dual_sign_violation: float
 
     def families(self) -> dict[str, float]:
@@ -238,20 +236,17 @@ def convex_kkt_residuals(problem: ConvexProblem, sol: ConvexSolution,
     primal point sol and the dual lam.  The cone multipliers of mask j are
     those of the projections P_j(-/+ X^T D_j lam) = -/+ X^T D_j lam + M_j^T z
     onto the cone {u : M_j u >= 0}, M_j = (2 D_j - I) X; a zero group needs
-    ||P_j|| <= 1, a nonzero group u needs P_j = u / ||u||.  Feasibility
-    violations are reported separately (pure evaluation; nothing is
-    thresholded)."""
-    X, y, masks = problem.X, problem.y, problem.masks
+    ||P_j|| <= 1, a nonzero group u needs P_j = u / ||u||.  Primal
+    feasibility is sol.margin_slack and sol.cone_slack (pure evaluation;
+    nothing is thresholded)."""
+    X, y = problem.X, problem.y
     lam = np.asarray(lam, dtype=float)
     threshold = ACTIVE_RTOL * (1.0 + sol.objective)
     stationarity = {"neg": 0.0, "pos": 0.0}
     comp_slack = {"neg": 0.0, "pos": 0.0}
-    cone_viol = 0.0
-    outputs = np.zeros(problem.N)
-    for j, mask in enumerate(masks):
-        dm = mask.diag_vector()
-        M = (2.0 * dm - 1.0)[:, None] * X
-        g = X.T @ (dm * lam)
+    for j, mask in enumerate(problem.masks):
+        M = cone_rows(X, mask)
+        g = X.T @ (mask.diag_vector() * lam)
         for side, v, vec in (("neg", -g, sol.u[j]), ("pos", g, sol.u_prime[j])):
             proj, z = cone_projection(M, v)
             nrm = np.linalg.norm(vec)
@@ -262,15 +257,11 @@ def convex_kkt_residuals(problem: ConvexProblem, sol: ConvexSolution,
             stationarity[side] = max(stationarity[side], res)
             comp_slack[side] = max(comp_slack[side],
                                    float(np.abs(z * (M @ vec)).max()))
-            cone_viol = max(cone_viol, float(-np.minimum(M @ vec, 0.0).min()))
-        outputs += dm * (X @ (sol.u_prime[j] - sol.u[j]))
-    margin_cs = float(np.abs(lam * (outputs - y)).max())
+    outputs = problem.outputs(sol.u, sol.u_prime)
     return ConvexKKTReport(
         stationarity_neg=stationarity["neg"],
         stationarity_pos=stationarity["pos"],
-        margin_comp_slack=margin_cs,
+        margin_comp_slack=float(np.abs(lam * (outputs - y)).max()),
         cone_comp_slack_neg=comp_slack["neg"],
         cone_comp_slack_pos=comp_slack["pos"],
-        primal_margin_violation=max(0.0, float((1.0 - y * outputs).max())),
-        primal_cone_violation=cone_viol,
         dual_sign_violation=max(0.0, float((-(y * lam)).max())))

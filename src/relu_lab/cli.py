@@ -132,8 +132,10 @@ def cmd_arrangements(args) -> int:
     print(f"{len(masks)} arrangements; counting bound "
           f"2r(e(N-1)/r)^r = {bound:.4f} at rank {r}")
     if args.json:
+        # JSON has no infinity: an undefined or overflowing bound is null
         print(json.dumps({"masks": [m.as_string() for m in masks],
-                          "count": len(masks), "bound": bound}))
+                          "count": len(masks),
+                          "bound": bound if np.isfinite(bound) else None}))
     return EXIT_OK
 
 
@@ -317,13 +319,15 @@ def _write_ellipsoid(out: Path, X: np.ndarray, samples: int, args) -> str:
 
 def _write_extreme_points(out: Path, X: np.ndarray, masks, lam: np.ndarray,
                           args) -> str:
-    """extreme_points.csv: the max and min extreme point of every mask."""
+    """extreme_points.csv: the max and min extreme point of every mask
+    along v = X^T D_j lam, with value v^T u."""
     rows = []
     for mask in masks:
-        for sense in ("max", "min"):
-            r = extreme_point(X, mask, lam, sense)
-            rows.append((mask.as_string(), sense, float(r.u[0]),
-                         float(r.u[1]), float(r.value)))
+        v = X.T @ (mask.diag_vector() * lam)
+        for sense, target in (("max", v), ("min", -v)):
+            u = extreme_point(X, mask, target)
+            rows.append((mask.as_string(), sense, float(u[0]), float(u[1]),
+                         float(v @ u)))
     _write_csv(out / "extreme_points.csv",
                ["mask", "sense", "u1", "u2", "value"], rows, args)
     return "extreme_points.csv"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrangements import ActivationMask
-from .geometry import polar_gauge
+from .geometry import cone_rows, polar_gauge
 from .solver import (DEFAULT_TOL, ConeProgram, DegenerateError, SolveReport,
                      solve)
 
@@ -63,6 +63,26 @@ class ConvexProblem:
         u = [x[self.group_slice(j, "-")].copy() for j in range(self.p)]
         up = [x[self.group_slice(j, "+")].copy() for j in range(self.p)]
         return u, up
+
+    def outputs(self, u: list[np.ndarray],
+                u_prime: list[np.ndarray]) -> np.ndarray:
+        """Network outputs sum_j D_j X (u'_j - u_j) of a primal point."""
+        out = np.zeros(self.N)
+        for mask, neg, pos in zip(self.masks, u, u_prime):
+            out += mask.diag_vector() * (self.X @ (pos - neg))
+        return out
+
+    def solution(self, u: list[np.ndarray], u_prime: list[np.ndarray],
+                 objective: float) -> ConvexSolution:
+        """The primal point with its least margin minus 1 and its least
+        cone row."""
+        cone = [cone_rows(self.X, mask) @ w
+                for mask, neg, pos in zip(self.masks, u, u_prime)
+                for w in (neg, pos)]
+        return ConvexSolution(
+            u=u, u_prime=u_prime, objective=float(objective),
+            margin_slack=float((self.y * self.outputs(u, u_prime)).min()) - 1.0,
+            cone_slack=float(np.min(cone)))
 
 
 @dataclass
@@ -131,7 +151,7 @@ def build_primal(X: np.ndarray, y: np.ndarray,
         dm = mask.diag_vector()
         A[:N, (2 * j) * d:(2 * j + 1) * d] = -dm[:, None] * YX
         A[:N, (2 * j + 1) * d:(2 * j + 2) * d] = dm[:, None] * YX
-        M = (2.0 * dm - 1.0)[:, None] * X
+        M = cone_rows(X, mask)
         for k in (2 * j, 2 * j + 1):
             A[N * (1 + k):N * (2 + k), k * d:(k + 1) * d] = M
     b = np.concatenate((-np.ones(N), np.zeros(2 * p * N)))
@@ -148,13 +168,8 @@ def solve_primal(problem: ConvexProblem, tol: float = DEFAULT_TOL
     arrangement set, y^T lam <= p*.  Any other status returns the raw
     multipliers."""
     x, mu, report = solve(problem.prog, tol=tol)
-    N = problem.N
-    u, up = problem.split(x)
-    slack = problem.prog.A @ x + problem.prog.b     # margins - 1, cone rows
-    sol = ConvexSolution(u=u, u_prime=up, objective=report.objective,
-                         margin_slack=float(slack[:N].min()),
-                         cone_slack=float(slack[N:].min()))
-    mu = mu[:N]
+    sol = problem.solution(*problem.split(x), report.objective)
+    mu = mu[:problem.N]
     if report.status == "optimal":
         mu = np.maximum(mu, 0.0)    # the orthant step can leave -1e-17
         gauge = polar_gauge(problem.X, problem.masks, problem.y * mu).gauge
@@ -197,20 +212,18 @@ def completion_choices(X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.nda
     return strict, boundary
 
 
-def convex_from_network(X: np.ndarray, W1: np.ndarray, w2: np.ndarray,
-                        masks: list[ActivationMask],
-                        y: np.ndarray | None = None) -> ConvexSolution:
-    """Map neurons onto convex groups: neurons with equal masks merge by
-    summation; a neuron matches a mask agreeing with its strict activation
-    pattern off the boundary set (ties to the lexicographically smallest)."""
-    X = np.asarray(X, dtype=float)
+def convex_from_network(problem: ConvexProblem, W1: np.ndarray,
+                        w2: np.ndarray) -> ConvexSolution:
+    """Map neurons onto the problem's convex groups: neurons with equal
+    masks merge by summation; a neuron matches a mask agreeing with its
+    strict activation pattern off the boundary set (ties to the
+    lexicographically smallest)."""
+    X, masks = problem.X, problem.masks
     W1 = np.asarray(W1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
-    p = len(masks)
-    N, d = X.shape
-    u = [np.zeros(d) for _ in range(p)]
-    up = [np.zeros(d) for _ in range(p)]
-    ordered = sorted(range(p), key=lambda j: masks[j].bits)
+    u = [np.zeros(problem.d) for _ in masks]
+    up = [np.zeros(problem.d) for _ in masks]
+    ordered = sorted(range(problem.p), key=lambda j: masks[j].bits)
     for i in range(w2.shape[0]):
         if w2[i] == 0.0 or not np.any(W1[:, i]):
             continue
@@ -228,17 +241,7 @@ def convex_from_network(X: np.ndarray, W1: np.ndarray, w2: np.ndarray,
         else:
             u[match] += W1[:, i] * (-w2[i])
     objective = sum(np.linalg.norm(v) for v in u) + sum(np.linalg.norm(v) for v in up)
-    outputs = np.zeros(N)
-    cone_slack = np.inf
-    for j, mask in enumerate(masks):
-        dm = mask.diag_vector()
-        outputs += dm * (X @ (up[j] - u[j]))
-        M = (2.0 * dm - 1.0)[:, None] * X
-        cone_slack = min(cone_slack, float((M @ u[j]).min()),
-                         float((M @ up[j]).min()))
-    margin_slack = float((y * outputs).min() - 1.0) if y is not None else float("nan")
-    return ConvexSolution(u=u, u_prime=up, objective=float(objective),
-                          margin_slack=margin_slack, cone_slack=cone_slack)
+    return problem.solution(u, up, objective)
 
 
 def margin_objective(X: np.ndarray, y: np.ndarray, W1: np.ndarray,

@@ -10,6 +10,7 @@ are registered in BUILTIN_DATASETS.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,9 +26,19 @@ class Dataset:
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
-        labels = np.asarray(self.labels, dtype=int)
+        # a label or K that is not a whole number is refused, not truncated
+        whole = np.asarray(self.labels, dtype=float)
+        bad = np.flatnonzero(~(np.isfinite(whole) & (whole == np.round(whole))))
+        if bad.size:
+            raise ValueError(f"label {whole.flat[bad[0]]} of sample {bad[0]} "
+                             f"is not a whole number")
+        if not (isinstance(self.K, numbers.Real)
+                and float(self.K).is_integer()):
+            raise ValueError(f"K = {self.K} is not a whole number")
+        labels = whole.astype(int)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "K", int(self.K))
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise ValueError("X must be a nonempty N x d matrix")
         if not np.isfinite(X).all():
@@ -96,7 +107,7 @@ def load_dataset(source: str | Path | dict) -> Dataset:
     """Build a Dataset from a JSON file path or an already-parsed dict.
 
     Schema: {"name": str, "X": [[float;d];N], "y": [int;N],
-             "K": int (optional, 0 = binary +/-1)}.
+             "K": int (optional, 0 = binary +/-1)}; 1.0 loads as 1.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -110,9 +121,9 @@ def load_dataset(source: str | Path | dict) -> Dataset:
     if "X" not in spec or "y" not in spec:
         raise ValueError("dataset spec needs 'X' and 'y'")
     return Dataset(X=np.asarray(spec["X"], dtype=float),
-                   labels=np.asarray(spec["y"], dtype=int),
+                   labels=np.asarray(spec["y"]),
                    name=str(spec.get("name", "")),
-                   K=int(spec.get("K", 0)))
+                   K=spec.get("K", 0))
 
 
 def dataset_to_json(ds: Dataset) -> dict:

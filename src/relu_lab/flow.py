@@ -26,7 +26,7 @@ from scipy.special import expit
 
 from .arrangements import ActivationMask, SignPattern, mask_of
 from .datasets import Dataset
-from .geometry import polar_gauge
+from .geometry import extreme_point, polar_gauge
 from .convex import NetworkParams, margin_objective
 from .solver import DegenerateError
 
@@ -276,22 +276,24 @@ def recover_dual(X: np.ndarray, y: np.ndarray, params: NetworkParams,
                  masks_all: list[ActivationMask]
                  ) -> tuple[np.ndarray, float, float]:
     """Dual candidate from a trained network: normalize lambda_tilde, then
-    divide by the linear-objective gauge over the masks realized by the
-    network's neurons (the convention of the reference experiments).  Returns
-    (lam, gauge_network, gauge_all) where gauge_all is the masked-objective
-    gauge of the scaled lam over the full arrangement list (dual feasible iff
+    divide by the network gauge, the max of |v^T u| at the extreme points
+    along +/-v, v = X^T lam, over the masks realized by the network's
+    neurons (the convention of the reference experiments).  Returns
+    (lam, gauge_network, gauge_all) where gauge_all is the polar gauge of
+    the scaled lam over the full arrangement list (dual feasible iff
     gauge_all <= 1 + tol)."""
     lt = lambda_tilde(X, y, params)
     nrm = np.linalg.norm(lt)
     if nrm == 0.0:
         raise DegenerateError("lambda_tilde vanished (non-finite outputs?)")
     lam = lt / nrm
-    rep_net = polar_gauge(X, network_masks(X, params), lam, objective="linear")
-    if rep_net.gauge <= 1e-12:
+    v = np.asarray(X, dtype=float).T @ lam
+    gauge_net = max(abs(float(v @ extreme_point(X, mask, s)))
+                    for mask in network_masks(X, params) for s in (v, -v))
+    if gauge_net <= 1e-12:
         raise DegenerateError("degenerate normalizing gauge")
-    lam = lam / rep_net.gauge
-    rep_all = polar_gauge(X, masks_all, lam, objective="masked")
-    return lam, float(rep_net.gauge), float(rep_all.gauge)
+    lam = lam / gauge_net
+    return lam, gauge_net, polar_gauge(X, masks_all, lam).gauge
 
 
 def network_masks(X: np.ndarray, params: NetworkParams) -> list[ActivationMask]:

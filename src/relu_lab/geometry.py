@@ -1,11 +1,11 @@
 """Rectified-ellipsoid geometry: extreme points, polar gauge, stationary
 directions and figure sampling.
 
-The rectified ellipsoid of X is {(Xu)_+ : ||u|| <= 1}; its extreme point along
-a dual direction lam restricted to one arrangement cone C = {u : M u >= 0},
-M = (2 D_j - I) X, is
+The rectified ellipsoid of X is {(Xu)_+ : ||u|| <= 1}; its extreme point
+along a vector v within one arrangement cone C = {u : M u >= 0},
+M = (2 D_j - I) X (cone_rows), is
 
-    max / min   v^T u   s.t.  ||u|| <= 1,  M u >= 0,     v = X^T D_j lam.
+    max   v^T u   s.t.  ||u|| <= 1,  M u >= 0.
 
 By Moreau's decomposition the maximum is ||P_C(v)|| at u = P_C(v)/||P_C(v)||,
 where P_C(v) = v + M^T z and z = argmin_{z >= 0} ||v + M^T z|| is a
@@ -13,11 +13,9 @@ non-negative least-squares problem (Lawson-Hanson active set, finite
 termination); the minimum is the same computation on -v.  Every solve is
 checked against the projection's KKT conditions.
 
-The polar gauge of lam is the max of |value| over masks and both senses;
-lam is dual feasible iff the gauge over the full arrangement set is <= 1.
-The "linear" objective variant replaces lam^T D_j X u with lam^T X u on the
-same cone (the convention used by the reference experiments' dual-recovery
-step); the two differ in general and both are exposed.
+The polar gauge of lam is the max of |v^T u| over masks and both extreme
+points, v = X^T D_j lam; lam is dual feasible iff the gauge over the full
+arrangement set is <= 1.
 
 A stationary direction of lam is a fixed point of
 u -> X^T D(u) lam / ||X^T D(u) lam||, D(u) = diag(I(Xu > 0)), a direction a
@@ -40,70 +38,56 @@ GAUGE_SOLVE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class ExtremePointResult:
-    u: np.ndarray
-    value: float          # lam^T D_j X u at the optimum (signed)
-    mask: ActivationMask
-    sense: str
-
-
-@dataclass(frozen=True)
 class PolarGaugeReport:
     gauge: float
     per_mask: tuple[tuple[ActivationMask, float, float], ...]  # (mask, max, min)
     argmax_mask: ActivationMask
-    objective: str
 
 
-def _cone_objective(X: np.ndarray, mask: ActivationMask, lam: np.ndarray,
-                    objective: str) -> np.ndarray:
-    if objective == "masked":
-        return X.T @ (mask.diag_vector() * lam)
-    if objective == "linear":
-        return X.T @ lam
-    raise ValueError(f"unknown objective {objective!r}")
+def cone_rows(X: np.ndarray, mask: ActivationMask) -> np.ndarray:
+    """M = (2 D - I) X: the mask's cone is {u : M u >= 0}."""
+    return (2.0 * mask.diag_vector() - 1.0)[:, None] * X
 
 
-def extreme_point(X: np.ndarray, mask: ActivationMask, lam: np.ndarray,
-                  sense: str = "max",
-                  objective: str = "masked") -> ExtremePointResult:
-    """Optimize the gauge objective over the unit ball intersected with the
-    mask's cone.  sense is "max" or "min"; value is reported in the original
-    (un-negated) orientation.  Exact for every d: the optimizer is the
-    normalized cone projection of +/-v (zero when that projection vanishes
-    relative to ||v||)."""
+def extreme_point(X: np.ndarray, mask: ActivationMask,
+                  v: np.ndarray) -> np.ndarray:
+    """The unit maximizer of v^T u over the unit ball intersected with the
+    mask's cone: the normalized cone projection of v, or zero when that
+    projection falls below PROJECTION_ZERO_RTOL ||v||.  Exact for every d;
+    the minimizer is extreme_point(X, mask, -v)."""
     X = np.asarray(X, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if sense not in ("max", "min"):
-        raise ValueError("sense must be 'max' or 'min'")
-    v = _cone_objective(X, mask, lam, objective)
+    v = np.asarray(v, dtype=float)
     nv = float(np.linalg.norm(v))
-    M = (2.0 * mask.diag_vector() - 1.0)[:, None] * X
-    x = np.zeros(X.shape[1])
+    u = np.zeros(X.shape[1])
     if nv > 0.0:
-        p, _ = cone_projection(M, v if sense == "max" else -v)
+        p, _ = cone_projection(cone_rows(X, mask), v)
         npn = float(np.linalg.norm(p))
         if npn > PROJECTION_ZERO_RTOL * nv:
-            x = p / npn
-    return ExtremePointResult(u=x, value=float(v @ x), mask=mask, sense=sense)
+            u = p / npn
+    return u
 
 
-def polar_gauge(X: np.ndarray, masks: list[ActivationMask], lam: np.ndarray,
-                objective: str = "masked") -> PolarGaugeReport:
-    """Max over masks and both senses of |constrained optimum|.
+def polar_gauge(X: np.ndarray, masks: list[ActivationMask],
+                lam: np.ndarray) -> PolarGaugeReport:
+    """Max over masks of |v^T u| at both extreme points, v = X^T D_j lam:
+    per mask hi = v^T u(v) and lo = v^T u(-v).
 
-    lam is feasible for the dual norm constraint iff gauge <= 1 (masked
-    objective over the full arrangement set)."""
+    lam is feasible for the dual norm constraint iff gauge <= 1 over the
+    full arrangement set."""
     if not masks:
         raise ValueError("mask list must be nonempty")
+    X = np.asarray(X, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    per_mask = tuple((mask, extreme_point(X, mask, lam, "max", objective).value,
-                      extreme_point(X, mask, lam, "min", objective).value)
-                     for mask in masks)
+    per_mask = []
+    for mask in masks:
+        v = X.T @ (mask.diag_vector() * lam)
+        per_mask.append((mask, float(v @ extreme_point(X, mask, v)),
+                         float(v @ extreme_point(X, mask, -v))))
     values = [max(abs(hi), abs(lo)) for _, hi, lo in per_mask]
     best = int(np.argmax(values))
-    return PolarGaugeReport(gauge=float(values[best]), per_mask=per_mask,
-                            argmax_mask=per_mask[best][0], objective=objective)
+    return PolarGaugeReport(gauge=float(values[best]),
+                            per_mask=tuple(per_mask),
+                            argmax_mask=per_mask[best][0])
 
 
 def stationary_directions(X: np.ndarray, masks: list[ActivationMask],

@@ -271,17 +271,17 @@ class TestConvexKKTResiduals:
         problem, sol, lam, _ = notebook_solved
         rep = convex_kkt_residuals(problem, sol, lam)
         assert rep.max_family_residual() <= 1e-5
-        assert rep.primal_margin_violation <= 1e-6
+        assert sol.margin_slack >= -1e-6 and sol.cone_slack >= -1e-6
         assert rep.dual_sign_violation <= 1e-9
 
     def test_origin_stationary_but_infeasible(self, notebook_solved):
-        problem, sol, _, _ = notebook_solved
-        zero_sol = type(sol)(u=[np.zeros(2)] * 6, u_prime=[np.zeros(2)] * 6,
-                             objective=0.0, margin_slack=-1.0,
-                             cone_slack=0.0)
+        problem, _, _, _ = notebook_solved
+        zero_sol = problem.solution([np.zeros(2)] * 6, [np.zeros(2)] * 6,
+                                    0.0)
         rep = convex_kkt_residuals(problem, zero_sol, np.zeros(3))
         assert rep.max_family_residual() == 0.0
-        assert rep.primal_margin_violation == pytest.approx(1.0)
+        assert zero_sol.margin_slack == pytest.approx(-1.0)
+        assert zero_sol.cone_slack == 0.0
 
     def test_perturbed_dual_breaks_complementarity(self):
         # needs an instance with a strictly slack margin (every notebook
@@ -309,8 +309,7 @@ class TestConvexKKTResiduals:
         ex = extract_kkt(notebook_ds.X, notebook_ds.y, net.W1, net.w2, lam)
         assert ex.max_direction_residual() <= 1e-6
         assert dual_feasible(notebook_ds.X, notebook_masks, lam).verdict
-        back = convex_from_network(notebook_ds.X, net.W1, net.w2,
-                                   notebook_masks, y=notebook_ds.y)
+        back = convex_from_network(problem, net.W1, net.w2)
         rep = convex_kkt_residuals(problem, back, lam)
         assert rep.max_family_residual() <= 1e-4
 

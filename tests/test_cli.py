@@ -28,6 +28,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text: str):
+    """json.loads that refuses the non-JSON tokens Infinity and NaN."""
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 class TestArrangementsCommand:
     def test_notebook_layout(self, capsys):
         code, out, _ = run_cli(capsys, "arrangements", "--dataset", "notebook")
@@ -80,6 +87,19 @@ class TestArrangementsCommand:
         assert "1 arrangements; counting bound 2r(e(N-1)/r)^r = inf at " \
                "rank 0" in out
 
+    @pytest.mark.parametrize("X", [[[1.0, 0.0]], [[0.0, 0.0]] * 3],
+                             ids=["one-row", "rank-0"])
+    def test_json_without_bound_is_strict_json(self, capsys, tmp_path, X):
+        # N < 2 and rank 0 have no counting bound; it prints as null
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps({"X": X, "y": [1] * len(X)}))
+        code, out, _ = run_cli(capsys, "arrangements", "--dataset",
+                               str(path), "--json")
+        assert code == 0
+        payload = strict_json(out.strip().splitlines()[-1])
+        assert payload["bound"] is None
+        assert payload["count"] == len(payload["masks"])
+
     def test_tol_rejected(self, capsys, tmp_path):
         # only solve and reproduce run a solver that reads --tol
         with pytest.raises(SystemExit) as exc:
@@ -97,6 +117,19 @@ class TestArrangementsCommand:
 
 
 class TestSolveCommand:
+    @pytest.mark.parametrize("spec, bad", [
+        ({"y": [1.7, -1, -1]}, "label 1.7 of sample 0"),
+        ({"y": [1, 2, 1], "K": 2.5}, "K = 2.5")], ids=["label", "K"])
+    def test_fractional_label_or_k_exits_2(self, capsys, tmp_path, spec,
+                                           bad):
+        # refused, not truncated to a whole number and solved
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps({"X": [[1, 0], [0, 1], [-1, 1]], **spec}))
+        code, out, err = run_cli(capsys, "solve", "--dataset", str(path))
+        assert code == 2
+        assert bad in err and "not a whole number" in err
+        assert "objective" not in out
+
     def test_both_objectives_and_json(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--dataset", "notebook",
                                "--which", "both", "--json")

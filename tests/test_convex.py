@@ -63,6 +63,26 @@ class TestBuildPrimal:
         with pytest.raises(ValueError):
             build_primal(notebook_ds.X, notebook_ds.y, [])
 
+    @pytest.mark.parametrize("name", ["notebook", "appendix-ortho",
+                                      "appendix-nonspikefree"])
+    def test_solution_matches_program_rows(self, name):
+        # ConvexProblem.solution and outputs evaluate the margin and cone
+        # rows that A x + b holds, at the solved x
+        ds = builtin_dataset(name)
+        problem = build_primal(ds.X, ds.y, enumerate_masks(ds.X))
+        sol, _, _ = solve_primal(problem)
+        x = np.concatenate([g for pair in zip(sol.u, sol.u_prime)
+                            for g in pair])
+        slack = problem.prog.A @ x + problem.prog.b
+        scale = 1e-12 * (1.0 + np.abs(problem.prog.A).sum(axis=1).max()
+                         * np.abs(x).max())
+        N = problem.N
+        np.testing.assert_allclose(
+            problem.y * problem.outputs(sol.u, sol.u_prime) - 1.0,
+            slack[:N], rtol=0.0, atol=scale)
+        assert sol.margin_slack == pytest.approx(slack[:N].min(), abs=scale)
+        assert sol.cone_slack == pytest.approx(slack[N:].min(), abs=scale)
+
 
 class TestNotebookOptimum:
     def test_primal_value(self, notebook_solved):
@@ -187,8 +207,8 @@ class TestNetworkConversions:
         sol, _, report = solve_primal(build_primal(ortho_ds.X, ortho_ds.y,
                                                    masks))
         net = network_from_convex(sol, masks)
-        back = convex_from_network(ortho_ds.X, net.W1, net.w2, masks,
-                                   y=ortho_ds.y)
+        back = convex_from_network(build_primal(ortho_ds.X, ortho_ds.y, masks),
+                                   net.W1, net.w2)
         assert back.objective == pytest.approx(report.objective, abs=1e-6)
         for j in range(len(masks)):
             np.testing.assert_allclose(back.u[j], sol.u[j], atol=1e-6)
@@ -200,10 +220,9 @@ class TestNetworkConversions:
         # the notebook optimum splits each neuron across boundary-equivalent
         # masks; the roundtrip re-merges the mass (lexicographically smallest
         # matching mask) but preserves the objective and the network
-        _, sol, _, report = notebook_solved
+        problem, sol, _, report = notebook_solved
         net = network_from_convex(sol, notebook_masks)
-        back = convex_from_network(notebook_ds.X, net.W1, net.w2,
-                                   notebook_masks, y=notebook_ds.y)
+        back = convex_from_network(problem, net.W1, net.w2)
         assert back.objective == pytest.approx(report.objective, abs=1e-6)
         assert back.margin_slack >= -1e-6
         total = sum(back.u_prime[j] - back.u[j]
@@ -228,14 +247,14 @@ class TestNetworkConversions:
         with pytest.raises(ValueError):
             network_from_convex(zero, notebook_masks)
 
-    def test_equal_mask_neurons_merge(self, notebook_ds, notebook_masks):
+    def test_equal_mask_neurons_merge(self, notebook_masks, notebook_solved):
         # two positive neurons with the same activation pattern sum into one
         # group whose norm obeys the triangle inequality
         w1a = np.array([2.0, -1.0])
         w1b = np.array([1.0, -0.2])
         W1 = np.stack([w1a, w1b], axis=1)
         w2 = np.array([0.5, 1.5])
-        sol = convex_from_network(notebook_ds.X, W1, w2, notebook_masks)
+        sol = convex_from_network(notebook_solved[0], W1, w2)
         j = next(j for j, m in enumerate(notebook_masks)
                  if m.as_string() == "100")
         expected = w1a * 0.5 + w1b * 1.5
@@ -243,18 +262,21 @@ class TestNetworkConversions:
         assert np.linalg.norm(expected) <= (
             np.linalg.norm(w1a * 0.5) + np.linalg.norm(w1b * 1.5))
 
-    def test_zero_network_zero_solution(self, notebook_ds, notebook_masks):
-        sol = convex_from_network(notebook_ds.X, np.zeros((2, 3)),
-                                  np.zeros(3), notebook_masks)
+    def test_zero_network_zero_solution(self, notebook_solved):
+        sol = convex_from_network(notebook_solved[0], np.zeros((2, 3)),
+                                  np.zeros(3))
         assert sol.objective == 0.0
+        # every output is 0, so the least margin misses 1 by 1
+        assert sol.margin_slack == -1.0 and sol.cone_slack == 0.0
 
     def test_unrealizable_mask_rejected(self, notebook_ds, notebook_masks):
         # direction with pattern 101 is not realizable; restrict the list so
         # no completion matches either
         short = [m for m in notebook_masks if m.as_string() == "000"]
+        problem = build_primal(notebook_ds.X, notebook_ds.y, short)
         with pytest.raises(ValueError):
-            convex_from_network(notebook_ds.X, np.array([[1.0], [0.0]]),
-                                np.array([1.0]), short)
+            convex_from_network(problem, np.array([[1.0], [0.0]]),
+                                np.array([1.0]))
 
 
 class TestMarginObjective:

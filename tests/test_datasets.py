@@ -26,6 +26,29 @@ class TestLoadDataset:
         with pytest.raises(ValueError):
             load_dataset({"X": [[1, 0], [0, 1]], "y": [1, 3], "K": 2})
 
+    def test_fractional_label_or_k_rejected(self):
+        # a label or K that is not a whole number is refused, not truncated
+        X = [[1, 0], [0, 1]]
+        with pytest.raises(ValueError, match=r"label 1\.7 of sample 0 is "
+                                             r"not a whole number"):
+            load_dataset({"X": X, "y": [1.7, -1]})
+        with pytest.raises(ValueError, match=r"label -0\.5 of sample 1"):
+            Dataset(X=np.array(X, dtype=float), labels=np.array([1, -0.5]))
+        with pytest.raises(ValueError, match=r"label nan of sample 1"):
+            load_dataset({"X": X, "y": [1, float("nan")]})
+        with pytest.raises(ValueError, match=r"K = 2\.5 is not a whole"):
+            load_dataset({"X": X, "y": [1, 2], "K": 2.5})
+        with pytest.raises(ValueError, match=r"K = None is not a whole"):
+            load_dataset({"X": X, "y": [1, 2], "K": None})
+
+    def test_integral_float_labels_load(self):
+        ds = load_dataset({"X": [[1, 0], [0, 1]], "y": [1.0, -1.0]})
+        assert ds.labels.dtype.kind == "i"
+        np.testing.assert_array_equal(ds.labels, [1, -1])
+        ds = load_dataset({"X": [[1, 0], [0, 1]], "y": [1.0, 2.0], "K": 2.0})
+        assert ds.K == 2 and type(ds.K) is int
+        np.testing.assert_array_equal(ds.labels, [1, 2])
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             load_dataset({"X": [[1, 0], [0, 1]], "y": [1]})

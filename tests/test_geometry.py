@@ -55,18 +55,23 @@ def sphere_gauge(X: np.ndarray, lam: np.ndarray, samples: int,
     return float(np.abs(lam @ np.maximum(X @ U, 0.0)).max())
 
 
-def assert_matches_planar(X, mask, lam, objective="masked"):
-    v = (X.T @ (mask.diag_vector() * lam) if objective == "masked"
-         else X.T @ lam)
+def masked(X: np.ndarray, mask, lam: np.ndarray) -> np.ndarray:
+    """v = X^T D lam, the gauge's vector on the mask's cone."""
+    return X.T @ (mask.diag_vector() * lam)
+
+
+def assert_matches_planar(X, mask, v):
+    """Both extreme points along v (the maximizer of v^T u and of -v^T u)
+    against the planar candidate enumeration."""
     # a projection below PROJECTION_ZERO_RTOL ||v|| counts as zero
     scale = 2.0 * PROJECTION_ZERO_RTOL * float(np.linalg.norm(v))
-    for sense in ("max", "min"):
-        r = extreme_point(X, mask, lam, sense, objective)
-        u = planar_extreme(v, cone_rows(X, mask), sense)
-        assert r.value == pytest.approx(float(v @ u), abs=scale)
-        if abs(r.value) > 1e-9 * np.linalg.norm(v):
+    for sense, target in (("max", v), ("min", -v)):
+        u = extreme_point(X, mask, target)
+        want = planar_extreme(v, cone_rows(X, mask), sense)
+        assert float(v @ u) == pytest.approx(float(v @ want), abs=scale)
+        if abs(float(v @ u)) > 1e-9 * np.linalg.norm(v):
             # a nonzero optimum over the disk has a unique maximizer
-            np.testing.assert_allclose(r.u, u, atol=1e-9)
+            np.testing.assert_allclose(u, want, atol=1e-9)
 
 
 class TestExtremePoint:
@@ -74,22 +79,24 @@ class TestExtremePoint:
         # interior optimum: u = X^T D lam / ||X^T D lam||
         lam = np.array([0.6, 0.2, -0.1])
         mask = ActivationMask(bits=(1, 1, 0))
-        r = extreme_point(notebook_ds.X, mask, lam, "max")
-        v = notebook_ds.X.T @ (mask.diag_vector() * lam)
-        assert r.value == pytest.approx(np.linalg.norm(v), abs=1e-7)
-        np.testing.assert_allclose(r.u, v / np.linalg.norm(v), atol=1e-6)
+        v = masked(notebook_ds.X, mask, lam)
+        u = extreme_point(notebook_ds.X, mask, v)
+        assert v @ u == pytest.approx(np.linalg.norm(v), abs=1e-7)
+        np.testing.assert_allclose(u, v / np.linalg.norm(v), atol=1e-6)
 
     def test_zero_dual_gives_zero_value(self, notebook_ds):
-        r = extreme_point(notebook_ds.X, ActivationMask(bits=(1, 1, 0)),
-                          np.zeros(3), "max")
-        assert r.value == 0.0
+        mask = ActivationMask(bits=(1, 1, 0))
+        v = masked(notebook_ds.X, mask, np.zeros(3))
+        u = extreme_point(notebook_ds.X, mask, v)
+        assert v @ u == 0.0 and u.shape == (2,) and not u.any()
 
     def test_sense_min_flips_sign_on_symmetric_cone(self, notebook_ds):
         lam = np.array([0.2, -0.5, 0.1])
         mask = ActivationMask(bits=(1, 1, 1))
-        hi = extreme_point(notebook_ds.X, mask, lam, "max")
-        lo = extreme_point(notebook_ds.X, mask, lam, "min")
-        assert lo.value <= hi.value
+        v = masked(notebook_ds.X, mask, lam)
+        hi = v @ extreme_point(notebook_ds.X, mask, v)
+        lo = v @ extreme_point(notebook_ds.X, mask, -v)
+        assert lo <= hi
 
     def test_dominates_sampled_feasible_points(self, notebook_ds,
                                                notebook_masks):
@@ -97,7 +104,8 @@ class TestExtremePoint:
         lam = np.array([0.7, -0.4, -0.1])
         X = notebook_ds.X
         for mask in notebook_masks:
-            r = extreme_point(X, mask, lam, "max")
+            v = masked(X, mask, lam)
+            best = v @ extreme_point(X, mask, v)
             M = (2 * np.diag(mask.diag_vector()) - np.eye(3)) @ X
             found = 0
             while found < 100:
@@ -106,7 +114,7 @@ class TestExtremePoint:
                 if np.all(M @ u >= 0):
                     found += 1
                     value = lam @ (mask.diag_vector() * (X @ u))
-                    assert value <= r.value + 1e-6
+                    assert value <= best + 1e-6
 
     def test_masked_identity_on_cone(self, notebook_ds):
         # lam^T (Xu)_+ equals lam^T D(u) X u for u in its own cone
@@ -134,11 +142,14 @@ class TestPolarGauge:
     def test_reference_lambda_linear_gauge_is_one(self, notebook_ds,
                                                   notebook_masks):
         # the recovered dual is normalized so the notebook-convention gauge
-        # over the realized masks is exactly 1; over all six masks the
-        # maximizing direction lies in the realized set, so it stays 1
-        rep = polar_gauge(notebook_ds.X, notebook_masks, ITER10_LAMBDA,
-                          objective="linear")
-        assert rep.gauge == pytest.approx(1.0, abs=1e-4)
+        # (v = X^T lam on every cone) over the realized masks is exactly 1;
+        # over all six masks the maximizing direction lies in the realized
+        # set, so it stays 1
+        X = notebook_ds.X
+        v = X.T @ ITER10_LAMBDA
+        gauge = max(abs(v @ extreme_point(X, mask, s))
+                    for mask in notebook_masks for s in (v, -v))
+        assert gauge == pytest.approx(1.0, abs=1e-4)
         assert np.linalg.norm(notebook_ds.X.T @ ITER10_LAMBDA) == pytest.approx(
             1.0, abs=1e-4)
 
@@ -148,6 +159,19 @@ class TestPolarGauge:
         rep = polar_gauge(notebook_ds.X, notebook_masks, ITER10_LAMBDA)
         assert rep.gauge == pytest.approx(0.84944458, abs=1e-4)
         assert rep.gauge <= 1.0 + 1e-6
+
+    def test_per_mask_values_are_both_extreme_points(self, notebook_ds,
+                                                     notebook_masks):
+        # hi = v^T u(v) and lo = v^T u(-v), to the bit and the sign of zero
+        # (-((-v)^T u(-v)) could turn a zero lo into -0)
+        X = notebook_ds.X
+        for lam in (ITER10_LAMBDA, np.array([0.0, 0.0, 1.0]), np.zeros(3)):
+            rep = polar_gauge(X, notebook_masks, lam)
+            for mask, hi, lo in rep.per_mask:
+                v = masked(X, mask, lam)
+                want = (float(v @ extreme_point(X, mask, v)),
+                        float(v @ extreme_point(X, mask, -v)))
+                assert [repr(hi), repr(lo)] == [repr(w) for w in want]
 
     def test_monotone_in_mask_set(self, notebook_ds, notebook_masks):
         lam = np.array([0.5, -0.6, 0.2])
@@ -169,8 +193,9 @@ class TestPlanarOracle:
             rng.standard_normal(ds.N) for _ in range(5)]
         for lam in duals:
             for mask in enumerate_masks(ds.X):
-                for objective in ("masked", "linear"):
-                    assert_matches_planar(ds.X, mask, lam, objective)
+                # the gauge's vector and the network gauge's v = X^T lam
+                for v in (masked(ds.X, mask, lam), ds.X.T @ lam):
+                    assert_matches_planar(ds.X, mask, v)
 
     @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9])
     def test_near_antipodal_sliver_cones(self, gap):
@@ -182,7 +207,7 @@ class TestPlanarOracle:
                           [np.cos(t + np.pi - gap), np.sin(t + np.pi - gap)]])
             lam = rng.standard_normal(2)
             for mask in enumerate_masks(X):
-                assert_matches_planar(X, mask, lam)
+                assert_matches_planar(X, mask, masked(X, mask, lam))
 
     def test_rows_scaled_by_1e6(self):
         # positive row scaling keeps every cone, so the masks of the
@@ -194,7 +219,7 @@ class TestPlanarOracle:
             X *= 10.0 ** rng.choice((-6.0, 0.0, 6.0), size=5)[:, None]
             lam = rng.standard_normal(5)
             for mask in masks:
-                assert_matches_planar(X, mask, lam)
+                assert_matches_planar(X, mask, masked(X, mask, lam))
 
 
 class TestHigherDimensionBounds:
@@ -216,18 +241,18 @@ class TestHigherDimensionBounds:
             for mask in masks:
                 M = cone_rows(X, mask)
                 nM = np.linalg.norm(M)
-                v = X.T @ (mask.diag_vector() * lam)
-                for sense, target in (("max", v), ("min", -v)):
-                    r = extreme_point(X, mask, lam, sense)
-                    assert np.linalg.norm(r.u) <= 1.0 + 1e-12
-                    assert (M @ r.u).min() >= -1e-12 * nM
+                v = masked(X, mask, lam)
+                for target in (v, -v):
+                    u = extreme_point(X, mask, target)
+                    assert np.linalg.norm(u) <= 1.0 + 1e-12
+                    assert (M @ u).min() >= -1e-12 * nM
                     p, z = cone_projection(M, target)
                     assert z.min() >= 0.0
                     np.testing.assert_allclose(p - target, M.T @ z,
                                                atol=1e-12 * np.linalg.norm(v))
                     assert (M @ p).min() >= -1e-12 * nM * np.linalg.norm(v)
                     upper = np.linalg.norm(p)
-                    lower = float(target @ r.u)
+                    lower = float(target @ u)
                     assert lower <= upper + 1e-12 * np.linalg.norm(v)
                     assert upper - lower <= 1e-10 * np.linalg.norm(v)
 
@@ -265,9 +290,9 @@ class TestConeProjection:
         p, z = cone_projection(M, -np.ones(3))
         np.testing.assert_allclose(p, 0.0, atol=1e-15)
         np.testing.assert_allclose(z, 1.0, atol=1e-15)
-        r = extreme_point(np.eye(3), ActivationMask(bits=(1, 1, 1)),
-                          -np.ones(3), "max")
-        assert r.value == 0.0 and not r.u.any()
+        u = extreme_point(np.eye(3), ActivationMask(bits=(1, 1, 1)),
+                          -np.ones(3))
+        assert not u.any()
 
     def test_no_rows_is_the_whole_space(self):
         # scipy's nnls aborts the process on a matrix with no columns
