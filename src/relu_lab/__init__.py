@@ -4,7 +4,7 @@ Library layout:
 
 - ``datasets``      data matrices, label encoding, separability predicates
 - ``arrangements``  activation masks, sign patterns, Cover counting bound
-- ``solver``        first-order group-norm solver, LP feasibility, face bounds
+- ``solver``        exact group-norm solver, LP feasibility, face bounds
 - ``geometry``      rectified-ellipsoid extreme points and polar gauge
 - ``convex``        group-norm primal, certified dual, network conversions
 - ``flow``          subgradient-descent simulator and dual recovery

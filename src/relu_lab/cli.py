@@ -161,7 +161,7 @@ def cmd_solve(args) -> int:
     report.require_optimal("primal")
     if args.which in ("primal", "both"):
         print(f"primal objective {report.objective:.6f} "
-              f"({report.iterations} iterations)")
+              f"({report.iterations} rounds)")
         payload["primal"] = _solution_json(sol, masks, lam)
     if args.which in ("dual", "both"):
         dobj = float(ds.y @ lam)

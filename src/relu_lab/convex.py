@@ -17,7 +17,7 @@ certify.convex_kkt_residuals computes), so they are not returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -162,16 +162,20 @@ def build_primal(X: np.ndarray, y: np.ndarray,
 def solve_primal(problem: ConvexProblem, tol: float = DEFAULT_TOL
                  ) -> tuple[ConvexSolution, np.ndarray, SolveReport]:
     """Solve the primal; (solution, lam, report) with lam = diag(y) mu off
-    the margin multipliers mu.  When the solve ends optimal, mu is clipped
-    at 0 and divided by max(1, gamma), gamma the exact polar gauge of lam
-    over the problem's masks, so lam is dual feasible and, over the full
-    arrangement set, y^T lam <= p*.  Any other status returns the raw
-    multipliers."""
+    the margin multipliers mu.  When the solve ends optimal, x is divided by
+    its least margin when that is below 1 (the cone rows are homogeneous, so
+    they stay met), which makes the reported objective an upper bound on
+    p*, and mu is divided by max(1, gamma), gamma the exact polar gauge of
+    lam over the problem's masks, so lam is dual feasible and, over the
+    full arrangement set, y^T lam <= p*."""
     x, mu, report = solve(problem.prog, tol=tol)
     sol = problem.solution(*problem.split(x), report.objective)
     mu = mu[:problem.N]
     if report.status == "optimal":
-        mu = np.maximum(mu, 0.0)    # the orthant step can leave -1e-17
+        if sol.margin_slack < 0.0:
+            x = x / (1.0 + sol.margin_slack)
+            report = replace(report, objective=problem.prog.objective(x))
+            sol = problem.solution(*problem.split(x), report.objective)
         gauge = polar_gauge(problem.X, problem.masks, problem.y * mu).gauge
         mu = mu / max(1.0, gauge)
     return sol, problem.y * mu, report

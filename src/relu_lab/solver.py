@@ -1,17 +1,18 @@
-"""First-order group-norm solver (primal-dual operator splitting), HiGHS
-LPs, cone projections and the exact optimal face.
+"""Exact group-norm solver (column generation), HiGHS LPs, cone
+projections and the exact optimal face.
 
 :func:`solve` handles the one program of the paper,
 min sum_g ||x_g||_2  s.t.  A x + b >= 0, where the x_g are contiguous norm
-groups of `group` entries; the proximal step is one reshape over the groups
-and the projection onto the orthant one clip.  Every LP goes through
-:func:`_highs`, which runs it on one module-level instance of scipy's
-bundled HiGHS core, given the options ``linprog(method="highs")`` sends
-once and cleared of the last model before each LP, so the results are
-linprog's to the bit without its per-call set-up and sparse conversion.  The
-optimal face (:func:`optimal_face_bounds`) is exact: one solve's
-multipliers, one cone projection per group, HiGHS LPs over the active
-extreme directions.  Everything is dense numpy and bitwise deterministic.
+groups of `group` entries: cutting planes over the extreme directions of
+the groups' cones, each answer a primal-dual pair with a certified gap.
+Every LP goes through :func:`_highs`, which runs it on one module-level
+instance of scipy's bundled HiGHS core, given the options
+``linprog(method="highs")`` sends once and cleared of the last model before
+each LP, so the results are linprog's to the bit without its per-call
+set-up and sparse conversion.  The optimal face (:func:`optimal_face_bounds`)
+is exact: one solve's multipliers, one cone projection per group, HiGHS LPs
+over the active extreme directions.  Everything is dense numpy and bitwise
+deterministic.
 """
 
 from __future__ import annotations
@@ -24,12 +25,15 @@ from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus,
                                            HighsOptions, MatrixFormat, _Highs,
                                            kHighsInf, simplex_constants)
 
-#: relative residual and gap at which a solve ends optimal (the default of
+#: pricing tolerance and certified relative gap of a solve (the default of
 #: solve, solve_primal, solve_dual and the CLI's --tol)
 DEFAULT_TOL = 1e-8
 
-#: PDHG iteration cap of solve; a solve that reaches it ends max_iters
-MAX_ITERS = 200_000
+#: solve: the master LP's bound on every multiplier, the round cap (a solve
+#: that reaches it ends max_iters) and the steps of each Newton point
+MASTER_BOX = 1e9
+MAX_ROUNDS = 100
+NEWTON_STEPS = 8
 
 #: lp_feasible verdict thresholds (phase-1 objective).
 FEASIBLE_TOL = 1e-9
@@ -100,12 +104,16 @@ class ConeProgram:
 
 @dataclass
 class SolveReport:
-    status: str  # optimal | max_iters | infeasible-suspected
-    objective: float
-    primal_residual: float
-    dual_residual: float
-    gap: float
-    iterations: int
+    status: str  # optimal | max_iters | infeasible
+    objective: float  # objective of the returned x (nan unless optimal)
+    dual: float  # dual value -b^T mu of the returned mu (nan unless optimal)
+    iterations: int  # master LP rounds
+
+    @property
+    def gap(self) -> float:
+        """Certified duality gap: objective - dual >= p* - dual >= 0 up to
+        rounding."""
+        return self.objective - self.dual
 
     def require_optimal(self, what: str) -> None:
         """Raise SolverError unless the solve reached its tolerance."""
@@ -118,95 +126,184 @@ def _group_norms(x: np.ndarray, group: int) -> np.ndarray:
     return np.linalg.norm(x.reshape(-1, group), axis=1)
 
 
-def _prox_objective(v: np.ndarray, tau: float, prog: ConeProgram) -> np.ndarray:
-    """prox of tau * (sum of group norms) at v: one group shrink."""
-    shrink = 1.0 - tau / np.maximum(_group_norms(v, prog.group), tau)
-    return (v.reshape(-1, prog.group) * shrink[:, None]).ravel()
+def _split(prog: ConeProgram) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(couple, cones): cones[g] indexes group g's own rows (b = 0, support
+    in g alone), which make its cone C_g = {x_g : A[cones[g], g] x_g >= 0};
+    couple marks the other rows, which couple the groups."""
+    (m, n), d = prog.A.shape, prog.group
+    touches = (prog.A != 0).reshape(m, n // d, d).any(axis=2)
+    own = (prog.b == 0) & (touches.sum(axis=1) == 1)
+    return ~own, [np.flatnonzero(own & touches[:, g]) for g in range(n // d)]
 
 
-def _operator_norm(A: np.ndarray, iters: int = 50) -> float:
-    """Largest singular value of A, estimated by power iteration on A^T A."""
-    v = np.ones(A.shape[1]) + 1e-3 * np.arange(A.shape[1])
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iters):
-        w = A.T @ (A @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        est = np.sqrt(nw)
-        v = w / nw
-    return est
+def _price(prog: ConeProgram, split, mu_c: np.ndarray
+           ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(P, Z): with v = A_c^T mu_c cut into groups, P[g] = P_{C_g}(v_g) and
+    Z[g] its multipliers on g's own rows, one cone projection per group;
+    ||P[g]|| is the gauge gamma_g of mu_c on group g."""
+    couple, cones = split
+    d = prog.group
+    v = (prog.A[couple].T @ mu_c).reshape(-1, d)
+    P, Z = np.empty_like(v), []
+    for g, rows in enumerate(cones):
+        P[g], z = cone_projection(prog.A[rows, g * d:(g + 1) * d], v[g])
+        Z.append(z)
+    return P, Z
 
 
-def _residuals(prog: ConeProgram, x: np.ndarray, mu: np.ndarray):
-    """(primal res, dual res, gap, primal obj) with relative normalization."""
-    s = prog.A @ x + prog.b
-    pres = np.linalg.norm(s - np.maximum(s, 0.0))
-    pres /= 1.0 + np.linalg.norm(prog.b)
-    # distance of A^T mu to the product of unit norm balls
-    excess = np.maximum(_group_norms(prog.A.T @ mu, prog.group) - 1.0, 0.0)
-    dres = np.linalg.norm(excess)
-    pobj = prog.objective(x)
-    dobj = -float(prog.b @ mu)
-    gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-    return pres, dres, gap, pobj
+def _directions(P: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """(n, k) matrix of the unit directions P[g] / ||P[g]|| of the k active
+    groups, each embedded in its group's variables."""
+    G, d = P.shape
+    index = np.flatnonzero(active)
+    E = np.zeros((G, d, len(index)))
+    E[index, :, np.arange(len(index))] = (
+        P[index] / np.linalg.norm(P[index], axis=1, keepdims=True))
+    return E.reshape(G * d, -1)
+
+
+def _face_lp(prog: ConeProgram, couple: np.ndarray, E: np.ndarray
+             ) -> tuple[np.ndarray, float]:
+    """(t, min sum t) s.t. A_c E t + b_c >= 0, t >= 0: the least objective
+    of a point E t on the directions E; SolverError when none is feasible."""
+    k = E.shape[1]
+    return _highs("face", np.ones(k), -prog.A[couple] @ E, prog.b[couple],
+                  np.zeros(k))
+
+
+def _pair(prog: ConeProgram, split, cuts: np.ndarray, mu_c: np.ndarray,
+          P: np.ndarray, Z: list[np.ndarray]):
+    """(x, mu, objective, dual) from coupling multipliers mu_c >= 0 priced
+    as (P, Z), or None when the face LP is infeasible.  Dividing by scale =
+    max(1, max gamma) makes mu dual feasible; on each group's own rows it
+    carries Z, so A^T mu is the projection P / scale.  x = E t solves the
+    face LP over the cut directions and those of the groups with gamma_g >=
+    (1 - FACE_GAUGE_TOL) scale, so it is primal feasible; over the cuts
+    alone that LP is the master's dual, which certifies a master mu_c once
+    max gamma <= 1 + tol."""
+    couple, cones = split
+    gamma = np.linalg.norm(P, axis=1)
+    scale = max(1.0, gamma.max(initial=0.0))
+    E = np.hstack((cuts, _directions(P, gamma >= (1.0 - FACE_GAUGE_TOL)
+                                     * scale)))
+    try:
+        x = E @ _face_lp(prog, couple, E)[0]
+    except SolverError:
+        return None
+    mu = np.zeros(len(prog.b))
+    mu[couple] = mu_c / scale
+    for rows, z in zip(cones, Z):
+        mu[rows] = z / scale
+    return x, mu, prog.objective(x), -float(prog.b[couple] @ mu_c) / scale
+
+
+def _newton(prog: ConeProgram, split, active: np.ndarray, mu_c: np.ndarray,
+            Z: list[np.ndarray]) -> np.ndarray:
+    """Newton point from mu_c, on the support S of mu_c and the active
+    groups: NEWTON_STEPS least-squares Newton steps on sum_g t_g K_g mu =
+    -b_S (the rows S met with equality) and mu^T K_g mu = 1 (a unit gauge
+    on each active group), with K_g = B_g Pi_g B_g^T, B_g the rows S of A_c
+    on g's variables and Pi_g the projector onto the null space of g's face
+    rows (own rows with z > 0 in Z).  Returns the coupling multipliers."""
+    couple, cones = split
+    d, S = prog.group, np.flatnonzero(mu_c > 0.0)
+    A_S, b_S = prog.A[couple][S], prog.b[couple][S]
+    Q = [A_S[:, g * d:(g + 1) * d]
+         @ _null_space(prog.A[cones[g][Z[g] > 0], g * d:(g + 1) * d]).T
+         for g in np.flatnonzero(active)]
+    K = np.array([q @ q.T for q in Q]).reshape(-1, len(S), len(S))
+    mu = mu_c[S]
+    t = np.linalg.lstsq((K @ mu).T, -b_S, rcond=None)[0]
+    for _ in range(NEWTON_STEPS):
+        KM = (K @ mu).T                     # column g is K_g mu
+        J = np.block([[np.tensordot(t, K, 1), KM],
+                      [2.0 * KM.T, np.zeros((len(t), len(t)))]])
+        F = np.concatenate((KM @ t + b_S, mu @ KM - 1.0))
+        step = np.linalg.lstsq(J, -F, rcond=None)[0]
+        mu, t = mu + step[:len(S)], t + step[len(S):]
+    out = np.zeros(len(mu_c))
+    out[S] = mu
+    return out
 
 
 def solve(prog: ConeProgram, tol: float = DEFAULT_TOL
           ) -> tuple[np.ndarray, np.ndarray, SolveReport]:
-    """Run primal-dual hybrid gradient on the cone program.
+    """Column generation over the extreme directions of the group cones:
+    (x, mu, report) with a certified gap, objective(x) - dual <= tol (1 +
+    objective), mu >= 0 and A^T mu in the sub-differential at x.
 
-    Returns (x, mu, report): A^T mu lies in the sub-differential of the
-    norm objective, mu >= 0 up to rounding (the orthant step can leave
-    -1e-17 on slack rows) and mu^T (Ax + b) -> 0 at the optimum.  Fixed
-    step sizes from 50 power iterations, no restarts; every 25 iterations
-    the relative primal and dual residuals and the duality gap are checked
-    against `tol`, for at most MAX_ITERS iterations."""
+    The dual, max -b_c^T mu over mu >= 0 with gauge ||P_{C_g}((A_c^T
+    mu)_g)|| <= 1 on every group, is a semi-infinite LP (Kelley's cutting
+    planes).  Each round the master LP maximizes -b_c^T mu subject to 0 <=
+    mu <= MASTER_BOX and one cut (A_c e)^T mu <= 1 per generated unit
+    direction e; pricing adds e = P_g / gamma_g for each gamma_g > 1 + tol.
+    The master's mu is tried (:func:`_pair`), then Newton points from it
+    (:func:`_newton`) on the groups where its x is nonzero and on each
+    group a Newton point's gauge exceeds 1.  A master mu that binds the box
+    runs a phase-1 LP (once), and an infeasible program ends `infeasible`;
+    MAX_ROUNDS rounds, or a master that repeats its mu, end `max_iters`.
+    Neither returns a solution: x and mu are zero and the values nan."""
+    def certified(pair) -> bool:
+        return pair is not None and pair[2] - pair[3] <= tol * (1.0 + pair[2])
+
     m, n = prog.A.shape
-    L = _operator_norm(prog.A) * 1.02
-    x, y = np.zeros(n), np.zeros(m)
-    it, max_iters = 0, MAX_ITERS
-    if L == 0.0:
-        # A = 0: x minimizes the objective alone, no iterations; whether b
-        # is >= 0 is judged by the residuals, as at every other exit
-        x = _prox_objective(x, 1.0, prog)
-        max_iters = 0
-    else:
-        tau = sigma = 0.99 / L
-    At = prog.A.T.copy()
-    for it in range(1, max_iters + 1):
-        x_new = _prox_objective(x - tau * (At @ y), tau, prog)
-        xbar = 2.0 * x_new - x
-        w = y + sigma * (prog.A @ xbar)
-        y = w - sigma * (np.maximum(w / sigma + prog.b, 0.0) - prog.b)
-        x = x_new
-        if it % 25 == 0 or it == max_iters:
-            pres, dres, gap, _ = _residuals(prog, x, -y)
-            if max(pres, dres, gap) <= tol:
+    split = couple, _ = _split(prog)
+    A_c, b_c = prog.A[couple], prog.b[couple]
+    cuts, last, checked = np.zeros((n, 0)), None, False
+    for rounds in range(1, MAX_ROUNDS + 1):
+        mu_c = np.maximum(_highs("master", b_c, (A_c @ cuts).T,
+                                 np.ones(cuts.shape[1]), np.zeros(len(b_c)),
+                                 upper=MASTER_BOX)[0], 0.0)
+        if np.array_equal(mu_c, last):
+            break           # the master cannot separate what pricing finds
+        last = mu_c
+        if not checked and mu_c.max(initial=0.0) >= MASTER_BOX:
+            if lp_feasible(-prog.A, prog.b) is None:
+                return (np.zeros(n), np.zeros(m),
+                        SolveReport("infeasible", np.nan, np.nan, rounds))
+            checked = True
+        P, Z = _price(prog, split, mu_c)
+        pair = _pair(prog, split, cuts, mu_c, P, Z)
+        active = pair is not None and _group_norms(pair[0], prog.group) > 0.0
+        while pair is not None and not certified(pair):
+            mu_n = _newton(prog, split, active, mu_c, Z)
+            if not np.all(mu_n >= 0.0):
                 break
-
-    mu = -y
-    pres, dres, gap, pobj = _residuals(prog, x, mu)
-    status = ("optimal" if max(pres, dres, gap) <= tol else
-              "infeasible-suspected" if pres > np.sqrt(tol) else "max_iters")
-    return x, mu, SolveReport(status, pobj, pres, dres, gap, it)
+            P_n, Z_n = _price(prog, split, mu_n)
+            pair = _pair(prog, split, cuts, mu_n, P_n, Z_n)
+            grown = active | (np.linalg.norm(P_n, axis=1) > 1.0)
+            if np.array_equal(grown, active):
+                break
+            active = grown
+        if certified(pair):
+            return pair[0], pair[1], SolveReport("optimal", *pair[2:], rounds)
+        cuts = np.hstack((cuts, _directions(
+            P, np.linalg.norm(P, axis=1) > 1.0 + tol)))
+    return (np.zeros(n), np.zeros(m),
+            SolveReport("max_iters", np.nan, np.nan, rounds))
 
 
 def _highs(what: str, c: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray,
-           lower: np.ndarray) -> tuple[np.ndarray, float]:
-    """(x, min c^T x) s.t. A_ub x <= b_ub, x >= lower (-inf for free), on
-    _HIGHS cleared of the last model (its options stay); SolverError unless
-    HiGHS ends optimal.  A_ub goes in column-wise without its exact zeros,
-    as scipy's csc_array stores it."""
+           lower: np.ndarray, upper: float = kHighsInf
+           ) -> tuple[np.ndarray, float]:
+    """(x, min c^T x) s.t. A_ub x <= b_ub, lower <= x <= upper (lower -inf
+    for free), on _HIGHS cleared of the last model (its options stay);
+    SolverError unless HiGHS ends optimal.  A_ub goes in column-wise without
+    its exact zeros, as scipy's csc_array stores it.  An LP without
+    variables, which HiGHS calls empty, is solved here: x = () when
+    b_ub >= 0."""
     m, n = A_ub.shape
+    if n == 0:
+        if b_ub.min(initial=0.0) < 0.0:
+            raise SolverError(f"{what} LP failed: Infeasible")
+        return np.zeros(0), 0.0
     At = A_ub.T
     nonzero = At != 0.0
     lp = HighsLp()
     lp.num_col_, lp.num_row_ = n, m
     lp.col_cost_ = c
     lp.col_lower_ = lower
-    lp.col_upper_ = np.full(n, kHighsInf)
+    lp.col_upper_ = np.full(n, upper)
     lp.row_lower_ = np.full(m, -kHighsInf)
     lp.row_upper_ = b_ub
     a = lp.a_matrix_
@@ -247,6 +344,16 @@ def lp_feasible(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     raise InconclusiveError(f"phase-1 value {v:.3e} in dead zone")
 
 
+def _null_space(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (as rows) of the null space of `rows`, each row
+    normalized first; the identity when there are none."""
+    if not len(rows):
+        return np.eye(rows.shape[1])
+    rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    _, s, Vt = np.linalg.svd(rows)
+    return Vt[int(np.sum(s > s[0] * max(rows.shape) * np.finfo(float).eps)):]
+
+
 def cone_projection(M: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(p, z): p = P_C(v) = v + M^T z, the projection of v onto the cone
     C = {u : M u >= 0}, and z = argmin_{z >= 0} ||v + M^T z|| (Moreau).  p is
@@ -264,10 +371,7 @@ def cone_projection(M: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
     p = v
     active = M[z > 0]
     if len(active):
-        active /= np.linalg.norm(active, axis=1, keepdims=True)
-        _, s, Vt = np.linalg.svd(active)
-        rank = int(np.sum(s > s[0] * max(active.shape) * np.finfo(float).eps))
-        null = Vt[rank:]
+        null = _null_space(active)
         p = null.T @ (null @ v)
     slack = M @ p
     nM, nv = np.linalg.norm(M), np.linalg.norm(v)
@@ -292,39 +396,32 @@ def optimal_face_bounds(prog: ConeProgram, p_star: float,
     list of one (lo, hi) per row for a (k, n) stack, which shares the solve,
     the cone projections and the p*_LP LP.
 
-    Rows with b = 0 and support in one group g alone form g's cone C_g; the
-    others couple.  With mu from one `solve` and v_g the coupling rows' part
-    of (A^T mu)_g, gamma_g = ||P_{C_g}(v_g)||, e_g = P_{C_g}(v_g) / gamma_g.
-    By complementary slackness every optimal point is sum t_g e_g over the
-    groups with gamma_g >= 1 - FACE_GAUGE_TOL, t >= 0, coupling rows met, so
-    min sum t is the optimal value p*_LP; each end is one HiGHS LP in t
-    under sum t <= max(p_star, p*_LP) + slack."""
+    With mu from one `solve`, priced per group (:func:`_price`) to gamma_g
+    and e_g = P_g / gamma_g, complementary slackness makes every optimal
+    point sum t_g e_g over the groups with gamma_g >= 1 - FACE_GAUGE_TOL,
+    t >= 0, coupling rows met, so min sum t is the optimal value p*_LP;
+    each end is one HiGHS LP in t under sum t <= max(p_star, p*_LP) +
+    slack."""
     _, mu, report = solve(prog)
     report.require_optimal("face multiplier")
-    (m, n), d = prog.A.shape, prog.group
-    touches = (prog.A != 0).reshape(m, n // d, d).any(axis=2)
-    own = (prog.b == 0) & (touches.sum(axis=1) == 1)
-    v = (prog.A[~own].T @ mu[~own]).reshape(-1, d)
-    E = []
-    for g in range(n // d):
-        p, _ = cone_projection(prog.A[own & touches[:, g], g * d:(g + 1) * d],
-                               v[g])
-        gamma = float(np.linalg.norm(p))
-        if not (gamma <= 1.0 - np.sqrt(FACE_GAUGE_TOL)
-                or abs(gamma - 1.0) <= FACE_GAUGE_TOL):
-            raise DegenerateError(f"group {g} gauge {gamma!r} is neither "
-                                  f"active nor inactive")
-        if gamma >= 1.0 - FACE_GAUGE_TOL:
-            E.append(np.zeros(n))
-            E[-1][g * d:(g + 1) * d] = p / gamma
-    if not E:
+    split = couple, _ = _split(prog)
+    P, _ = _price(prog, split, mu[couple])
+    gamma = np.linalg.norm(P, axis=1)
+    neither = np.flatnonzero((gamma > 1.0 - np.sqrt(FACE_GAUGE_TOL))
+                             & (np.abs(gamma - 1.0) > FACE_GAUGE_TOL))
+    if len(neither):
+        g = neither[0]
+        raise DegenerateError(f"group {g} gauge {float(gamma[g])!r} is "
+                              f"neither active nor inactive")
+    active = gamma >= 1.0 - FACE_GAUGE_TOL
+    if not active.any():
         raise DegenerateError("no norm group is active on the optimal face")
     # LPs in t: the coupling rows -A_c E t <= b_c, then sum t <= budget
-    E = np.array(E).T
-    A_ub = np.vstack((-prog.A[~own] @ E, np.ones(E.shape[1])))
+    E = _directions(P, active)
+    _, p_lp = _face_lp(prog, couple, E)
+    A_ub = np.vstack((-prog.A[couple] @ E, np.ones(E.shape[1])))
+    b_ub = np.append(prog.b[couple], max(p_star, p_lp) + slack)
     lower = np.zeros(E.shape[1])
-    _, p_lp = _highs("face", A_ub[-1], A_ub[:-1], prog.b[~own], lower)
-    b_ub = np.append(prog.b[~own], max(p_star, p_lp) + slack)
     functional = np.asarray(functional, dtype=float)
     bounds = []
     for row in np.atleast_2d(functional):

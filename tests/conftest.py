@@ -69,3 +69,21 @@ def random_orthogonal_separable(rng: np.random.Generator, n_pos: int,
     same = y[:, None] == y[None, :]
     assert np.all(G[same] > 0) and np.all(G[~same] <= 0)
     return X, y.astype(float)
+
+
+def generic_gaussian_draws() -> list[tuple[np.ndarray, np.ndarray]]:
+    """Ten small generic datasets from one default_rng(5): per draw
+    N = integers(3, 7), d = integers(2, 4), X standard normal and y the
+    signs of N more normals, y[0] negated when all labels agree.  Draws 2,
+    4 and 5 (5x2, 3x3, 5x2) have optimal directions inside faces of
+    dimension >= 2 of their cones."""
+    rng = np.random.default_rng(5)
+    draws = []
+    for _ in range(10):
+        N, d = rng.integers(3, 7), rng.integers(2, 4)
+        X = rng.normal(size=(N, d))
+        y = np.where(rng.normal(size=N) > 0, 1.0, -1.0)
+        if np.all(y == y[0]):
+            y[0] = -y[0]
+        draws.append((X, y))
+    return draws

@@ -14,6 +14,7 @@ import relu_lab.solver
 from relu_lab.cli import main
 from relu_lab.datasets import builtin_dataset
 
+from conftest import generic_gaussian_draws
 from oracles import sweep_masks
 
 
@@ -134,7 +135,7 @@ class TestSolveCommand:
         code, out, _ = run_cli(capsys, "solve", "--dataset", "notebook",
                                "--which", "both", "--json")
         assert code == 0
-        assert "primal objective 2.000000" in out
+        assert re.search(r"primal objective 2\.000000 \(\d+ rounds\)", out)
         assert "dual objective 2.000000" in out
         payload = json.loads(out.strip().splitlines()[-1])
         assert payload["primal"]["objective"] == pytest.approx(2.0, abs=1e-3)
@@ -153,6 +154,17 @@ class TestSolveCommand:
         assert manifest["dataset_name"] == "appendix-ortho"
         assert "solution.json" in manifest["outputs"]
 
+
+    @pytest.mark.parametrize("draw", [2, 4, 5])
+    def test_generic_draw_solves(self, capsys, tmp_path, draw):
+        X, y = generic_gaussian_draws()[draw]
+        path = tmp_path / "draw.json"
+        path.write_text(json.dumps({"X": X.tolist(),
+                                    "y": y.astype(int).tolist()}))
+        code, out, err = run_cli(capsys, "solve", "--dataset", str(path),
+                                 "--which", "both")
+        assert code == 0, err
+        assert "primal objective" in out and "dual objective" in out
 
     @pytest.mark.parametrize("which", ["primal", "dual", "both"])
     def test_one_cone_solve(self, capsys, monkeypatch, which):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import relu_lab.convex
 from relu_lab.arrangements import ActivationMask, enumerate_masks
 from relu_lab.certify import dual_feasible
 from relu_lab.convex import (build_primal, convex_from_network,
@@ -8,7 +9,9 @@ from relu_lab.convex import (build_primal, convex_from_network,
                              solve_dual, solve_primal)
 from relu_lab.datasets import builtin_dataset
 from relu_lab.geometry import polar_gauge
-from relu_lab.solver import solve
+from relu_lab.solver import DEFAULT_TOL, solve
+
+from conftest import generic_gaussian_draws
 
 
 def brute_force_single_mask_dual(X, y):
@@ -141,16 +144,26 @@ class TestCertifiedDual:
             # weak duality against the exact p* = 2
             assert 2.0 - 1e-6 <= dobj <= 2.0
 
-    def test_scaled_by_the_exact_gauge(self, notebook_solved):
-        # the notebook's raw multipliers have gauge 1 + 1e-9 > 1: lam is
-        # divided by it
+    def test_scaled_by_the_exact_gauge(self, notebook_solved, monkeypatch):
+        # the solve's multipliers are dual feasible (gauge <= 1), so lam is
+        # y mu undivided; a stand-in solve that doubles them makes the gauge
+        # 2, and the division by max(1, gauge) halves them back
         problem, _, lam, _ = notebook_solved
-        _, mu, _ = solve(problem.prog)
-        mu, N = np.maximum(mu, 0.0), problem.N
+        x, mu, report = solve(problem.prog)
+        N = problem.N
         gauge = polar_gauge(problem.X, problem.masks,
                             problem.y * mu[:N]).gauge
-        assert gauge > 1.0
-        np.testing.assert_array_equal(lam, problem.y * (mu[:N] / gauge))
+        assert gauge <= 1.0
+        np.testing.assert_array_equal(lam, problem.y * mu[:N])
+        doubled = polar_gauge(problem.X, problem.masks,
+                              problem.y * 2.0 * mu[:N]).gauge
+        assert doubled == pytest.approx(2.0 * gauge, rel=1e-15)
+        monkeypatch.setattr(relu_lab.convex, "solve",
+                            lambda prog, tol: (x, 2.0 * mu, report))
+        _, halved, _ = solve_primal(problem)
+        np.testing.assert_array_equal(halved,
+                                      problem.y * (2.0 * mu[:N] / doubled))
+        np.testing.assert_allclose(halved, lam, rtol=1e-15, atol=0.0)
 
 
 class TestDualBruteForce:
@@ -197,6 +210,70 @@ class TestAppendixOptima:
             _, _, rp = solve_primal(build_primal(ds.X, ds.y, masks))
             _, dobj, rd = solve_dual(ds.X, ds.y, masks)
             assert dobj == pytest.approx(rp.objective, abs=1e-4)
+
+
+#: exact optimal values of the built-in datasets
+EXACT_P_STAR = {"notebook": 2.0, "appendix-ortho": 1.2824322246768,
+                "appendix-nonspikefree": 0.7335818971258}
+
+CERTIFIED_SETS = list(EXACT_P_STAR) + [f"draw{i}" for i in range(10)]
+
+
+def certified_set(name):
+    """(X, y) of a built-in dataset or a generic Gaussian draw."""
+    if name.startswith("draw"):
+        return generic_gaussian_draws()[int(name[4:])]
+    ds = builtin_dataset(name)
+    return ds.X, ds.y
+
+
+def solved(X, y):
+    masks = enumerate_masks(X)
+    sol, lam, report = solve_primal(build_primal(X, y, masks))
+    assert report.status == "optimal"
+    return masks, sol, lam, report
+
+
+class TestCertifiedPair:
+    """solve_primal's point and lam certify each other: both feasible, the
+    objective above y^T lam by at most the certified gap."""
+
+    @pytest.mark.parametrize("name", CERTIFIED_SETS)
+    def test_objective_is_an_upper_bound(self, name):
+        X, y = certified_set(name)
+        _, sol, lam, report = solved(X, y)
+        dual = float(y @ lam)
+        assert sol.objective == report.objective
+        assert dual <= report.objective
+        assert report.objective <= dual + DEFAULT_TOL * (1.0 + report.objective)
+
+    @pytest.mark.parametrize("draw", range(10))
+    def test_generic_draws_certify_themselves(self, draw):
+        X, y = generic_gaussian_draws()[draw]
+        masks, sol, lam, report = solved(X, y)
+        assert sol.margin_slack >= 0.0          # every margin >= 1
+        assert sol.cone_slack >= -1e-12
+        assert polar_gauge(X, masks, lam).gauge <= 1.0
+        assert np.all(y * lam >= 0.0)
+        assert abs(report.objective - float(y @ lam)) <= 1e-9 * (
+            1.0 + report.objective)
+
+    @pytest.mark.parametrize("name", list(EXACT_P_STAR))
+    def test_exact_optimal_value(self, name):
+        X, y = certified_set(name)
+        _, _, lam, report = solved(X, y)
+        assert abs(report.objective - EXACT_P_STAR[name]) <= 1e-12
+        assert abs(float(y @ lam) - EXACT_P_STAR[name]) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6])
+    def test_scaled_row(self, notebook_ds, scale):
+        # the optimal network's output weight on x_0 grows by 1 / scale
+        X = notebook_ds.X.copy()
+        X[0] *= scale
+        _, _, lam, report = solved(X, notebook_ds.y)
+        assert report.objective == pytest.approx(1.0 + 1.0 / scale, rel=1e-9)
+        assert float(notebook_ds.y @ lam) == pytest.approx(
+            1.0 + 1.0 / scale, rel=1e-9)
 
 
 class TestNetworkConversions:
