@@ -22,7 +22,7 @@ from .arrangements import (ActivationMask, RANK_RTOL,
                            enumerate_sign_patterns)
 from .convex import (ACTIVE_RTOL, ConvexProblem, ConvexSolution,
                      completion_choices)
-from .geometry import GAUGE_SOLVE_TOL, cone_rows, polar_gauge
+from .geometry import GAUGE_SOLVE_TOL, polar_gauge
 from .solver import cone_projection
 
 BOUNDARY_ENUM_LIMIT = 12
@@ -245,7 +245,7 @@ def convex_kkt_residuals(problem: ConvexProblem, sol: ConvexSolution,
     stationarity = {"neg": 0.0, "pos": 0.0}
     comp_slack = {"neg": 0.0, "pos": 0.0}
     for j, mask in enumerate(problem.masks):
-        M = cone_rows(X, mask)
+        M = problem.prog.cones[2 * j]
         g = X.T @ (mask.diag_vector() * lam)
         for side, v, vec in (("neg", -g, sol.u[j]), ("pos", g, sol.u_prime[j])):
             proj, z = cone_projection(M, v)

@@ -139,13 +139,19 @@ def cmd_arrangements(args) -> int:
     return EXIT_OK
 
 
-def _solution_json(sol, masks, lam) -> dict:
-    groups = []
-    for j, side, vec in sol.active_groups():
-        groups.append({"mask": masks[j].as_string(), "sign": side,
-                       "u": [float(v) for v in vec]})
-    return {"objective": float(sol.objective), "groups": groups,
-            "lambda": [float(v) for v in lam]}
+def _solve(args, ds: Dataset, masks):
+    """Build and solve the primal at --tol and require it optimal; returns
+    (problem, lam, report, primal), primal the solution's JSON: objective,
+    active groups and lambda."""
+    problem = build_primal(ds.X, ds.y, masks)
+    sol, lam, report = solve_primal(problem, tol=args.tol)
+    report.require_optimal("primal")
+    groups = [{"mask": masks[j].as_string(), "sign": side,
+               "u": [float(v) for v in vec]}
+              for j, side, vec in sol.active_groups()]
+    primal = {"objective": float(sol.objective), "groups": groups,
+              "lambda": [float(v) for v in lam]}
+    return problem, lam, report, primal
 
 
 def cmd_solve(args) -> int:
@@ -156,13 +162,11 @@ def cmd_solve(args) -> int:
                          "encode multiclass data per class")
     masks = enumerate_masks(ds.X)
     payload: dict = {}
-    sol, lam, report = solve_primal(build_primal(ds.X, ds.y, masks),
-                                    tol=args.tol)
-    report.require_optimal("primal")
+    _, lam, report, primal = _solve(args, ds, masks)
     if args.which in ("primal", "both"):
         print(f"primal objective {report.objective:.6f} "
               f"({report.iterations} rounds)")
-        payload["primal"] = _solution_json(sol, masks, lam)
+        payload["primal"] = primal
     if args.which in ("dual", "both"):
         dobj = float(ds.y @ lam)
         print(f"dual objective {dobj:.6f} (same solve, certified)")
@@ -295,14 +299,13 @@ def cmd_certify(args) -> int:
         sf = spike_free(ds.X)
         print(f"spike-free: {str(sf.verdict).lower()} ({sf.detail})")
         certificates.append((None, sf))
+    records = [{"iteration": it, **c.to_json()} for it, c in certificates]
     if args.json:
-        print(json.dumps([{"iteration": it, **c.to_json()}
-                          for it, c in certificates]))
+        print(json.dumps(records))
     if args.out_dir:
         out = _out_dir(args)
-        (out / "certificates.json").write_text(json.dumps(
-            [{"iteration": it, **c.to_json()} for it, c in certificates],
-            indent=2) + "\n")
+        (out / "certificates.json").write_text(
+            json.dumps(records, indent=2) + "\n")
         _manifest(args, ds, ["certificates.json"], t0).write(out)
     return EXIT_OK
 
@@ -377,17 +380,6 @@ def notebook_face_functionals(problem):
                            functional([j], side, coord))
 
 
-def _write_primal(args, ds: Dataset, masks, out: Path):
-    """Solve the primal, require it optimal and write primal.json; returns
-    (problem, lam, report)."""
-    problem = build_primal(ds.X, ds.y, masks)
-    sol, lam, report = solve_primal(problem, tol=args.tol)
-    report.require_optimal("primal")
-    (out / "primal.json").write_text(
-        json.dumps(_solution_json(sol, masks, lam), indent=2) + "\n")
-    return problem, lam, report
-
-
 def _reproduce_notebook(args, ds: Dataset, out: Path,
                         cfg: FlowConfig) -> list[str]:
     masks = enumerate_masks(ds.X)
@@ -395,7 +387,8 @@ def _reproduce_notebook(args, ds: Dataset, out: Path,
     table = np.array([m.bits for m in masks]).T
     (out / "masks.txt").write_text(f"{table}\n")
     outputs.append("masks.txt")
-    problem, _, report = _write_primal(args, ds, masks, out)
+    problem, _, report, primal = _solve(args, ds, masks)
+    (out / "primal.json").write_text(json.dumps(primal, indent=2) + "\n")
     outputs.append("primal.json")
 
     labels, functionals = zip(*notebook_face_functionals(problem))
@@ -438,7 +431,8 @@ def _reproduce_appendix(args, ds: Dataset, out: Path,
                         cfg: FlowConfig) -> list[str]:
     outputs = [_write_ellipsoid(out, ds.X, 1024, args)]
     masks = enumerate_masks(ds.X)
-    _, lam, report = _write_primal(args, ds, masks, out)
+    _, lam, report, primal = _solve(args, ds, masks)
+    (out / "primal.json").write_text(json.dumps(primal, indent=2) + "\n")
     outputs.append("primal.json")
     outputs.append(_write_extreme_points(out, ds.X, masks, lam, args))
 

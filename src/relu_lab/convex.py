@@ -76,8 +76,8 @@ class ConvexProblem:
                  objective: float) -> ConvexSolution:
         """The primal point with its least margin minus 1 and its least
         cone row."""
-        cone = [cone_rows(self.X, mask) @ w
-                for mask, neg, pos in zip(self.masks, u, u_prime)
+        cone = [self.prog.cones[2 * j] @ w
+                for j, (neg, pos) in enumerate(zip(u, u_prime))
                 for w in (neg, pos)]
         return ConvexSolution(
             u=u, u_prime=u_prime, objective=float(objective),
@@ -136,8 +136,9 @@ class NetworkParams:
 
 def build_primal(X: np.ndarray, y: np.ndarray,
                  masks: list[ActivationMask]) -> ConvexProblem:
-    """Assemble the group-norm cone program: N margin rows, then N cone rows
-    per group, all in the orthant; one norm group of d entries per u_j, u'_j."""
+    """Assemble the group-norm cone program: N margin rows coupling the
+    groups, one norm group of d entries per u_j, u'_j, and one cone matrix
+    (2 D_j - I) X per mask, shared by its two groups."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if not masks:
@@ -146,16 +147,15 @@ def build_primal(X: np.ndarray, y: np.ndarray,
     p = len(masks)
     n = 2 * p * d
     YX = np.diag(y) @ X
-    A = np.zeros((N * (1 + 2 * p), n))
+    A = np.zeros((N, n))
+    cones = []
     for j, mask in enumerate(masks):
         dm = mask.diag_vector()
-        A[:N, (2 * j) * d:(2 * j + 1) * d] = -dm[:, None] * YX
-        A[:N, (2 * j + 1) * d:(2 * j + 2) * d] = dm[:, None] * YX
+        A[:, (2 * j) * d:(2 * j + 1) * d] = -dm[:, None] * YX
+        A[:, (2 * j + 1) * d:(2 * j + 2) * d] = dm[:, None] * YX
         M = cone_rows(X, mask)
-        for k in (2 * j, 2 * j + 1):
-            A[N * (1 + k):N * (2 + k), k * d:(k + 1) * d] = M
-    b = np.concatenate((-np.ones(N), np.zeros(2 * p * N)))
-    prog = ConeProgram(A=A, b=b, group=d)
+        cones += [M, M]
+    prog = ConeProgram(A=A, b=-np.ones(N), group=d, cones=cones)
     return ConvexProblem(X=X, y=y, masks=tuple(masks), prog=prog)
 
 
@@ -170,7 +170,6 @@ def solve_primal(problem: ConvexProblem, tol: float = DEFAULT_TOL
     full arrangement set, y^T lam <= p*."""
     x, mu, report = solve(problem.prog, tol=tol)
     sol = problem.solution(*problem.split(x), report.objective)
-    mu = mu[:problem.N]
     if report.status == "optimal":
         if sol.margin_slack < 0.0:
             x = x / (1.0 + sol.margin_slack)

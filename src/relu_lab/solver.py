@@ -2,9 +2,11 @@
 projections and the exact optimal face.
 
 :func:`solve` handles the one program of the paper,
-min sum_g ||x_g||_2  s.t.  A x + b >= 0, where the x_g are contiguous norm
-groups of `group` entries: cutting planes over the extreme directions of
-the groups' cones, each answer a primal-dual pair with a certified gap.
+min sum_g ||x_g||_2  s.t.  A x + b >= 0 and x_g in C_g, where the x_g are
+contiguous norm groups of `group` entries, A, b the rows that couple them
+and C_g = {x_g : M_g x_g >= 0} each group's own cone (:class:`ConeProgram`
+carries the M_g): cutting planes over the extreme directions of the cones,
+each answer a primal-dual pair with a certified gap.
 Every LP goes through :func:`_highs`, which runs it on one module-level
 instance of scipy's bundled HiGHS core, given the options
 ``linprog(method="highs")`` sends once and cleared of the last model before
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import nnls
 from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus,
                                            HighsOptions, MatrixFormat, _Highs,
@@ -76,22 +79,32 @@ class InconclusiveError(SolverError):
 
 @dataclass(frozen=True)
 class ConeProgram:
-    """min sum of group norms  s.t.  A x + b >= 0, over contiguous norm
-    groups of `group` >= 1 variables."""
+    """min sum_g ||x_g||  s.t.  A x + b >= 0 and cones[g] x_g >= 0, over
+    contiguous norm groups x_g of `group` >= 1 variables: A, b are the rows
+    that couple the groups, cones[g] the (k_g, group) rows of group g's own
+    cone C_g, one matrix per group (k_g = 0 leaves x_g free)."""
 
     A: np.ndarray
     b: np.ndarray
     group: int
+    cones: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+        object.__setattr__(self, "cones", tuple(
+            np.asarray(M, dtype=float) for M in self.cones))
         m, n = self.A.shape
         if self.b.shape != (m,):
             raise ValueError("inconsistent dimensions")
-        if self.group < 1 or n % self.group:
+        if self.group < 1 or n == 0 or n % self.group:
             raise ValueError("norm groups do not tile the variables")
-        if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()):
+        if (len(self.cones) != n // self.group
+                or any(M.ndim != 2 or M.shape[1] != self.group
+                       for M in self.cones)):
+            raise ValueError("need one (k, group) cone matrix per norm group")
+        if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()
+                and all(np.isfinite(M).all() for M in self.cones)):
             raise ValueError("non-finite program data")
 
     @property
@@ -126,27 +139,15 @@ def _group_norms(x: np.ndarray, group: int) -> np.ndarray:
     return np.linalg.norm(x.reshape(-1, group), axis=1)
 
 
-def _split(prog: ConeProgram) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(couple, cones): cones[g] indexes group g's own rows (b = 0, support
-    in g alone), which make its cone C_g = {x_g : A[cones[g], g] x_g >= 0};
-    couple marks the other rows, which couple the groups."""
-    (m, n), d = prog.A.shape, prog.group
-    touches = (prog.A != 0).reshape(m, n // d, d).any(axis=2)
-    own = (prog.b == 0) & (touches.sum(axis=1) == 1)
-    return ~own, [np.flatnonzero(own & touches[:, g]) for g in range(n // d)]
-
-
-def _price(prog: ConeProgram, split, mu_c: np.ndarray
+def _price(prog: ConeProgram, mu: np.ndarray
            ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(P, Z): with v = A_c^T mu_c cut into groups, P[g] = P_{C_g}(v_g) and
-    Z[g] its multipliers on g's own rows, one cone projection per group;
-    ||P[g]|| is the gauge gamma_g of mu_c on group g."""
-    couple, cones = split
-    d = prog.group
-    v = (prog.A[couple].T @ mu_c).reshape(-1, d)
+    """(P, Z): with v = A^T mu cut into groups, P[g] = P_{C_g}(v_g) and Z[g]
+    its multipliers on the rows of cones[g], one cone projection per group;
+    ||P[g]|| is the gauge gamma_g of mu on group g."""
+    v = (prog.A.T @ mu).reshape(-1, prog.group)
     P, Z = np.empty_like(v), []
-    for g, rows in enumerate(cones):
-        P[g], z = cone_projection(prog.A[rows, g * d:(g + 1) * d], v[g])
+    for g, M in enumerate(prog.cones):
+        P[g], z = cone_projection(M, v[g])
         Z.append(z)
     return P, Z
 
@@ -162,57 +163,47 @@ def _directions(P: np.ndarray, active: np.ndarray) -> np.ndarray:
     return E.reshape(G * d, -1)
 
 
-def _face_lp(prog: ConeProgram, couple: np.ndarray, E: np.ndarray
-             ) -> tuple[np.ndarray, float]:
-    """(t, min sum t) s.t. A_c E t + b_c >= 0, t >= 0: the least objective
-    of a point E t on the directions E; SolverError when none is feasible."""
+def _face_lp(prog: ConeProgram, E: np.ndarray) -> tuple[np.ndarray, float]:
+    """(t, min sum t) s.t. A E t + b >= 0, t >= 0: the least objective of a
+    point E t on the directions E (each in its group's cone); SolverError
+    when none is feasible."""
     k = E.shape[1]
-    return _highs("face", np.ones(k), -prog.A[couple] @ E, prog.b[couple],
-                  np.zeros(k))
+    return _highs("face", np.ones(k), -prog.A @ E, prog.b, np.zeros(k))
 
 
-def _pair(prog: ConeProgram, split, cuts: np.ndarray, mu_c: np.ndarray,
-          P: np.ndarray, Z: list[np.ndarray]):
-    """(x, mu, objective, dual) from coupling multipliers mu_c >= 0 priced
-    as (P, Z), or None when the face LP is infeasible.  Dividing by scale =
-    max(1, max gamma) makes mu dual feasible; on each group's own rows it
-    carries Z, so A^T mu is the projection P / scale.  x = E t solves the
-    face LP over the cut directions and those of the groups with gamma_g >=
-    (1 - FACE_GAUGE_TOL) scale, so it is primal feasible; over the cuts
-    alone that LP is the master's dual, which certifies a master mu_c once
-    max gamma <= 1 + tol."""
-    couple, cones = split
+def _pair(prog: ConeProgram, cuts: np.ndarray, mu: np.ndarray,
+          P: np.ndarray):
+    """(x, mu, objective, dual) from multipliers mu >= 0 priced to P, or
+    None when the face LP is infeasible.  Dividing by scale = max(1, max
+    gamma) makes mu dual feasible.  x = E t solves the face LP over the cut
+    directions and those of the groups with gamma_g >= (1 - FACE_GAUGE_TOL)
+    scale, so it is primal feasible; over the cuts alone that LP is the
+    master's dual, which certifies a master mu once max gamma <= 1 + tol."""
     gamma = np.linalg.norm(P, axis=1)
     scale = max(1.0, gamma.max(initial=0.0))
     E = np.hstack((cuts, _directions(P, gamma >= (1.0 - FACE_GAUGE_TOL)
                                      * scale)))
     try:
-        x = E @ _face_lp(prog, couple, E)[0]
+        x = E @ _face_lp(prog, E)[0]
     except SolverError:
         return None
-    mu = np.zeros(len(prog.b))
-    mu[couple] = mu_c / scale
-    for rows, z in zip(cones, Z):
-        mu[rows] = z / scale
-    return x, mu, prog.objective(x), -float(prog.b[couple] @ mu_c) / scale
+    return x, mu / scale, prog.objective(x), -float(prog.b @ mu) / scale
 
 
-def _newton(prog: ConeProgram, split, active: np.ndarray, mu_c: np.ndarray,
+def _newton(prog: ConeProgram, active: np.ndarray, mu0: np.ndarray,
             Z: list[np.ndarray]) -> np.ndarray:
-    """Newton point from mu_c, on the support S of mu_c and the active
+    """Newton point from mu0, on the support S of mu0 and the active
     groups: NEWTON_STEPS least-squares Newton steps on sum_g t_g K_g mu =
     -b_S (the rows S met with equality) and mu^T K_g mu = 1 (a unit gauge
-    on each active group), with K_g = B_g Pi_g B_g^T, B_g the rows S of A_c
+    on each active group), with K_g = B_g Pi_g B_g^T, B_g the rows S of A
     on g's variables and Pi_g the projector onto the null space of g's face
-    rows (own rows with z > 0 in Z).  Returns the coupling multipliers."""
-    couple, cones = split
-    d, S = prog.group, np.flatnonzero(mu_c > 0.0)
-    A_S, b_S = prog.A[couple][S], prog.b[couple][S]
-    Q = [A_S[:, g * d:(g + 1) * d]
-         @ _null_space(prog.A[cones[g][Z[g] > 0], g * d:(g + 1) * d]).T
+    rows (the rows of cones[g] with z > 0 in Z)."""
+    d, S = prog.group, np.flatnonzero(mu0 > 0.0)
+    A_S, b_S = prog.A[S], prog.b[S]
+    Q = [A_S[:, g * d:(g + 1) * d] @ _null_space(prog.cones[g][Z[g] > 0]).T
          for g in np.flatnonzero(active)]
     K = np.array([q @ q.T for q in Q]).reshape(-1, len(S), len(S))
-    mu = mu_c[S]
+    mu = mu0[S]
     t = np.linalg.lstsq((K @ mu).T, -b_S, rcond=None)[0]
     for _ in range(NEWTON_STEPS):
         KM = (K @ mu).T                     # column g is K_g mu
@@ -221,7 +212,7 @@ def _newton(prog: ConeProgram, split, active: np.ndarray, mu_c: np.ndarray,
         F = np.concatenate((KM @ t + b_S, mu @ KM - 1.0))
         step = np.linalg.lstsq(J, -F, rcond=None)[0]
         mu, t = mu + step[:len(S)], t + step[len(S):]
-    out = np.zeros(len(mu_c))
+    out = np.zeros(len(mu0))
     out[S] = mu
     return out
 
@@ -230,47 +221,54 @@ def solve(prog: ConeProgram, tol: float = DEFAULT_TOL
           ) -> tuple[np.ndarray, np.ndarray, SolveReport]:
     """Column generation over the extreme directions of the group cones:
     (x, mu, report) with a certified gap, objective(x) - dual <= tol (1 +
-    objective), mu >= 0 and A^T mu in the sub-differential at x.
+    objective), and mu >= 0 on the coupling rows alone: the cone rows'
+    multipliers are those of the projections P_{C_g}((A^T mu)_g), which
+    make up a sub-gradient of sum_g ||x_g|| at x.
 
-    The dual, max -b_c^T mu over mu >= 0 with gauge ||P_{C_g}((A_c^T
-    mu)_g)|| <= 1 on every group, is a semi-infinite LP (Kelley's cutting
-    planes).  Each round the master LP maximizes -b_c^T mu subject to 0 <=
-    mu <= MASTER_BOX and one cut (A_c e)^T mu <= 1 per generated unit
-    direction e; pricing adds e = P_g / gamma_g for each gamma_g > 1 + tol.
-    The master's mu is tried (:func:`_pair`), then Newton points from it
+    The dual, max -b^T mu over mu >= 0 with gauge ||P_{C_g}((A^T mu)_g)||
+    <= 1 on every group, is a semi-infinite LP (Kelley's cutting planes).
+    Each round the master LP maximizes -b^T mu subject to 0 <= mu <=
+    MASTER_BOX and one cut (A e)^T mu <= 1 per generated unit direction e;
+    pricing adds e = P_g / gamma_g for each gamma_g > 1 + tol.  The
+    master's mu is tried (:func:`_pair`), then Newton points from it
     (:func:`_newton`) on the groups where its x is nonzero and on each
     group a Newton point's gauge exceeds 1.  A master mu that binds the box
-    runs a phase-1 LP (once), and an infeasible program ends `infeasible`;
-    MAX_ROUNDS rounds, or a master that repeats its mu, end `max_iters`.
-    Neither returns a solution: x and mu are zero and the values nan."""
+    after the first round (whose master has no cuts), and whose face LP
+    finds no feasible x (which would prove the program feasible), runs a
+    phase-1 LP on the coupling and cone rows (once).  An infeasible
+    program has a Farkas ray that meets every cut, so its master binds the
+    box in every round and it ends `infeasible` in round 2.  MAX_ROUNDS
+    rounds, or a master that repeats its mu, end `max_iters`.  Neither
+    returns a solution: x and mu are zero and the values nan."""
     def certified(pair) -> bool:
         return pair is not None and pair[2] - pair[3] <= tol * (1.0 + pair[2])
 
     m, n = prog.A.shape
-    split = couple, _ = _split(prog)
-    A_c, b_c = prog.A[couple], prog.b[couple]
     cuts, last, checked = np.zeros((n, 0)), None, False
     for rounds in range(1, MAX_ROUNDS + 1):
-        mu_c = np.maximum(_highs("master", b_c, (A_c @ cuts).T,
-                                 np.ones(cuts.shape[1]), np.zeros(len(b_c)),
-                                 upper=MASTER_BOX)[0], 0.0)
-        if np.array_equal(mu_c, last):
-            break           # the master cannot separate what pricing finds
-        last = mu_c
-        if not checked and mu_c.max(initial=0.0) >= MASTER_BOX:
-            if lp_feasible(-prog.A, prog.b) is None:
+        mu = np.maximum(_highs("master", prog.b, (prog.A @ cuts).T,
+                               np.ones(cuts.shape[1]), np.zeros(m),
+                               upper=MASTER_BOX)[0], 0.0)
+        P, Z = _price(prog, mu)
+        pair = _pair(prog, cuts, mu, P)
+        if (pair is None and rounds > 1 and not checked
+                and mu.max(initial=0.0) >= MASTER_BOX):
+            rows = np.vstack((prog.A, block_diag(*prog.cones)))
+            if lp_feasible(-rows, np.append(prog.b, np.zeros(len(rows) - m))
+                           ) is None:
                 return (np.zeros(n), np.zeros(m),
                         SolveReport("infeasible", np.nan, np.nan, rounds))
             checked = True
-        P, Z = _price(prog, split, mu_c)
-        pair = _pair(prog, split, cuts, mu_c, P, Z)
+        if np.array_equal(mu, last):
+            break           # the master cannot separate what pricing finds
+        last = mu
         active = pair is not None and _group_norms(pair[0], prog.group) > 0.0
         while pair is not None and not certified(pair):
-            mu_n = _newton(prog, split, active, mu_c, Z)
+            mu_n = _newton(prog, active, mu, Z)
             if not np.all(mu_n >= 0.0):
                 break
-            P_n, Z_n = _price(prog, split, mu_n)
-            pair = _pair(prog, split, cuts, mu_n, P_n, Z_n)
+            P_n, Z_n = _price(prog, mu_n)
+            pair = _pair(prog, cuts, mu_n, P_n)
             grown = active | (np.linalg.norm(P_n, axis=1) > 1.0)
             if np.array_equal(grown, active):
                 break
@@ -404,8 +402,7 @@ def optimal_face_bounds(prog: ConeProgram, p_star: float,
     slack."""
     _, mu, report = solve(prog)
     report.require_optimal("face multiplier")
-    split = couple, _ = _split(prog)
-    P, _ = _price(prog, split, mu[couple])
+    P, _ = _price(prog, mu)
     gamma = np.linalg.norm(P, axis=1)
     neither = np.flatnonzero((gamma > 1.0 - np.sqrt(FACE_GAUGE_TOL))
                              & (np.abs(gamma - 1.0) > FACE_GAUGE_TOL))
@@ -418,9 +415,9 @@ def optimal_face_bounds(prog: ConeProgram, p_star: float,
         raise DegenerateError("no norm group is active on the optimal face")
     # LPs in t: the coupling rows -A_c E t <= b_c, then sum t <= budget
     E = _directions(P, active)
-    _, p_lp = _face_lp(prog, couple, E)
-    A_ub = np.vstack((-prog.A[couple] @ E, np.ones(E.shape[1])))
-    b_ub = np.append(prog.b[couple], max(p_star, p_lp) + slack)
+    _, p_lp = _face_lp(prog, E)
+    A_ub = np.vstack((-prog.A @ E, np.ones(E.shape[1])))
+    b_ub = np.append(prog.b, max(p_star, p_lp) + slack)
     lower = np.zeros(E.shape[1])
     functional = np.asarray(functional, dtype=float)
     bounds = []

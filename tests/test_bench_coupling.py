@@ -3,14 +3,22 @@
 bench/spans.py lists them in TRACED, and its StatusWatch wraps
 relu_lab.solver.solve even in an untraced run.  These tests read that file
 as text (it is not imported or edited), so a refactor that drops or renames
-a traced function fails here rather than in a benchmark run.
+a traced function fails here rather than in a benchmark run.  The last test
+imports bench/workloads.py (without writing its bytecode) and runs its
+warm-up and its notebook face case, so a change to the program's layout
+that the benchmark's calls miss fails here too.
 """
 
 import ast
+import contextlib
 import importlib
+import importlib.util
+import io
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def traced_names() -> dict[str, tuple[str, ...]]:
@@ -37,3 +45,17 @@ def test_every_traced_name_resolves():
 def test_status_watch_target_exists():
     solver = importlib.import_module("relu_lab.solver")
     assert callable(getattr(solver, "solve", None))
+
+
+def test_workloads_warm_up_and_notebook_face_pass(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    with contextlib.redirect_stdout(io.StringIO()):
+        workloads.warm_up()
+    case, = [c for c in workloads.reproduce_cases(0, tmp_path)
+             if c.name == "notebook-face"]
+    assert case.gate(case.run()) == []

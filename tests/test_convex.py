@@ -39,19 +39,36 @@ class TestBuildPrimal:
     def test_notebook_shapes(self, notebook_solved):
         problem, _, _, _ = notebook_solved
         prog = problem.prog
-        # 12 norm groups of 2; every row is an inequality A x + b >= 0
+        # 12 norm groups of 2; A x + b >= 0 holds the 3 margin rows alone
         assert prog.group == 2
-        assert prog.A.shape == (3 + 36, 24)
-        # margin rows first
-        np.testing.assert_array_equal(prog.b, np.r_[-np.ones(3), np.zeros(36)])
+        assert prog.A.shape == (3, 24)
+        np.testing.assert_array_equal(prog.b, -np.ones(3))
+        # each group's own cone: the 3 rows (2 D_j - I) X of its mask
+        assert len(prog.cones) == 12
+        assert all(M.shape == (3, 2) for M in prog.cones)
 
     def test_counts_scale_with_masks(self, ortho_ds):
         masks = enumerate_masks(ortho_ds.X)
         prog = build_primal(ortho_ds.X, ortho_ds.y, masks).prog
         p, N, d = len(masks), ortho_ds.N, ortho_ds.d
-        assert prog.A.shape == (N + 2 * p * N, 2 * p * d)
+        assert prog.A.shape == (N, 2 * p * d)
         assert prog.group == d
-        assert prog.num_vars // prog.group == 2 * p
+        assert prog.num_vars // prog.group == 2 * p == len(prog.cones)
+
+    def test_one_cone_matrix_per_mask(self):
+        # a 10 x 4 Gaussian set: 261 masks, so 522 groups of 4 variables;
+        # A keeps its N rows and both groups of a mask share one matrix
+        X = np.random.default_rng([0, 247]).standard_normal((10, 4))
+        y = np.where(X[:, 0] > 0, 1.0, -1.0)
+        masks = enumerate_masks(X)
+        prog = build_primal(X, y, masks).prog
+        assert len(masks) == 261
+        assert prog.A.shape == (10, 2088)
+        for j, mask in enumerate(masks):
+            assert prog.cones[2 * j] is prog.cones[2 * j + 1]
+            sign = 2.0 * mask.diag_vector() - 1.0
+            np.testing.assert_array_equal(prog.cones[2 * j],
+                                          sign[:, None] * X)
 
     def test_single_all_ones_mask_identity_data(self):
         # reduces to min ||u'|| s.t. u' >= 1 componentwise
@@ -69,22 +86,23 @@ class TestBuildPrimal:
     @pytest.mark.parametrize("name", ["notebook", "appendix-ortho",
                                       "appendix-nonspikefree"])
     def test_solution_matches_program_rows(self, name):
-        # ConvexProblem.solution and outputs evaluate the margin and cone
-        # rows that A x + b holds, at the solved x
+        # ConvexProblem.solution and outputs evaluate the margin rows that
+        # A x + b holds and the cone rows cones[g] x_g, at the solved x
         ds = builtin_dataset(name)
         problem = build_primal(ds.X, ds.y, enumerate_masks(ds.X))
+        prog = problem.prog
         sol, _, _ = solve_primal(problem)
-        x = np.concatenate([g for pair in zip(sol.u, sol.u_prime)
-                            for g in pair])
-        slack = problem.prog.A @ x + problem.prog.b
-        scale = 1e-12 * (1.0 + np.abs(problem.prog.A).sum(axis=1).max()
+        groups = [g for pair in zip(sol.u, sol.u_prime) for g in pair]
+        x = np.concatenate(groups)
+        slack = prog.A @ x + prog.b
+        cone = np.concatenate([M @ g for M, g in zip(prog.cones, groups)])
+        scale = 1e-12 * (1.0 + np.abs(prog.A).sum(axis=1).max()
                          * np.abs(x).max())
-        N = problem.N
         np.testing.assert_allclose(
             problem.y * problem.outputs(sol.u, sol.u_prime) - 1.0,
-            slack[:N], rtol=0.0, atol=scale)
-        assert sol.margin_slack == pytest.approx(slack[:N].min(), abs=scale)
-        assert sol.cone_slack == pytest.approx(slack[N:].min(), abs=scale)
+            slack, rtol=0.0, atol=scale)
+        assert sol.margin_slack == pytest.approx(slack.min(), abs=scale)
+        assert sol.cone_slack == cone.min()
 
 
 class TestNotebookOptimum:
@@ -150,19 +168,17 @@ class TestCertifiedDual:
         # 2, and the division by max(1, gauge) halves them back
         problem, _, lam, _ = notebook_solved
         x, mu, report = solve(problem.prog)
-        N = problem.N
-        gauge = polar_gauge(problem.X, problem.masks,
-                            problem.y * mu[:N]).gauge
+        gauge = polar_gauge(problem.X, problem.masks, problem.y * mu).gauge
         assert gauge <= 1.0
-        np.testing.assert_array_equal(lam, problem.y * mu[:N])
+        np.testing.assert_array_equal(lam, problem.y * mu)
         doubled = polar_gauge(problem.X, problem.masks,
-                              problem.y * 2.0 * mu[:N]).gauge
+                              problem.y * 2.0 * mu).gauge
         assert doubled == pytest.approx(2.0 * gauge, rel=1e-15)
         monkeypatch.setattr(relu_lab.convex, "solve",
                             lambda prog, tol: (x, 2.0 * mu, report))
         _, halved, _ = solve_primal(problem)
         np.testing.assert_array_equal(halved,
-                                      problem.y * (2.0 * mu[:N] / doubled))
+                                      problem.y * (2.0 * mu / doubled))
         np.testing.assert_allclose(halved, lam, rtol=1e-15, atol=0.0)
 
 

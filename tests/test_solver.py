@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
-from conftest import random_orthogonal_separable
+import relu_lab.solver
+from conftest import generic_gaussian_draws, random_orthogonal_separable
 from relu_lab.arrangements import enumerate_masks
 from relu_lab.cli import notebook_face_functionals
 from relu_lab.convex import build_primal, solve_primal
@@ -13,10 +15,16 @@ from relu_lab.solver import (DEFAULT_TOL, ConeProgram, DegenerateError,
                              optimal_face_bounds, solve)
 
 
+def free_groups(n, group=1):
+    """The cones of n / group norm groups without cone rows."""
+    return [np.zeros((0, group))] * (n // group)
+
+
 def l1_program(A, b):
     """min ||x||_1  s.t.  A x + b >= 0: one norm group per variable."""
-    return ConeProgram(A=np.asarray(A, float), b=np.asarray(b, float),
-                       group=1)
+    A = np.asarray(A, float)
+    return ConeProgram(A=A, b=np.asarray(b, float), group=1,
+                       cones=free_groups(A.shape[1]))
 
 
 def highs_l1(A, b):
@@ -56,20 +64,21 @@ def random_l1(rng, m, n):
 
 
 def polygon_lp(prog, K, f=None, budget=np.inf):
-    """HiGHS on the relaxation of {A x + b >= 0, sum_g ||x_g|| <= budget}
-    (norm groups of 2 variables) that replaces each disc ||x_g|| <= t_g by
-    the circumscribed regular K-gon: min f^T x, or min sum_g t_g when f is
-    None.  Returns (value, x)."""
+    """HiGHS on the relaxation of {A x + b >= 0, cones[g] x_g >= 0,
+    sum_g ||x_g|| <= budget} (norm groups of 2 variables) that replaces each
+    disc ||x_g|| <= t_g by the circumscribed regular K-gon: min f^T x, or
+    min sum_g t_g when f is None.  Returns (value, x)."""
     assert prog.group == 2
-    (m, n), G = prog.A.shape, prog.num_vars // 2
+    rows = np.vstack((prog.A, block_diag(*prog.cones)))
+    (m, n), G = rows.shape, prog.num_vars // 2
     angles = 2.0 * np.pi * np.arange(K) / K
     dirs = np.column_stack((np.cos(angles), np.sin(angles)))
     polygon = np.zeros((K * G, n + G))          # dirs x_g - t_g <= 0
     for g in range(G):
         polygon[g * K:(g + 1) * K, 2 * g:2 * g + 2] = dirs
         polygon[g * K:(g + 1) * K, n + g] = -1.0
-    A_ub = np.vstack((np.hstack((-prog.A, np.zeros((m, G)))), polygon))
-    b_ub = np.concatenate((prog.b, np.zeros(K * G)))
+    A_ub = np.vstack((np.hstack((-rows, np.zeros((m, G)))), polygon))
+    b_ub = np.concatenate((prog.b, np.zeros(m - len(prog.b) + K * G)))
     if np.isfinite(budget):
         A_ub = np.vstack((A_ub, np.r_[np.zeros(n), np.ones(G)]))
         b_ub = np.append(b_ub, budget)
@@ -108,7 +117,8 @@ def unit_weight_program(a):
     """min sum |x_i|  s.t.  a^T x >= 1: one norm group per variable, no
     group rows; the optimal face puts all weight on the largest a_i."""
     a = np.asarray(a, dtype=float)
-    return ConeProgram(A=a[None, :], b=-np.ones(1), group=1)
+    return ConeProgram(A=a[None, :], b=-np.ones(1), group=1,
+                       cones=free_groups(len(a)))
 
 
 class TestSolveLP:
@@ -141,20 +151,41 @@ class TestSolveLP:
         assert -float(b @ mu) == pytest.approx(highs_l1(A, b), abs=1e-9)
 
     def test_min_norm_unconstrained_is_zero(self):
-        for A, b in ((np.zeros((1, 3)), np.zeros(1)),
-                     (np.zeros((2, 4)), np.zeros(2))):
-            x, mu, rep = solve(ConeProgram(A=A, b=b, group=A.shape[1] // 2
-                                           or 1))
+        for A, b, group in ((np.zeros((1, 3)), np.zeros(1), 1),
+                            (np.zeros((2, 4)), np.zeros(2), 2)):
+            x, mu, rep = solve(ConeProgram(
+                A=A, b=b, group=group, cones=free_groups(A.shape[1], group)))
             np.testing.assert_array_equal(x, 0.0)
             assert rep.status == "optimal"     # A = 0 and b >= 0
             assert rep.objective == 0.0 and rep.gap == 0.0
 
     def test_zero_matrix_unsolvable_is_not_optimal(self):
         # the row 0 x - 1 >= 0 holds for no x; the phase-1 LP proves it in
-        # the first round, where the master's multiplier binds its box
-        prog = ConeProgram(A=np.zeros((1, 2)), b=np.array([-1.0]), group=1)
+        # round 2, where the master binds its box again with no feasible
+        # face point (round 1's master, without cuts, binds it on every
+        # program)
+        prog = ConeProgram(A=np.zeros((1, 2)), b=np.array([-1.0]), group=1,
+                           cones=free_groups(2))
         _, _, rep = solve(prog)
-        assert rep.status == "infeasible" and rep.iterations == 1
+        assert rep.status == "infeasible" and rep.iterations == 2
+
+    def test_feasible_solves_run_no_phase1(self, notebook_ds, monkeypatch):
+        # phase-1 runs only for a master after round 1 that binds its box
+        # with no feasible face point; draws 1 and 2 bind the box in round
+        # 2, but their face LPs find a point, which proves feasibility
+        calls = []
+
+        def counted(A, b):
+            calls.append(len(b))
+            return lp_feasible(A, b)
+
+        monkeypatch.setattr(relu_lab.solver, "lp_feasible", counted)
+        for X, y in [(notebook_ds.X, notebook_ds.y),
+                     *generic_gaussian_draws()]:
+            masks = enumerate_masks(X)
+            _, _, rep = solve_primal(build_primal(X, y, masks))
+            assert rep.status == "optimal"
+        assert calls == []
 
     def test_determinism(self):
         rng = np.random.default_rng(2)
@@ -327,11 +358,10 @@ class TestFaceBounds:
                                 np.array([1.0, 0.0]))
 
     def test_infeasible_program_raises(self):
-        # x_1 + x_2 >= 1 and -(x_1 + x_2) >= 0: infeasible in one round
-        prog = ConeProgram(A=np.array([[1.0, 1.0], [-1.0, -1.0]]),
-                           b=np.array([-1.0, 0.0]), group=1)
+        # x_1 + x_2 >= 1 and -(x_1 + x_2) >= 0: infeasible in two rounds
+        prog = l1_program([[1.0, 1.0], [-1.0, -1.0]], [-1.0, 0.0])
         _, _, rep = solve(prog)
-        assert rep.status == "infeasible" and rep.iterations == 1
+        assert rep.status == "infeasible" and rep.iterations == 2
         with pytest.raises(SolverError, match="infeasible"):
             optimal_face_bounds(prog, 1.0, np.array([1.0, 0.0]))
 
@@ -381,11 +411,26 @@ class TestFaceBounds:
 class TestValidation:
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
-            ConeProgram(A=np.zeros((2, 2)), b=np.zeros(3), group=1)
+            ConeProgram(A=np.zeros((2, 2)), b=np.zeros(3), group=1,
+                        cones=free_groups(2))
         with pytest.raises(ValueError):
-            ConeProgram(A=np.zeros((2, 2)), b=np.full(2, np.nan), group=1)
+            ConeProgram(A=np.zeros((2, 2)), b=np.full(2, np.nan), group=1,
+                        cones=free_groups(2))
 
     def test_groups_not_tiling_variables(self):
-        for group in (2, 0, -1):
-            with pytest.raises(ValueError):
-                ConeProgram(A=np.zeros((1, 3)), b=np.zeros(1), group=group)
+        for n, group in ((3, 2), (3, 0), (3, -1), (0, 1)):
+            with pytest.raises(ValueError, match="tile"):
+                ConeProgram(A=np.zeros((1, n)), b=np.zeros(1), group=group,
+                            cones=free_groups(n, max(group, 1)))
+
+    @pytest.mark.parametrize("cones, match", [
+        ([np.zeros((0, 2))], "one"),                    # too few
+        ([np.zeros((0, 2))] * 3, "one"),                # too many
+        ([np.zeros((1, 2)), np.zeros((1, 3))], "one"),  # wrong width
+        ([np.zeros((1, 2)), np.zeros(2)], "one"),       # not a matrix
+        ([np.zeros((1, 2)), np.array([[0.0, np.inf]])], "non-finite"),
+    ])
+    def test_bad_cones(self, cones, match):
+        with pytest.raises(ValueError, match=match):
+            ConeProgram(A=np.zeros((1, 4)), b=np.zeros(1), group=2,
+                        cones=cones)
