@@ -421,8 +421,11 @@ def _reproduce_notebook(args, ds: Dataset, out: Path,
     outputs.append("duals.json")
     _write_csv(out / "margins.csv", ["iter", "margin"], margin_rows, args)
     outputs.append("margins.csv")
+    # a flow that never separates the data has no margin
+    margin = margin_rows[-1][1] if margin_rows else None
+    margin_text = "none" if margin is None else f"{margin:.4f}"
     print(f"notebook reproduction in {out}: primal {report.objective:.4f}, "
-          f"final margin {margin_rows[-1][1]:.4f}, "
+          f"final margin {margin_text}, "
           f"optimal set verified: {face['verified']}")
     return outputs
 

@@ -11,14 +11,17 @@ continuous flow; the simulator tracks the discrete drift, the second-layer
 signs, every activation sign-pattern change, and per-checkpoint polar
 coordinates, margins and alignments.  The loop keeps W1, w2 and Z = X W1 as
 arrays and computes Z once per step: the next update, its forward pass and
-the sign-pattern tracking all read it.  The balance drift doubles as the
-finite check, and the sign-event and w2-sign bookkeeping runs only on the
-steps where a sign changed.
+the sign-pattern tracking all read it.  It runs in segments that end at the
+next checkpoint or after a block of steps: the inner loop only steps and
+stores each step's W1, w2 and Z, and the bookkeeping (balance drift, which
+doubles as the finite check, abort, sign events, w2 signs) then runs once
+over the segment's stored steps, with the same elementwise operations and
+reductions as a per-step check, so the results are bit-identical to it.
 """
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +34,11 @@ from .convex import NetworkParams, margin_objective
 from .solver import DegenerateError
 
 SIGN_EVENT_CAP = 100_000
+#: steps per block: the loop stores each step's W1, w2 and X @ W1, and runs
+#: the drift, abort, sign-event and w2-sign bookkeeping once per block
+BLOCK_STEPS = 256
+#: the history buffers' byte budget; wide inputs get shorter blocks
+HISTORY_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -44,8 +52,9 @@ class FlowConfig:
 
     def __post_init__(self):
         for name, ok, want in (
-                ("m", self.m >= 1, "an integer >= 1"),
-                ("iters", self.iters >= 0, "an integer >= 0"),
+                ("m", _is_int(self.m) and self.m >= 1, "an integer >= 1"),
+                ("iters", _is_int(self.iters) and self.iters >= 0,
+                 "an integer >= 0"),
                 ("init_scale", np.isfinite(self.init_scale)
                  and self.init_scale > 0, "a finite number > 0"),
                 ("step", np.isfinite(self.step) and self.step > 0,
@@ -53,10 +62,18 @@ class FlowConfig:
             if not ok:
                 raise ValueError(f"bad flow configuration: {name} = "
                                  f"{getattr(self, name)!r} is not {want}")
+        for c in self.checkpoints:
+            if not _is_int(c):
+                raise ValueError(f"checkpoint {c!r} is not an integer")
         for c in sorted(self.checkpoints):
             if not 1 <= c <= self.iters:
                 raise ValueError(f"checkpoint {c} is outside "
                                  f"[1, iters {self.iters}]")
+
+
+def _is_int(v) -> bool:
+    """An integer, numpy's included, but not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass
@@ -216,42 +233,82 @@ def run_flow(ds: Dataset, cfg: FlowConfig):
     return _run_binary(ds.X, ds.y, cfg)
 
 
+def _block_length(N: int, d: int, m: int) -> int:
+    """Steps per block of the history buffers: BLOCK_STEPS, fewer when the
+    (B, d, m), (B, m) and (B, N, m) buffers would pass HISTORY_BYTES."""
+    return max(1, min(BLOCK_STEPS, HISTORY_BYTES // (8 * (N + d + 1) * m)))
+
+
+def _history(B: int, N: int, d: int, m: int
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Empty W1, w2 and Z histories of B steps."""
+    return np.empty((B, d, m)), np.empty((B, m)), np.empty((B, N, m))
+
+
 def _run_binary(X: np.ndarray, y: np.ndarray, cfg: FlowConfig) -> FlowTrace:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    params = init_balanced(cfg, X.shape[1])
+    (N, d), m = X.shape, cfg.m
+    params = init_balanced(cfg, d)
     W1, w2 = params.W1, params.w2
     Z = X @ W1
     trace = FlowTrace(config=cfg)
-    checkpoints = set(cfg.checkpoints)
+    checkpoints = sorted(set(cfg.checkpoints), reverse=True)
+    B = _block_length(N, d, m)
+    W1h, w2h, Zh = _history(B, N, d, m)
     init_signs = np.sign(w2)
     prev_sigma = np.sign(Z)
-    max_drift, eta = 0.0, cfg.step
+    max_drift, eta, it = 0.0, cfg.step, 0
     # a diverging run overflows before it aborts on non-finite parameters
     with np.errstate(over="ignore", invalid="ignore"):
         trace.records.append(_record(X, y, params, 0))
-        for it in range(1, cfg.iters + 1):
-            W1, w2 = step(X, y, W1, w2, Z, eta)
+        while it < cfg.iters:
+            # a segment ends at the next checkpoint or after B steps
+            n = min(it + B, checkpoints[-1] if checkpoints else cfg.iters) - it
+            for k in range(n):
+                W1, w2 = step(X, y, W1, w2, Z, eta)
+                Z = X @ W1
+                W1h[k] = W1
+                w2h[k] = w2
+                Zh[k] = Z
             # max propagates nan and inf, so a finite drift proves W1 and w2
             # finite; finite parameters may still overflow their squares
-            drift = float(np.abs((W1 ** 2).sum(axis=0) - w2 ** 2).max())
-            if math.isfinite(drift):
-                if drift > max_drift:
-                    max_drift = drift
-            elif not (np.isfinite(W1).all() and np.isfinite(w2).all()):
-                trace.aborted_at = it
-                break
-            Z = X @ W1
-            sigma = np.sign(Z)
-            if (sigma != prev_sigma).any():
-                _add_sign_events(trace, it, prev_sigma, sigma)
-            prev_sigma = sigma
+            drift = np.abs((W1h[:n] ** 2).sum(axis=1)
+                           - w2h[:n] ** 2).max(axis=1)
+            finite = np.isfinite(drift)
+            if not finite.all():
+                bad = np.flatnonzero(~finite)
+                broken = ~(np.isfinite(W1h[bad]).all(axis=(1, 2))
+                           & np.isfinite(w2h[bad]).all(axis=1))
+                if broken.any():
+                    # keep the n steps before the abort, discard the rest
+                    n = int(bad[broken.argmax()])
+                    trace.aborted_at = it + n + 1
+            if finite[:n].any():
+                max_drift = max(max_drift, float(drift[:n][finite[:n]].max()))
+            if n:
+                # in place: the Z history is not read again
+                sigma = np.sign(Zh[:n], out=Zh[:n])
+                changed = np.empty(n, dtype=bool)
+                changed[0] = (sigma[0] != prev_sigma).any()
+                changed[1:] = (sigma[1:] != sigma[:-1]).any(axis=(1, 2))
+                for k in np.flatnonzero(changed).tolist():
+                    _add_sign_events(trace, it + k + 1,
+                                     sigma[k - 1] if k else prev_sigma,
+                                     sigma[k])
+                prev_sigma = sigma[-1].copy()
             # only a zero or flipped w2_i changes the flip count or the signs
-            if not (w2 * init_signs).min() > 0.0:
-                s = np.sign(w2)
-                trace.w2_sign_flips += int(np.sum(s * init_signs < 0))
-                init_signs = np.where(s == 0.0, init_signs, s)
-            if it in checkpoints:
+            if not (w2h[:n] * init_signs > 0.0).all():
+                for w in w2h[:n]:
+                    if not (w * init_signs).min() > 0.0:
+                        s = np.sign(w)
+                        trace.w2_sign_flips += int(np.sum(s * init_signs < 0))
+                        init_signs = np.where(s == 0.0, init_signs, s)
+            if trace.aborted_at is not None:
+                break
+            it += n
+            if checkpoints and checkpoints[-1] == it:
+                checkpoints.pop()
                 trace.records.append(
                     _record(X, y, NetworkParams(W1=W1, w2=w2), it))
     trace.max_balance_drift = max_drift

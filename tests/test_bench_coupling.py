@@ -3,10 +3,11 @@
 bench/spans.py lists them in TRACED, and its StatusWatch wraps
 relu_lab.solver.solve even in an untraced run.  These tests read that file
 as text (it is not imported or edited), so a refactor that drops or renames
-a traced function fails here rather than in a benchmark run.  The last test
-imports bench/workloads.py (without writing its bytecode) and runs its
-warm-up and its notebook face case, so a change to the program's layout
-that the benchmark's calls miss fails here too.
+a traced function fails here rather than in a benchmark run.  The last tests
+import bench/workloads.py (without writing its bytecode) and run its
+warm-up, its notebook face case and one coverage-sweep case, so a change to
+the program's layout that the benchmark's calls miss, or a flow change that
+breaks the coverage case's gate, fails here too.
 """
 
 import ast
@@ -16,6 +17,8 @@ import importlib.util
 import io
 import sys
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SPANS = BENCH / "spans.py"
@@ -47,15 +50,32 @@ def test_status_watch_target_exists():
     assert callable(getattr(solver, "solve", None))
 
 
-def test_workloads_warm_up_and_notebook_face_pass(monkeypatch, tmp_path):
+@pytest.fixture
+def workloads(monkeypatch):
+    """bench/workloads.py, imported without writing its bytecode."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(
         "bench_workloads", BENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_workloads_warm_up_and_notebook_face_pass(workloads, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         workloads.warm_up()
     case, = [c for c in workloads.reproduce_cases(0, tmp_path)
              if c.name == "notebook-face"]
     assert case.gate(case.run()) == []
+
+
+def test_coverage_sweep_case_passes(workloads, tmp_path):
+    # the benchmark's flow, dual recovery and KKT extraction on its first
+    # seed-1 data set, through the gate the benchmark applies
+    case = workloads.coverage_cases(1, tmp_path)[0]
+    assert case.gate is workloads._gate_coverage
+    summary = case.run()
+    assert workloads._gate_coverage(summary) == []
+    # the gate checks gauge_all only on a covered set, and this one is
+    assert summary["covered"]

@@ -515,6 +515,18 @@ class TestReproduce:
         assert code == 1
         assert "numerical failure: rescaled network is not finite" in err
 
+    def test_notebook_flow_without_margin(self, capsys, tmp_path):
+        # seed 0's flow never separates the notebook data, so no checkpoint
+        # has a margin
+        out_dir = tmp_path / "repro"
+        code, out, _ = run_cli(capsys, "reproduce", "notebook", "--seed", "0",
+                               "--out-dir", str(out_dir), "--deterministic")
+        assert code == 0
+        assert "final margin none," in out
+        assert (out_dir / "manifest.json").exists()
+        rows = (out_dir / "margins.csv").read_text().splitlines()
+        assert rows[-4:] == ["10,", "100,", "1000,", "10000,"]
+
     def test_appendix_nonspikefree_outputs(self, capsys, tmp_path):
         out_dir = tmp_path / "repro"
         code, out, _ = run_cli(capsys, "reproduce", "appendix-nonspikefree",

@@ -58,7 +58,7 @@ def reference_flow(X, y, cfg):
     return records, events, max_drift, flips, aborted
 
 
-def assert_matches_reference(ds, trace):
+def assert_matches_reference(ds, trace, expect_events=True):
     records, events, max_drift, flips, aborted = reference_flow(
         ds.X, ds.y, trace.config)
     assert [r.iteration for r in trace.records] == [r[0] for r in records]
@@ -66,10 +66,12 @@ def assert_matches_reference(ds, trace):
         assert np.array_equal(rec.W1, W1) and np.array_equal(rec.w2, w2)
     assert [(e.iteration, e.neuron, e.old, e.new)
             for e in trace.sign_events] == events
+    assert all(type(e.iteration) is int for e in trace.sign_events)
     assert trace.max_balance_drift == max_drift
     assert trace.w2_sign_flips == flips
     assert trace.aborted_at == aborted
-    assert events   # the cases below all change activation patterns
+    if expect_events:
+        assert events   # the run changes activation patterns
 
 
 def flow_dataset(name):
@@ -117,6 +119,20 @@ class TestInitBalanced:
         # [1, iters] is empty for iters = 0, so any checkpoint is refused
         with pytest.raises(ValueError, match="checkpoint 1 "):
             FlowConfig(iters=0, checkpoints=(1,))
+        # counts are integers (numpy's too), never floats or bools
+        for kwargs, message in (
+                (dict(m=2.5), "m = 2.5 is not an integer"),
+                (dict(m=2.0), "m = 2.0 is not an integer"),
+                (dict(m=True), "m = True is not an integer"),
+                (dict(iters=20.5, checkpoints=()), "iters = 20.5 is not an"),
+                (dict(iters=True, checkpoints=()), "iters = True is not an"),
+                (dict(iters=20, checkpoints=(10.5,)), "checkpoint 10.5 is"),
+                (dict(iters=20, checkpoints=(10.0,)), "checkpoint 10.0 is"),
+                (dict(iters=20, checkpoints=(True,)), "checkpoint True is")):
+            with pytest.raises(ValueError, match=message):
+                FlowConfig(**kwargs)
+        FlowConfig(m=np.int64(3), iters=np.int32(20),
+                   checkpoints=(np.int64(5), 20))
 
 
 class TestLambdaTilde:
@@ -313,6 +329,24 @@ class TestRunFlow:
             assert a.iteration == b.iteration
             assert np.array_equal(a.W1, b.W1) and np.array_equal(a.w2, b.w2)
 
+    def test_wide_input_keeps_history_small(self, monkeypatch):
+        # N m = 128 000 leaves room for one step per block
+        sizes, real = [], relu_lab.flow._history
+
+        def history(*shape):
+            buffers = real(*shape)
+            sizes.append(sum(b.nbytes for b in buffers))
+            return buffers
+
+        monkeypatch.setattr(relu_lab.flow, "_history", history)
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(2000, 2))
+        ds = Dataset(X=X, labels=np.where(X[:, 0] > 0, 1, -1))
+        trace = run_flow(ds, FlowConfig(m=64, init_scale=1e-2, iters=3,
+                                        checkpoints=(2, 3), seed=1))
+        assert sizes and max(sizes) <= 2**20
+        assert_matches_reference(ds, trace, expect_events=False)
+
     def test_balance_conserved_in_continuous_limit(self, notebook_ds):
         drift = {}
         for eta, iters in ((0.5, 400), (0.25, 800)):
@@ -320,6 +354,59 @@ class TestRunFlow:
                              checkpoints=(iters,), seed=3)
             drift[eta] = run_flow(notebook_ds, cfg).max_balance_drift
         assert drift[0.5] / drift[0.25] == pytest.approx(2.0, abs=0.4)
+
+
+#: the overflowing notebook run: it aborts at iteration 26, every step from
+#: the first changes the activation patterns of neurons 0-2
+OVERFLOW = dict(m=4, init_scale=1.0, step=1e12, iters=2000, seed=1)
+
+
+class TestBlockBoundaries:
+    """The loop with 7-step blocks against the reference loop.  A block
+    starts after each checkpoint, so with checkpoints 10 and 17 the blocks
+    are 1-7, 8-10, 11-17, 18-24, ..., 53-59 and 60."""
+
+    @pytest.fixture(autouse=True)
+    def seven_step_blocks(self, monkeypatch):
+        monkeypatch.setattr(relu_lab.flow, "BLOCK_STEPS", 7)
+
+    @pytest.mark.parametrize("name, cfg, events", [
+        # sign events at iterations 4, 7, 8, 15 and 39: across block edges;
+        # 60 is not a multiple of 7, checkpoint 10 ends a block early and
+        # 17 lies on an edge
+        ("appendix-ortho", FlowConfig(m=8, init_scale=1e-4, step=0.1,
+                                      iters=60, checkpoints=(10, 17),
+                                      seed=1), True),
+        ("ortho-separable-5", FlowConfig(m=8, init_scale=1e-4, step=0.5,
+                                         iters=0, checkpoints=(), seed=1),
+         False),
+        ("ortho-separable-5", FlowConfig(m=8, init_scale=1e-4, step=0.5,
+                                         iters=1, checkpoints=(1,), seed=1),
+         False),
+        ("notebook", FlowConfig(iters=1, checkpoints=(1,), seed=1), False),
+        # the abort at 26 falls inside the block 21-27
+        ("notebook", FlowConfig(checkpoints=(1, 20), **OVERFLOW), True),
+        # the abort step is itself a checkpoint, which is not recorded
+        ("notebook", FlowConfig(checkpoints=(1, 20, 26), **OVERFLOW), True),
+    ])
+    def test_matches_reference_loop(self, name, cfg, events):
+        ds = flow_dataset(name)
+        assert_matches_reference(ds, run_flow(ds, cfg), expect_events=events)
+
+    def test_sign_event_cap_mid_block(self, monkeypatch, notebook_ds):
+        cfg = FlowConfig(checkpoints=(1, 20), **OVERFLOW)
+        _, events, _, _, _ = reference_flow(notebook_ds.X, notebook_ds.y,
+                                            cfg)
+        # the 28th event is neuron 1 at iteration 10, inside the block 9-15,
+        # and iteration 10's event for neuron 2 is the first one dropped
+        cap = 28
+        assert events[cap - 1][:2] == (10, 1) and events[cap][:2] == (10, 2)
+        monkeypatch.setattr(relu_lab.flow, "SIGN_EVENT_CAP", cap)
+        trace = run_flow(notebook_ds, cfg)
+        assert [(e.iteration, e.neuron, e.old, e.new)
+                for e in trace.sign_events] == events[:cap]
+        assert trace.sign_events_truncated
+        assert trace.aborted_at == 26
 
 
 class TestAlignment:
