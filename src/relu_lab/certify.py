@@ -27,8 +27,8 @@ from .solver import cone_projection
 
 BOUNDARY_ENUM_LIMIT = 12
 
-#: slack of both spike-free conditions: max ||z|| <= 1 + SPIKE_FREE_TOL and
-#: range residual <= SPIKE_FREE_TOL * ||X||_2
+#: slack of both spike-free conditions on the unit rows Xn: max ||z|| <= 1 +
+#: SPIKE_FREE_TOL and range residual <= SPIKE_FREE_TOL * ||Xn||_2
 SPIKE_FREE_TOL = 1e-9
 
 
@@ -181,22 +181,25 @@ def spike_free(X: np.ndarray) -> Certificate:
     in a lower face's span, where both maps agree, so a repeated eigenvalue
     is found again lower down.  Spike-free iff range_residual <=
     SPIKE_FREE_TOL ||X||_2 and max_z_norm <= 1 + SPIKE_FREE_TOL.  Raises
-    ValueError where arrangements.check_sign_pattern_size refuses X.
+    ValueError where arrangements.check_sign_pattern_size refuses X.  All
+    of it runs on the unit rows of X: for S = diag(s), s > 0, (SXu)_+ =
+    S(Xu)_+ and range(SX) = S range(X), so row scale cannot change the
+    verdict, and a large row cannot hide a small one's residual.
     """
     X = np.asarray(X, dtype=float)
     faces = enumerate_sign_patterns(X)
     norms = np.linalg.norm(X, axis=1)
-    Xn = X / np.where(norms > 0.0, norms, 1.0)[:, None]
+    X = X / np.where(norms > 0.0, norms, 1.0)[:, None]
     P = np.linalg.pinv(X, rcond=RANK_RTOL)
     residual = top = 0.0
     for face in faces:
         sigma = np.array(face.signs)
-        F = null_space(Xn[sigma == 0].reshape(-1, X.shape[1]), rcond=RANK_RTOL)
+        F = null_space(X[sigma == 0].reshape(-1, X.shape[1]), rcond=RANK_RTOL)
         V = (sigma > 0)[:, None] * (X @ F)
         Z = P @ V                                   # X^+ (Xu)_+ = Z w
         residual = max(residual, float(np.linalg.norm(V - X @ Z, 2)))
         eigvals, W = np.linalg.eigh(Z.T @ Z)
-        T = (sigma[:, None] * (Xn @ F @ W))[sigma != 0]
+        T = (sigma[:, None] * (X @ F @ W))[sigma != 0]
         inside = (T > 0.0).all(axis=0) | (T < 0.0).all(axis=0)
         top = max([top, *eigvals[inside]])
     max_z = float(np.sqrt(top))

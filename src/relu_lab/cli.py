@@ -1,22 +1,21 @@
 """Command-line front end: reproducible experiments and figure/table export.
 
-Subcommands: arrangements, solve, flow, certify, geometry-export, reproduce.
-Global flags: --json, --out-dir, --seed, --deterministic; solve and reproduce
-also take the solver tolerance --tol (default solver.DEFAULT_TOL), certify
-the dual-feasibility tolerance --tol-cert and the dual scale --lambda-scale
-(each a finite number > 0).  solve runs one primal solve for every --which:
-the dual it reports is that solve's certified multiplier.
+Subcommands: arrangements, solve, flow, certify, geometry-export, reproduce;
+each takes only the options it reads (see build_parser).  solve and
+reproduce take the solver tolerance --tol (default solver.DEFAULT_TOL),
+certify the dual-feasibility tolerance --tol-cert and the dual scale
+--lambda-scale (each a finite number > 0).  solve runs one primal solve for
+every --which: the dual it reports is that solve's certified multiplier.
 Exit codes:
 0 success, 1 numerical failure (a solve that does not end optimal included),
 2 usage error.  Every command that writes files also writes a manifest.json
-alongside them; CSV files carry a timestamp header line unless
---deterministic is set.
+alongside them.  --deterministic drops the timestamp header line of CSV
+files and the manifest's wall_time, so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -49,23 +48,8 @@ class UsageError(RuntimeError):
     pass
 
 
-@dataclasses.dataclass
-class RunManifest:
-    command: str
-    config: dict
-    dataset_name: str
-    dataset_sha256: str
-    outputs: list[str]
-    versions: dict
-    wall_time: float
-
-    def write(self, out_dir: Path):
-        path = out_dir / "manifest.json"
-        path.write_text(json.dumps(dataclasses.asdict(self), indent=2,
-                                   sort_keys=True) + "\n")
-        for rel in self.outputs:
-            if not (out_dir / rel).exists():
-                raise SolverError(f"manifest references missing output {rel}")
+class FlowAborted(RuntimeError):
+    """A flow stopped on non-finite parameters; stderr already says where."""
 
 
 def _dataset_from_args(args) -> Dataset:
@@ -79,20 +63,28 @@ def _dataset_from_args(args) -> Dataset:
                      f"({sorted(BUILTIN_DATASETS)}) and no such file")
 
 
-def _dataset_hash(ds: Dataset) -> str:
+def write_manifest(args, ds: Dataset, outputs: list[str],
+                   wall_time: float) -> None:
+    """manifest.json in --out-dir next to `outputs` (each must exist): the
+    command, its options, the dataset's name and hash, the package versions
+    and, unless --deterministic, the run's wall time."""
+    out = Path(args.out_dir)
+    for rel in outputs:
+        if not (out / rel).exists():
+            raise SolverError(f"manifest references missing output {rel}")
     blob = json.dumps(dataset_to_json(ds), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def _manifest(args, ds: Dataset, outputs: list[str], t0: float) -> RunManifest:
-    config = {k: v for k, v in vars(args).items()
-              if k not in ("func",) and not callable(v)}
-    return RunManifest(
-        command=args.command, config=config, dataset_name=ds.name,
-        dataset_sha256=_dataset_hash(ds), outputs=outputs,
-        versions={"relu_lab": __version__, "numpy": np.__version__,
-                  "scipy": scipy.__version__},
-        wall_time=round(time.perf_counter() - t0, 6))
+    manifest = {
+        "command": args.command,
+        "config": {k: v for k, v in vars(args).items() if k != "func"},
+        "dataset_name": ds.name,
+        "dataset_sha256": hashlib.sha256(blob).hexdigest(),
+        "outputs": outputs,
+        "versions": {"relu_lab": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__}}
+    if not args.deterministic:
+        manifest["wall_time"] = round(wall_time, 6)
+    (out / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _csv_header(args) -> list[str]:
@@ -121,7 +113,7 @@ def _out_dir(args) -> Path:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_arrangements(args) -> int:
+def cmd_arrangements(args) -> tuple[Dataset, list[str]]:
     ds = _dataset_from_args(args)
     masks = enumerate_masks(ds.X)
     # samples as rows, one column per arrangement
@@ -136,7 +128,7 @@ def cmd_arrangements(args) -> int:
         print(json.dumps({"masks": [m.as_string() for m in masks],
                           "count": len(masks),
                           "bound": bound if np.isfinite(bound) else None}))
-    return EXIT_OK
+    return ds, []
 
 
 def _solve(args, ds: Dataset, masks):
@@ -154,8 +146,7 @@ def _solve(args, ds: Dataset, masks):
     return problem, lam, report, primal
 
 
-def cmd_solve(args) -> int:
-    t0 = time.perf_counter()
+def cmd_solve(args) -> tuple[Dataset, list[str]]:
     ds = _dataset_from_args(args)
     if not ds.is_binary:
         raise UsageError("solve currently drives binary datasets; "
@@ -174,11 +165,11 @@ def cmd_solve(args) -> int:
                            "lambda": [float(v) for v in lam]}
     if args.json:
         print(json.dumps(payload))
-    if args.out_dir:
-        out = _out_dir(args)
-        (out / "solution.json").write_text(json.dumps(payload, indent=2) + "\n")
-        _manifest(args, ds, ["solution.json"], t0).write(out)
-    return EXIT_OK
+    if not args.out_dir:
+        return ds, []
+    (_out_dir(args) / "solution.json").write_text(
+        json.dumps(payload, indent=2) + "\n")
+    return ds, ["solution.json"]
 
 
 def _parse_checkpoints(spec: str, iters: int) -> tuple[int, ...]:
@@ -193,7 +184,7 @@ def _parse_checkpoints(spec: str, iters: int) -> tuple[int, ...]:
 
 
 def _flow_config(args) -> FlowConfig:
-    """FlowConfig from the options added by the parser's flow_options."""
+    """FlowConfig from the flow options of flow and certify."""
     return FlowConfig(m=args.m, init_scale=args.init_scale, step=args.step,
                       iters=args.iters,
                       checkpoints=_parse_checkpoints(args.checkpoints,
@@ -221,8 +212,7 @@ def _report_abort(trace, tag: str = "") -> bool:
     return True
 
 
-def cmd_flow(args) -> int:
-    t0 = time.perf_counter()
+def cmd_flow(args) -> tuple[Dataset, list[str]]:
     ds = _dataset_from_args(args)
     trace = run_flow(ds, _flow_config(args))
     traces = trace if isinstance(trace, list) else [trace]
@@ -238,16 +228,16 @@ def cmd_flow(args) -> int:
               f"max balance drift {tr.max_balance_drift:.3e}{truncated}")
         aborted = _report_abort(tr, tag) or aborted
     if aborted:
-        return EXIT_NUMERICAL
-    if args.out_dir:
-        out = _out_dir(args)
-        outputs = []
-        for k, tr in enumerate(traces):
-            name = "flow_trace.csv" if len(traces) == 1 else f"flow_trace_class{k + 1}.csv"
-            _write_flow_trace(out / name, tr, ds.d, args)
-            outputs.append(name)
-        _manifest(args, ds, outputs, t0).write(out)
-    return EXIT_OK
+        raise FlowAborted
+    if not args.out_dir:
+        return ds, []
+    out = _out_dir(args)
+    outputs = []
+    for k, tr in enumerate(traces):
+        name = "flow_trace.csv" if len(traces) == 1 else f"flow_trace_class{k + 1}.csv"
+        _write_flow_trace(out / name, tr, ds.d, args)
+        outputs.append(name)
+    return ds, outputs
 
 
 def _load_network(path: str) -> NetworkParams:
@@ -259,8 +249,7 @@ def _load_network(path: str) -> NetworkParams:
         raise UsageError(f"cannot load network file {path!r}: {exc}") from exc
 
 
-def cmd_certify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_certify(args) -> tuple[Dataset, list[str]]:
     ds = _dataset_from_args(args)
     if not ds.is_binary:
         raise UsageError("certify drives binary datasets")
@@ -274,7 +263,7 @@ def cmd_certify(args) -> int:
     else:
         trace = run_flow(ds, _flow_config(args))
         if _report_abort(trace):
-            return EXIT_NUMERICAL
+            raise FlowAborted
         nets = [(rec.iteration, NetworkParams(W1=rec.W1, w2=rec.w2))
                 for rec in trace.records if rec.iteration > 0]
     certificates = []
@@ -302,12 +291,11 @@ def cmd_certify(args) -> int:
     records = [{"iteration": it, **c.to_json()} for it, c in certificates]
     if args.json:
         print(json.dumps(records))
-    if args.out_dir:
-        out = _out_dir(args)
-        (out / "certificates.json").write_text(
-            json.dumps(records, indent=2) + "\n")
-        _manifest(args, ds, ["certificates.json"], t0).write(out)
-    return EXIT_OK
+    if not args.out_dir:
+        return ds, []
+    (_out_dir(args) / "certificates.json").write_text(
+        json.dumps(records, indent=2) + "\n")
+    return ds, ["certificates.json"]
 
 
 def _write_ellipsoid(out: Path, X: np.ndarray, samples: int, args) -> str:
@@ -336,8 +324,7 @@ def _write_extreme_points(out: Path, X: np.ndarray, masks, lam: np.ndarray,
     return "extreme_points.csv"
 
 
-def cmd_geometry_export(args) -> int:
-    t0 = time.perf_counter()
+def cmd_geometry_export(args) -> tuple[Dataset, list[str]]:
     ds = _dataset_from_args(args)
     if ds.d != 2:
         raise UsageError("geometry export requires d = 2")
@@ -345,10 +332,13 @@ def cmd_geometry_export(args) -> int:
     outputs = [_write_ellipsoid(out, ds.X, args.samples, args)]
     outputs.append(_write_extreme_points(out, ds.X, enumerate_masks(ds.X),
                                          ds.y / np.linalg.norm(ds.y), args))
-    _manifest(args, ds, outputs, t0).write(out)
     print(f"wrote ellipsoid.csv and extreme_points.csv to {out}")
-    return EXIT_OK
+    return ds, outputs
 
+
+#: width up to which a face interval counts as pinned: the exact face gives
+#: 0.0 on every notebook functional
+FACE_TOL = 1e-6
 
 #: masks whose groups on each side sum to one of the notebook's two neurons
 NOTEBOOK_PAIRS = {"+": ("100", "110"), "-": ("011", "111")}
@@ -396,7 +386,7 @@ def _reproduce_notebook(args, ds: Dataset, out: Path,
         labels, optimal_face_bounds(problem.prog, report.objective,
                                     np.array(functionals)))}
     gaps = max(hi - lo for lo, hi in face.values())
-    face["verified"] = gaps <= 1e-3
+    face["verified"] = gaps <= FACE_TOL
     (out / "optimal_face.json").write_text(json.dumps(face, indent=2) + "\n")
     outputs.append("optimal_face.json")
 
@@ -447,8 +437,7 @@ def _reproduce_appendix(args, ds: Dataset, out: Path,
     return outputs
 
 
-def cmd_reproduce(args) -> int:
-    t0 = time.perf_counter()
+def cmd_reproduce(args) -> tuple[Dataset, list[str]]:
     ds = builtin_dataset(args.target)
     # the flow configuration is checked before anything is solved or written
     if args.target == "notebook":
@@ -461,11 +450,8 @@ def cmd_reproduce(args) -> int:
         cfg = FlowConfig(m=10, init_scale=args.init_scale, step=0.1,
                          iters=10_000, checkpoints=(1, 10, 100, 1000, 10_000),
                          seed=args.seed)
-    out = _out_dir(args)
-    outputs = reproduce(args, ds, out, cfg)
     args.dataset = args.target
-    _manifest(args, ds, outputs, t0).write(out)
-    return EXIT_OK
+    return ds, reproduce(args, ds, _out_dir(args), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -490,83 +476,87 @@ def build_parser() -> argparse.ArgumentParser:
         description="Convex max-margin ReLU training experiments")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--dataset": dict(default="notebook",
+                          help="built-in name or JSON file path"),
+        "--tol": dict(type=_tolerance, default=DEFAULT_TOL,
+                      help="solver tolerance (finite, > 0)"),
+        "--m": dict(type=int, default=8, help="neuron count"),
+        "--init-scale": dict(type=float, default=1e-4),
+        "--step": dict(type=float, default=1.0),
+        "--iters": dict(type=int, default=10_000),
+        "--checkpoints": dict(default="", help="comma-separated iterations "
+                              "in [1, --iters]; --iters is always recorded"),
+        "--seed": dict(type=int, default=1),
+        "--json": dict(action="store_true",
+                       help="print machine-readable JSON"),
+        "--out-dir": dict(default="", help="write outputs and manifest here"),
+        "--deterministic": dict(action="store_true", help="omit CSV "
+                                "timestamps and the manifest's wall_time"),
+    }
+    flow = ("--m", "--init-scale", "--step", "--iters", "--checkpoints",
+            "--seed")
+    written = ("--out-dir", "--deterministic")
 
-    def common(p, dataset=True, tol=False):
-        if dataset:
-            p.add_argument("--dataset", default="notebook",
-                           help="built-in name or JSON file path")
-        if tol:
-            p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
-                           help="solver tolerance (finite, > 0)")
-        p.add_argument("--json", action="store_true",
-                       help="print machine-readable JSON")
-        p.add_argument("--out-dir", default="",
-                       help="write outputs and a manifest here")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--deterministic", action="store_true",
-                       help="suppress timestamp header lines in CSV output")
+    def add(p, *names):
+        for name in names:
+            p.add_argument(name, **shared[name])
 
     p = sub.add_parser("arrangements", help="enumerate activation masks")
-    common(p)
+    add(p, "--dataset", "--json")
     p.set_defaults(func=cmd_arrangements)
 
     p = sub.add_parser("solve", help="solve the convex max-margin program")
-    common(p, tol=True)
+    add(p, "--dataset", "--tol")
     p.add_argument("--which", choices=("primal", "dual", "both"),
                    default="both")
+    add(p, "--json", *written)
     p.set_defaults(func=cmd_solve)
 
-    def flow_options(p):
-        p.add_argument("--m", type=int, default=8, help="neuron count")
-        p.add_argument("--init-scale", type=float, default=1e-4)
-        p.add_argument("--step", type=float, default=1.0)
-        p.add_argument("--iters", type=int, default=10_000)
-        p.add_argument("--checkpoints", default="",
-                       help="comma-separated iterations in [1, --iters]; "
-                            "--iters itself is always recorded")
-
     p = sub.add_parser("flow", help="run the subgradient-descent simulator")
-    common(p)
-    flow_options(p)
+    add(p, "--dataset", *flow, *written)
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("certify", help="certificates for a trained network")
-    common(p)
+    add(p, "--dataset")
     p.add_argument("--network", default="",
                    help="JSON file with W1 (d x m) and w2 (m)")
-    flow_options(p)
+    add(p, *flow)
     p.add_argument("--lambda-scale", type=_tolerance, default=1.0,
                    help="scale the recovered dual (negative-control hook; "
                         "finite, > 0)")
     p.add_argument("--tol-cert", type=_tolerance, default=GAUGE_SOLVE_TOL,
                    help="dual-feasibility tolerance (finite, > 0)")
+    add(p, "--json", *written)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("geometry-export",
                        help="rectified-ellipsoid trace and extreme points")
-    common(p)
+    add(p, "--dataset")
     p.add_argument("--samples", type=int, default=1024)
-    p.set_defaults(func=cmd_geometry_export)
+    add(p, *written)
+    p.set_defaults(func=cmd_geometry_export,
+                   out_dir="relu-lab-geometry-export")
 
     p = sub.add_parser("reproduce",
                        help="regenerate the reference experiment outputs")
     p.add_argument("target",
                    choices=("notebook", "appendix-ortho",
                             "appendix-nonspikefree"))
-    common(p, dataset=False, tol=True)
-    p.add_argument("--init-scale", type=float, default=1e-4)
-    p.set_defaults(func=cmd_reproduce)
+    add(p, "--tol", "--init-scale", "--seed", *written)
+    p.set_defaults(func=cmd_reproduce, out_dir="relu-lab-reproduce")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "out_dir", "") == "" and args.command in ("geometry-export",
-                                                               "reproduce"):
-        args.out_dir = f"relu-lab-{args.command}"
+    args = build_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        ds, outputs = args.func(args)
+        if outputs:
+            write_manifest(args, ds, outputs, time.perf_counter() - start)
+    except FlowAborted:
+        return EXIT_NUMERICAL
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -576,6 +566,7 @@ def main(argv: list[str] | None = None) -> int:
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -425,5 +425,5 @@ def optimal_face_bounds(prog: ConeProgram, p_star: float,
         f = row @ E
         lo, hi = (_highs("face", sign * f, A_ub, b_ub, lower)[1]
                   for sign in (1.0, -1.0))
-        bounds.append((float(lo), -float(hi)))
+        bounds.append((float(lo), 0.0 - float(hi)))   # no -0.0 upper end
     return bounds if functional.ndim == 2 else bounds[0]

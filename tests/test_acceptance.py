@@ -19,7 +19,7 @@ from relu_lab.arrangements import (cover_bound, enumerate_masks,
                                    enumerate_sign_patterns, matrix_rank)
 from relu_lab.certify import (convex_kkt_residuals, dual_feasible,
                               extract_kkt, ortho_coverage, spike_free)
-from relu_lab.cli import notebook_face_functionals
+from relu_lab.cli import FACE_TOL, notebook_face_functionals
 from relu_lab.convex import (NetworkParams, build_primal, network_from_convex,
                              solve_dual, solve_primal)
 from relu_lab.flow import (FlowConfig, g_min_max, recover_dual, run_flow)
@@ -27,11 +27,10 @@ from relu_lab.geometry import GAUGE_SOLVE_TOL, stationary_directions
 from relu_lab.solver import optimal_face_bounds
 
 #: values of the notebook pair-sum face functionals on the optimal set; every
-#: other (inactive) coordinate is 0 there
+#: other (inactive) coordinate is 0 there; criterion 03 holds the width and
+#: position of each face interval to FACE_TOL
 PAIR_SUM_TARGETS = {"positive_sum_coord1": 1.0, "positive_sum_coord2": 0.0,
                     "negative_sum_coord1": 0.0, "negative_sum_coord2": 1.0}
-#: criterion 03 tolerance on the width and position of each face interval
-FACE_TOL = 1e-6
 
 
 def verdict(num: str, ok: bool, desc: str) -> bool:

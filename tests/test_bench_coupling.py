@@ -5,9 +5,10 @@ relu_lab.solver.solve even in an untraced run.  These tests read that file
 as text (it is not imported or edited), so a refactor that drops or renames
 a traced function fails here rather than in a benchmark run.  The last tests
 import bench/workloads.py (without writing its bytecode) and run its
-warm-up, its notebook face case and one coverage-sweep case, so a change to
-the program's layout that the benchmark's calls miss, or a flow change that
-breaks the coverage case's gate, fails here too.
+warm-up, every reproduce case (three of them through the CLI, with the
+options the benchmark passes) and one coverage-sweep case, so a change to
+the program's layout or options that the benchmark's calls miss, or a flow
+change that breaks the coverage case's gate, fails here too.
 """
 
 import ast
@@ -67,6 +68,16 @@ def test_workloads_warm_up_and_notebook_face_pass(workloads, tmp_path):
         workloads.warm_up()
     case, = [c for c in workloads.reproduce_cases(0, tmp_path)
              if c.name == "notebook-face"]
+    assert case.gate(case.run()) == []
+
+
+@pytest.mark.parametrize("name", ["appendix-ortho", "appendix-nonspikefree",
+                                  "notebook-solve"])
+def test_reproduce_cli_case_passes(workloads, tmp_path, name):
+    # `reproduce T --seed 1` and `solve --dataset notebook --which both`,
+    # each with --out-dir and --deterministic, through the benchmark's gate
+    case, = [c for c in workloads.reproduce_cases(1, tmp_path)
+             if c.name == name]
     assert case.gate(case.run()) == []
 
 

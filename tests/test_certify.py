@@ -165,7 +165,10 @@ def degenerate_rows(draw):
 
 
 def sampled_max_z_norm(X, count=40_000):
-    """max ||X^+ (Xu)_+|| over seeded random unit directions u."""
+    """max ||X^+ (Xu)_+|| over seeded random unit directions u, on the unit
+    rows of X (zero rows stay zero), as spike_free evaluates it."""
+    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    X = X / np.where(norms > 0.0, norms, 1.0)
     U = np.random.default_rng(0).standard_normal((count, X.shape[1]))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     P = np.linalg.pinv(X, rcond=RANK_RTOL)
@@ -221,17 +224,30 @@ class TestSpikeFree:
         assert a.slacks == b.slacks
 
     def test_notebook_images_leave_the_range(self, notebook_ds):
-        # u = (1, 0) gives (Xu)_+ = (1, 0, 0), outside range(X)
+        # u = (1, 0) gives (Xu)_+ = (1, 0, 0), outside range(X); on the unit
+        # rows its distance to the range is 1/sqrt(2)
         cert = spike_free(notebook_ds.X)
         assert not cert.verdict
         assert cert.slacks["range_residual"] == pytest.approx(
-            np.sqrt(2.0 / 3.0), abs=1e-12)
+            1.0 / np.sqrt(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("scales", [
+        *[tuple(s if i == k else 1.0 for i in range(3))
+          for s in (1e-6, 1e-3, 1e3, 1e6) for k in range(3)],
+        (1e-6, 1e6, 1.0)])
+    def test_row_scaling_keeps_notebook_verdict(self, notebook_ds, scales):
+        # (S X u)_+ = S (X u)_+ and range(S X) = S range(X) for S > 0: a
+        # large row must not hide a small row's range residual
+        cert = spike_free(np.array(scales)[:, None] * notebook_ds.X)
+        assert not cert.verdict
+        assert cert.slacks["range_residual"] == pytest.approx(
+            1.0 / np.sqrt(2.0), abs=1e-9)
 
     def test_gaussian_five_by_two_is_not_spike_free(self):
         X = np.random.default_rng(0).standard_normal((5, 2))
         cert = spike_free(X)
         assert not cert.verdict
-        assert cert.slacks["range_residual"] == pytest.approx(0.986, abs=1e-3)
+        assert cert.slacks["range_residual"] == pytest.approx(0.8645, abs=1e-4)
 
     def test_gaussian_three_by_three_exact_maximum(self):
         # direction sampling read 2.3401 here

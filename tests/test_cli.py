@@ -186,6 +186,66 @@ class TestSolveCommand:
         assert ("primal objective" in out) == (which != "dual")
 
 
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    """Every file under root (relative path) with its bytes."""
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+#: a short run of every command that writes files, --out-dir still to add
+WRITING_RUNS = {
+    "solve": ["solve", "--dataset", "notebook"],
+    "flow": ["flow", "--dataset", "notebook", "--iters", "300",
+             "--checkpoints", "100", "--seed", "2"],
+    "certify": ["certify", "--dataset", "appendix-ortho", "--iters", "200",
+                "--checkpoints", "100", "--step", "0.1"],
+    "geometry-export": ["geometry-export", "--dataset", "appendix-ortho",
+                        "--samples", "64"],
+    **{f"reproduce-{target}": ["reproduce", target]
+       for target in ("notebook", "appendix-ortho", "appendix-nonspikefree")},
+}
+
+#: (command, option) pairs the commands used to parse and then ignore
+REMOVED_OPTIONS = [("arrangements", ("--out-dir", "x")),
+                   ("arrangements", ("--seed", "2")),
+                   ("arrangements", ("--deterministic",)),
+                   ("solve", ("--seed", "2")), ("flow", ("--json",)),
+                   ("geometry-export", ("--json",)),
+                   ("geometry-export", ("--seed", "2")),
+                   ("reproduce", ("--json",))]
+
+
+class TestOptionsAndManifest:
+    @pytest.mark.parametrize("command, option", REMOVED_OPTIONS,
+                             ids=[f"{c}{o[0]}" for c, o in REMOVED_OPTIONS])
+    def test_removed_option_exits_2(self, capsys, tmp_path, monkeypatch,
+                                    command, option):
+        monkeypatch.chdir(tmp_path)
+        argv = ["reproduce", "notebook"] if command == "reproduce" else [
+            command, "--dataset", "notebook"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + list(option))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option[0]}" in \
+            capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", WRITING_RUNS.values(), ids=WRITING_RUNS)
+    def test_deterministic_reruns_are_byte_identical(self, capsys, tmp_path,
+                                                     argv):
+        out = tmp_path / "run"
+        argv = argv + ["--out-dir", str(out)]
+        assert run_cli(capsys, *argv)[0] == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["wall_time"] >= 0.0
+        assert all((out / name).is_file() for name in manifest["outputs"])
+        assert run_cli(capsys, *argv, "--deterministic")[0] == 0
+        first = tree_bytes(out)
+        assert "wall_time" not in json.loads(first["manifest.json"])
+        assert run_cli(capsys, *argv, "--deterministic")[0] == 0
+        assert tree_bytes(out) == first
+
+
 def readme_commands() -> list[list[str]]:
     """argv of every `relu-lab ...` line in the README's bash blocks, with
     backslash continuations joined and # comments dropped."""
@@ -407,8 +467,8 @@ class TestCertifyCommand:
         code, out, _ = run_cli(capsys, "certify", "--dataset", "notebook",
                                "--iters", "100", "--checkpoints", "100")
         assert code == 0
-        assert "spike-free: false (max_z_norm=1.059862267 " \
-               "range_residual=8.165e-01 faces=13)" in out
+        assert "spike-free: false (max_z_norm=1.032662147 " \
+               "range_residual=7.071e-01 faces=13)" in out
 
     def test_spike_free_skipped_above_sign_pattern_cap(self, capsys,
                                                        tmp_path):
@@ -539,3 +599,20 @@ class TestReproduce:
         payload = json.loads((out_dir / "primal.json").read_text())
         assert payload["objective"] == pytest.approx(0.7336, abs=1e-3)
         assert len(payload["groups"]) == 1
+
+    def test_wide_face_interval_is_not_verified(self, capsys, tmp_path,
+                                                monkeypatch):
+        # the exact face has width 0.0; 1e-4 is past FACE_TOL
+        bounds = relu_lab.cli.optimal_face_bounds
+
+        def widened(*args, **kwargs):
+            (lo, hi), *rest = bounds(*args, **kwargs)
+            return [(lo, hi + 1e-4), *rest]
+
+        monkeypatch.setattr(relu_lab.cli, "optimal_face_bounds", widened)
+        code, out, _ = run_cli(capsys, "reproduce", "notebook",
+                               "--out-dir", str(tmp_path), "--deterministic")
+        assert code == 0
+        assert out.rstrip().endswith("optimal set verified: False")
+        face = json.loads((tmp_path / "optimal_face.json").read_text())
+        assert face["verified"] is False

@@ -372,6 +372,14 @@ class TestFaceBounds:
             assert_inside_ladder(problem.prog, report.objective, faces[label],
                                  slack=5e-8)
 
+    def test_no_negative_zero_on_notebook(self, notebook_solved):
+        # an interval whose maximum is 0 ends at 0.0, not -0.0
+        problem, _, _, report = notebook_solved
+        F = np.array([f for _, f in notebook_face_functionals(problem)])
+        ends = np.ravel(optimal_face_bounds(problem.prog, report.objective, F))
+        assert len(ends) == 40 and (ends == 0.0).sum() >= 18
+        assert not np.signbit(ends[ends == 0.0]).any()
+
     def test_stacked_equals_one_row_calls_on_notebook(self, notebook_solved):
         problem, _, _, report = notebook_solved
         F = np.array([f for _, f in notebook_face_functionals(problem)])
