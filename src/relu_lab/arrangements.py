@@ -64,9 +64,6 @@ class SignPattern:
         if not all(s in (-1, 0, 1) for s in self.signs):
             raise ValueError("sign entries must be -1/0/+1")
 
-    def positive_support(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.signs) if s > 0)
-
 
 def mask_of(X: np.ndarray, u: np.ndarray) -> ActivationMask:
     """Strict activation pattern I(Xu > 0) (boundary samples get bit 0)."""

@@ -4,10 +4,7 @@ extract_kkt reads the per-neuron stationarity data off a trained network: the
 activation pattern with free boundary bits, the direction residual
 ||w1_i / w2_i - X^T D_i lam|| and the norm residual | ||X^T D_i lam|| - 1 |.
 dual_feasible evaluates the polar-gauge membership; ortho_coverage and
-spike_free check the two sufficient conditions; convex_kkt_residuals
-evaluates the five optimality families of the convex program at a primal
-point and lam alone, the cone multipliers being those of lam's exact cone
-projections.
+spike_free check the two sufficient conditions.
 """
 
 from __future__ import annotations
@@ -20,10 +17,8 @@ from scipy.linalg import null_space
 
 from .arrangements import (ActivationMask, RANK_RTOL,
                            enumerate_sign_patterns)
-from .convex import (ACTIVE_RTOL, ConvexProblem, ConvexSolution,
-                     completion_choices)
+from .convex import completion_choices
 from .geometry import GAUGE_SOLVE_TOL, polar_gauge
-from .solver import cone_projection
 
 BOUNDARY_ENUM_LIMIT = 12
 
@@ -47,12 +42,6 @@ class NeuronKKT:
 class KKTExtraction:
     neurons: list[NeuronKKT]
     comp_slack: np.ndarray          # per-sample |lam_n (y_n f_n - 1)|
-
-    def max_direction_residual(self) -> float:
-        return max(n.direction_residual for n in self.neurons)
-
-    def max_norm_residual(self) -> float:
-        return max(n.norm_residual for n in self.neurons)
 
 
 @dataclass
@@ -211,60 +200,3 @@ def spike_free(X: np.ndarray) -> Certificate:
         tolerance=SPIKE_FREE_TOL,
         detail=f"max_z_norm={max_z:.9f} range_residual={residual:.3e} "
                f"faces={len(faces)}")
-
-
-@dataclass
-class ConvexKKTReport:
-    stationarity_neg: float      # family (i), u_j inclusions
-    stationarity_pos: float      # family (ii), u'_j inclusions
-    margin_comp_slack: float     # family (iii)
-    cone_comp_slack_neg: float   # family (iv)
-    cone_comp_slack_pos: float   # family (v)
-    dual_sign_violation: float
-
-    def families(self) -> dict[str, float]:
-        return {"stationarity_neg": self.stationarity_neg,
-                "stationarity_pos": self.stationarity_pos,
-                "margin_comp_slack": self.margin_comp_slack,
-                "cone_comp_slack_neg": self.cone_comp_slack_neg,
-                "cone_comp_slack_pos": self.cone_comp_slack_pos}
-
-    def max_family_residual(self) -> float:
-        return max(self.families().values())
-
-
-def convex_kkt_residuals(problem: ConvexProblem, sol: ConvexSolution,
-                         lam: np.ndarray) -> ConvexKKTReport:
-    """Evaluate the five optimality families of the convex program at the
-    primal point sol and the dual lam.  The cone multipliers of mask j are
-    those of the projections P_j(-/+ X^T D_j lam) = -/+ X^T D_j lam + M_j^T z
-    onto the cone {u : M_j u >= 0}, M_j = (2 D_j - I) X; a zero group needs
-    ||P_j|| <= 1, a nonzero group u needs P_j = u / ||u||.  Primal
-    feasibility is sol.margin_slack and sol.cone_slack (pure evaluation;
-    nothing is thresholded)."""
-    X, y = problem.X, problem.y
-    lam = np.asarray(lam, dtype=float)
-    threshold = ACTIVE_RTOL * (1.0 + sol.objective)
-    stationarity = {"neg": 0.0, "pos": 0.0}
-    comp_slack = {"neg": 0.0, "pos": 0.0}
-    for j, mask in enumerate(problem.masks):
-        M = problem.prog.cones[2 * j]
-        g = X.T @ (mask.diag_vector() * lam)
-        for side, v, vec in (("neg", -g, sol.u[j]), ("pos", g, sol.u_prime[j])):
-            proj, z = cone_projection(M, v)
-            nrm = np.linalg.norm(vec)
-            if nrm > threshold:
-                res = float(np.linalg.norm(proj - vec / nrm))
-            else:
-                res = max(0.0, float(np.linalg.norm(proj)) - 1.0)
-            stationarity[side] = max(stationarity[side], res)
-            comp_slack[side] = max(comp_slack[side],
-                                   float(np.abs(z * (M @ vec)).max()))
-    outputs = problem.outputs(sol.u, sol.u_prime)
-    return ConvexKKTReport(
-        stationarity_neg=stationarity["neg"],
-        stationarity_pos=stationarity["pos"],
-        margin_comp_slack=float(np.abs(lam * (outputs - y)).max()),
-        cone_comp_slack_neg=comp_slack["neg"],
-        cone_comp_slack_pos=comp_slack["pos"],
-        dual_sign_violation=max(0.0, float((-(y * lam)).max())))

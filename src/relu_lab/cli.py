@@ -33,7 +33,7 @@ from .certify import dual_feasible, extract_kkt, ortho_coverage, spike_free
 from .convex import NetworkParams, build_primal, solve_primal
 from .datasets import (BUILTIN_DATASETS, Dataset, builtin_dataset,
                        dataset_to_json, is_orthogonal_separable, load_dataset)
-from .flow import FlowConfig, recover_dual, run_flow
+from .flow import FlowConfig, network_dual, recover_dual, run_flow
 from .geometry import (GAUGE_SOLVE_TOL, extreme_point,
                        rectified_ellipsoid_samples)
 from .solver import (DEFAULT_TOL, DegenerateError, SolverError,
@@ -254,6 +254,8 @@ def cmd_certify(args) -> tuple[Dataset, list[str]]:
     if not ds.is_binary:
         raise UsageError("certify drives binary datasets")
     masks = enumerate_masks(ds.X)
+    # checked in both modes, though a --network run does not read it
+    cfg = _flow_config(args)
     if args.network:
         net = _load_network(args.network)
         if net.W1.shape[0] != ds.d:
@@ -261,7 +263,7 @@ def cmd_certify(args) -> tuple[Dataset, list[str]]:
                              f"the dataset has d = {ds.d}")
         nets = [(None, net)]
     else:
-        trace = run_flow(ds, _flow_config(args))
+        trace = run_flow(ds, cfg)
         if _report_abort(trace):
             raise FlowAborted
         nets = [(rec.iteration, NetworkParams(W1=rec.W1, w2=rec.w2))
@@ -270,7 +272,7 @@ def cmd_certify(args) -> tuple[Dataset, list[str]]:
     sep = is_orthogonal_separable(ds)
     for it, net in nets:
         tag = "" if it is None else f"[iter {it}] "
-        lam, gauge_net, gauge_all = recover_dual(ds.X, ds.y, net, masks)
+        lam, _ = network_dual(ds.X, ds.y, net)
         lam = lam * args.lambda_scale
         cert = dual_feasible(ds.X, masks, lam, tol=args.tol_cert)
         print(f"{tag}dual-feasible: {str(cert.verdict).lower()} ({cert.detail})")

@@ -1,4 +1,4 @@
-"""Convex max-margin program, its certified dual, and network conversions.
+"""Convex max-margin program, its certified dual, and the network's margin.
 
 The primal over an arrangement list D_1..D_p is the group-norm program
 
@@ -11,8 +11,8 @@ group 2j+1 is u'_j (positive side).  The dual maximizes y^T lam subject to
 diag(y) lam >= 0 and polar gauge(lam) <= 1 over the arrangement cones.  One
 solve gives both sides, and lam is the whole dual: lam = diag(y) mu_margin,
 divided by its exact gauge when that exceeds 1 (see solve_primal).  The cone
-multipliers are a function of lam (the projection multipliers that
-certify.convex_kkt_residuals computes), so they are not returned.
+multipliers are a function of lam (those of its exact cone projections), so
+they are not returned.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .solver import (DEFAULT_TOL, ConeProgram, DegenerateError, SolveReport,
 #: groups with norm below ACTIVE_RTOL * (1 + objective) are reported inactive
 ACTIVE_RTOL = 1e-6
 
-#: x_n^T w lies on the boundary when |x_n^T w| <= BOUNDARY_RTOL ||x_n|| ||w||;
-#: one band for network-to-convex mapping and KKT extraction
+#: x_n^T w lies on the boundary when |x_n^T w| <= BOUNDARY_RTOL ||x_n|| ||w||
+#: (completion_choices, the boundary band of KKT extraction)
 BOUNDARY_RTOL = 1e-7
 
 
@@ -190,22 +190,6 @@ def solve_dual(X: np.ndarray, y: np.ndarray, masks: list[ActivationMask],
     return lam, float(problem.y @ lam), report
 
 
-def network_from_convex(sol: ConvexSolution,
-                        masks: list[ActivationMask]) -> NetworkParams:
-    """Balanced splitting of active groups into neurons: u'_j gives
-    (u'/sqrt||u'||, +sqrt||u'||), u_j gives (u/sqrt||u||, -sqrt||u||)."""
-    active = sol.active_groups()
-    if not active:
-        raise DegenerateError("solution has no active groups; empty network")
-    cols = []
-    outs = []
-    for _, side, vec in active:
-        nrm = np.linalg.norm(vec)
-        cols.append(vec / np.sqrt(nrm))
-        outs.append(np.sqrt(nrm) if side == "+" else -np.sqrt(nrm))
-    return NetworkParams(W1=np.stack(cols, axis=1), w2=np.array(outs))
-
-
 def completion_choices(X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(strict bits, boundary indicator) of X w with a relative boundary band."""
     t = X @ w
@@ -213,38 +197,6 @@ def completion_choices(X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.nda
     boundary = np.abs(t) <= BOUNDARY_RTOL * np.maximum(scale, 1e-300)
     strict = (t > 0) & ~boundary
     return strict, boundary
-
-
-def convex_from_network(problem: ConvexProblem, W1: np.ndarray,
-                        w2: np.ndarray) -> ConvexSolution:
-    """Map neurons onto the problem's convex groups: neurons with equal
-    masks merge by summation; a neuron matches a mask agreeing with its
-    strict activation pattern off the boundary set (ties to the
-    lexicographically smallest)."""
-    X, masks = problem.X, problem.masks
-    W1 = np.asarray(W1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    u = [np.zeros(problem.d) for _ in masks]
-    up = [np.zeros(problem.d) for _ in masks]
-    ordered = sorted(range(problem.p), key=lambda j: masks[j].bits)
-    for i in range(w2.shape[0]):
-        if w2[i] == 0.0 or not np.any(W1[:, i]):
-            continue
-        strict, boundary = completion_choices(X, W1[:, i])
-        match = None
-        for j in ordered:
-            bits = np.array(masks[j].bits, dtype=bool)
-            if np.all(bits[~boundary] == strict[~boundary]):
-                match = j
-                break
-        if match is None:
-            raise ValueError(f"neuron {i} has no realizable mask in the list")
-        if w2[i] > 0:
-            up[match] += W1[:, i] * w2[i]
-        else:
-            u[match] += W1[:, i] * (-w2[i])
-    objective = sum(np.linalg.norm(v) for v in u) + sum(np.linalg.norm(v) for v in up)
-    return problem.solution(u, up, objective)
 
 
 def margin_objective(X: np.ndarray, y: np.ndarray, W1: np.ndarray,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .arrangements import ActivationMask, SignPattern, mask_of
+from .arrangements import ActivationMask, mask_of
 from .datasets import Dataset
 from .geometry import extreme_point, polar_gauge
 from .convex import NetworkParams, margin_objective
@@ -83,14 +83,12 @@ class NeuronRecord:
     s: int                    # sign(w2_i)
     mask: ActivationMask      # strict activation pattern of u
     alignment: float | None   # cos angle(u, s X^T D(u) y), None if undefined
-    sign_condition: bool      # sign(y^T (X w1_i)_+) == sign(w2_i), both nonzero
 
 
 @dataclass
 class FlowRecord:
     iteration: int
     loss: float
-    lambda_tilde: np.ndarray
     neurons: list[NeuronRecord]
     margin: float | None
     W1: np.ndarray
@@ -145,33 +143,6 @@ def logistic_loss(X: np.ndarray, y: np.ndarray, params: NetworkParams) -> float:
     return float(np.sum(np.logaddexp(0.0, -q)))
 
 
-def g_pattern(X: np.ndarray, sigma, lam: np.ndarray) -> np.ndarray:
-    """g(sigma, lam) = sum of lam_n x_n over the strictly positive entries of
-    a sign pattern sigma (a SignPattern or a length-N sign sequence)."""
-    signs = np.asarray(sigma.signs if isinstance(sigma, SignPattern) else sigma)
-    lam = np.asarray(lam, dtype=float)
-    return np.asarray(X, dtype=float).T @ (lam * (signs > 0))
-
-
-def g_min_max(X: np.ndarray, y: np.ndarray,
-              patterns: list[SignPattern]) -> tuple[float, float,
-                                                    list[SignPattern],
-                                                    list[SignPattern]]:
-    """(g_min, g_max, minimizers, maximizers) of ||g(sigma, y/4)|| over the
-    realizable sign patterns, the minimum restricted to nonvanishing g."""
-    lam = np.asarray(y, dtype=float) / 4.0
-    norms = [float(np.linalg.norm(g_pattern(X, p, lam))) for p in patterns]
-    nonzero = [(v, p) for v, p in zip(norms, patterns) if v > 0.0]
-    if not nonzero:
-        raise DegenerateError("g vanishes on every realizable sign pattern")
-    gmin = min(v for v, _ in nonzero)
-    gmax = max(norms)
-    minimizers = [p for v, p in nonzero if abs(v - gmin) <= 1e-12 * (1 + gmin)]
-    maximizers = [p for v, p in zip(norms, patterns)
-                  if abs(v - gmax) <= 1e-12 * (1 + gmax)]
-    return gmin, gmax, minimizers, maximizers
-
-
 def step(X: np.ndarray, y: np.ndarray, W1: np.ndarray, w2: np.ndarray,
          Z: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
     """One forward-Euler subgradient step from (W1, w2) with Z = X @ W1 (old
@@ -196,15 +167,7 @@ def alignment(X: np.ndarray, u: np.ndarray, lam: np.ndarray) -> float | None:
     return float(u @ g / (nu * ng))
 
 
-def _sign_condition(X: np.ndarray, y: np.ndarray, w1: np.ndarray,
-                    w2: float) -> bool:
-    """sign(y^T (X w1)_+) == sign(w2), both nonzero."""
-    v = float(np.asarray(y) @ np.maximum(np.asarray(X) @ w1, 0.0))
-    return v != 0.0 and w2 != 0.0 and np.sign(v) == np.sign(w2)
-
-
 def _record(X, y, params, it) -> FlowRecord:
-    lt = lambda_tilde(X, y, params)
     neurons = []
     for i in range(params.m):
         w1 = params.W1[:, i]
@@ -215,11 +178,10 @@ def _record(X, y, params, it) -> FlowRecord:
         neurons.append(NeuronRecord(
             r=float(np.log(nrm)) if nrm > 0 else -np.inf,
             u=u, s=s, mask=mask_of(X, u),
-            alignment=None if a is None else s * a,
-            sign_condition=_sign_condition(X, y, w1, params.w2[i])))
+            alignment=None if a is None else s * a))
     mo = margin_objective(X, y, params.W1, params.w2)
     return FlowRecord(iteration=it, loss=logistic_loss(X, y, params),
-                      lambda_tilde=lt, neurons=neurons,
+                      neurons=neurons,
                       margin=None if mo is None else mo[1],
                       W1=params.W1.copy(), w2=params.w2.copy())
 
@@ -329,16 +291,13 @@ def _add_sign_events(trace: FlowTrace, it: int, old: np.ndarray,
             new=tuple(new[:, i].tolist())))
 
 
-def recover_dual(X: np.ndarray, y: np.ndarray, params: NetworkParams,
-                 masks_all: list[ActivationMask]
-                 ) -> tuple[np.ndarray, float, float]:
+def network_dual(X: np.ndarray, y: np.ndarray, params: NetworkParams
+                 ) -> tuple[np.ndarray, float]:
     """Dual candidate from a trained network: normalize lambda_tilde, then
     divide by the network gauge, the max of |v^T u| at the extreme points
     along +/-v, v = X^T lam, over the masks realized by the network's
     neurons (the convention of the reference experiments).  Returns
-    (lam, gauge_network, gauge_all) where gauge_all is the polar gauge of
-    the scaled lam over the full arrangement list (dual feasible iff
-    gauge_all <= 1 + tol)."""
+    (lam, gauge_network)."""
     lt = lambda_tilde(X, y, params)
     nrm = np.linalg.norm(lt)
     if nrm == 0.0:
@@ -349,7 +308,16 @@ def recover_dual(X: np.ndarray, y: np.ndarray, params: NetworkParams,
                     for mask in network_masks(X, params) for s in (v, -v))
     if gauge_net <= 1e-12:
         raise DegenerateError("degenerate normalizing gauge")
-    lam = lam / gauge_net
+    return lam / gauge_net, gauge_net
+
+
+def recover_dual(X: np.ndarray, y: np.ndarray, params: NetworkParams,
+                 masks_all: list[ActivationMask]
+                 ) -> tuple[np.ndarray, float, float]:
+    """(lam, gauge_network, gauge_all): network_dual's pair and the polar
+    gauge of lam over the full arrangement list (dual feasible iff
+    gauge_all <= 1 + tol)."""
+    lam, gauge_net = network_dual(X, y, params)
     return lam, gauge_net, polar_gauge(X, masks_all, lam).gauge
 
 

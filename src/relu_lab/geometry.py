@@ -1,5 +1,5 @@
-"""Rectified-ellipsoid geometry: extreme points, polar gauge, stationary
-directions and figure sampling.
+"""Rectified-ellipsoid geometry: extreme points, polar gauge and figure
+sampling.
 
 The rectified ellipsoid of X is {(Xu)_+ : ||u|| <= 1}; its extreme point
 along a vector v within one arrangement cone C = {u : M u >= 0},
@@ -16,12 +16,6 @@ checked against the projection's KKT conditions.
 The polar gauge of lam is the max of |v^T u| over masks and both extreme
 points, v = X^T D_j lam; lam is dual feasible iff the gauge over the full
 arrangement set is <= 1.
-
-A stationary direction of lam is a fixed point of
-u -> X^T D(u) lam / ||X^T D(u) lam||, D(u) = diag(I(Xu > 0)), a direction a
-positive neuron can align with at a stationary point of the flow.  Each
-strict pattern has at most one candidate, so one pass over the arrangement
-finds them all, exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangements import ActivationMask, mask_of
+from .arrangements import ActivationMask
 from .solver import PROJECTION_ZERO_RTOL, cone_projection
 
 #: dual-feasibility tolerance: a gauge <= 1 + GAUGE_SOLVE_TOL certifies
@@ -88,34 +82,6 @@ def polar_gauge(X: np.ndarray, masks: list[ActivationMask],
     return PolarGaugeReport(gauge=float(values[best]),
                             per_mask=tuple(per_mask),
                             argmax_mask=per_mask[best][0])
-
-
-def stationary_directions(X: np.ndarray, masks: list[ActivationMask],
-                          lam: np.ndarray
-                          ) -> list[tuple[np.ndarray, ActivationMask]]:
-    """Every fixed point u = X^T D(u) lam / ||X^T D(u) lam|| with its
-    pattern D(u) = I(Xu > 0), in mask order.
-
-    The strict patterns I(Xu > 0) are exactly s = 1 - m over the realizable
-    masks m = I(Xw >= 0) (take u = -w), and the only candidate with pattern
-    s is u_s = X^T diag(s) lam / ||X^T diag(s) lam||; u_s is kept iff
-    mask_of(X, u_s) = s.  A pattern whose update X^T diag(s) lam vanishes
-    has no fixed point.  Complete when masks is the full arrangement set.
-    """
-    X = np.asarray(X, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    found = []
-    for mask in masks:
-        s = 1.0 - mask.diag_vector()
-        g = X.T @ (s * lam)
-        norm = np.linalg.norm(g)
-        if norm == 0.0:
-            continue
-        u = g / norm
-        pattern = mask_of(X, u)
-        if np.array_equal(pattern.diag_vector(), s):
-            found.append((u, pattern))
-    return found
 
 
 def rectified_ellipsoid_samples(X: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:

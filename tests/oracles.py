@@ -1,21 +1,29 @@
-"""Independent enumeration oracles for the arrangement tests.
+"""Independent oracles for the tests.
 
-Both return patterns lexicographically, like ``relu_lab.arrangements``, and
-neither solves an LP:
+Two enumeration oracles return patterns lexicographically, like
+``relu_lab.arrangements``, and neither solves an LP:
 
 * the face recursion (any d): every face of the arrangement of the rows,
   normalized to unit length, found by recursing over flats;
 * the d = 2 angular sweep: every direction where some sample's sign flips,
   the bisectors between them and the origin, with the zero band
   1e-12 max(||x_n||, 1).
+
+The paper-claim oracles check what the acceptance criteria assert of the
+paper and no command prints: the network-convex correspondence and the
+convex program's KKT families (criterion 08), the stationary directions
+neurons align with (criterion 08), and g_min over the sign patterns
+(criterion 10).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from relu_lab.arrangements import ActivationMask, SignPattern
-from relu_lab.solver import DegenerateError
+from relu_lab.arrangements import ActivationMask, SignPattern, mask_of
+from relu_lab.convex import (ACTIVE_RTOL, ConvexProblem, ConvexSolution,
+                             NetworkParams, completion_choices)
+from relu_lab.solver import DegenerateError, cone_projection
 
 #: zero band of a row's norm restricted to a flat: at most ZERO_TOL counts as
 #: zero, and a norm in (ZERO_TOL, DEGENERATE_TOL) raises DegenerateError
@@ -162,3 +170,149 @@ def sweep_masks(X) -> list[ActivationMask]:
 def sweep_sign_patterns(X) -> list[SignPattern]:
     return [SignPattern(signs=signs, witness=w)
             for signs, w in _first_witness(_sweep2d(X))]
+
+
+def network_from_convex(sol: ConvexSolution) -> NetworkParams:
+    """Balanced splitting of active groups into neurons: u'_j gives
+    (u'/sqrt||u'||, +sqrt||u'||), u_j gives (u/sqrt||u||, -sqrt||u||)."""
+    active = sol.active_groups()
+    if not active:
+        raise DegenerateError("solution has no active groups; empty network")
+    cols = []
+    outs = []
+    for _, side, vec in active:
+        nrm = np.linalg.norm(vec)
+        cols.append(vec / np.sqrt(nrm))
+        outs.append(np.sqrt(nrm) if side == "+" else -np.sqrt(nrm))
+    return NetworkParams(W1=np.stack(cols, axis=1), w2=np.array(outs))
+
+
+def convex_from_network(problem: ConvexProblem, W1: np.ndarray,
+                        w2: np.ndarray) -> ConvexSolution:
+    """Map neurons onto the problem's convex groups: neurons with equal
+    masks merge by summation; a neuron matches a mask agreeing with its
+    strict activation pattern off the boundary set (ties to the
+    lexicographically smallest)."""
+    X, masks = problem.X, problem.masks
+    W1 = np.asarray(W1, dtype=float)
+    w2 = np.asarray(w2, dtype=float)
+    u = [np.zeros(problem.d) for _ in masks]
+    up = [np.zeros(problem.d) for _ in masks]
+    ordered = sorted(range(problem.p), key=lambda j: masks[j].bits)
+    for i in range(w2.shape[0]):
+        if w2[i] == 0.0 or not np.any(W1[:, i]):
+            continue
+        strict, boundary = completion_choices(X, W1[:, i])
+        match = None
+        for j in ordered:
+            bits = np.array(masks[j].bits, dtype=bool)
+            if np.all(bits[~boundary] == strict[~boundary]):
+                match = j
+                break
+        if match is None:
+            raise ValueError(f"neuron {i} has no realizable mask in the list")
+        if w2[i] > 0:
+            up[match] += W1[:, i] * w2[i]
+        else:
+            u[match] += W1[:, i] * (-w2[i])
+    objective = sum(np.linalg.norm(v) for v in u) + sum(np.linalg.norm(v) for v in up)
+    return problem.solution(u, up, objective)
+
+
+def convex_kkt_residuals(problem: ConvexProblem, sol: ConvexSolution,
+                         lam: np.ndarray) -> dict[str, float]:
+    """The five optimality families of the convex program at the primal
+    point sol and the dual lam, and lam's violation of diag(y) lam >= 0.
+    The cone multipliers of mask j are those of the projections
+    P_j(-/+ X^T D_j lam) = -/+ X^T D_j lam + M_j^T z onto the cone
+    {u : M_j u >= 0}, M_j = (2 D_j - I) X; a zero group needs ||P_j|| <= 1,
+    a nonzero group u needs P_j = u / ||u||.  Primal feasibility is
+    sol.margin_slack and sol.cone_slack (pure evaluation; nothing is
+    thresholded)."""
+    X, y = problem.X, problem.y
+    lam = np.asarray(lam, dtype=float)
+    threshold = ACTIVE_RTOL * (1.0 + sol.objective)
+    stationarity = {"neg": 0.0, "pos": 0.0}
+    comp_slack = {"neg": 0.0, "pos": 0.0}
+    for j, mask in enumerate(problem.masks):
+        M = problem.prog.cones[2 * j]
+        g = X.T @ (mask.diag_vector() * lam)
+        for side, v, vec in (("neg", -g, sol.u[j]), ("pos", g, sol.u_prime[j])):
+            proj, z = cone_projection(M, v)
+            nrm = np.linalg.norm(vec)
+            if nrm > threshold:
+                res = float(np.linalg.norm(proj - vec / nrm))
+            else:
+                res = max(0.0, float(np.linalg.norm(proj)) - 1.0)
+            stationarity[side] = max(stationarity[side], res)
+            comp_slack[side] = max(comp_slack[side],
+                                   float(np.abs(z * (M @ vec)).max()))
+    outputs = problem.outputs(sol.u, sol.u_prime)
+    margin = float(np.abs(lam * (outputs - y)).max())
+    return {"stationarity_neg": stationarity["neg"],       # family (i)
+            "stationarity_pos": stationarity["pos"],       # family (ii)
+            "margin_comp_slack": margin,                   # family (iii)
+            "cone_comp_slack_neg": comp_slack["neg"],      # family (iv)
+            "cone_comp_slack_pos": comp_slack["pos"],      # family (v)
+            "dual_sign_violation": max(0.0, float((-(y * lam)).max()))}
+
+
+def stationary_directions(X: np.ndarray, masks: list[ActivationMask],
+                          lam: np.ndarray
+                          ) -> list[tuple[np.ndarray, ActivationMask]]:
+    """Every fixed point u = X^T D(u) lam / ||X^T D(u) lam|| with its
+    pattern D(u) = I(Xu > 0), in mask order: the directions a positive
+    neuron can align with at a stationary point of the flow.
+
+    The strict patterns I(Xu > 0) are exactly s = 1 - m over the realizable
+    masks m = I(Xw >= 0) (take u = -w), and the only candidate with pattern
+    s is u_s = X^T diag(s) lam / ||X^T diag(s) lam||; u_s is kept iff
+    mask_of(X, u_s) = s.  A pattern whose update X^T diag(s) lam vanishes
+    has no fixed point.  Complete when masks is the full arrangement set.
+    """
+    X = np.asarray(X, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    found = []
+    for mask in masks:
+        s = 1.0 - mask.diag_vector()
+        g = X.T @ (s * lam)
+        norm = np.linalg.norm(g)
+        if norm == 0.0:
+            continue
+        u = g / norm
+        pattern = mask_of(X, u)
+        if np.array_equal(pattern.diag_vector(), s):
+            found.append((u, pattern))
+    return found
+
+
+def g_pattern(X: np.ndarray, signs, lam: np.ndarray) -> np.ndarray:
+    """g(sigma, lam) = sum of lam_n x_n over the strictly positive entries of
+    a length-N sign sequence sigma."""
+    lam = np.asarray(lam, dtype=float)
+    return np.asarray(X, dtype=float).T @ (lam * (np.asarray(signs) > 0))
+
+
+def positive_support(signs) -> tuple[int, ...]:
+    """Indices of the strictly positive entries of a sign sequence."""
+    return tuple(i for i, s in enumerate(signs) if s > 0)
+
+
+def g_min_max(X: np.ndarray, y: np.ndarray,
+              patterns: list[SignPattern]) -> tuple[float, float,
+                                                    list[SignPattern],
+                                                    list[SignPattern]]:
+    """(g_min, g_max, minimizers, maximizers) of ||g(sigma, y/4)|| over the
+    realizable sign patterns, the minimum restricted to nonvanishing g."""
+    lam = np.asarray(y, dtype=float) / 4.0
+    norms = [float(np.linalg.norm(g_pattern(X, p.signs, lam)))
+             for p in patterns]
+    nonzero = [(v, p) for v, p in zip(norms, patterns) if v > 0.0]
+    if not nonzero:
+        raise DegenerateError("g vanishes on every realizable sign pattern")
+    gmin = min(v for v, _ in nonzero)
+    gmax = max(norms)
+    minimizers = [p for v, p in nonzero if abs(v - gmin) <= 1e-12 * (1 + gmin)]
+    maximizers = [p for v, p in zip(norms, patterns)
+                  if abs(v - gmax) <= 1e-12 * (1 + gmax)]
+    return gmin, gmax, minimizers, maximizers

@@ -14,16 +14,16 @@ import numpy as np
 import pytest
 
 from conftest import GD_SEED, random_orthogonal_separable
-from oracles import sweep_masks
+from oracles import (convex_kkt_residuals, g_min_max, network_from_convex,
+                     positive_support, stationary_directions, sweep_masks)
 from relu_lab.arrangements import (cover_bound, enumerate_masks,
                                    enumerate_sign_patterns, matrix_rank)
-from relu_lab.certify import (convex_kkt_residuals, dual_feasible,
-                              extract_kkt, ortho_coverage, spike_free)
+from relu_lab.certify import extract_kkt, ortho_coverage, spike_free
 from relu_lab.cli import FACE_TOL, notebook_face_functionals
-from relu_lab.convex import (NetworkParams, build_primal, network_from_convex,
-                             solve_dual, solve_primal)
-from relu_lab.flow import (FlowConfig, g_min_max, recover_dual, run_flow)
-from relu_lab.geometry import GAUGE_SOLVE_TOL, stationary_directions
+from relu_lab.convex import (NetworkParams, build_primal, solve_dual,
+                             solve_primal)
+from relu_lab.flow import FlowConfig, recover_dual, run_flow
+from relu_lab.geometry import GAUGE_SOLVE_TOL
 from relu_lab.solver import optimal_face_bounds
 
 #: values of the notebook pair-sum face functionals on the optimal set; every
@@ -147,14 +147,19 @@ def test_criterion_05_appendix_solutions(ortho_ds, nonspikefree_ds):
     assert ok
 
 
-def test_criterion_06_alignment_condition(alignment_traces):
+def test_criterion_06_alignment_condition(ortho_ds, alignment_traces):
     ok = True
     detail = []
     for eps, trace in alignment_traces.items():
         init = trace.records[0]
         final = trace.final()
-        qualifying = [i for i, nr in enumerate(init.neurons)
-                      if nr.sign_condition]
+        # neurons with sign(y^T (X w1_i)_+) == sign(w2_i), both nonzero, at
+        # initialization
+        qualifying = []
+        for i, w2 in enumerate(init.w2):
+            v = float(ortho_ds.y @ np.maximum(ortho_ds.X @ init.W1[:, i], 0.0))
+            if v != 0.0 and w2 != 0.0 and np.sign(v) == np.sign(w2):
+                qualifying.append(i)
         best = max((final.neurons[i].alignment for i in qualifying
                     if final.neurons[i].alignment is not None),
                    default=-np.inf)
@@ -195,16 +200,16 @@ def test_criterion_08_fixed_point_and_kkt(notebook_ds, notebook_masks,
     ok_fp = fp <= 1e-8
     # KKT extraction at the solved optimum
     problem, sol, lam, _ = notebook_solved
-    net = network_from_convex(sol, notebook_masks)
+    net = network_from_convex(sol)
     ex = extract_kkt(notebook_ds.X, notebook_ds.y, net.W1, net.w2, lam)
-    ok_extract = (ex.max_direction_residual() <= 1e-5
-                  and ex.max_norm_residual() <= 1e-5)
-    rep = convex_kkt_residuals(problem, sol, lam)
-    ok_kkt = rep.max_family_residual() <= 1e-4
+    direction = max(n.direction_residual for n in ex.neurons)
+    ok_extract = (direction <= 1e-5
+                  and max(n.norm_residual for n in ex.neurons) <= 1e-5)
+    families = max(convex_kkt_residuals(problem, sol, lam).values())
+    ok_kkt = families <= 1e-4
     ok = verdict("08", ok_fp and ok_extract and ok_kkt,
-                 f"fixed-point {fp:.1e}, extraction "
-                 f"{ex.max_direction_residual():.1e}, families "
-                 f"{rep.max_family_residual():.1e}")
+                 f"fixed-point {fp:.1e}, extraction {direction:.1e}, "
+                 f"families {families:.1e}")
     assert ok
 
 
@@ -285,7 +290,7 @@ def test_criterion_10_bound_and_gmin(notebook_ds):
         ok_bound = ok_bound and p <= cover_bound(N, matrix_rank(X))
     pats = enumerate_sign_patterns(notebook_ds.X)
     gmin, gmax, minimizers, _ = g_min_max(notebook_ds.X, notebook_ds.y, pats)
-    supports = {p.positive_support() for p in minimizers}
+    supports = {positive_support(p.signs) for p in minimizers}
     ok_gmin = abs(gmin - 0.25) <= 1e-12 and (0,) in supports
     ok = verdict("10", ok_bound and ok_gmin,
                  f"|P| <= bound on 50 sets; g_min {gmin} with support {{0}}")

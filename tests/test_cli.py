@@ -7,13 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import relu_lab.certify
 import relu_lab.cli
 import relu_lab.convex
 import relu_lab.flow
+import relu_lab.geometry
 import relu_lab.solver
 from relu_lab.cli import main
 from relu_lab.datasets import builtin_dataset
 
+from answers import ANSWERS, digests, environment
 from conftest import generic_gaussian_draws
 from oracles import sweep_masks
 
@@ -230,18 +233,28 @@ class TestOptionsAndManifest:
             capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("argv", WRITING_RUNS.values(), ids=WRITING_RUNS)
+    @pytest.mark.parametrize("run", WRITING_RUNS)
     def test_deterministic_reruns_are_byte_identical(self, capsys, tmp_path,
-                                                     argv):
+                                                     run):
         out = tmp_path / "run"
-        argv = argv + ["--out-dir", str(out)]
+        argv = WRITING_RUNS[run] + ["--out-dir", str(out)]
         assert run_cli(capsys, *argv)[0] == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["wall_time"] >= 0.0
         assert all((out / name).is_file() for name in manifest["outputs"])
-        assert run_cli(capsys, *argv, "--deterministic")[0] == 0
+        code, stdout, _ = run_cli(capsys, *argv, "--deterministic")
+        assert code == 0
         first = tree_bytes(out)
         assert "wall_time" not in json.loads(first["manifest.json"])
+        pinned = json.loads(ANSWERS.read_text())
+        want = pinned["runs"][run]
+        got = digests(stdout, out)
+        moved = sorted(name for name in want.keys() | got.keys()
+                       if want.get(name) != got.get(name))
+        assert not moved, (f"{run}: {', '.join(moved)} moved from the pinned "
+                           f"answers, recorded under "
+                           f"{pinned['environment']}; this run has "
+                           f"{environment()}")
         assert run_cli(capsys, *argv, "--deterministic")[0] == 0
         assert tree_bytes(out) == first
 
@@ -450,6 +463,39 @@ class TestCertifyCommand:
         payload = json.loads(out.strip().splitlines()[-1])
         kinds = {c["kind"] for c in payload}
         assert {"dual-feasible", "ortho-coverage", "spike-free"} <= kinds
+
+    @pytest.mark.parametrize("option", [("--step", "nan"), ("--m", "0"),
+                                        ("--iters", "-5"),
+                                        ("--checkpoints", "7,x")],
+                             ids=["step", "m", "iters", "checkpoints"])
+    def test_network_mode_checks_flow_options(self, capsys, tmp_path,
+                                              option):
+        # the same options are refused with and without --network
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps({"W1": [[1.0, 0.0], [0.0, 1.0]],
+                                   "w2": [1.0, -1.0]}))
+        for extra in ([], ["--network", str(net)]):
+            code, out, err = run_cli(capsys, "certify", "--dataset",
+                                     "notebook", *extra, *option)
+            assert code == 2
+            assert out == "" and err.startswith("error: ")
+
+    def test_one_polar_gauge_per_checkpoint(self, capsys, monkeypatch):
+        calls = []
+        gauge = relu_lab.geometry.polar_gauge
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return gauge(*args, **kwargs)
+
+        for module in (relu_lab.geometry, relu_lab.flow, relu_lab.certify,
+                       relu_lab.convex):
+            monkeypatch.setattr(module, "polar_gauge", counted)
+        code, out, _ = run_cli(capsys, "certify", "--dataset",
+                               "appendix-ortho", "--iters", "2000",
+                               "--checkpoints", "100,2000", "--step", "0.1")
+        assert code == 0
+        assert out.count("dual-feasible: ") == 2 and len(calls) == 2
 
     def test_network_shape_mismatch_is_named(self, capsys, tmp_path):
         net = tmp_path / "net.json"

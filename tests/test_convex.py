@@ -4,14 +4,14 @@ import pytest
 import relu_lab.convex
 from relu_lab.arrangements import ActivationMask, enumerate_masks
 from relu_lab.certify import dual_feasible
-from relu_lab.convex import (build_primal, convex_from_network,
-                             margin_objective, network_from_convex,
-                             solve_dual, solve_primal)
+from relu_lab.convex import (build_primal, margin_objective, solve_dual,
+                             solve_primal)
 from relu_lab.datasets import builtin_dataset
 from relu_lab.geometry import polar_gauge
 from relu_lab.solver import DEFAULT_TOL, solve
 
 from conftest import generic_gaussian_draws
+from oracles import convex_from_network, network_from_convex
 
 
 def brute_force_single_mask_dual(X, y):
@@ -299,7 +299,7 @@ class TestNetworkConversions:
         masks = enumerate_masks(ortho_ds.X)
         sol, _, report = solve_primal(build_primal(ortho_ds.X, ortho_ds.y,
                                                    masks))
-        net = network_from_convex(sol, masks)
+        net = network_from_convex(sol)
         back = convex_from_network(build_primal(ortho_ds.X, ortho_ds.y, masks),
                                    net.W1, net.w2)
         assert back.objective == pytest.approx(report.objective, abs=1e-6)
@@ -314,7 +314,7 @@ class TestNetworkConversions:
         # masks; the roundtrip re-merges the mass (lexicographically smallest
         # matching mask) but preserves the objective and the network
         problem, sol, _, report = notebook_solved
-        net = network_from_convex(sol, notebook_masks)
+        net = network_from_convex(sol)
         back = convex_from_network(problem, net.W1, net.w2)
         assert back.objective == pytest.approx(report.objective, abs=1e-6)
         assert back.margin_slack >= -1e-6
@@ -324,21 +324,20 @@ class TestNetworkConversions:
                        for j in range(len(notebook_masks)))
         np.testing.assert_allclose(total, expected, atol=1e-6)
 
-    def test_network_margin_and_norm(self, notebook_ds, notebook_masks,
-                                     notebook_solved):
+    def test_network_margin_and_norm(self, notebook_ds, notebook_solved):
         _, sol, _, report = notebook_solved
-        net = network_from_convex(sol, notebook_masks)
+        net = network_from_convex(sol)
         margins = notebook_ds.y * net.forward(notebook_ds.X)
         assert margins.min() >= 1.0 - 1e-6
         half_norm = 0.5 * (np.sum(net.W1 ** 2) + np.sum(net.w2 ** 2))
         assert half_norm == pytest.approx(report.objective, abs=1e-6)
 
-    def test_all_zero_solution_rejected(self, notebook_masks, notebook_solved):
+    def test_all_zero_solution_rejected(self, notebook_solved):
         _, sol, _, _ = notebook_solved
         zero = type(sol)(u=[np.zeros(2)] * 6, u_prime=[np.zeros(2)] * 6,
                          objective=0.0, margin_slack=-1.0, cone_slack=0.0)
         with pytest.raises(ValueError):
-            network_from_convex(zero, notebook_masks)
+            network_from_convex(zero)
 
     def test_equal_mask_neurons_merge(self, notebook_masks, notebook_solved):
         # two positive neurons with the same activation pattern sum into one

@@ -5,11 +5,10 @@ from relu_lab.arrangements import ActivationMask, enumerate_masks, mask_of
 from relu_lab.certify import dual_feasible
 from relu_lab.datasets import builtin_dataset
 from relu_lab.geometry import (extreme_point, polar_gauge,
-                               rectified_ellipsoid_samples,
-                               stationary_directions)
+                               rectified_ellipsoid_samples)
 from relu_lab.solver import PROJECTION_ZERO_RTOL, cone_projection
 
-from oracles import sweep_masks
+from oracles import stationary_directions, sweep_masks
 
 # dual variable printed by the reference run at its first checkpoint
 ITER10_LAMBDA = np.array([0.84944458, -0.3827491, -0.0513976])
