@@ -221,11 +221,9 @@ def cmd_flow(args) -> tuple[Dataset, list[str]]:
         tag = f"class {k + 1}: " if len(traces) > 1 else ""
         final = tr.final()
         margin = "n/a" if final.margin is None else f"{final.margin:.6f}"
-        truncated = (f", sign events truncated at {len(tr.sign_events)}"
-                     if tr.sign_events_truncated else "")
         print(f"{tag}iteration {final.iteration}: loss {final.loss:.6e}, "
               f"margin {margin}, sign flips {tr.w2_sign_flips}, "
-              f"max balance drift {tr.max_balance_drift:.3e}{truncated}")
+              f"max balance drift {tr.max_balance_drift:.3e}")
         aborted = _report_abort(tr, tag) or aborted
     if aborted:
         raise FlowAborted
@@ -243,19 +241,22 @@ def cmd_flow(args) -> tuple[Dataset, list[str]]:
 def _load_network(path: str) -> NetworkParams:
     try:
         spec = json.loads(Path(path).read_text())
-        return NetworkParams(W1=np.asarray(spec["W1"], dtype=float),
-                             w2=np.asarray(spec["w2"], dtype=float))
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot load network file {path!r}: {exc}") from exc
+    if not (isinstance(spec, dict) and "W1" in spec and "w2" in spec):
+        raise UsageError(f"cannot load network file {path!r}: it must be a "
+                         f"JSON object with W1 and w2")
+    return NetworkParams(W1=np.asarray(spec["W1"], dtype=float),
+                         w2=np.asarray(spec["w2"], dtype=float))
 
 
 def cmd_certify(args) -> tuple[Dataset, list[str]]:
     ds = _dataset_from_args(args)
     if not ds.is_binary:
         raise UsageError("certify drives binary datasets")
-    masks = enumerate_masks(ds.X)
-    # checked in both modes, though a --network run does not read it
+    # checked first, in both modes; a --network run does not read it
     cfg = _flow_config(args)
+    masks = enumerate_masks(ds.X)
     if args.network:
         net = _load_network(args.network)
         if net.W1.shape[0] != ds.d:
@@ -269,7 +270,7 @@ def cmd_certify(args) -> tuple[Dataset, list[str]]:
         nets = [(rec.iteration, NetworkParams(W1=rec.W1, w2=rec.w2))
                 for rec in trace.records if rec.iteration > 0]
     certificates = []
-    sep = is_orthogonal_separable(ds)
+    separable = is_orthogonal_separable(ds)
     for it, net in nets:
         tag = "" if it is None else f"[iter {it}] "
         lam, _ = network_dual(ds.X, ds.y, net)
@@ -278,7 +279,7 @@ def cmd_certify(args) -> tuple[Dataset, list[str]]:
         print(f"{tag}dual-feasible: {str(cert.verdict).lower()} ({cert.detail})")
         certificates.append((it, cert))
         extraction = extract_kkt(ds.X, ds.y, net.W1, net.w2, lam)
-        if sep.separable:
+        if separable:
             cov = ortho_coverage(extraction, ds.y)
             print(f"{tag}ortho-coverage: {str(cov.verdict).lower()}")
             certificates.append((it, cov))

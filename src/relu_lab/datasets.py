@@ -26,13 +26,15 @@ class Dataset:
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
-        # a label or K that is not a whole number is refused, not truncated
+        # a label or K that is not a whole number is refused, not truncated;
+        # a bool K is refused too, as FlowConfig refuses bools
         whole = np.asarray(self.labels, dtype=float)
         bad = np.flatnonzero(~(np.isfinite(whole) & (whole == np.round(whole))))
         if bad.size:
             raise ValueError(f"label {whole.flat[bad[0]]} of sample {bad[0]} "
                              f"is not a whole number")
         if not (isinstance(self.K, numbers.Real)
+                and not isinstance(self.K, bool)
                 and float(self.K).is_integer()):
             raise ValueError(f"K = {self.K} is not a whole number")
         labels = whole.astype(int)
@@ -74,13 +76,6 @@ class Dataset:
         return self.labels.astype(float)
 
 
-@dataclass(frozen=True)
-class SeparabilityReport:
-    separable: bool
-    witness: tuple[int, int] | None = None   # offending pair (0-based)
-    reason: str = ""                          # which inequality failed
-
-
 BUILTIN_DATASETS: dict[str, Dataset] = {
     "notebook": Dataset(
         X=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 1.0]]),
@@ -118,8 +113,8 @@ def load_dataset(source: str | Path | dict) -> Dataset:
         spec = source
     else:
         raise ValueError(f"unsupported dataset source type {type(source)}")
-    if "X" not in spec or "y" not in spec:
-        raise ValueError("dataset spec needs 'X' and 'y'")
+    if not (isinstance(spec, dict) and "X" in spec and "y" in spec):
+        raise ValueError("dataset spec must be a JSON object with 'X' and 'y'")
     return Dataset(X=np.asarray(spec["X"], dtype=float),
                    labels=np.asarray(spec["y"]),
                    name=str(spec.get("name", "")),
@@ -131,24 +126,16 @@ def dataset_to_json(ds: Dataset) -> dict:
             "y": ds.labels.tolist(), "K": ds.K}
 
 
-def is_orthogonal_separable(ds: Dataset) -> SeparabilityReport:
+def is_orthogonal_separable(ds: Dataset) -> bool:
     """Same-label pairs must have positive inner products, cross-label pairs
     nonpositive; binary and multiclass labels alike.  Zero rows fail (the
     same-label strict inequality cannot hold against themselves)."""
     X, labels = ds.X, ds.labels
-    N = X.shape[0]
-    norms = np.linalg.norm(X, axis=1)
-    for n in range(N):
-        if norms[n] == 0.0:
-            return SeparabilityReport(False, (n, n), "zero row")
+    if not (np.linalg.norm(X, axis=1) > 0.0).all():
+        return False
     G = X @ X.T
-    for n in range(N):
-        for n2 in range(n + 1, N):
-            if labels[n] == labels[n2]:
-                if G[n, n2] <= 0.0:
-                    return SeparabilityReport(
-                        False, (n, n2), "same-label inner product <= 0")
-            elif G[n, n2] > 0.0:
-                return SeparabilityReport(
-                    False, (n, n2), "cross-label inner product > 0")
-    return SeparabilityReport(True)
+    same = labels[:, None] == labels[None, :]
+    cross = ~same
+    # the diagonal holds the squared row norms, checked above
+    np.fill_diagonal(same, False)
+    return bool((G[same] > 0.0).all() and (G[cross] <= 0.0).all())

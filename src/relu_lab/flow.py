@@ -8,15 +8,14 @@ Plain forward-Euler steps of
 with q_n = y_n f(x_n), the zero subgradient at the ReLU kink, and balanced
 initialization ||w1_i|| = |w2_i| = eps.  Balance is conserved by the
 continuous flow; the simulator tracks the discrete drift, the second-layer
-signs, every activation sign-pattern change, and per-checkpoint polar
-coordinates, margins and alignments.  The loop keeps W1, w2 and Z = X W1 as
-arrays and computes Z once per step: the next update, its forward pass and
-the sign-pattern tracking all read it.  It runs in segments that end at the
-next checkpoint or after a block of steps: the inner loop only steps and
-stores each step's W1, w2 and Z, and the bookkeeping (balance drift, which
-doubles as the finite check, abort, sign events, w2 signs) then runs once
-over the segment's stored steps, with the same elementwise operations and
-reductions as a per-step check, so the results are bit-identical to it.
+signs and per-checkpoint polar coordinates, margins and alignments.  The
+loop keeps W1, w2 and Z = X W1 as arrays and computes Z once per step: the
+next update and its forward pass both read it.  It runs in segments that
+end at the next checkpoint or after a block of steps: the inner loop only
+steps and stores each step's W1 and w2, and the bookkeeping (balance drift,
+which doubles as the finite check, abort, w2 signs) then runs once over the
+segment's stored steps, with the same elementwise operations and reductions
+as a per-step check, so the results are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -33,9 +32,8 @@ from .geometry import extreme_point, polar_gauge
 from .convex import NetworkParams, margin_objective
 from .solver import DegenerateError
 
-SIGN_EVENT_CAP = 100_000
-#: steps per block: the loop stores each step's W1, w2 and X @ W1, and runs
-#: the drift, abort, sign-event and w2-sign bookkeeping once per block
+#: steps per block: the loop stores each step's W1 and w2, and runs the
+#: drift, abort and w2-sign bookkeeping once per block
 BLOCK_STEPS = 256
 #: the history buffers' byte budget; wide inputs get shorter blocks
 HISTORY_BYTES = 2**20
@@ -96,21 +94,11 @@ class FlowRecord:
 
 
 @dataclass
-class SignChangeEvent:
-    iteration: int
-    neuron: int
-    old: tuple[int, ...]
-    new: tuple[int, ...]
-
-
-@dataclass
 class FlowTrace:
     config: FlowConfig
     records: list[FlowRecord] = field(default_factory=list)
-    sign_events: list[SignChangeEvent] = field(default_factory=list)
     max_balance_drift: float = 0.0     # max_t max_i | ||w1_i||^2 - w2_i^2 |
     w2_sign_flips: int = 0
-    sign_events_truncated: bool = False
     aborted_at: int | None = None      # iteration of numerical failure, if any
 
     def final(self) -> FlowRecord:
@@ -195,31 +183,29 @@ def run_flow(ds: Dataset, cfg: FlowConfig):
     return _run_binary(ds.X, ds.y, cfg)
 
 
-def _block_length(N: int, d: int, m: int) -> int:
+def _block_length(d: int, m: int) -> int:
     """Steps per block of the history buffers: BLOCK_STEPS, fewer when the
-    (B, d, m), (B, m) and (B, N, m) buffers would pass HISTORY_BYTES."""
-    return max(1, min(BLOCK_STEPS, HISTORY_BYTES // (8 * (N + d + 1) * m)))
+    (B, d, m) and (B, m) buffers would pass HISTORY_BYTES."""
+    return max(1, min(BLOCK_STEPS, HISTORY_BYTES // (8 * (d + 1) * m)))
 
 
-def _history(B: int, N: int, d: int, m: int
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Empty W1, w2 and Z histories of B steps."""
-    return np.empty((B, d, m)), np.empty((B, m)), np.empty((B, N, m))
+def _history(B: int, d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Empty W1 and w2 histories of B steps."""
+    return np.empty((B, d, m)), np.empty((B, m))
 
 
 def _run_binary(X: np.ndarray, y: np.ndarray, cfg: FlowConfig) -> FlowTrace:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    (N, d), m = X.shape, cfg.m
+    d, m = X.shape[1], cfg.m
     params = init_balanced(cfg, d)
     W1, w2 = params.W1, params.w2
     Z = X @ W1
     trace = FlowTrace(config=cfg)
     checkpoints = sorted(set(cfg.checkpoints), reverse=True)
-    B = _block_length(N, d, m)
-    W1h, w2h, Zh = _history(B, N, d, m)
+    B = _block_length(d, m)
+    W1h, w2h = _history(B, d, m)
     init_signs = np.sign(w2)
-    prev_sigma = np.sign(Z)
     max_drift, eta, it = 0.0, cfg.step, 0
     # a diverging run overflows before it aborts on non-finite parameters
     with np.errstate(over="ignore", invalid="ignore"):
@@ -232,7 +218,6 @@ def _run_binary(X: np.ndarray, y: np.ndarray, cfg: FlowConfig) -> FlowTrace:
                 Z = X @ W1
                 W1h[k] = W1
                 w2h[k] = w2
-                Zh[k] = Z
             # max propagates nan and inf, so a finite drift proves W1 and w2
             # finite; finite parameters may still overflow their squares
             drift = np.abs((W1h[:n] ** 2).sum(axis=1)
@@ -248,17 +233,6 @@ def _run_binary(X: np.ndarray, y: np.ndarray, cfg: FlowConfig) -> FlowTrace:
                     trace.aborted_at = it + n + 1
             if finite[:n].any():
                 max_drift = max(max_drift, float(drift[:n][finite[:n]].max()))
-            if n:
-                # in place: the Z history is not read again
-                sigma = np.sign(Zh[:n], out=Zh[:n])
-                changed = np.empty(n, dtype=bool)
-                changed[0] = (sigma[0] != prev_sigma).any()
-                changed[1:] = (sigma[1:] != sigma[:-1]).any(axis=(1, 2))
-                for k in np.flatnonzero(changed).tolist():
-                    _add_sign_events(trace, it + k + 1,
-                                     sigma[k - 1] if k else prev_sigma,
-                                     sigma[k])
-                prev_sigma = sigma[-1].copy()
             # only a zero or flipped w2_i changes the flip count or the signs
             if not (w2h[:n] * init_signs > 0.0).all():
                 for w in w2h[:n]:
@@ -275,20 +249,6 @@ def _run_binary(X: np.ndarray, y: np.ndarray, cfg: FlowConfig) -> FlowTrace:
                     _record(X, y, NetworkParams(W1=W1, w2=w2), it))
     trace.max_balance_drift = max_drift
     return trace
-
-
-def _add_sign_events(trace: FlowTrace, it: int, old: np.ndarray,
-                     new: np.ndarray) -> None:
-    """One SignChangeEvent per neuron (column) whose activation signs differ
-    between old and new, until SIGN_EVENT_CAP events are kept."""
-    old, new = old.astype(int), new.astype(int)
-    for i in np.nonzero(np.any(new != old, axis=0))[0]:
-        if len(trace.sign_events) >= SIGN_EVENT_CAP:
-            trace.sign_events_truncated = True
-            break
-        trace.sign_events.append(SignChangeEvent(
-            iteration=it, neuron=int(i), old=tuple(old[:, i].tolist()),
-            new=tuple(new[:, i].tolist())))
 
 
 def network_dual(X: np.ndarray, y: np.ndarray, params: NetworkParams

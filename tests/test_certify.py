@@ -337,7 +337,7 @@ class TestCoverageImpliesFeasibility:
     def test_on_paper_datasets(self, ortho_ds, notebook_ds):
         from relu_lab.flow import recover_dual
         for ds in (ortho_ds, notebook_ds):
-            assert is_orthogonal_separable(ds).separable
+            assert is_orthogonal_separable(ds)
             masks = enumerate_masks(ds.X)
             cfg = FlowConfig(m=8, init_scale=1e-4, step=0.5, iters=5000,
                              checkpoints=(5000,), seed=1)

@@ -79,6 +79,16 @@ class TestArrangementsCommand:
         assert code == 0
         assert "2 arrangements" in out
 
+    @pytest.mark.parametrize("text", ["null", "5"])
+    def test_dataset_not_an_object_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "ds.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "arrangements", "--dataset",
+                                 str(path))
+        assert code == 2 and out == ""
+        assert err == ("error: dataset spec must be a JSON object with 'X' "
+                       "and 'y'\n")
+
     def test_zero_rows_have_no_bound(self, capsys, tmp_path):
         # rank 0: the counting bound needs r >= 1, as it needs N >= 2
         path = tmp_path / "zeros.json"
@@ -123,7 +133,9 @@ class TestArrangementsCommand:
 class TestSolveCommand:
     @pytest.mark.parametrize("spec, bad", [
         ({"y": [1.7, -1, -1]}, "label 1.7 of sample 0"),
-        ({"y": [1, 2, 1], "K": 2.5}, "K = 2.5")], ids=["label", "K"])
+        ({"y": [1, 2, 1], "K": 2.5}, "K = 2.5"),
+        ({"y": [1, 1, 1], "K": True}, "K = True")],
+        ids=["label", "K", "bool-K"])
     def test_fractional_label_or_k_exits_2(self, capsys, tmp_path, spec,
                                            bad):
         # refused, not truncated to a whole number and solved
@@ -408,16 +420,6 @@ class TestFlowCommand:
         assert code == 1
         assert "numerical failure: rescaled network is not finite" in err
 
-    def test_truncated_sign_events_on_summary(self, capsys, monkeypatch):
-        args = ("flow", "--dataset", "appendix-ortho", "--iters", "4000",
-                "--step", "0.1", "--seed", "1")
-        code, out, _ = run_cli(capsys, *args)
-        assert code == 0 and "truncated" not in out
-        monkeypatch.setattr(relu_lab.flow, "SIGN_EVENT_CAP", 3)
-        code, out, _ = run_cli(capsys, *args)
-        assert code == 0
-        assert out.rstrip().endswith(", sign events truncated at 3")
-
 
 class TestCertifyCommand:
     def test_feasible_verdicts(self, capsys):
@@ -479,6 +481,29 @@ class TestCertifyCommand:
                                      "notebook", *extra, *option)
             assert code == 2
             assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"abc"'])
+    def test_network_not_an_object_exits_2(self, capsys, tmp_path, text):
+        net = tmp_path / "net.json"
+        net.write_text(text)
+        code, out, err = run_cli(capsys, "certify", "--dataset", "notebook",
+                                 "--network", str(net))
+        assert code == 2 and out == ""
+        assert err == (f"error: cannot load network file {str(net)!r}: it "
+                       f"must be a JSON object with W1 and w2\n")
+
+    def test_flow_options_checked_before_enumeration(self, capsys,
+                                                     tmp_path):
+        # 23 rows are past the mask enumeration cap; the bad --m is named
+        angles = np.linspace(0.0, 1.0, 23)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "X": np.column_stack((np.cos(angles), np.sin(angles))).tolist(),
+            "y": [1] * 23}))
+        code, out, err = run_cli(capsys, "certify", "--dataset", str(path),
+                                 "--m", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad flow configuration: m = 0")
 
     def test_one_polar_gauge_per_checkpoint(self, capsys, monkeypatch):
         calls = []

@@ -40,6 +40,16 @@ class TestLoadDataset:
             load_dataset({"X": X, "y": [1, 2], "K": 2.5})
         with pytest.raises(ValueError, match=r"K = None is not a whole"):
             load_dataset({"X": X, "y": [1, 2], "K": None})
+        # a bool is no class count, though Python counts it as a number
+        with pytest.raises(ValueError, match=r"K = True is not a whole"):
+            load_dataset({"X": X, "y": [1, 1], "K": True})
+
+    @pytest.mark.parametrize("text", ["null", "5", "true"])
+    def test_top_level_not_object_rejected(self, tmp_path, text):
+        p = tmp_path / "ds.json"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            load_dataset(p)
 
     def test_integral_float_labels_load(self):
         ds = load_dataset({"X": [[1, 0], [0, 1]], "y": [1.0, -1.0]})
@@ -74,37 +84,32 @@ class TestLoadDataset:
 
 class TestOrthogonalSeparable:
     def test_appendix_dataset_separable(self, ortho_ds):
-        assert is_orthogonal_separable(ortho_ds).separable
+        assert is_orthogonal_separable(ortho_ds)
 
     def test_notebook_separable(self, notebook_ds):
-        assert is_orthogonal_separable(notebook_ds).separable
+        assert is_orthogonal_separable(notebook_ds)
 
     def test_duplicate_point_opposite_labels(self):
         ds = Dataset(X=np.array([[1.0, 0.0], [1.0, 0.0]]),
                      labels=np.array([1, -1]))
-        rep = is_orthogonal_separable(ds)
-        assert not rep.separable
-        assert rep.witness == (0, 1)
-        assert "cross-label" in rep.reason
+        assert not is_orthogonal_separable(ds)
 
     def test_zero_row_fails(self):
         ds = Dataset(X=np.array([[0.0, 0.0]]), labels=np.array([1]))
-        rep = is_orthogonal_separable(ds)
-        assert not rep.separable and rep.reason == "zero row"
+        assert not is_orthogonal_separable(ds)
 
     def test_multiclass_matches_binary_for_k2(self, ortho_ds):
         ds2 = Dataset(X=ortho_ds.X, labels=np.array([1, 2]), K=2)
-        assert is_orthogonal_separable(ds2).separable
+        assert is_orthogonal_separable(ds2)
 
     def test_multiclass_single_sample(self):
         ds = Dataset(X=np.array([[3.0, 1.0]]), labels=np.array([2]), K=4)
-        assert is_orthogonal_separable(ds).separable
+        assert is_orthogonal_separable(ds)
 
     def test_multiclass_positive_cross_inner(self):
         ds = Dataset(X=np.array([[1.0, 0.0], [0.5, 0.0]]),
                      labels=np.array([1, 2]), K=2)
-        rep = is_orthogonal_separable(ds)
-        assert not rep.separable and rep.witness == (0, 1)
+        assert not is_orthogonal_separable(ds)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.01, 100.0))
@@ -112,12 +117,12 @@ class TestOrthogonalSeparable:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(5, 2))
         y = rng.choice([-1, 1], size=5)
-        base = is_orthogonal_separable(Dataset(X=X, labels=y)).separable
+        base = is_orthogonal_separable(Dataset(X=X, labels=y))
         scaled = is_orthogonal_separable(
-            Dataset(X=scale * X, labels=y)).separable
+            Dataset(X=scale * X, labels=y))
         perm = rng.permutation(5)
         permuted = is_orthogonal_separable(
-            Dataset(X=X[perm], labels=y[perm])).separable
+            Dataset(X=X[perm], labels=y[perm]))
         assert base == scaled == permuted
 
     def test_k2_recoding_equivalence(self):
@@ -126,9 +131,9 @@ class TestOrthogonalSeparable:
             X = rng.normal(size=(4, 2))
             labels = rng.choice([1, 2], size=4)
             multi = is_orthogonal_separable(
-                Dataset(X=X, labels=labels, K=2)).separable
+                Dataset(X=X, labels=labels, K=2))
             y = np.where(labels == 1, 1, -1)
-            binary = is_orthogonal_separable(Dataset(X=X, labels=y)).separable
+            binary = is_orthogonal_separable(Dataset(X=X, labels=y))
             assert multi == binary
 
 

@@ -23,14 +23,13 @@ ITER10_LAMBDA = np.array([0.84944458, -0.3827491, -0.0513976])
 def reference_flow(X, y, cfg):
     """The flow loop in its first formulation: a NetworkParams and a
     lambda_tilde forward pass every step, and X @ W1 recomputed for the
-    update, the forward pass and the sign tracking.  Returns the (iteration,
-    W1, w2) checkpoints, sign events, max balance drift, w2 sign flips and
-    abort iteration."""
+    update and the forward pass, with the bookkeeping after every step.
+    Returns the (iteration, W1, w2) checkpoints, max balance drift, w2 sign
+    flips and abort iteration."""
     params = init_balanced(cfg, X.shape[1])
     records = [(0, params.W1, params.w2)]
     init_signs = np.sign(params.w2)
-    prev = np.sign(X @ params.W1).astype(int)
-    events, max_drift, flips, aborted = [], 0.0, 0, None
+    max_drift, flips, aborted = 0.0, 0, None
     for it in range(1, cfg.iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             Z = X @ params.W1
@@ -43,11 +42,6 @@ def reference_flow(X, y, cfg):
         except ValueError:
             aborted = it
             break
-        sigma = np.sign(X @ params.W1).astype(int)
-        for i in np.nonzero(np.any(sigma != prev, axis=0))[0]:
-            events.append((it, int(i), tuple(int(v) for v in prev[:, i]),
-                           tuple(int(v) for v in sigma[:, i])))
-        prev = sigma
         with np.errstate(over="ignore", invalid="ignore"):
             drift = np.abs(np.sum(params.W1 ** 2, axis=0) - params.w2 ** 2)
         if np.isfinite(drift).all():
@@ -57,23 +51,18 @@ def reference_flow(X, y, cfg):
                               np.sign(params.w2))
         if it in cfg.checkpoints:
             records.append((it, params.W1, params.w2))
-    return records, events, max_drift, flips, aborted
+    return records, max_drift, flips, aborted
 
 
-def assert_matches_reference(ds, trace, expect_events=True):
-    records, events, max_drift, flips, aborted = reference_flow(
+def assert_matches_reference(ds, trace):
+    records, max_drift, flips, aborted = reference_flow(
         ds.X, ds.y, trace.config)
     assert [r.iteration for r in trace.records] == [r[0] for r in records]
     for rec, (_, W1, w2) in zip(trace.records, records):
         assert np.array_equal(rec.W1, W1) and np.array_equal(rec.w2, w2)
-    assert [(e.iteration, e.neuron, e.old, e.new)
-            for e in trace.sign_events] == events
-    assert all(type(e.iteration) is int for e in trace.sign_events)
     assert trace.max_balance_drift == max_drift
     assert trace.w2_sign_flips == flips
     assert trace.aborted_at == aborted
-    if expect_events:
-        assert events   # the run changes activation patterns
 
 
 def flow_dataset(name):
@@ -265,14 +254,6 @@ class TestRunFlow:
                               NetworkParams(W1=rec.W1, w2=rec.w2))
             assert np.all(np.sign(lt) == notebook_ds.y)
 
-    def test_sign_events_recorded(self, notebook_ds):
-        cfg = FlowConfig(m=8, init_scale=1e-2, step=1.0, iters=200,
-                         checkpoints=(200,), seed=1)
-        trace = run_flow(notebook_ds, cfg)
-        assert len(trace.sign_events) > 0
-        ev = trace.sign_events[0]
-        assert ev.old != ev.new and 1 <= ev.iteration <= 200
-
     def test_multiclass_runs_k_flows(self, notebook_ds):
         labels = np.where(notebook_ds.labels == 1, 1, 2)
         ds2 = Dataset(X=notebook_ds.X, labels=labels, K=2)
@@ -303,7 +284,7 @@ class TestRunFlow:
         ("appendix-ortho", FlowConfig(m=8, init_scale=1e-4, step=0.1,
                                       iters=4000, checkpoints=(10, 4000),
                                       seed=1)),
-        # overflows: sign flips, sign events and the abort at iteration 26;
+        # overflows: sign flips and the abort at iteration 26;
         # the squares in the balance drift overflow from iteration 13 on
         # while the parameters stay finite
         ("notebook", FlowConfig(m=4, init_scale=1.0, step=1e12, iters=2000,
@@ -319,22 +300,9 @@ class TestRunFlow:
         assert trace.aborted_at == REFERENCE_ABORTS.get(name)
         assert math.isfinite(trace.max_balance_drift)
 
-    def test_sign_event_cap(self, monkeypatch):
-        ds = builtin_dataset("appendix-ortho")
-        cfg = FlowConfig(m=8, init_scale=1e-4, step=0.1, iters=4000,
-                         checkpoints=(10, 4000), seed=1)
-        full = run_flow(ds, cfg)
-        assert len(full.sign_events) > 3 and not full.sign_events_truncated
-        monkeypatch.setattr(relu_lab.flow, "SIGN_EVENT_CAP", 3)
-        capped = run_flow(ds, cfg)
-        assert capped.sign_events == full.sign_events[:3]
-        assert capped.sign_events_truncated
-        for a, b in zip(capped.records, full.records, strict=True):
-            assert a.iteration == b.iteration
-            assert np.array_equal(a.W1, b.W1) and np.array_equal(a.w2, b.w2)
-
     def test_wide_input_keeps_history_small(self, monkeypatch):
-        # N m = 128 000 leaves room for one step per block
+        # (d + 1) m = 38 464 floats per step: 3 steps fit in 2**20 bytes,
+        # 4 do not
         sizes, real = [], relu_lab.flow._history
 
         def history(*shape):
@@ -344,12 +312,12 @@ class TestRunFlow:
 
         monkeypatch.setattr(relu_lab.flow, "_history", history)
         rng = np.random.default_rng(4)
-        X = rng.normal(size=(2000, 2))
+        X = rng.normal(size=(20, 600)) / np.sqrt(600)
         ds = Dataset(X=X, labels=np.where(X[:, 0] > 0, 1, -1))
-        trace = run_flow(ds, FlowConfig(m=64, init_scale=1e-2, iters=3,
-                                        checkpoints=(2, 3), seed=1))
-        assert sizes and max(sizes) <= 2**20
-        assert_matches_reference(ds, trace, expect_events=False)
+        trace = run_flow(ds, FlowConfig(m=64, init_scale=1e-2, iters=8,
+                                        checkpoints=(2, 8), seed=1))
+        assert sizes == [3 * 601 * 64 * 8]
+        assert_matches_reference(ds, trace)
 
     def test_balance_conserved_in_continuous_limit(self, notebook_ds):
         drift = {}
@@ -360,30 +328,32 @@ class TestRunFlow:
         assert drift[0.5] / drift[0.25] == pytest.approx(2.0, abs=0.4)
 
 
-#: the overflowing notebook run: it aborts at iteration 26, every step from
-#: the first changes the activation patterns of neurons 0-2
+#: the overflowing notebook run: it aborts at iteration 26, and the squares
+#: in its balance drift overflow from iteration 13 on
 OVERFLOW = dict(m=4, init_scale=1.0, step=1e12, iters=2000, seed=1)
 
 
 class TestBlockBoundaries:
     """The loop with 7-step blocks against the reference loop.  A block
     starts after each checkpoint, so with checkpoints 10 and 17 the blocks
-    are 1-7, 8-10, 11-17, 18-24, ..., 53-59 and 60."""
+    are 1-7, 8-10, 11-17, 18-24, ..., 53-59 and 60.  crosses_edge says
+    whether the run records a checkpoint past its first block."""
 
     @pytest.fixture(autouse=True)
     def seven_step_blocks(self, monkeypatch):
         monkeypatch.setattr(relu_lab.flow, "BLOCK_STEPS", 7)
 
-    @pytest.mark.parametrize("name, cfg, events", [
-        # sign events at iterations 4, 7, 8, 15 and 39: across block edges;
+    @pytest.mark.parametrize("name, cfg, crosses_edge", [
         # 60 is not a multiple of 7, checkpoint 10 ends a block early and
         # 17 lies on an edge
         ("appendix-ortho", FlowConfig(m=8, init_scale=1e-4, step=0.1,
                                       iters=60, checkpoints=(10, 17),
                                       seed=1), True),
+        # no step: the loop runs no block
         ("ortho-separable-5", FlowConfig(m=8, init_scale=1e-4, step=0.5,
                                          iters=0, checkpoints=(), seed=1),
          False),
+        # one step: a single block shorter than BLOCK_STEPS
         ("ortho-separable-5", FlowConfig(m=8, init_scale=1e-4, step=0.5,
                                          iters=1, checkpoints=(1,), seed=1),
          False),
@@ -393,24 +363,11 @@ class TestBlockBoundaries:
         # the abort step is itself a checkpoint, which is not recorded
         ("notebook", FlowConfig(checkpoints=(1, 20, 26), **OVERFLOW), True),
     ])
-    def test_matches_reference_loop(self, name, cfg, events):
+    def test_matches_reference_loop(self, name, cfg, crosses_edge):
         ds = flow_dataset(name)
-        assert_matches_reference(ds, run_flow(ds, cfg), expect_events=events)
-
-    def test_sign_event_cap_mid_block(self, monkeypatch, notebook_ds):
-        cfg = FlowConfig(checkpoints=(1, 20), **OVERFLOW)
-        _, events, _, _, _ = reference_flow(notebook_ds.X, notebook_ds.y,
-                                            cfg)
-        # the 28th event is neuron 1 at iteration 10, inside the block 9-15,
-        # and iteration 10's event for neuron 2 is the first one dropped
-        cap = 28
-        assert events[cap - 1][:2] == (10, 1) and events[cap][:2] == (10, 2)
-        monkeypatch.setattr(relu_lab.flow, "SIGN_EVENT_CAP", cap)
-        trace = run_flow(notebook_ds, cfg)
-        assert [(e.iteration, e.neuron, e.old, e.new)
-                for e in trace.sign_events] == events[:cap]
-        assert trace.sign_events_truncated
-        assert trace.aborted_at == 26
+        trace = run_flow(ds, cfg)
+        assert_matches_reference(ds, trace)
+        assert (trace.final().iteration > 7) == crosses_edge
 
 
 class TestAlignment:
