@@ -32,7 +32,8 @@ from .arrangements import (check_sign_pattern_size, cover_bound,
 from .certify import dual_feasible, extract_kkt, ortho_coverage, spike_free
 from .convex import NetworkParams, build_primal, solve_primal
 from .datasets import (BUILTIN_DATASETS, Dataset, builtin_dataset,
-                       dataset_to_json, is_orthogonal_separable, load_dataset)
+                       dataset_to_json, is_orthogonal_separable, json_numbers,
+                       load_dataset)
 from .flow import FlowConfig, network_dual, recover_dual, run_flow
 from .geometry import (GAUGE_SOLVE_TOL, extreme_point,
                        rectified_ellipsoid_samples)
@@ -246,8 +247,11 @@ def _load_network(path: str) -> NetworkParams:
     if not (isinstance(spec, dict) and "W1" in spec and "w2" in spec):
         raise UsageError(f"cannot load network file {path!r}: it must be a "
                          f"JSON object with W1 and w2")
-    return NetworkParams(W1=np.asarray(spec["W1"], dtype=float),
-                         w2=np.asarray(spec["w2"], dtype=float))
+    try:
+        W1, w2 = json_numbers(spec["W1"], "W1"), json_numbers(spec["w2"], "w2")
+    except ValueError as exc:
+        raise UsageError(f"cannot load network file {path!r}: {exc}") from exc
+    return NetworkParams(W1=W1, w2=w2)
 
 
 def cmd_certify(args) -> tuple[Dataset, list[str]]:

@@ -36,7 +36,7 @@ class Dataset:
         if not (isinstance(self.K, numbers.Real)
                 and not isinstance(self.K, bool)
                 and float(self.K).is_integer()):
-            raise ValueError(f"K = {self.K} is not a whole number")
+            raise ValueError(f"K = {self.K!r} is not a whole number")
         labels = whole.astype(int)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "labels", labels)
@@ -102,7 +102,8 @@ def load_dataset(source: str | Path | dict) -> Dataset:
     """Build a Dataset from a JSON file path or an already-parsed dict.
 
     Schema: {"name": str, "X": [[float;d];N], "y": [int;N],
-             "K": int (optional, 0 = binary +/-1)}; 1.0 loads as 1.
+             "K": int (optional, 0 = binary +/-1)}; 1.0 loads as 1, and an
+    X or y entry that is not a JSON number is refused.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -115,10 +116,24 @@ def load_dataset(source: str | Path | dict) -> Dataset:
         raise ValueError(f"unsupported dataset source type {type(source)}")
     if not (isinstance(spec, dict) and "X" in spec and "y" in spec):
         raise ValueError("dataset spec must be a JSON object with 'X' and 'y'")
-    return Dataset(X=np.asarray(spec["X"], dtype=float),
-                   labels=np.asarray(spec["y"]),
+    return Dataset(X=json_numbers(spec["X"], "X"),
+                   labels=json_numbers(spec["y"], "y"),
                    name=str(spec.get("name", "")),
                    K=spec.get("K", 0))
+
+
+def json_numbers(value, field: str) -> np.ndarray:
+    """A float array of value, nested lists of JSON numbers; an entry that
+    is anything else (an object, a string, a bool or null) raises a
+    ValueError that names the field."""
+    def check(v):
+        if isinstance(v, list):
+            for entry in v:
+                check(entry)
+        elif isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f"{field} entry {v!r} is not a JSON number")
+    check(value)
+    return np.asarray(value, dtype=float)
 
 
 def dataset_to_json(ds: Dataset) -> dict:
@@ -131,11 +146,16 @@ def is_orthogonal_separable(ds: Dataset) -> bool:
     nonpositive; binary and multiclass labels alike.  Zero rows fail (the
     same-label strict inequality cannot hold against themselves)."""
     X, labels = ds.X, ds.labels
-    if not (np.linalg.norm(X, axis=1) > 0.0).all():
+    top = np.abs(X).max(axis=1)
+    if not (top > 0.0).all():
         return False
-    G = X @ X.T
+    # a positive row scale changes the sign of no inner product: rows scaled
+    # to a largest entry in [1/2, 1) neither underflow nor overflow in G, and
+    # scaling by a power of two is exact
+    Xs = np.ldexp(X, -np.frexp(top)[1][:, None])
+    G = Xs @ Xs.T
     same = labels[:, None] == labels[None, :]
     cross = ~same
-    # the diagonal holds the squared row norms, checked above
+    # the diagonal holds the squared row norms, positive for nonzero rows
     np.fill_diagonal(same, False)
     return bool((G[same] > 0.0).all() and (G[cross] <= 0.0).all())

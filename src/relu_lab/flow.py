@@ -9,13 +9,15 @@ with q_n = y_n f(x_n), the zero subgradient at the ReLU kink, and balanced
 initialization ||w1_i|| = |w2_i| = eps.  Balance is conserved by the
 continuous flow; the simulator tracks the discrete drift, the second-layer
 signs and per-checkpoint polar coordinates, margins and alignments.  The
-loop keeps W1, w2 and Z = X W1 as arrays and computes Z once per step: the
-next update and its forward pass both read it.  It runs in segments that
-end at the next checkpoint or after a block of steps: the inner loop only
-steps and stores each step's W1 and w2, and the bookkeeping (balance drift,
-which doubles as the finite check, abort, w2 signs) then runs once over the
-segment's stored steps, with the same elementwise operations and reductions
-as a per-step check, so the results are bit-identical to it.
+loop runs in segments that end at the next checkpoint or after a block of
+steps.  The block's history holds W1 and w2 in one (d + 1, m) slot per
+step, and the inner loop writes each step into its slot: it allocates
+nothing, works on buffers made once per run, and computes Z = X W1 once
+per step, which the next update and its forward pass both read.  The
+bookkeeping (balance drift, which doubles as the finite check, abort, w2
+signs) then runs once over the segment's slots, with the same elementwise
+operations and reductions as a per-step check, so the results are
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .solver import DegenerateError
 #: steps per block: the loop stores each step's W1 and w2, and runs the
 #: drift, abort and w2-sign bookkeeping once per block
 BLOCK_STEPS = 256
-#: the history buffers' byte budget; wide inputs get shorter blocks
+#: the history's byte budget; wide inputs get shorter blocks
 HISTORY_BYTES = 2**20
 
 
@@ -118,28 +120,13 @@ def init_balanced(cfg: FlowConfig, d: int) -> NetworkParams:
 
 def lambda_tilde(X: np.ndarray, y: np.ndarray, params: NetworkParams) -> np.ndarray:
     """lt_n = y_n / (1 + exp(q_n)), q_n = y_n f(x_n); sign(lt_n) = y_n."""
-    return _lambda_of_output(np.asarray(y, dtype=float), params.forward(X))
-
-
-def _lambda_of_output(y: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """lambda_tilde from the network outputs f = f(X)."""
-    return y * expit(-(y * f))
+    y = np.asarray(y, dtype=float)
+    return y * expit(-(y * params.forward(X)))
 
 
 def logistic_loss(X: np.ndarray, y: np.ndarray, params: NetworkParams) -> float:
     q = np.asarray(y, dtype=float) * params.forward(X)
     return float(np.sum(np.logaddexp(0.0, -q)))
-
-
-def step(X: np.ndarray, y: np.ndarray, W1: np.ndarray, w2: np.ndarray,
-         Z: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """One forward-Euler subgradient step from (W1, w2) with Z = X @ W1 (old
-    parameters on the right-hand side, strict activations I(x^T w > 0));
-    X and y are float arrays.  Returns the new (W1, w2)."""
-    R = np.maximum(Z, 0.0)
-    lt = _lambda_of_output(y, R @ w2)
-    G = X.T @ (lt[:, None] * (Z > 0.0))
-    return W1 + eta * G * w2, w2 + eta * (R.T @ lt)
 
 
 def alignment(X: np.ndarray, u: np.ndarray, lam: np.ndarray) -> float | None:
@@ -184,29 +171,48 @@ def run_flow(ds: Dataset, cfg: FlowConfig):
 
 
 def _block_length(d: int, m: int) -> int:
-    """Steps per block of the history buffers: BLOCK_STEPS, fewer when the
-    (B, d, m) and (B, m) buffers would pass HISTORY_BYTES."""
+    """Steps per block of the history: BLOCK_STEPS, fewer when the
+    (B, d + 1, m) buffer would pass HISTORY_BYTES."""
     return max(1, min(BLOCK_STEPS, HISTORY_BYTES // (8 * (d + 1) * m)))
 
 
-def _history(B: int, d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Empty W1 and w2 histories of B steps."""
-    return np.empty((B, d, m)), np.empty((B, m))
+def _history(B: int, d: int, m: int) -> np.ndarray:
+    """An empty history of B steps; rows :d of a slot hold W1, row d w2."""
+    return np.empty((B, d + 1, m))
 
 
 def _run_binary(X: np.ndarray, y: np.ndarray, cfg: FlowConfig) -> FlowTrace:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    d, m = X.shape[1], cfg.m
+    (N, d), m = X.shape, cfg.m
     params = init_balanced(cfg, d)
-    W1, w2 = params.W1, params.w2
-    Z = X @ W1
     trace = FlowTrace(config=cfg)
     checkpoints = sorted(set(cfg.checkpoints), reverse=True)
     B = _block_length(d, m)
-    W1h, w2h = _history(B, d, m)
-    init_signs = np.sign(w2)
-    max_drift, eta, it = 0.0, cfg.step, 0
+    H = _history(B, d, m)
+    W1h, w2h = H[:, :d], H[:, d]
+    slots = [(T, T[:d], T[d]) for T in H]
+    # a step reads the slot the last step wrote, the first step the
+    # initialization in the last slot; a step may write the slot it reads,
+    # as it reads w2 before the update overwrites it
+    cur = slots[-1]
+    cur[1][:], cur[2][:] = params.W1, params.w2
+    # the step's buffers, made once: Z = X W1 for the next step, the
+    # update U with the W1 gradient in rows :d and the w2 gradient in row
+    # d, and eta as a 0-d array, which ufuncs take without converting it
+    Z = X @ params.W1
+    XT, neg_y, zero, eta = X.T, -y, np.zeros((N, m)), np.array(cfg.step)
+    R, D, M = np.empty((N, m)), np.empty((N, m), dtype=bool), np.empty((N, m))
+    f, lt = np.empty(N), np.empty(N)
+    RT, lt_col = R.T, lt[:, None]
+    U = np.empty((d + 1, m))
+    G, g2 = U[:d], U[d]
+    init_signs = np.sign(params.w2)
+    max_drift, it = 0.0, 0
+    # each of the loop's 13 calls per step does a few dozen flops, so a
+    # module attribute lookup per call shows: the loop calls local names
+    maximum, dot, multiply, greater, add = (np.maximum, np.dot, np.multiply,
+                                            np.greater, np.add)
     # a diverging run overflows before it aborts on non-finite parameters
     with np.errstate(over="ignore", invalid="ignore"):
         trace.records.append(_record(X, y, params, 0))
@@ -214,10 +220,25 @@ def _run_binary(X: np.ndarray, y: np.ndarray, cfg: FlowConfig) -> FlowTrace:
             # a segment ends at the next checkpoint or after B steps
             n = min(it + B, checkpoints[-1] if checkpoints else cfg.iters) - it
             for k in range(n):
-                W1, w2 = step(X, y, W1, w2, Z, eta)
-                Z = X @ W1
-                W1h[k] = W1
-                w2h[k] = w2
+                # from the old (W1, w2) and Z: R = (Z)_+,
+                # lt = y expit(-(y (R w2))), then W1 += (eta X^T (lt D)) w2
+                # and w2 += eta R^T lt with D = I(Z > 0), in this order of
+                # rounding; the sum is written into the next slot
+                T, _, w2 = cur
+                cur = slots[k]
+                maximum(Z, zero, out=R)
+                dot(R, w2, out=f)
+                multiply(neg_y, f, out=f)
+                expit(f, out=f)
+                multiply(y, f, out=lt)
+                greater(Z, zero, out=D)
+                multiply(lt_col, D, out=M)
+                dot(XT, M, out=G)
+                dot(RT, lt, out=g2)
+                multiply(eta, U, out=U)
+                multiply(G, w2, out=G)
+                add(T, U, out=cur[0])
+                dot(X, cur[1], out=Z)
             # max propagates nan and inf, so a finite drift proves W1 and w2
             # finite; finite parameters may still overflow their squares
             drift = np.abs((W1h[:n] ** 2).sum(axis=1)
@@ -246,7 +267,7 @@ def _run_binary(X: np.ndarray, y: np.ndarray, cfg: FlowConfig) -> FlowTrace:
             if checkpoints and checkpoints[-1] == it:
                 checkpoints.pop()
                 trace.records.append(
-                    _record(X, y, NetworkParams(W1=W1, w2=w2), it))
+                    _record(X, y, NetworkParams(W1=cur[1], w2=cur[2]), it))
     trace.max_balance_drift = max_drift
     return trace
 

@@ -14,11 +14,15 @@ paper and no command prints: the network-convex correspondence and the
 convex program's KKT families (criterion 08), the stationary directions
 neurons align with (criterion 08), and g_min over the sign patterns
 (criterion 10).
+
+``step`` is one forward-Euler step of the flow written as its formula, for
+the tests of the update itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 from relu_lab.arrangements import ActivationMask, SignPattern, mask_of
 from relu_lab.convex import (ACTIVE_RTOL, ConvexProblem, ConvexSolution,
@@ -316,3 +320,14 @@ def g_min_max(X: np.ndarray, y: np.ndarray,
     maximizers = [p for v, p in zip(norms, patterns)
                   if abs(v - gmax) <= 1e-12 * (1 + gmax)]
     return gmin, gmax, minimizers, maximizers
+
+
+def step(X: np.ndarray, y: np.ndarray, W1: np.ndarray, w2: np.ndarray,
+         Z: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """One forward-Euler subgradient step from (W1, w2) with Z = X @ W1 (old
+    parameters on the right-hand side, strict activations I(x^T w > 0));
+    X and y are float arrays.  Returns the new (W1, w2)."""
+    R = np.maximum(Z, 0.0)
+    lt = y * expit(-(y * (R @ w2)))
+    G = X.T @ (lt[:, None] * (Z > 0.0))
+    return W1 + eta * G * w2, w2 + eta * (R.T @ lt)

@@ -349,6 +349,17 @@ class TestFlowCommand:
         assert (d1 / "flow_trace.csv").read_bytes() == \
                (d2 / "flow_trace.csv").read_bytes()
 
+    @pytest.mark.parametrize("X, bad", [
+        ({"a": 1}, "{'a': 1}"), ([["1", 0], [0, "2"]], "'1'")],
+        ids=["object", "string"])
+    def test_non_number_dataset_entry_exits_2(self, capsys, tmp_path, X,
+                                              bad):
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps({"X": X, "y": [1, -1][:len(X)]}))
+        code, out, err = run_cli(capsys, "flow", "--dataset", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: X entry {bad} is not a JSON number\n"
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_step_exits_2(self, capsys, value):
         code, _, err = run_cli(capsys, "flow", "--dataset", "notebook",
@@ -491,6 +502,22 @@ class TestCertifyCommand:
         assert code == 2 and out == ""
         assert err == (f"error: cannot load network file {str(net)!r}: it "
                        f"must be a JSON object with W1 and w2\n")
+
+    @pytest.mark.parametrize("spec, bad", [
+        ({"W1": {"a": 1}, "w2": [1]}, "W1 entry {'a': 1}"),
+        ({"W1": [[1.0, 0.0], [0.0, 1.0]], "w2": ["1", -1.0]}, "w2 entry '1'"),
+        ({"W1": [[1.0, None], [0.0, 1.0]], "w2": [1.0, -1.0]},
+         "W1 entry None")],
+        ids=["object", "string", "null"])
+    def test_network_non_number_entry_exits_2(self, capsys, tmp_path, spec,
+                                              bad):
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "certify", "--dataset", "notebook",
+                                 "--network", str(net))
+        assert code == 2 and out == ""
+        assert err == (f"error: cannot load network file {str(net)!r}: "
+                       f"{bad} is not a JSON number\n")
 
     def test_flow_options_checked_before_enumeration(self, capsys,
                                                      tmp_path):

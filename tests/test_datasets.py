@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,8 @@ class TestLoadDataset:
             load_dataset({"X": X, "y": [1, 2], "K": 2.5})
         with pytest.raises(ValueError, match=r"K = None is not a whole"):
             load_dataset({"X": X, "y": [1, 2], "K": None})
+        with pytest.raises(ValueError, match=r"K = '2' is not a whole"):
+            load_dataset({"X": X, "y": [1, 2], "K": "2"})
         # a bool is no class count, though Python counts it as a number
         with pytest.raises(ValueError, match=r"K = True is not a whole"):
             load_dataset({"X": X, "y": [1, 1], "K": True})
@@ -50,6 +53,21 @@ class TestLoadDataset:
         p.write_text(text)
         with pytest.raises(ValueError, match="must be a JSON object"):
             load_dataset(p)
+
+    @pytest.mark.parametrize("spec, bad", [
+        ({"X": {"a": 1}, "y": [1]}, "X entry {'a': 1}"),
+        ({"X": [["1", 0], [0, "2"]], "y": [1, -1]}, "X entry '1'"),
+        ({"X": [[True, 0], [0, 1]], "y": [1, -1]}, "X entry True"),
+        ({"X": [[None, 0], [0, 1]], "y": [1, -1]}, "X entry None"),
+        ({"X": [[1, 0], [0, 1]], "y": ["1", -1]}, "y entry '1'"),
+        ({"X": [[1, 0], [0, 1]], "y": [True, -1]}, "y entry True"),
+    ], ids=["X-object", "X-string", "X-bool", "X-null", "y-string",
+            "y-bool"])
+    def test_non_number_entry_rejected(self, spec, bad):
+        # refused, neither a TypeError nor silently converted to a number
+        with pytest.raises(ValueError,
+                           match=re.escape(bad) + " is not a JSON number"):
+            load_dataset(spec)
 
     def test_integral_float_labels_load(self):
         ds = load_dataset({"X": [[1, 0], [0, 1]], "y": [1.0, -1.0]})
@@ -110,6 +128,20 @@ class TestOrthogonalSeparable:
         ds = Dataset(X=np.array([[1.0, 0.0], [0.5, 0.0]]),
                      labels=np.array([1, 2]), K=2)
         assert not is_orthogonal_separable(ds)
+
+    @pytest.mark.parametrize("X, labels, K, separable", [
+        ([[1.65, -0.47], [-0.47, 1.35]], [1, -1], 0, True),
+        # cross-label products of mixed signs
+        ([[2.0, 1.0], [-1.0, 1.0]], [1, -1], 0, True),
+        ([[1.0, 0.0], [0.0, 1.0]], [1, 2], 2, True),
+        ([[1.0, 0.0], [1.0, 1.0]], [1, -1], 0, False),
+    ], ids=["appendix-ortho", "mixed-signs", "multiclass", "non-separable"])
+    @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e170])
+    def test_extreme_row_scales(self, X, labels, K, separable, scale):
+        # squares of rows near 1e-170 underflow and those near 1e170
+        # overflow, yet no row scale changes an inner product's sign
+        ds = Dataset(X=scale * np.array(X), labels=np.array(labels), K=K)
+        assert is_orthogonal_separable(ds) is separable
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.01, 100.0))

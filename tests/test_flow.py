@@ -10,10 +10,10 @@ from relu_lab.convex import NetworkParams
 from relu_lab.datasets import Dataset, builtin_dataset
 from relu_lab.flow import (FlowConfig, alignment, init_balanced,
                            lambda_tilde, logistic_loss, network_masks,
-                           recover_dual, run_flow, step)
+                           recover_dual, run_flow)
 from relu_lab.geometry import GAUGE_SOLVE_TOL
 
-from oracles import g_min_max, g_pattern, positive_support
+from oracles import g_min_max, g_pattern, positive_support, step
 
 # outputs printed by the reference run at its first checkpoint
 ITER10_Q = np.array([3.54896592, 4.36184346, 6.38061314])
@@ -54,9 +54,11 @@ def reference_flow(X, y, cfg):
     return records, max_drift, flips, aborted
 
 
-def assert_matches_reference(ds, trace):
+def assert_matches_reference(ds, trace, y=None):
+    """trace equals the reference loop's run on ds, or on ds.X with the
+    labels y."""
     records, max_drift, flips, aborted = reference_flow(
-        ds.X, ds.y, trace.config)
+        ds.X, ds.y if y is None else y, trace.config)
     assert [r.iteration for r in trace.records] == [r[0] for r in records]
     for rec, (_, W1, w2) in zip(trace.records, records):
         assert np.array_equal(rec.W1, W1) and np.array_equal(rec.w2, w2)
@@ -66,11 +68,23 @@ def assert_matches_reference(ds, trace):
 
 
 def flow_dataset(name):
-    """A built-in dataset, or "ortho-separable-5": an orthogonally separable
-    N = 5, d = 2 set shaped like the coverage-sweep benchmark's."""
-    if name == "ortho-separable-5":
-        X, y = random_orthogonal_separable(np.random.default_rng(1), 3, 2)
+    """A built-in dataset; "ortho-separable-5" or "-6": an orthogonally
+    separable N = 5 or 6, d = 2 set shaped like the coverage-sweep
+    benchmark's; "one-sample" (N = 1), "one-feature" (d = 1), or
+    "three-classes": K = 3 with N = 6, d = 2."""
+    if name.startswith("ortho-separable-"):
+        n_neg = int(name[-1]) - 3
+        X, y = random_orthogonal_separable(np.random.default_rng(1), 3,
+                                           n_neg)
         return Dataset(X=X, labels=y.astype(int))
+    if name == "one-sample":
+        return Dataset(X=np.array([[1.0, -0.5]]), labels=np.array([-1]))
+    if name == "one-feature":
+        return Dataset(X=np.array([[1.0], [-2.0], [0.5]]),
+                       labels=np.array([1, -1, -1]))
+    if name == "three-classes":
+        X = np.random.default_rng(2).normal(size=(6, 2))
+        return Dataset(X=X, labels=np.array([1, 2, 3, 1, 2, 3]), K=3)
     return builtin_dataset(name)
 
 
@@ -292,6 +306,19 @@ class TestRunFlow:
         ("ortho-separable-5", FlowConfig(m=8, init_scale=1e-4, step=0.5,
                                          iters=4000, checkpoints=(4000,),
                                          seed=1)),
+        # the coverage-sweep benchmark's flow
+        ("ortho-separable-6", FlowConfig(m=8, init_scale=1e-4, step=0.5,
+                                         iters=4000, checkpoints=(4000,),
+                                         seed=1)),
+        # edge shapes: N = 1, d = 1 and m = 1; a step that is no power of
+        # two, so the order of the eta and w2 roundings shows
+        ("one-sample", FlowConfig(m=3, init_scale=1e-2, step=0.3, iters=600,
+                                  checkpoints=(10, 600), seed=2)),
+        ("one-feature", FlowConfig(m=3, init_scale=1e-2, step=0.3, iters=600,
+                                   checkpoints=(10, 600), seed=2)),
+        ("appendix-ortho", FlowConfig(m=1, init_scale=1e-2, step=0.3,
+                                      iters=600, checkpoints=(10, 600),
+                                      seed=2)),
     ])
     def test_matches_reference_loop(self, name, cfg):
         ds = flow_dataset(name)
@@ -299,6 +326,17 @@ class TestRunFlow:
         assert_matches_reference(ds, trace)
         assert trace.aborted_at == REFERENCE_ABORTS.get(name)
         assert math.isfinite(trace.max_balance_drift)
+
+    def test_multiclass_matches_reference_loop(self):
+        # class k runs the binary flow on y_k = +1 where label == k + 1
+        ds = flow_dataset("three-classes")
+        cfg = FlowConfig(m=4, init_scale=1e-2, step=0.3, iters=600,
+                         checkpoints=(10, 600), seed=3)
+        traces = run_flow(ds, cfg)
+        assert len(traces) == 3
+        for k, trace in enumerate(traces):
+            assert_matches_reference(
+                ds, trace, np.where(ds.labels == k + 1, 1.0, -1.0))
 
     def test_wide_input_keeps_history_small(self, monkeypatch):
         # (d + 1) m = 38 464 floats per step: 3 steps fit in 2**20 bytes,
