@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .arrangements import (ActivationMask, RANK_RTOL,
                            enumerate_sign_patterns)
@@ -158,6 +157,14 @@ def ortho_coverage(extraction: KKTExtraction, y: np.ndarray) -> Certificate:
                                "negative": float(neg_ok)})
 
 
+def _null_space(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (as columns) of the null space of `rows`:
+    scipy.linalg.null_space(rows, rcond=RANK_RTOL), to the bit (the same
+    full SVD and threshold; solver._null_space normalizes rows first)."""
+    _, s, Vh = np.linalg.svd(rows)
+    return Vh[np.sum(s > s.max(initial=0.0) * RANK_RTOL):].T
+
+
 def spike_free(X: np.ndarray) -> Certificate:
     """Exact spike-free check: every (Xu)_+ with ||u|| <= 1 must equal Xz
     for some ||z|| <= 1.  On a face of the arrangement (a realizable sign
@@ -183,7 +190,7 @@ def spike_free(X: np.ndarray) -> Certificate:
     residual = top = 0.0
     for face in faces:
         sigma = np.array(face.signs)
-        F = null_space(X[sigma == 0].reshape(-1, X.shape[1]), rcond=RANK_RTOL)
+        F = _null_space(X[sigma == 0].reshape(-1, X.shape[1]))
         V = (sigma > 0)[:, None] * (X @ F)
         Z = P @ V                                   # X^+ (Xu)_+ = Z w
         residual = max(residual, float(np.linalg.norm(V - X @ Z, 2)))

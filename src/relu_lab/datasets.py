@@ -103,7 +103,8 @@ def load_dataset(source: str | Path | dict) -> Dataset:
 
     Schema: {"name": str, "X": [[float;d];N], "y": [int;N],
              "K": int (optional, 0 = binary +/-1)}; 1.0 loads as 1, and an
-    X or y entry that is not a JSON number is refused.
+    X or y entry that is not a JSON number, or a name that is not a JSON
+    string, is refused.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -116,9 +117,12 @@ def load_dataset(source: str | Path | dict) -> Dataset:
         raise ValueError(f"unsupported dataset source type {type(source)}")
     if not (isinstance(spec, dict) and "X" in spec and "y" in spec):
         raise ValueError("dataset spec must be a JSON object with 'X' and 'y'")
+    name = spec.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError(f"dataset name {name!r} is not a JSON string")
     return Dataset(X=json_numbers(spec["X"], "X"),
                    labels=json_numbers(spec["y"], "y"),
-                   name=str(spec.get("name", "")),
+                   name=name,
                    K=spec.get("K", 0))
 
 

@@ -26,8 +26,8 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
+from ._compiled import expit
 from .arrangements import ActivationMask, mask_of
 from .datasets import Dataset
 from .geometry import extreme_point, polar_gauge

@@ -22,11 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import nnls
-from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus,
-                                           HighsOptions, MatrixFormat, _Highs,
-                                           kHighsInf, simplex_constants)
+
+from ._compiled import highs, nnls_kernel
+
+HighsLp, HighsModelStatus, HighsOptions = (
+    highs.HighsLp, highs.HighsModelStatus, highs.HighsOptions)
+MatrixFormat, _Highs, kHighsInf, simplex_constants = (
+    highs.MatrixFormat, highs._Highs, highs.kHighsInf, highs.simplex_constants)
 
 #: pricing tolerance and certified relative gap of a solve (the default of
 #: solve, solve_primal, solve_dual and the CLI's --tol)
@@ -137,6 +139,14 @@ class SolveReport:
 def _group_norms(x: np.ndarray, group: int) -> np.ndarray:
     """Norm of each contiguous group of `group` entries."""
     return np.linalg.norm(x.reshape(-1, group), axis=1)
+
+
+def _cone_rows(prog: ConeProgram) -> np.ndarray:
+    """Every group's cone rows on the whole variable vector: the block
+    diagonal of prog.cones (scipy.linalg.block_diag's, to the bit)."""
+    G, d = len(prog.cones), prog.group
+    return np.vstack([np.pad(M, ((0, 0), (g * d, (G - 1 - g) * d)))
+                      for g, M in enumerate(prog.cones)])
 
 
 def _price(prog: ConeProgram, mu: np.ndarray
@@ -253,7 +263,7 @@ def solve(prog: ConeProgram, tol: float = DEFAULT_TOL
         pair = _pair(prog, cuts, mu, P)
         if (pair is None and rounds > 1 and not checked
                 and mu.max(initial=0.0) >= MASTER_BOX):
-            rows = np.vstack((prog.A, block_diag(*prog.cones)))
+            rows = np.vstack((prog.A, _cone_rows(prog)))
             if lp_feasible(-rows, np.append(prog.b, np.zeros(len(rows) - m))
                            ) is None:
                 return (np.zeros(n), np.zeros(m),
@@ -350,6 +360,18 @@ def _null_space(rows: np.ndarray) -> np.ndarray:
     rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     _, s, Vt = np.linalg.svd(rows)
     return Vt[int(np.sum(s > s[0] * max(rows.shape) * np.finfo(float).eps)):]
+
+
+def nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """scipy.optimize.nnls(A, b) on its compiled kernel: (x, ||A x - b||)
+    with x = argmin_{x >= 0} ||A x - b||.  ValueError on a non-finite
+    entry, RuntimeError when the kernel stops at 3 n iterations."""
+    A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
+    b = np.asarray_chkfinite(b, dtype=np.float64, order="C")
+    x, rnorm, info = nnls_kernel(A, b, 3 * A.shape[1])
+    if info == 3:
+        raise RuntimeError("Maximum number of iterations reached.")
+    return x, rnorm
 
 
 def cone_projection(M: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

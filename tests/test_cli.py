@@ -360,6 +360,16 @@ class TestFlowCommand:
         assert code == 2 and out == ""
         assert err == f"error: X entry {bad} is not a JSON number\n"
 
+    def test_non_string_dataset_name_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps({"X": [[1, 0], [0, 1]], "y": [1, -1],
+                                    "name": {"a": 1}}))
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(capsys, "flow", "--dataset", str(path),
+                                 "--out-dir", str(out_dir))
+        assert code == 2 and out == "" and not out_dir.exists()
+        assert err == "error: dataset name {'a': 1} is not a JSON string\n"
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_step_exits_2(self, capsys, value):
         code, _, err = run_cli(capsys, "flow", "--dataset", "notebook",

@@ -69,6 +69,15 @@ class TestLoadDataset:
                            match=re.escape(bad) + " is not a JSON number"):
             load_dataset(spec)
 
+    @pytest.mark.parametrize("name, shown", [
+        ({"a": 1}, "{'a': 1}"), (7, "7"), (True, "True"), (None, "None")],
+        ids=["object", "number", "bool", "null"])
+    def test_non_string_name_rejected(self, name, shown):
+        # refused, not stringified into the manifest's dataset_name
+        with pytest.raises(ValueError, match=re.escape(
+                f"dataset name {shown} is not a JSON string")):
+            load_dataset({"X": [[1, 0], [0, 1]], "y": [1, -1], "name": name})
+
     def test_integral_float_labels_load(self):
         ds = load_dataset({"X": [[1, 0], [0, 1]], "y": [1.0, -1.0]})
         assert ds.labels.dtype.kind == "i"
