@@ -1,5 +1,5 @@
-"""The three compiled scipy routines relu-lab calls, loaded straight from
-their extension files.
+"""The two compiled scipy routines relu-lab calls, HiGHS and expit, loaded
+straight from their extension files.
 
 Importing a name of ``scipy.optimize`` runs that package's whole
 ``__init__`` (minimize, shgo, linprog, scipy.sparse, scipy.fft,
@@ -60,11 +60,8 @@ def _extension(name: str, *attrs: str):
 
 
 #: scipy.optimize._highspy._core: the HiGHS core linprog(method="highs") runs
-highs = _extension("scipy.optimize._highspy._core", "HighsLp",
-                   "HighsModelStatus", "HighsOptions", "MatrixFormat",
-                   "_Highs", "kHighsInf", "simplex_constants")
-#: scipy.optimize._slsqplib.nnls(A, b, maxiter) -> (x, rnorm, info): the
-#: Lawson-Hanson kernel that scipy.optimize.nnls wraps
-nnls_kernel = _extension("scipy.optimize._slsqplib", "nnls").nnls
+highs = _extension("scipy.optimize._highspy._core", "HighsModelStatus",
+                   "HighsOptions", "MatrixFormat", "ObjSense", "_Highs",
+                   "kHighsInf", "simplex_constants")
 #: scipy.special._special_ufuncs.expit: the ufunc scipy.special.expit is
 expit = _extension("scipy.special._special_ufuncs", "expit").expit

@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .solver import FEASIBLE_TOL, lp_feasible
+from .solver import FEASIBLE_TOL, RANK_RTOL, lp_feasible
 
 #: row cap of both enumerations: the search is N levels deep, and its LP
 #: count grows with N even where the face count stays small
@@ -24,9 +24,6 @@ EXHAUSTIVE_MAX_N = 22
 #: sign patterns are refused above this general-position face count
 #: (face_count_bound): 3^7, every full-rank input up to 7 x 7
 FACE_COUNT_MAX = 3 ** 7
-
-#: relative threshold used everywhere a singular value decides rank
-RANK_RTOL = 1e-10
 
 #: Phase-1 rows of each symbol: (s, rhs) stands for s * x_n^T w <= rhs on
 #: the normalized row x_n; a negative rhs is the unit margin of a strict side.
@@ -135,6 +132,9 @@ def _search(X: np.ndarray, relations: dict) -> list[tuple[tuple, tuple]]:
     Xn = X / np.where(norms > 0.0, norms, 1.0)[:, None]
     table = {sym: np.array(rows).T for sym, rows in relations.items()}
     strict = {sym for sym, (_, rhs) in table.items() if (rhs < 0).any()}
+    # the rows and right-hand sides symbol sym adds at sample n
+    blocks = [[(sym, np.outer(s, x), rhs) for sym, (s, rhs) in table.items()]
+              for x in Xn]
     found = []
 
     def recurse(prefix: tuple, A: np.ndarray, b: np.ndarray, w: np.ndarray):
@@ -144,8 +144,8 @@ def _search(X: np.ndarray, relations: dict) -> list[tuple[tuple, tuple]]:
                                  if sym in strict])
             found.append((prefix, tuple(float(v) for v in w / scale)))
             return
-        for sym, (s, rhs) in table.items():
-            A2 = np.vstack((A, np.outer(s, Xn[n])))
+        for sym, rows, rhs in blocks[n]:
+            A2 = np.concatenate((A, rows))
             b2 = np.concatenate((b, rhs))
             w2 = (w if (A2 @ w - b2).max() <= FEASIBLE_TOL
                   else lp_feasible(A2, b2))

@@ -160,7 +160,7 @@ def ortho_coverage(extraction: KKTExtraction, y: np.ndarray) -> Certificate:
 def _null_space(rows: np.ndarray) -> np.ndarray:
     """Orthonormal basis (as columns) of the null space of `rows`:
     scipy.linalg.null_space(rows, rcond=RANK_RTOL), to the bit (the same
-    full SVD and threshold; solver._null_space normalizes rows first)."""
+    full SVD and threshold)."""
     _, s, Vh = np.linalg.svd(rows)
     return Vh[np.sum(s > s.max(initial=0.0) * RANK_RTOL):].T
 

@@ -35,7 +35,7 @@ from .datasets import (BUILTIN_DATASETS, Dataset, builtin_dataset,
                        dataset_to_json, is_orthogonal_separable, json_numbers,
                        load_dataset)
 from .flow import FlowConfig, network_dual, recover_dual, run_flow
-from .geometry import (GAUGE_SOLVE_TOL, extreme_point,
+from .geometry import (GAUGE_SOLVE_TOL, extreme_points, masked_vectors,
                        rectified_ellipsoid_samples)
 from .solver import (DEFAULT_TOL, DegenerateError, SolverError,
                      optimal_face_bounds)
@@ -319,13 +319,11 @@ def _write_extreme_points(out: Path, X: np.ndarray, masks, lam: np.ndarray,
                           args) -> str:
     """extreme_points.csv: the max and min extreme point of every mask
     along v = X^T D_j lam, with value v^T u."""
-    rows = []
-    for mask in masks:
-        v = X.T @ (mask.diag_vector() * lam)
-        for sense, target in (("max", v), ("min", -v)):
-            u = extreme_point(X, mask, target)
-            rows.append((mask.as_string(), sense, float(u[0]), float(u[1]),
-                         float(v @ u)))
+    V = masked_vectors(X, masks, lam)
+    U, L = extreme_points(X, masks, V)
+    rows = [(mask.as_string(), sense, float(u[0]), float(u[1]), float(v @ u))
+            for mask, v, hi, lo in zip(masks, V, U, L)
+            for sense, u in (("max", hi), ("min", lo))]
     _write_csv(out / "extreme_points.csv",
                ["mask", "sense", "u1", "u2", "value"], rows, args)
     return "extreme_points.csv"

@@ -165,18 +165,26 @@ def solve_primal(problem: ConvexProblem, tol: float = DEFAULT_TOL
     the margin multipliers mu.  When the solve ends optimal, x is divided by
     its least margin when that is below 1 (the cone rows are homogeneous, so
     they stay met), which makes the reported objective an upper bound on
-    p*, and mu is divided by max(1, gamma), gamma the exact polar gauge of
-    lam over the problem's masks, so lam is dual feasible and, over the
-    full arrangement set, y^T lam <= p*."""
+    p*, and mu is divided by gamma when gamma > 1, gamma the exact polar
+    gauge of lam over the problem's masks, so lam is dual feasible and,
+    over the full arrangement set, y^T lam <= p*.  Each division is
+    repeated once when the recomputed margin or gauge still misses 1."""
     x, mu, report = solve(problem.prog, tol=tol)
     sol = problem.solution(*problem.split(x), report.objective)
     if report.status == "optimal":
-        if sol.margin_slack < 0.0:
-            x = x / (1.0 + sol.margin_slack)
-            report = replace(report, objective=problem.prog.objective(x))
-            sol = problem.solution(*problem.split(x), report.objective)
-        gauge = polar_gauge(problem.X, problem.masks, problem.y * mu).gauge
-        mu = mu / max(1.0, gauge)
+        # the division is checked on the point it returns: rounding can
+        # leave the margin or the gauge an ulp on the wrong side of 1, and
+        # a second division puts it back
+        for _ in range(2):
+            if sol.margin_slack < 0.0:
+                x = x / (1.0 + sol.margin_slack)
+                report = replace(report, objective=problem.prog.objective(x))
+                sol = problem.solution(*problem.split(x), report.objective)
+        for _ in range(2):
+            gauge = polar_gauge(problem.X, problem.masks, problem.y * mu).gauge
+            if gauge <= 1.0:
+                break
+            mu = mu / gauge
     return sol, problem.y * mu, report
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from ._compiled import expit
 from .arrangements import ActivationMask, mask_of
 from .datasets import Dataset
-from .geometry import extreme_point, polar_gauge
+from .geometry import extreme_points, polar_gauge
 from .convex import NetworkParams, margin_objective
 from .solver import DegenerateError
 
@@ -39,6 +39,10 @@ from .solver import DegenerateError
 BLOCK_STEPS = 256
 #: the history's byte budget; wide inputs get shorter blocks
 HISTORY_BYTES = 2**20
+
+#: the C function np.dot dispatches to, without the __array_function__
+#: dispatch (the loop's arguments are plain ndarrays)
+_dot = np.dot._implementation
 
 
 @dataclass(frozen=True)
@@ -210,8 +214,9 @@ def _run_binary(X: np.ndarray, y: np.ndarray, cfg: FlowConfig) -> FlowTrace:
     init_signs = np.sign(params.w2)
     max_drift, it = 0.0, 0
     # each of the loop's 13 calls per step does a few dozen flops, so a
-    # module attribute lookup per call shows: the loop calls local names
-    maximum, dot, multiply, greater, add = (np.maximum, np.dot, np.multiply,
+    # module attribute lookup per call shows: the loop calls local names,
+    # and numpy's C dot itself rather than the np.dot dispatcher around it
+    maximum, dot, multiply, greater, add = (np.maximum, _dot, np.multiply,
                                             np.greater, np.add)
     # a diverging run overflows before it aborts on non-finite parameters
     with np.errstate(over="ignore", invalid="ignore"):
@@ -285,8 +290,9 @@ def network_dual(X: np.ndarray, y: np.ndarray, params: NetworkParams
         raise DegenerateError("lambda_tilde vanished (non-finite outputs?)")
     lam = lt / nrm
     v = np.asarray(X, dtype=float).T @ lam
-    gauge_net = max(abs(float(v @ extreme_point(X, mask, s)))
-                    for mask in network_masks(X, params) for s in (v, -v))
+    masks = network_masks(X, params)
+    U, L = extreme_points(X, masks, np.tile(v, (len(masks), 1)))
+    gauge_net = float(np.abs(np.concatenate((U @ v, L @ v))).max())
     if gauge_net <= 1e-12:
         raise DegenerateError("degenerate normalizing gauge")
     return lam / gauge_net, gauge_net

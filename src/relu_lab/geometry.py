@@ -8,10 +8,10 @@ M = (2 D_j - I) X (cone_rows), is
     max   v^T u   s.t.  ||u|| <= 1,  M u >= 0.
 
 By Moreau's decomposition the maximum is ||P_C(v)|| at u = P_C(v)/||P_C(v)||,
-where P_C(v) = v + M^T z and z = argmin_{z >= 0} ||v + M^T z|| is a
-non-negative least-squares problem (Lawson-Hanson active set, finite
-termination); the minimum is the same computation on -v.  Every solve is
-checked against the projection's KKT conditions.
+and P_C(v) is the largest projection of v onto a flat of the unit rows of X
+that lies in C (:class:`relu_lab.solver.Cones`): exact, with no iteration.
+The flats are built once per dataset, and one product per flat prices
+every mask along v and -v.
 
 The polar gauge of lam is the max of |v^T u| over masks and both extreme
 points, v = X^T D_j lam; lam is dual feasible iff the gauge over the full
@@ -25,10 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrangements import ActivationMask
-from .solver import PROJECTION_ZERO_RTOL, cone_projection
+from .solver import Cones
 
 #: dual-feasibility tolerance: a gauge <= 1 + GAUGE_SOLVE_TOL certifies
 GAUGE_SOLVE_TOL = 1e-6
+
+#: an extreme point is 0 where ||P_C(v)|| <= PROJECTION_ZERO_RTOL ||v||
+PROJECTION_ZERO_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -43,44 +46,72 @@ def cone_rows(X: np.ndarray, mask: ActivationMask) -> np.ndarray:
     return (2.0 * mask.diag_vector() - 1.0)[:, None] * X
 
 
+def _dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A[k] @ B[k] for each row k, each as the 1-D product computes it."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
+def masked_vectors(X: np.ndarray, masks: list[ActivationMask],
+                   lam: np.ndarray) -> np.ndarray:
+    """Row j is v_j = X^T D_j lam, as X.T @ (masks[j].diag_vector() * lam)
+    computes it."""
+    D = np.array([mask.bits for mask in masks], dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    return np.matmul(np.asarray(X, dtype=float).T, (D * lam)[:, :, None]
+                     )[:, :, 0]
+
+
+def extreme_points(X: np.ndarray, masks: list[ActivationMask],
+                   V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(U, L): U[k] maximizes V[k]^T u and L[k] minimizes it over the unit
+    ball intersected with the cone of masks[k]: the normalized cone
+    projections of V[k] and -V[k], or zero where that projection falls
+    below PROJECTION_ZERO_RTOL ||V[k]||.  Exact for every d; row k does not
+    depend on the other rows."""
+    X = np.asarray(X, dtype=float)
+    V = np.asarray(V, dtype=float)
+    N, p = X.shape[0], len(masks)
+    D = np.array([mask.bits for mask in masks], dtype=float).reshape(p, N)
+    cones = Cones(X, np.repeat(np.arange(p), N), np.tile(np.arange(N), p),
+                  (2.0 * D - 1.0).ravel(), p)
+    nv = np.sqrt(_dots(V, V))
+    points = []
+    for sign, flat in zip((1.0, -1.0), cones.choose(V)):
+        P = cones.project(sign * V, flat)
+        npn = np.sqrt(_dots(P, P))
+        keep = (nv > 0.0) & (npn > PROJECTION_ZERO_RTOL * nv)
+        points.append(np.divide(P, npn[:, None], out=np.zeros_like(P),
+                                where=keep[:, None]))
+    return points[0], points[1]
+
+
 def extreme_point(X: np.ndarray, mask: ActivationMask,
                   v: np.ndarray) -> np.ndarray:
     """The unit maximizer of v^T u over the unit ball intersected with the
-    mask's cone: the normalized cone projection of v, or zero when that
-    projection falls below PROJECTION_ZERO_RTOL ||v||.  Exact for every d;
-    the minimizer is extreme_point(X, mask, -v)."""
-    X = np.asarray(X, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nv = float(np.linalg.norm(v))
-    u = np.zeros(X.shape[1])
-    if nv > 0.0:
-        p, _ = cone_projection(cone_rows(X, mask), v)
-        npn = float(np.linalg.norm(p))
-        if npn > PROJECTION_ZERO_RTOL * nv:
-            u = p / npn
-    return u
+    mask's cone (:func:`extreme_points` of one mask); the minimizer is
+    extreme_point(X, mask, -v)."""
+    return extreme_points(X, [mask], np.asarray(v, dtype=float)[None])[0][0]
 
 
 def polar_gauge(X: np.ndarray, masks: list[ActivationMask],
                 lam: np.ndarray) -> PolarGaugeReport:
     """Max over masks of |v^T u| at both extreme points, v = X^T D_j lam:
-    per mask hi = v^T u(v) and lo = v^T u(-v).
+    per mask hi = v^T u(v) and lo = v^T u(-v), the values extreme_point
+    gives.
 
     lam is feasible for the dual norm constraint iff gauge <= 1 over the
     full arrangement set."""
     if not masks:
         raise ValueError("mask list must be nonempty")
     X = np.asarray(X, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    per_mask = []
-    for mask in masks:
-        v = X.T @ (mask.diag_vector() * lam)
-        per_mask.append((mask, float(v @ extreme_point(X, mask, v)),
-                         float(v @ extreme_point(X, mask, -v))))
+    V = masked_vectors(X, masks, lam)
+    U, L = extreme_points(X, masks, V)
+    per_mask = tuple((mask, float(hi), float(lo))
+                     for mask, hi, lo in zip(masks, _dots(V, U), _dots(V, L)))
     values = [max(abs(hi), abs(lo)) for _, hi, lo in per_mask]
     best = int(np.argmax(values))
     return PolarGaugeReport(gauge=float(values[best]),
-                            per_mask=tuple(per_mask),
+                            per_mask=per_mask,
                             argmax_mask=per_mask[best][0])
 
 

@@ -11,24 +11,31 @@ Every LP goes through :func:`_highs`, which runs it on one module-level
 instance of scipy's bundled HiGHS core, given the options
 ``linprog(method="highs")`` sends once and cleared of the last model before
 each LP, so the results are linprog's to the bit without its per-call
-set-up and sparse conversion.  The optimal face (:func:`optimal_face_bounds`)
-is exact: one solve's multipliers, one cone projection per group, HiGHS LPs
-over the active extreme directions.  Everything is dense numpy and bitwise
-deterministic.
+set-up and sparse conversion.  Every cone projection, here and in
+``geometry``, is exact and goes through :class:`Cones`: the projection of
+v onto a cone is v's projection onto one flat of the cone rows (Moreau's
+decomposition), the longest of those that lands in the cone, and one
+product per flat prices every cone.  The optimal face
+(:func:`optimal_face_bounds`) is exact: one solve's multipliers, one cone
+projection per group, HiGHS LPs over the active extreme directions.
+Everything is dense numpy and bitwise deterministic.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._compiled import highs, nnls_kernel
+from ._compiled import highs
 
-HighsLp, HighsModelStatus, HighsOptions = (
-    highs.HighsLp, highs.HighsModelStatus, highs.HighsOptions)
-MatrixFormat, _Highs, kHighsInf, simplex_constants = (
-    highs.MatrixFormat, highs._Highs, highs.kHighsInf, highs.simplex_constants)
+HighsModelStatus, HighsOptions, MatrixFormat, ObjSense = (
+    highs.HighsModelStatus, highs.HighsOptions, highs.MatrixFormat,
+    highs.ObjSense)
+_Highs, kHighsInf, simplex_constants = (
+    highs._Highs, highs.kHighsInf, highs.simplex_constants)
 
 #: pricing tolerance and certified relative gap of a solve (the default of
 #: solve, solve_primal, solve_dual and the CLI's --tol)
@@ -44,10 +51,9 @@ NEWTON_STEPS = 8
 FEASIBLE_TOL = 1e-9
 INFEASIBLE_TOL = 1e-6
 
-#: cone projections: P_C(v) counts as 0 below PROJECTION_ZERO_RTOL ||v||,
-#: and its KKT conditions must hold to PROJECTION_KKT_RTOL ||M|| ||v||
-PROJECTION_ZERO_RTOL = 1e-10
-PROJECTION_KKT_RTOL = 1e-9
+#: relative threshold used everywhere a singular value decides rank; a unit
+#: row whose projection onto a flat has at most this norm vanishes on it
+RANK_RTOL = 1e-10
 
 #: optimal face: a norm group is active at gauge gamma_g >= 1 - delta, inactive
 #: at <= 1 - sqrt(delta), degenerate otherwise (delta = FACE_GAUGE_TOL)
@@ -149,17 +155,23 @@ def _cone_rows(prog: ConeProgram) -> np.ndarray:
                       for g, M in enumerate(prog.cones)])
 
 
-def _price(prog: ConeProgram, mu: np.ndarray
-           ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(P, Z): with v = A^T mu cut into groups, P[g] = P_{C_g}(v_g) and Z[g]
-    its multipliers on the rows of cones[g], one cone projection per group;
+def _cones(prog: ConeProgram) -> Cones:
+    """The group cones of prog, one per norm group, as Cones."""
+    sizes = [len(M) for M in prog.cones]
+    B = np.vstack(prog.cones)
+    return Cones(B, np.repeat(np.arange(len(sizes)), sizes),
+                 np.arange(len(B)), np.ones(len(B)), len(sizes))
+
+
+def _price(prog: ConeProgram, cones: Cones, mu: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """(P, Pi): with v = A^T mu cut into groups, P[g] = P_{C_g}(v_g) and
+    Pi[g] the projector onto the flat it lies on (:class:`Cones`);
     ||P[g]|| is the gauge gamma_g of mu on group g."""
     v = (prog.A.T @ mu).reshape(-1, prog.group)
-    P, Z = np.empty_like(v), []
-    for g, M in enumerate(prog.cones):
-        P[g], z = cone_projection(M, v[g])
-        Z.append(z)
-    return P, Z
+    flat, _ = cones.choose(v)
+    F = cones.bases(flat)
+    return cones.project(v, flat), F @ F.transpose(0, 2, 1)
 
 
 def _directions(P: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -201,18 +213,17 @@ def _pair(prog: ConeProgram, cuts: np.ndarray, mu: np.ndarray,
 
 
 def _newton(prog: ConeProgram, active: np.ndarray, mu0: np.ndarray,
-            Z: list[np.ndarray]) -> np.ndarray:
+            Pi: np.ndarray) -> np.ndarray:
     """Newton point from mu0, on the support S of mu0 and the active
     groups: NEWTON_STEPS least-squares Newton steps on sum_g t_g K_g mu =
     -b_S (the rows S met with equality) and mu^T K_g mu = 1 (a unit gauge
     on each active group), with K_g = B_g Pi_g B_g^T, B_g the rows S of A
-    on g's variables and Pi_g the projector onto the null space of g's face
-    rows (the rows of cones[g] with z > 0 in Z)."""
+    on g's variables and Pi_g the projector onto the flat of g's projection
+    (:func:`_price`)."""
     d, S = prog.group, np.flatnonzero(mu0 > 0.0)
     A_S, b_S = prog.A[S], prog.b[S]
-    Q = [A_S[:, g * d:(g + 1) * d] @ _null_space(prog.cones[g][Z[g] > 0]).T
-         for g in np.flatnonzero(active)]
-    K = np.array([q @ q.T for q in Q]).reshape(-1, len(S), len(S))
+    B = A_S.reshape(len(S), -1, d).transpose(1, 0, 2)[active]
+    K = B @ Pi[active] @ B.transpose(0, 2, 1)
     mu = mu0[S]
     t = np.linalg.lstsq((K @ mu).T, -b_S, rcond=None)[0]
     for _ in range(NEWTON_STEPS):
@@ -254,12 +265,13 @@ def solve(prog: ConeProgram, tol: float = DEFAULT_TOL
         return pair is not None and pair[2] - pair[3] <= tol * (1.0 + pair[2])
 
     m, n = prog.A.shape
+    cones = _cones(prog)
     cuts, last, checked = np.zeros((n, 0)), None, False
     for rounds in range(1, MAX_ROUNDS + 1):
         mu = np.maximum(_highs("master", prog.b, (prog.A @ cuts).T,
                                np.ones(cuts.shape[1]), np.zeros(m),
                                upper=MASTER_BOX)[0], 0.0)
-        P, Z = _price(prog, mu)
+        P, Pi = _price(prog, cones, mu)
         pair = _pair(prog, cuts, mu, P)
         if (pair is None and rounds > 1 and not checked
                 and mu.max(initial=0.0) >= MASTER_BOX):
@@ -274,10 +286,10 @@ def solve(prog: ConeProgram, tol: float = DEFAULT_TOL
         last = mu
         active = pair is not None and _group_norms(pair[0], prog.group) > 0.0
         while pair is not None and not certified(pair):
-            mu_n = _newton(prog, active, mu, Z)
+            mu_n = _newton(prog, active, mu, Pi)
             if not np.all(mu_n >= 0.0):
                 break
-            P_n, Z_n = _price(prog, mu_n)
+            P_n, _ = _price(prog, cones, mu_n)
             pair = _pair(prog, cuts, mu_n, P_n)
             grown = active | (np.linalg.norm(P_n, axis=1) > 1.0)
             if np.array_equal(grown, active):
@@ -307,28 +319,21 @@ def _highs(what: str, c: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray,
         return np.zeros(0), 0.0
     At = A_ub.T
     nonzero = At != 0.0
-    lp = HighsLp()
-    lp.num_col_, lp.num_row_ = n, m
-    lp.col_cost_ = c
-    lp.col_lower_ = lower
-    lp.col_upper_ = np.full(n, upper)
-    lp.row_lower_ = np.full(m, -kHighsInf)
-    lp.row_upper_ = b_ub
-    a = lp.a_matrix_
-    a.format_ = MatrixFormat.kColwise
-    a.num_col_, a.num_row_ = n, m
-    a.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
-    a.index_ = np.nonzero(nonzero)[1]
-    a.value_ = At[nonzero]
+    index = nonzero.nonzero()[1]
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(nonzero, axis=1), out=start[1:])
     _HIGHS.clearModel()
-    _HIGHS.passModel(lp)
+    _HIGHS.passModel(n, m, len(index), MatrixFormat.kColwise,
+                     ObjSense.kMinimize, 0.0, c, lower, np.full(n, upper),
+                     np.full(m, -kHighsInf), b_ub, start, index,
+                     At[nonzero], np.zeros(n, dtype=np.int32))
     _HIGHS.run()
     status = _HIGHS.getModelStatus()
     if status != HighsModelStatus.kOptimal:
         raise SolverError(
             f"{what} LP failed: {_HIGHS.modelStatusToString(status)}")
     return (np.array(_HIGHS.getSolution().col_value),
-            _HIGHS.getInfo().objective_function_value)
+            _HIGHS.getObjectiveValue())
 
 
 def lp_feasible(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -341,10 +346,10 @@ def lp_feasible(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     m, d = A.shape
     if m == 0:
         return np.zeros(d)
-    c = np.zeros(d + 1)
-    c[-1] = 1.0
-    lower = np.append(np.full(d, -np.inf), 0.0)
-    x, v = _highs("phase-1", c, np.hstack((A, -np.ones((m, 1)))), b, lower)
+    c, lower = np.zeros(d + 1), np.full(d + 1, -np.inf)
+    c[d], lower[d] = 1.0, 0.0
+    x, v = _highs("phase-1", c, np.concatenate((A, np.full((m, 1), -1.0)),
+                                                axis=1), b, lower)
     if v <= FEASIBLE_TOL:
         return x[:d]
     if v > INFEASIBLE_TOL:
@@ -352,60 +357,130 @@ def lp_feasible(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     raise InconclusiveError(f"phase-1 value {v:.3e} in dead zone")
 
 
-def _null_space(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (as rows) of the null space of `rows`, each row
-    normalized first; the identity when there are none."""
-    if not len(rows):
-        return np.eye(rows.shape[1])
-    rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    _, s, Vt = np.linalg.svd(rows)
-    return Vt[int(np.sum(s > s[0] * max(rows.shape) * np.finfo(float).eps)):]
+def _unit_rows(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, index, sign): the distinct nonzero rows of B scaled to unit length,
+    up to sign (the first nonzero entry positive), in order of first
+    appearance, and B_i = sign_i ||B_i|| U[index_i] (sign 0 on a zero row)."""
+    norms = np.linalg.norm(B, axis=1)
+    nonzero = norms > 0.0
+    R = B[nonzero] / norms[nonzero, None]
+    lead = np.sign(R[np.arange(len(R)), np.argmax(R != 0.0, axis=1)])
+    R = R * lead[:, None] + 0.0             # + 0.0 turns -0.0 into 0.0
+    sign, index = np.zeros(len(B)), np.zeros(len(B), dtype=int)
+    sign[nonzero] = lead
+    first: dict[bytes, int] = {}        # a row's bytes -> its index in U
+    index[nonzero] = [first.setdefault(row.tobytes(), len(first))
+                      for row in R]
+    return (np.frombuffer(b"".join(first)).reshape(len(first), B.shape[1]),
+            index, sign)
 
 
-def nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """scipy.optimize.nnls(A, b) on its compiled kernel: (x, ||A x - b||)
-    with x = argmin_{x >= 0} ||A x - b||.  ValueError on a non-finite
-    entry, RuntimeError when the kernel stops at 3 n iterations."""
-    A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
-    b = np.asarray_chkfinite(b, dtype=np.float64, order="C")
-    x, rnorm, info = nnls_kernel(A, b, 3 * A.shape[1])
-    if info == 3:
-        raise RuntimeError("Maximum number of iterations reached.")
-    return x, rnorm
+@functools.lru_cache(maxsize=8)
+def _flats(key: bytes, n: int, d: int) -> tuple[np.ndarray, tuple, tuple]:
+    """(bases, live, probes) of the flats of the n x d unit rows U whose
+    bytes are key, built once per set of rows (one dataset's geometry
+    calls and one solve's pricing rounds share them).  With r the rank of
+    U, the flats are the null spaces of the subsets of fewer than r rows,
+    then null(U) when r < d, each once (a flat is known by the rows that
+    vanish on it), in that order.  bases[f] is a d x d matrix whose nonzero
+    columns are an orthonormal basis F of flat f, live[f] are the rows
+    nonzero on it and probes[f] = [bases[f] | F F^T U[live[f]]^T]: v^T
+    probes[f] gives the coordinates F^T v of v's projection and its
+    products with those rows."""
+    U = np.frombuffer(key).reshape(n, d)
+    s, Vt = np.linalg.svd(U)[1:] if n else (np.zeros(0), np.eye(d))
+    r = int(np.sum(s > RANK_RTOL * s.max(initial=0.0)))
+    # the last d - k right singular vectors of a subset of k rows span its
+    # flat; a subset of lower rank repeats the flat of a smaller one, so it
+    # is dropped; null(U) is spanned by U's own last d - r
+    candidates = [np.eye(d)[None]]
+    for k in range(1, r):
+        subsets = np.array(list(itertools.combinations(range(n), k)))
+        s_k, Vt_k = np.linalg.svd(U[subsets])[1:]
+        null = Vt_k[(s_k > RANK_RTOL * s_k[:, :1]).all(axis=1), k:]
+        candidates.append(np.pad(null.transpose(0, 2, 1),
+                                 ((0, 0), (0, 0), (0, k))))
+    if r < d:
+        candidates.append(np.pad(Vt[r:].T, ((0, 0), (0, r)))[None])
+    bases, live, probes, seen = [], [], [], set()
+    for F in np.concatenate(candidates):
+        nonzero = np.linalg.norm(U @ F, axis=1) > RANK_RTOL
+        if nonzero.tobytes() not in seen:
+            seen.add(nonzero.tobytes())
+            bases.append(F)
+            live.append(np.flatnonzero(nonzero))
+            probes.append(np.hstack((F, F @ (F.T @ U[nonzero].T))))
+    bases = np.array(bases)
+    for a in (bases, *live, *probes):   # every caller shares the cached arrays
+        a.flags.writeable = False
+    return bases, tuple(live), tuple(probes)
 
 
-def cone_projection(M: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, z): p = P_C(v) = v + M^T z, the projection of v onto the cone
-    C = {u : M u >= 0}, and z = argmin_{z >= 0} ||v + M^T z|| (Moreau).  p is
-    v projected onto the null space of the rows with z > 0, free of the
-    cancellation in v + M^T z when ||p|| << ||v||.  RuntimeError when NNLS
-    stops early or (p, z) misses the KKT conditions z >= 0, M p >= -eps,
-    z-weighted mean |M p| <= eps and ||v + M^T z - p|| <= PROJECTION_KKT_RTOL
-    (||v|| + ||M|| ||z||), with eps = PROJECTION_KKT_RTOL ||M|| ||v||."""
-    if not len(M):
-        return v, np.zeros(0)
-    try:
-        z, _ = nnls(M.T, -v)
-    except RuntimeError as exc:
-        raise RuntimeError(f"cone projection did not converge: {exc}") from exc
-    p = v
-    active = M[z > 0]
-    if len(active):
-        null = _null_space(active)
-        p = null.T @ (null @ v)
-    slack = M @ p
-    nM, nv = np.linalg.norm(M), np.linalg.norm(v)
-    eps = PROJECTION_KKT_RTOL * nM * nv
-    comp = z @ np.abs(slack)
-    residual = np.linalg.norm(v + M.T @ z - p)
-    if (z.min(initial=0.0) < 0.0 or slack.min(initial=0.0) < -eps
-            or comp > eps * z.sum()
-            or residual > PROJECTION_KKT_RTOL * (nv + nM * np.linalg.norm(z))):
-        raise RuntimeError(
-            f"cone projection misses its KKT conditions: min M p "
-            f"{slack.min(initial=0.0):.2e}, z^T |M p| {comp:.2e} "
-            f"(eps {eps:.2e}), polar residual {residual:.2e}")
-    return p, z
+class Cones:
+    """Cones C_k = {u : M_k u >= 0}, k < count, over one set of rows B:
+    row row[i] of B, times sign[i], is a row of cone cone[i].  The rows
+    reach the cones as unit rows (:func:`_unit_rows`) with a sign each, and
+    a cone that holds a unit row with both signs lies in its hyperplane.
+
+    By Moreau's decomposition P_C(v) lies on the flat L of the face whose
+    relative interior holds it, and there it is the orthogonal projection
+    Pi_L v; every other flat L with Pi_L v in C has v^T Pi_L v = ||Pi_L v||^2
+    <= ||P_C(v)||^2.  So P_C(v) is the largest Pi_L v in C over the flats
+    of the unit rows (:func:`_flats`), and one product v^T probes[f] per
+    flat prices it, for every cone and for both v and -v.  A projection
+    goes through the coordinates, F (F^T v), so it stays on its flat even
+    when ||F^T v|| << ||v||."""
+
+    def __init__(self, B: np.ndarray, cone: np.ndarray, row: np.ndarray,
+                 sign: np.ndarray, count: int):
+        U, index, unit_sign = _unit_rows(B)
+        sign = sign * unit_sign[row]
+        index = index[row]
+        pos = np.zeros((count, len(U)), dtype=bool)
+        neg = np.zeros((count, len(U)), dtype=bool)
+        pos[cone[sign > 0.0], index[sign > 0.0]] = True
+        neg[cone[sign < 0.0], index[sign < 0.0]] = True
+        self.signs = pos.astype(float) - neg
+        both = pos & neg
+        self.both = both if both.any() else None
+        self.flats, self.live, self.probes = _flats(U.tobytes(), *U.shape)
+
+    def choose(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(plus, minus): for each k the flat f whose projection of V[k]
+        (of -V[k]) lies in C_k with the largest norm, the first such flat
+        on a tie, and -1 when only the origin does.  ValueError when V is
+        not finite.  Row k's answer does not depend on the other rows."""
+        if not np.isfinite(V).all():
+            raise ValueError("cone projection of a non-finite vector")
+        d, V3 = V.shape[1], V[:, None, :]
+        best = np.empty((2, len(self.flats), len(V)))
+        for f, (probe, live) in enumerate(zip(self.probes, self.live)):
+            out = np.matmul(V3, probe)[:, 0]
+            c = out[:, :d]
+            T = out[:, d:] * self.signs[:, live]
+            norm2 = np.matmul(c[:, None, :], c[:, :, None])[:, 0, 0]
+            plus, minus = (T >= 0.0).all(axis=1), (T <= 0.0).all(axis=1)
+            if self.both is not None:     # such rows must vanish on f
+                on = ~self.both[:, live].any(axis=1)
+                plus, minus = plus & on, minus & on
+            best[0, f] = np.where(plus, norm2, -1.0)
+            best[1, f] = np.where(minus, norm2, -1.0)
+        choice = best.argmax(axis=1)
+        choice[best.max(axis=1) < 0.0] = -1
+        return choice[0], choice[1]
+
+    def bases(self, flat: np.ndarray) -> np.ndarray:
+        """The basis of each flat index, 0 for -1 (the origin)."""
+        F = self.flats[flat]
+        F[flat < 0] = 0.0
+        return F
+
+    def project(self, V: np.ndarray, flat: np.ndarray) -> np.ndarray:
+        """Row k of V projected onto flat[k] (0 for -1), F (F^T v) row by
+        row."""
+        F = self.bases(flat)
+        return np.matmul(np.matmul(V[:, None, :], F), F.transpose(0, 2, 1)
+                         )[:, 0]
 
 
 def optimal_face_bounds(prog: ConeProgram, p_star: float,
@@ -424,7 +499,7 @@ def optimal_face_bounds(prog: ConeProgram, p_star: float,
     slack."""
     _, mu, report = solve(prog)
     report.require_optimal("face multiplier")
-    P, _ = _price(prog, mu)
+    P, _ = _price(prog, _cones(prog), mu)
     gamma = np.linalg.norm(P, axis=1)
     neither = np.flatnonzero((gamma > 1.0 - np.sqrt(FACE_GAUGE_TOL))
                              & (np.abs(gamma - 1.0) > FACE_GAUGE_TOL))

@@ -17,22 +17,106 @@ neurons align with (criterion 08), and g_min over the sign patterns
 
 ``step`` is one forward-Euler step of the flow written as its formula, for
 the tests of the update itself.
+
+``cone_projection`` is the projection onto a cone {u : M u >= 0} by
+scipy's NNLS (Lawson-Hanson) with a KKT guard: the iterative oracle of the
+exact per-flat projection of ``relu_lab.solver.Cones``.
+``active_set_projection`` tries every row subset, for the cones where NNLS
+misses its own KKT conditions.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+from scipy.optimize._slsqplib import nnls as nnls_kernel
 from scipy.special import expit
 
 from relu_lab.arrangements import ActivationMask, SignPattern, mask_of
 from relu_lab.convex import (ACTIVE_RTOL, ConvexProblem, ConvexSolution,
                              NetworkParams, completion_choices)
-from relu_lab.solver import DegenerateError, cone_projection
+from relu_lab.solver import DegenerateError
+
+#: cone_projection's KKT conditions must hold to PROJECTION_KKT_RTOL ||M|| ||v||
+PROJECTION_KKT_RTOL = 1e-9
 
 #: zero band of a row's norm restricted to a flat: at most ZERO_TOL counts as
 #: zero, and a norm in (ZERO_TOL, DEGENERATE_TOL) raises DegenerateError
 ZERO_TOL = 1e-11
 DEGENERATE_TOL = 1e-10
+
+
+def _null_space(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (as rows) of the null space of `rows`, each row
+    normalized first; the identity when there are none."""
+    if not len(rows):
+        return np.eye(rows.shape[1])
+    rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    _, s, Vt = np.linalg.svd(rows)
+    return Vt[int(np.sum(s > s[0] * max(rows.shape) * np.finfo(float).eps)):]
+
+
+def nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """scipy.optimize.nnls(A, b) on its compiled kernel nnls_kernel(A, b,
+    maxiter) -> (x, rnorm, info): (x, ||A x - b||)
+    with x = argmin_{x >= 0} ||A x - b||.  ValueError on a non-finite
+    entry, RuntimeError when the kernel stops at 3 n iterations."""
+    A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
+    b = np.asarray_chkfinite(b, dtype=np.float64, order="C")
+    x, rnorm, info = nnls_kernel(A, b, 3 * A.shape[1])
+    if info == 3:
+        raise RuntimeError("Maximum number of iterations reached.")
+    return x, rnorm
+
+
+def cone_projection(M: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, z): p = P_C(v) = v + M^T z, the projection of v onto the cone
+    C = {u : M u >= 0}, and z = argmin_{z >= 0} ||v + M^T z|| (Moreau).  p is
+    v projected onto the null space of the rows with z > 0, free of the
+    cancellation in v + M^T z when ||p|| << ||v||.  RuntimeError when NNLS
+    stops early or (p, z) misses the KKT conditions z >= 0, M p >= -eps,
+    z-weighted mean |M p| <= eps and ||v + M^T z - p|| <= PROJECTION_KKT_RTOL
+    (||v|| + ||M|| ||z||), with eps = PROJECTION_KKT_RTOL ||M|| ||v||."""
+    if not len(M):
+        return v, np.zeros(0)
+    try:
+        z, _ = nnls(M.T, -v)
+    except RuntimeError as exc:
+        raise RuntimeError(f"cone projection did not converge: {exc}") from exc
+    p = v
+    active = M[z > 0]
+    if len(active):
+        null = _null_space(active)
+        p = null.T @ (null @ v)
+    slack = M @ p
+    nM, nv = np.linalg.norm(M), np.linalg.norm(v)
+    eps = PROJECTION_KKT_RTOL * nM * nv
+    comp = z @ np.abs(slack)
+    residual = np.linalg.norm(v + M.T @ z - p)
+    if (z.min(initial=0.0) < 0.0 or slack.min(initial=0.0) < -eps
+            or comp > eps * z.sum()
+            or residual > PROJECTION_KKT_RTOL * (nv + nM * np.linalg.norm(z))):
+        raise RuntimeError(
+            f"cone projection misses its KKT conditions: min M p "
+            f"{slack.min(initial=0.0):.2e}, z^T |M p| {comp:.2e} "
+            f"(eps {eps:.2e}), polar residual {residual:.2e}")
+    return p, z
+
+
+def active_set_projection(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """P_C(v) for C = {u : M u >= 0} by exhaustion: over every subset of
+    the rows, v projected onto their null space (least squares), kept when
+    it lies in C to 1e-12 ||M|| ||v||; the longest one kept."""
+    best = np.zeros_like(v)
+    tol = 1e-12 * np.linalg.norm(M) * np.linalg.norm(v)
+    for k in range(len(M) + 1):
+        for rows in itertools.combinations(range(len(M)), k):
+            A = M[list(rows)].reshape(k, len(v))
+            p = v - A.T @ np.linalg.lstsq(A.T, v, rcond=None)[0] if k else v
+            if (M @ p).min(initial=0.0) >= -tol and p @ p > best @ best:
+                best = p
+    return best
 
 
 def _vanishing(Xn: np.ndarray, B: np.ndarray) -> np.ndarray:

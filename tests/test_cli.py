@@ -181,6 +181,29 @@ class TestSolveCommand:
         assert code == 0, err
         assert "primal objective" in out and "dual objective" in out
 
+    def test_integer_rows_nnls_failed_on_solve(self, capsys, tmp_path):
+        # feasible integer-entry rows on which an NNLS cone projection
+        # missed its KKT conditions and solve exited 1; the exact
+        # projection certifies p* = 2.658312 with a dual of gauge <= 1
+        X = [[-2, 1, 1], [0, 0, 2], [1, 1, -2], [0, 1, 1], [-1, 1, 2],
+             [-2, 2, 1], [1, 2, -2], [1, 1, 1]]
+        y = [-1, 1, 1, 1, -1, -1, 1, 1]
+        path = tmp_path / "integer.json"
+        path.write_text(json.dumps({"X": X, "y": y}))
+        code, out, err = run_cli(capsys, "solve", "--dataset", str(path),
+                                 "--which", "both", "--json")
+        assert code == 0, err
+        payload = json.loads(out.splitlines()[-1])
+        primal = payload["primal"]["objective"]
+        dual = payload["dual"]["objective"]
+        assert primal == pytest.approx(2.658312, abs=5e-7)
+        assert 0.0 <= primal - dual <= relu_lab.solver.DEFAULT_TOL * (
+            1.0 + primal)
+        X = np.array(X, dtype=float)
+        gauge = relu_lab.geometry.polar_gauge(
+            X, relu_lab.cli.enumerate_masks(X), payload["dual"]["lambda"])
+        assert gauge.gauge <= 1.0
+
     @pytest.mark.parametrize("which", ["primal", "dual", "both"])
     def test_one_cone_solve(self, capsys, monkeypatch, which):
         # the dual is the certified multiplier of the primal's one solve

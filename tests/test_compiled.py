@@ -1,6 +1,6 @@
-"""relu_lab loads scipy's compiled routines without scipy's packages, and
-its numpy stand-ins for scipy.linalg and scipy.optimize.nnls match them to
-the bit."""
+"""relu_lab loads scipy's compiled routines without scipy's packages, its
+numpy stand-ins for scipy.linalg match them to the bit, and the NNLS oracle
+of the cone projections matches scipy.optimize.nnls to the bit."""
 
 import importlib.machinery
 import os
@@ -15,6 +15,7 @@ import scipy
 from scipy.linalg import block_diag, null_space
 from scipy.optimize import nnls as scipy_nnls
 
+import oracles
 from relu_lab import _compiled, certify, solver
 from relu_lab.arrangements import (RANK_RTOL, enumerate_masks,
                                    enumerate_sign_patterns)
@@ -24,8 +25,7 @@ from relu_lab.datasets import BUILTIN_DATASETS
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: the extension modules relu_lab loads, and the packages above them
-COMPILED = ("scipy.optimize._highspy._core", "scipy.optimize._slsqplib",
-            "scipy.special._special_ufuncs")
+COMPILED = ("scipy.optimize._highspy._core", "scipy.special._special_ufuncs")
 PACKAGES = ("scipy.optimize", "scipy.linalg", "scipy.special", "scipy.sparse")
 
 
@@ -46,17 +46,42 @@ def test_cli_import_loads_no_scipy_package():
     assert all(name in loaded for name in COMPILED)
 
 
+#: every command once, small, in one interpreter (OUT: an output directory)
+EVERY_COMMAND = """
+import contextlib, io, sys
+from relu_lab.cli import main
+runs = [["arrangements", "--dataset", "notebook"],
+        ["solve", "--dataset", "notebook", "--which", "both"],
+        ["flow", "--dataset", "notebook", "--iters", "50",
+         "--checkpoints", "50"],
+        ["certify", "--dataset", "appendix-ortho", "--iters", "50",
+         "--checkpoints", "50", "--step", "0.1"],
+        ["geometry-export", "--dataset", "appendix-ortho", "--samples", "16",
+         "--out-dir", OUT + "/geometry"],
+        ["reproduce", "appendix-ortho", "--out-dir", OUT + "/reproduce"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+print(codes, "scipy.optimize._slsqplib" in sys.modules)
+"""
+
+
+def test_no_command_loads_the_nnls_kernel(tmp_path):
+    # the cone projections are exact per flat: no command loads
+    # scipy.optimize._slsqplib, which links a second OpenBLAS
+    out = fresh(f"OUT = {str(tmp_path)!r}\n{EVERY_COMMAND}")
+    assert out == "[0, 0, 0, 0, 0, 0] False\n"
+
+
 SAME_OBJECTS = """
 import importlib
 from relu_lab import flow, solver
 core = importlib.import_module("scipy.optimize._highspy._core")
-kernel = importlib.import_module("scipy.optimize._slsqplib").nnls
 res = scipy.optimize.linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1],
                              method="highs")
 assert res.status == 0 and res.fun == 1.0, res
 assert flow.expit is scipy.special.expit
-assert solver._Highs is core._Highs and solver.HighsLp is core.HighsLp
-assert solver.nnls_kernel is kernel
+assert solver._Highs is core._Highs
+assert solver.HighsOptions is core.HighsOptions
 print("ok")
 """
 
@@ -78,11 +103,11 @@ def test_missing_extension_names_module_and_scipy_version():
 
 
 def test_missing_routine_names_module_and_scipy_version():
-    name = "scipy.optimize._slsqplib"
+    name = "scipy.optimize._highspy._core"
     with pytest.raises(ImportError, match=f"{name} of scipy "
                                           f"{scipy.__version__} has no "
                                           "no_such_routine"):
-        _compiled._extension(name, "nnls", "no_such_routine")
+        _compiled._extension(name, "_Highs", "no_such_routine")
 
 
 def test_failed_initialisation_leaves_no_module_behind(tmp_path, monkeypatch):
@@ -164,7 +189,7 @@ class TestNNLS:
             k, d = rng.integers(1, 9), rng.integers(1, 5)
             M = rng.standard_normal((k, d)) * 10.0 ** rng.integers(-3, 4)
             v = rng.standard_normal(d)
-            x, rnorm = solver.nnls(M.T, -v)
+            x, rnorm = oracles.nnls(M.T, -v)
             x_ref, rnorm_ref = scipy_nnls(M.T, -v)
             assert x.tobytes() == x_ref.tobytes()
             assert rnorm == rnorm_ref
@@ -172,7 +197,7 @@ class TestNNLS:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_v_raises_value_error(self, bad):
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-            solver.cone_projection(np.eye(2), np.array([bad, 1.0]))
+            oracles.cone_projection(np.eye(2), np.array([bad, 1.0]))
 
     def test_kernel_at_its_iteration_cap_did_not_converge(self, monkeypatch):
         calls = []
@@ -181,8 +206,8 @@ class TestNNLS:
             calls.append(maxiter)
             return np.zeros(A.shape[1]), 0.0, 3
 
-        monkeypatch.setattr(solver, "nnls_kernel", capped)
+        monkeypatch.setattr(oracles, "nnls_kernel", capped)
         with pytest.raises(RuntimeError,
                            match="cone projection did not converge"):
-            solver.cone_projection(np.ones((5, 2)), np.array([1.0, -1.0]))
+            oracles.cone_projection(np.ones((5, 2)), np.array([1.0, -1.0]))
         assert calls == [3 * 5]

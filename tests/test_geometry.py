@@ -4,11 +4,12 @@ import pytest
 from relu_lab.arrangements import ActivationMask, enumerate_masks, mask_of
 from relu_lab.certify import dual_feasible
 from relu_lab.datasets import builtin_dataset
-from relu_lab.geometry import (extreme_point, polar_gauge,
-                               rectified_ellipsoid_samples)
-from relu_lab.solver import PROJECTION_ZERO_RTOL, cone_projection
+from relu_lab.geometry import (PROJECTION_ZERO_RTOL, extreme_point,
+                               polar_gauge, rectified_ellipsoid_samples)
+from relu_lab.solver import Cones
 
-from oracles import stationary_directions, sweep_masks
+from oracles import (active_set_projection, cone_projection,
+                     stationary_directions, sweep_masks)
 
 # dual variable printed by the reference run at its first checkpoint
 ITER10_LAMBDA = np.array([0.84944458, -0.3827491, -0.0513976])
@@ -293,12 +294,71 @@ class TestConeProjection:
                           -np.ones(3))
         assert not u.any()
 
+    def test_exact_projection_matches_nnls_on_degenerate_rows(self):
+        # Cones against the NNLS oracle (on the unit rows: positive row
+        # scale does not change a cone), or, where NNLS misses its own KKT
+        # conditions, against the exhaustive active-set projection
+        rng = np.random.default_rng(28)
+        for k in range(300):
+            X = degenerate_rows(rng, k)
+            N, d = X.shape
+            signs = rng.choice((-1.0, 1.0), size=(4, N))
+            V = rng.standard_normal((4, d)) * 10.0 ** rng.integers(-3, 4)
+            cones = Cones(X, np.repeat(np.arange(4), N),
+                          np.tile(np.arange(N), 4), signs.ravel(), 4)
+            for sign, flat in zip((1.0, -1.0), cones.choose(V)):
+                P = cones.project(sign * V, flat)
+                for s_k, v, p in zip(signs, sign * V, P):
+                    M = s_k[:, None] * X
+                    M = M[np.linalg.norm(M, axis=1) > 0.0]
+                    M = M / np.linalg.norm(M, axis=1, keepdims=True)
+                    try:
+                        want, _ = cone_projection(M, v)
+                    except RuntimeError:
+                        want = active_set_projection(M, v)
+                    assert np.linalg.norm(p - want) <= 1e-12 * np.linalg.norm(v)
+
+    def test_exact_projection_where_nnls_misses_kkt(self):
+        # an integer-entry cone of a feasible solve: NNLS puts z > 0 on
+        # rows where M p > 0; the exact projection is the enumeration's
+        M = np.array([[-2.0, 1, 1], [0, 0, -2], [1, 1, -2], [0, -1, -1],
+                      [1, -1, -2], [-2, 2, 1], [1, 2, -2], [-1, -1, -1]])
+        v = np.array([0.1320969189327528, 0.1320969189327528,
+                      -0.2641938378655056])
+        with pytest.raises(RuntimeError, match="misses its KKT"):
+            cone_projection(M, v)
+        cones = Cones(M, np.zeros(8, dtype=int), np.arange(8), np.ones(8), 1)
+        p = cones.project(v[None], cones.choose(v[None])[0])[0]
+        want = active_set_projection(M, v)
+        assert np.linalg.norm(p - want) <= 1e-12 * np.linalg.norm(v)
+        assert np.linalg.norm(p) == pytest.approx(0.2802198815, abs=1e-10)
+
     def test_no_rows_is_the_whole_space(self):
         # scipy's nnls aborts the process on a matrix with no columns
         v = np.array([0.3, -1.2, 2.0])
         p, z = cone_projection(np.zeros((0, 3)), v)
         np.testing.assert_array_equal(p, v)
         assert z.shape == (0,)
+
+
+def degenerate_rows(rng: np.random.Generator, k: int) -> np.ndarray:
+    """Rows for draw k of the projection property: Gaussian or small integer
+    entries; then by k % 5 a zero row, a duplicate and an antipodal copy,
+    rank < d, d == N, or rows scaled by 1e-6 and 1e6."""
+    d = int(rng.integers(2, 5))
+    N = int(rng.integers(1, 6))
+    X = (rng.standard_normal((N, d)) if k % 2 else
+         rng.integers(-2, 3, size=(N, d)).astype(float))
+    if k % 5 == 0:
+        X = np.vstack((X, np.zeros(d), X[:1], -X[-1:]))
+    elif k % 5 == 1:
+        X = rng.standard_normal((N + 2, d - 1)) @ rng.standard_normal(
+            (d - 1, d))
+    elif k % 5 == 2:
+        X = rng.standard_normal((d, d))
+    elif k % 5 == 3:
+        X = X * 10.0 ** rng.choice((-6.0, 0.0, 6.0), size=(N, 1))
+    return X
 
 
 def sampled_fixed_points(X: np.ndarray, lam: np.ndarray,
