@@ -40,10 +40,6 @@ BLOCK_STEPS = 256
 #: the history's byte budget; wide inputs get shorter blocks
 HISTORY_BYTES = 2**20
 
-#: the C function np.dot dispatches to, without the __array_function__
-#: dispatch (the loop's arguments are plain ndarrays)
-_dot = np.dot._implementation
-
 
 @dataclass(frozen=True)
 class FlowConfig:
@@ -214,9 +210,8 @@ def _run_binary(X: np.ndarray, y: np.ndarray, cfg: FlowConfig) -> FlowTrace:
     init_signs = np.sign(params.w2)
     max_drift, it = 0.0, 0
     # each of the loop's 13 calls per step does a few dozen flops, so a
-    # module attribute lookup per call shows: the loop calls local names,
-    # and numpy's C dot itself rather than the np.dot dispatcher around it
-    maximum, dot, multiply, greater, add = (np.maximum, _dot, np.multiply,
+    # module attribute lookup per call shows: the loop calls local names
+    maximum, dot, multiply, greater, add = (np.maximum, np.dot, np.multiply,
                                             np.greater, np.add)
     # a diverging run overflows before it aborts on non-finite parameters
     with np.errstate(over="ignore", invalid="ignore"):

@@ -9,9 +9,10 @@ M = (2 D_j - I) X (cone_rows), is
 
 By Moreau's decomposition the maximum is ||P_C(v)|| at u = P_C(v)/||P_C(v)||,
 and P_C(v) is the largest projection of v onto a flat of the unit rows of X
-that lies in C (:class:`relu_lab.solver.Cones`): exact, with no iteration.
-The flats are built once per dataset, and one product per flat prices
-every mask along v and -v.
+that lies in C (:class:`relu_lab.solver.Cones`), exact.  The flats are
+built once per dataset, and one product per flat prices every mask along
+v and -v; with many flats, each mask first tries the flat of its active
+set.
 
 The polar gauge of lam is the max of |v^T u| over masks and both extreme
 points, v = X^T D_j lam; lam is dual feasible iff the gauge over the full
@@ -55,7 +56,7 @@ def masked_vectors(X: np.ndarray, masks: list[ActivationMask],
                    lam: np.ndarray) -> np.ndarray:
     """Row j is v_j = X^T D_j lam, as X.T @ (masks[j].diag_vector() * lam)
     computes it."""
-    D = np.array([mask.bits for mask in masks], dtype=float)
+    D = np.array([mask.bits for mask in masks], dtype=np.int8)
     lam = np.asarray(lam, dtype=float)
     return np.matmul(np.asarray(X, dtype=float).T, (D * lam)[:, :, None]
                      )[:, :, 0]
@@ -71,9 +72,8 @@ def extreme_points(X: np.ndarray, masks: list[ActivationMask],
     X = np.asarray(X, dtype=float)
     V = np.asarray(V, dtype=float)
     N, p = X.shape[0], len(masks)
-    D = np.array([mask.bits for mask in masks], dtype=float).reshape(p, N)
-    cones = Cones(X, np.repeat(np.arange(p), N), np.tile(np.arange(N), p),
-                  (2.0 * D - 1.0).ravel(), p)
+    bits = np.array([mask.bits for mask in masks], dtype=np.int8)
+    cones = Cones(X, 2 * bits.reshape(p, N) - 1)
     nv = np.sqrt(_dots(V, V))
     points = []
     for sign, flat in zip((1.0, -1.0), cones.choose(V)):

@@ -15,7 +15,8 @@ set-up and sparse conversion.  Every cone projection, here and in
 ``geometry``, is exact and goes through :class:`Cones`: the projection of
 v onto a cone is v's projection onto one flat of the cone rows (Moreau's
 decomposition), the longest of those that lands in the cone, and one
-product per flat prices every cone.  The optimal face
+product per flat prices every cone; over many flats a cone first tries
+the flat of its Lawson-Hanson active set.  The optimal face
 (:func:`optimal_face_bounds`) is exact: one solve's multipliers, one cone
 projection per group, HiGHS LPs over the active extreme directions.
 Everything is dense numpy and bitwise deterministic.
@@ -54,6 +55,14 @@ INFEASIBLE_TOL = 1e-6
 #: relative threshold used everywhere a singular value decides rank; a unit
 #: row whose projection onto a flat has at most this norm vanishes on it
 RANK_RTOL = 1e-10
+
+#: Cones: over more flats than this, a cone first tries the flat of its
+#: active set and tries every flat only when that fails the KKT check
+ACTIVE_SET_MIN_FLATS = 128
+
+#: Cones.choose takes the cones this many at a time, so its arrays stay
+#: O(CHOOSE_ROWS x rows) however many cones there are
+CHOOSE_ROWS = 1024
 
 #: optimal face: a norm group is active at gauge gamma_g >= 1 - delta, inactive
 #: at <= 1 - sqrt(delta), degenerate otherwise (delta = FACE_GAUGE_TOL)
@@ -156,11 +165,15 @@ def _cone_rows(prog: ConeProgram) -> np.ndarray:
 
 
 def _cones(prog: ConeProgram) -> Cones:
-    """The group cones of prog, one per norm group, as Cones."""
-    sizes = [len(M) for M in prog.cones]
-    B = np.vstack(prog.cones)
-    return Cones(B, np.repeat(np.arange(len(sizes)), sizes),
-                 np.arange(len(B)), np.ones(len(B)), len(sizes))
+    """The group cones of prog, one per norm group, as Cones over the unit
+    rows U of all of them and -U."""
+    U, index, sign = _unit_rows(np.vstack(prog.cones))
+    group = np.repeat(np.arange(len(prog.cones)),
+                      [len(M) for M in prog.cones])
+    on = sign != 0.0
+    S = np.zeros((len(prog.cones), 2, len(U)))
+    S[group[on], (sign[on] < 0.0).astype(int), index[on]] = 1.0
+    return Cones(np.vstack((U, -U)), S.reshape(len(prog.cones), -1))
 
 
 def _price(prog: ConeProgram, cones: Cones, mu: np.ndarray
@@ -376,74 +389,100 @@ def _unit_rows(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=8)
-def _flats(key: bytes, n: int, d: int) -> tuple[np.ndarray, tuple, tuple]:
-    """(bases, live, probes) of the flats of the n x d unit rows U whose
-    bytes are key, built once per set of rows (one dataset's geometry
+def _flats(key: bytes, n: int, d: int
+           ) -> tuple[np.ndarray, np.ndarray, tuple, dict, int]:
+    """(bases, live, probes, index, r) of the flats of the n x d unit rows U
+    whose bytes are key, built once per set of rows (one dataset's geometry
     calls and one solve's pricing rounds share them).  With r the rank of
     U, the flats are the null spaces of the subsets of fewer than r rows,
     then null(U) when r < d, each once (a flat is known by the rows that
     vanish on it), in that order.  bases[f] is a d x d matrix whose nonzero
-    columns are an orthonormal basis F of flat f, live[f] are the rows
+    columns are an orthonormal basis F of flat f, live[f] marks the rows
     nonzero on it and probes[f] = [bases[f] | F F^T U[live[f]]^T]: v^T
     probes[f] gives the coordinates F^T v of v's projection and its
-    products with those rows."""
+    products with those rows (kept for at most ACTIVE_SET_MIN_FLATS flats;
+    above, :class:`Cones` makes them as it needs them).  index maps each
+    independent subset of fewer than r rows, as the bytes of its boolean
+    row mask, to its flat."""
     U = np.frombuffer(key).reshape(n, d)
     s, Vt = np.linalg.svd(U)[1:] if n else (np.zeros(0), np.eye(d))
     r = int(np.sum(s > RANK_RTOL * s.max(initial=0.0)))
     # the last d - k right singular vectors of a subset of k rows span its
     # flat; a subset of lower rank repeats the flat of a smaller one, so it
     # is dropped; null(U) is spanned by U's own last d - r
-    candidates = [np.eye(d)[None]]
+    candidates, owners = [np.eye(d)[None]], [np.zeros((1, n), dtype=bool)]
     for k in range(1, r):
         subsets = np.array(list(itertools.combinations(range(n), k)))
         s_k, Vt_k = np.linalg.svd(U[subsets])[1:]
-        null = Vt_k[(s_k > RANK_RTOL * s_k[:, :1]).all(axis=1), k:]
-        candidates.append(np.pad(null.transpose(0, 2, 1),
+        independent = (s_k > RANK_RTOL * s_k[:, :1]).all(axis=1)
+        candidates.append(np.pad(Vt_k[independent, k:].transpose(0, 2, 1),
                                  ((0, 0), (0, 0), (0, k))))
+        mask = np.zeros((int(independent.sum()), n), dtype=bool)
+        mask[np.arange(len(mask))[:, None], subsets[independent]] = True
+        owners.append(mask)
     if r < d:
         candidates.append(np.pad(Vt[r:].T, ((0, 0), (0, r)))[None])
-    bases, live, probes, seen = [], [], [], set()
-    for F in np.concatenate(candidates):
-        nonzero = np.linalg.norm(U @ F, axis=1) > RANK_RTOL
-        if nonzero.tobytes() not in seen:
-            seen.add(nonzero.tobytes())
-            bases.append(F)
-            live.append(np.flatnonzero(nonzero))
-            probes.append(np.hstack((F, F @ (F.T @ U[nonzero].T))))
-    bases = np.array(bases)
-    for a in (bases, *live, *probes):   # every caller shares the cached arrays
+        owners.append(np.zeros((1, 0), dtype=bool))     # indexes no subset
+    candidates = np.concatenate(candidates)
+    kept, index, seen = [], {}, {}      # seen: live rows' bytes -> flat
+    for c, owner in enumerate(itertools.chain.from_iterable(owners)):
+        key = (np.linalg.norm(U @ candidates[c], axis=1) > RANK_RTOL
+               ).tobytes()
+        if key not in seen:
+            seen[key] = len(kept)
+            kept.append(c)
+        if owner.size:
+            index[owner.tobytes()] = seen[key]
+    bases = candidates[kept]
+    live = np.frombuffer(b"".join(seen), dtype=bool).reshape(len(kept), n)
+    probes = ([_probe(F, U, l) for F, l in zip(bases, live)]
+              if len(bases) <= ACTIVE_SET_MIN_FLATS else [])
+    for a in (bases, live, *probes):    # every caller shares the cached arrays
         a.flags.writeable = False
-    return bases, tuple(live), tuple(probes)
+    return bases, live, tuple(probes), index, r
+
+
+def _probe(F: np.ndarray, U: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """[F | F F^T U[live]^T] for the basis F of a flat (:func:`_flats`)."""
+    return np.hstack((F, F @ (F.T @ U[live].T)))
 
 
 class Cones:
-    """Cones C_k = {u : M_k u >= 0}, k < count, over one set of rows B:
-    row row[i] of B, times sign[i], is a row of cone cone[i].  The rows
-    reach the cones as unit rows (:func:`_unit_rows`) with a sign each, and
-    a cone that holds a unit row with both signs lies in its hyperplane.
+    """Cones C_k = {u : M_k u >= 0}, k < len(S), over one set of rows B:
+    row i of B, times S[k, i], is a row of cone k where S[k, i] != 0.  The
+    rows reach the cones as unit rows (:func:`_unit_rows`) with a sign
+    each, and a cone that holds a unit row with both signs lies in its
+    hyperplane.
 
     By Moreau's decomposition P_C(v) lies on the flat L of the face whose
     relative interior holds it, and there it is the orthogonal projection
     Pi_L v; every other flat L with Pi_L v in C has v^T Pi_L v = ||Pi_L v||^2
     <= ||P_C(v)||^2.  So P_C(v) is the largest Pi_L v in C over the flats
     of the unit rows (:func:`_flats`), and one product v^T probes[f] per
-    flat prices it, for every cone and for both v and -v.  A projection
-    goes through the coordinates, F (F^T v), so it stays on its flat even
-    when ||F^T v|| << ||v||."""
+    flat prices it, for every cone and for both v and -v.  That costs
+    flats x cones, and the flats of n rows of rank r number sum_{k<r}
+    C(n, k), about as many as the cones of their arrangement; so above
+    ACTIVE_SET_MIN_FLATS flats each cone first takes the flat of its
+    Lawson-Hanson active set (:meth:`_active_sets`), which it keeps where
+    the projection onto that flat lies in the cone with multipliers above
+    RANK_RTOL ||v|| (the KKT conditions of the projection), and only the
+    other cones try every flat.  A projection goes through the coordinates,
+    F (F^T v), so it stays on its flat even when ||F^T v|| << ||v||."""
 
-    def __init__(self, B: np.ndarray, cone: np.ndarray, row: np.ndarray,
-                 sign: np.ndarray, count: int):
+    def __init__(self, B: np.ndarray, S: np.ndarray):
         U, index, unit_sign = _unit_rows(B)
-        sign = sign * unit_sign[row]
-        index = index[row]
-        pos = np.zeros((count, len(U)), dtype=bool)
-        neg = np.zeros((count, len(U)), dtype=bool)
-        pos[cone[sign > 0.0], index[sign > 0.0]] = True
-        neg[cone[sign < 0.0], index[sign < 0.0]] = True
-        self.signs = pos.astype(float) - neg
+        S = np.asarray(S)
+        pos = np.zeros((len(S), len(U)), dtype=bool)
+        neg = np.zeros((len(S), len(U)), dtype=bool)
+        for i, j in enumerate(index):   # fold B's rows onto their unit rows
+            pos[:, j] |= S[:, i] * unit_sign[i] > 0.0
+            neg[:, j] |= S[:, i] * unit_sign[i] < 0.0
+        self.units = U
+        self.signs = pos.astype(np.int8) - neg
         both = pos & neg
         self.both = both if both.any() else None
-        self.flats, self.live, self.probes = _flats(U.tobytes(), *U.shape)
+        (self.flats, self.live, self.probes, self.index, self.rank
+         ) = _flats(U.tobytes(), *U.shape)
 
     def choose(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(plus, minus): for each k the flat f whose projection of V[k]
@@ -452,22 +491,134 @@ class Cones:
         not finite.  Row k's answer does not depend on the other rows."""
         if not np.isfinite(V).all():
             raise ValueError("cone projection of a non-finite vector")
+        parts = [self._choose(V[i:i + CHOOSE_ROWS],
+                              np.arange(i, min(i + CHOOSE_ROWS, len(V))))
+                 for i in range(0, max(len(V), 1), CHOOSE_ROWS)]
+        return np.concatenate([p[0] for p in parts]), np.concatenate(
+            [p[1] for p in parts])
+
+    def _choose(self, V: np.ndarray, cones: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`choose` for V[k] in cone cones[k]."""
+        K = len(V)
+        if len(self.flats) <= ACTIVE_SET_MIN_FLATS:
+            return self._every_flat(V, cones)
+        choice, kept = self._active_sets(np.concatenate((V, -V)),
+                                         np.tile(cones, 2))
+        choice, kept = choice.reshape(2, K), kept.reshape(2, K)
+        rest = np.flatnonzero(~kept.all(axis=0))
+        if len(rest):
+            tried = np.array(self._every_flat(V[rest], cones[rest]))
+            choice[:, rest] = np.where(kept[:, rest], choice[:, rest], tried)
+        return choice[0], choice[1]
+
+    def _every_flat(self, V: np.ndarray, cones: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`choose` for V[k] in cone cones[k], over every flat."""
         d, V3 = V.shape[1], V[:, None, :]
-        best = np.empty((2, len(self.flats), len(V)))
-        for f, (probe, live) in enumerate(zip(self.probes, self.live)):
+        signs = self.signs[cones]
+        both = None if self.both is None else self.both[cones]
+        top = np.full((2, len(V)), -1.0)    # the largest norm2 so far
+        choice = np.full((2, len(V)), -1)
+        probes = self.probes or (_probe(F, self.units, live)
+                                 for F, live in zip(self.flats, self.live))
+        for f, (probe, live) in enumerate(zip(probes, self.live)):
             out = np.matmul(V3, probe)[:, 0]
             c = out[:, :d]
-            T = out[:, d:] * self.signs[:, live]
+            T = out[:, d:] * signs[:, live]
             norm2 = np.matmul(c[:, None, :], c[:, :, None])[:, 0, 0]
             plus, minus = (T >= 0.0).all(axis=1), (T <= 0.0).all(axis=1)
-            if self.both is not None:     # such rows must vanish on f
-                on = ~self.both[:, live].any(axis=1)
+            if both is not None:          # such rows must vanish on f
+                on = ~both[:, live].any(axis=1)
                 plus, minus = plus & on, minus & on
-            best[0, f] = np.where(plus, norm2, -1.0)
-            best[1, f] = np.where(minus, norm2, -1.0)
-        choice = best.argmax(axis=1)
-        choice[best.max(axis=1) < 0.0] = -1
+            for s, inside in enumerate((plus, minus)):
+                better = inside & (norm2 > top[s])  # > keeps the first on a tie
+                top[s, better] = norm2[better]
+                choice[s, better] = f
         return choice[0], choice[1]
+
+    def _multipliers(self, W: np.ndarray, S: np.ndarray, P: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """(z, ok): for each row w of W, z minimizes ||w + M_P^T z_P||
+        over z_P, with M = S U and z zero off the passive set P; ok is
+        False, and z zero, where P holds more than d rows or M_P is
+        singular."""
+        d = min(W.shape[1], P.shape[1])
+        count = P.sum(axis=1)
+        ok = count <= d
+        at = np.argsort(~P, axis=1, kind="stable")[:, :d]   # P's rows first
+        on = np.arange(d) < count[:, None]
+        M = self.units[at] * (np.take_along_axis(S, at, 1) * on)[:, :, None]
+        G = np.matmul(M, M.transpose(0, 2, 1))
+        G[:, np.arange(d), np.arange(d)] += ~on
+        ok &= np.linalg.det(G) > RANK_RTOL ** 2
+        G[~ok] = np.eye(d)
+        z = np.linalg.solve(G, -np.matmul(M, W[:, :, None]))[:, :, 0]
+        out = np.zeros(P.shape)
+        np.put_along_axis(out, at, z * (on & ok[:, None]), 1)
+        return out, ok
+
+    def _active_sets(self, W: np.ndarray, cones: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """(flat, kept): for each row w of W, the flat of its active set
+        after Lawson-Hanson on min ||w + M^T z|| over z >= 0, M the rows of
+        cone cones[k] (the dual of projecting w onto that cone: the
+        projection is w + M^T z), and whether it is kept: the projection
+        onto that flat lies in the cone and the set's multipliers exceed
+        RANK_RTOL ||w||.  A cone that lies in a hyperplane, a singular
+        active set, one still growing after 3n steps and one whose flat
+        is not indexed are not kept."""
+        S = self.signs[cones]
+        B, n = S.shape
+        tol = RANK_RTOL * np.linalg.norm(W, axis=1)
+        z, P, p = np.zeros((B, n)), np.zeros((B, n), dtype=bool), W.copy()
+        run = np.ones(B, dtype=bool) if self.both is None else (
+            ~self.both[cones].any(axis=1))
+        done = np.zeros(B, dtype=bool)
+        for _ in range(3 * n):
+            rows = np.flatnonzero(run)
+            if not len(rows):
+                break
+            grad = -np.matmul(p[rows, None, :], self.units.T)[:, 0] * S[rows]
+            grad[P[rows]] = -np.inf
+            j = grad.argmax(axis=1)
+            enter = grad[np.arange(len(rows)), j] > tol[rows]
+            done[rows[~enter]], run[rows[~enter]] = True, False
+            rows, j = rows[enter], j[enter]
+            P[rows, j] = True
+            new, ok = self._multipliers(W[rows], S[rows], P[rows])
+            while True:                     # drop the rows new leaves <= 0
+                bad = ok & (P[rows] & (new <= 0.0)).any(axis=1)
+                if not bad.any():
+                    break
+                at, old, low = rows[bad], z[rows[bad]], new[bad]
+                neg = P[at] & (low <= 0.0)
+                gap = np.where(neg & (old > low), old - low, 1.0)
+                step = np.where(neg, old / gap, np.inf)
+                first = step.argmin(axis=1)
+                old = old + step[np.arange(len(at)), first, None] * (low - old)
+                P[at] &= old > 0.0
+                P[at, first] = False
+                z[at] = np.where(P[at], old, 0.0)
+                new[bad], ok[bad] = self._multipliers(W[at], S[at], P[at])
+            run[rows[~ok]] = False
+            rows, new = rows[ok], new[ok]
+            z[rows] = new
+            p[rows] = W[rows] + np.matmul((new * S[rows])[:, None, :],
+                                          self.units)[:, 0]
+        # r rows span null(U), the last flat, or the origin when r == d
+        whole = len(self.flats) - 1 if self.rank < W.shape[1] else -1
+        flat = np.array([self.index.get(m.tobytes(), -2) if k < self.rank
+                         else whole if k == self.rank else -2
+                         for k, m in zip(P.sum(axis=1), P)], dtype=int)
+        kept = done & (flat > -2)
+        flat[~kept] = -1
+        q = self.project(W, flat)
+        T = np.matmul(q[:, None, :], self.units.T)[:, 0] * S
+        live = self.live[flat] & (flat >= 0)[:, None]
+        kept &= ~(live & (T < 0.0)).any(axis=1)
+        kept &= (~P | (z > tol[:, None])).all(axis=1)
+        return flat, kept
 
     def bases(self, flat: np.ndarray) -> np.ndarray:
         """The basis of each flat index, 0 for -1 (the origin)."""

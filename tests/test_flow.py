@@ -357,20 +357,6 @@ class TestRunFlow:
         assert sizes == [3 * 601 * 64 * 8]
         assert_matches_reference(ds, trace)
 
-    def test_loop_dot_is_the_function_np_dot_dispatches_to(self):
-        # the loop calls numpy's C dot without the dispatcher: the same
-        # function, to the bit, on the loop's argument shapes and out=
-        dot = relu_lab.flow._dot
-        assert dot is np.dot._implementation
-        rng = np.random.default_rng(3)
-        for a, b in ((rng.normal(size=(6, 4)), rng.normal(size=4)),
-                     (rng.normal(size=(3, 6)), rng.normal(size=(6, 4))),
-                     (rng.normal(size=(6, 4)).T, rng.normal(size=6))):
-            want = np.dot(a, b)
-            got = np.empty_like(want)
-            assert dot(a, b, out=got) is got
-            assert got.tobytes() == want.tobytes()
-
     def test_balance_conserved_in_continuous_limit(self, notebook_ds):
         drift = {}
         for eta, iters in ((0.5, 400), (0.25, 800)):

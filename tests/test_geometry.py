@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from relu_lab.certify import dual_feasible
 from relu_lab.datasets import builtin_dataset
 from relu_lab.geometry import (PROJECTION_ZERO_RTOL, extreme_point,
                                polar_gauge, rectified_ellipsoid_samples)
+from relu_lab import solver
 from relu_lab.solver import Cones
 
 from oracles import (active_set_projection, cone_projection,
@@ -295,28 +298,51 @@ class TestConeProjection:
         assert not u.any()
 
     def test_exact_projection_matches_nnls_on_degenerate_rows(self):
-        # Cones against the NNLS oracle (on the unit rows: positive row
-        # scale does not change a cone), or, where NNLS misses its own KKT
-        # conditions, against the exhaustive active-set projection
-        rng = np.random.default_rng(28)
-        for k in range(300):
-            X = degenerate_rows(rng, k)
-            N, d = X.shape
-            signs = rng.choice((-1.0, 1.0), size=(4, N))
-            V = rng.standard_normal((4, d)) * 10.0 ** rng.integers(-3, 4)
-            cones = Cones(X, np.repeat(np.arange(4), N),
-                          np.tile(np.arange(N), 4), signs.ravel(), 4)
-            for sign, flat in zip((1.0, -1.0), cones.choose(V)):
-                P = cones.project(sign * V, flat)
-                for s_k, v, p in zip(signs, sign * V, P):
-                    M = s_k[:, None] * X
-                    M = M[np.linalg.norm(M, axis=1) > 0.0]
-                    M = M / np.linalg.norm(M, axis=1, keepdims=True)
-                    try:
-                        want, _ = cone_projection(M, v)
-                    except RuntimeError:
-                        want = active_set_projection(M, v)
-                    assert np.linalg.norm(p - want) <= 1e-12 * np.linalg.norm(v)
+        assert_cones_match_oracle(np.random.default_rng(28))
+
+    def test_active_sets_match_nnls_on_degenerate_rows(self, monkeypatch):
+        # the same draws with every cone taking its active set's flat
+        # first, as above ACTIVE_SET_MIN_FLATS flats
+        monkeypatch.setattr(solver, "ACTIVE_SET_MIN_FLATS", 0)
+        assert_cones_match_oracle(np.random.default_rng(28))
+        self.test_exact_projection_where_nnls_misses_kkt()
+
+    def test_active_sets_keep_generic_cones(self):
+        # on the chambers of Gaussian rows the active set's flat passes
+        # the KKT check for nearly every cone, and it is the flat that
+        # trying every flat finds
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((10, 4))
+        masks = enumerate_masks(X)
+        cones = Cones(X, [2.0 * np.array(m.bits) - 1.0 for m in masks])
+        V = rng.standard_normal((len(masks), 4))
+        assert len(cones.flats) > solver.ACTIVE_SET_MIN_FLATS
+        W = np.concatenate((V, -V))
+        flat, kept = cones._active_sets(W, np.tile(np.arange(len(V)), 2))
+        assert kept.mean() > 0.95
+        every = np.concatenate(cones._every_flat(V, np.arange(len(V))))
+        np.testing.assert_array_equal(flat[kept], every[kept])
+        np.testing.assert_array_equal(np.concatenate(cones.choose(V)), every)
+
+    @pytest.mark.parametrize("min_flats", [0, 10 ** 9])
+    def test_choose_memory_grows_with_cones_not_flats(self, monkeypatch,
+                                                      min_flats):
+        # 1024 more cones over 470 flats: one float per flat and cone
+        # would take 3.9 MB more; the cones add a few hundred bytes each
+        monkeypatch.setattr(solver, "ACTIVE_SET_MIN_FLATS", min_flats)
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((14, 4))
+        peaks = []
+        for count in (1024, 2048):
+            S = rng.choice((-1.0, 1.0), size=(count, 14))
+            V = rng.standard_normal((count, 4))
+            cones = Cones(X, S)
+            assert len(cones.flats) == 470
+            tracemalloc.start()
+            cones.choose(V)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1024 * 256
 
     def test_exact_projection_where_nnls_misses_kkt(self):
         # an integer-entry cone of a feasible solve: NNLS puts z > 0 on
@@ -327,7 +353,7 @@ class TestConeProjection:
                       -0.2641938378655056])
         with pytest.raises(RuntimeError, match="misses its KKT"):
             cone_projection(M, v)
-        cones = Cones(M, np.zeros(8, dtype=int), np.arange(8), np.ones(8), 1)
+        cones = Cones(M, np.ones((1, 8)))
         p = cones.project(v[None], cones.choose(v[None])[0])[0]
         want = active_set_projection(M, v)
         assert np.linalg.norm(p - want) <= 1e-12 * np.linalg.norm(v)
@@ -339,6 +365,30 @@ class TestConeProjection:
         p, z = cone_projection(np.zeros((0, 3)), v)
         np.testing.assert_array_equal(p, v)
         assert z.shape == (0,)
+
+
+def assert_cones_match_oracle(rng: np.random.Generator) -> None:
+    """Cones against the NNLS oracle (on the unit rows: positive row scale
+    does not change a cone), or, where NNLS misses its own KKT conditions,
+    against the exhaustive active-set projection, on 300 draws of
+    :func:`degenerate_rows`."""
+    for k in range(300):
+        X = degenerate_rows(rng, k)
+        N, d = X.shape
+        signs = rng.choice((-1.0, 1.0), size=(4, N))
+        V = rng.standard_normal((4, d)) * 10.0 ** rng.integers(-3, 4)
+        cones = Cones(X, signs)
+        for sign, flat in zip((1.0, -1.0), cones.choose(V)):
+            P = cones.project(sign * V, flat)
+            for s_k, v, p in zip(signs, sign * V, P):
+                M = s_k[:, None] * X
+                M = M[np.linalg.norm(M, axis=1) > 0.0]
+                M = M / np.linalg.norm(M, axis=1, keepdims=True)
+                try:
+                    want, _ = cone_projection(M, v)
+                except RuntimeError:
+                    want = active_set_projection(M, v)
+                assert np.linalg.norm(p - want) <= 1e-12 * np.linalg.norm(v)
 
 
 def degenerate_rows(rng: np.random.Generator, k: int) -> np.ndarray:
