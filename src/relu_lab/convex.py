@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arrangements import ActivationMask
-from .geometry import cone_rows, polar_gauge
+from .geometry import polar_gauge
 from .solver import (DEFAULT_TOL, ConeProgram, DegenerateError, SolveReport,
                      solve)
 
@@ -76,13 +76,13 @@ class ConvexProblem:
                  objective: float) -> ConvexSolution:
         """The primal point with its least margin minus 1 and its least
         cone row."""
-        cone = [self.prog.cones[2 * j] @ w
-                for j, (neg, pos) in enumerate(zip(u, u_prime))
-                for w in (neg, pos)]
+        signs, rows = self.prog.signs, self.prog.rows
+        cone = signs * np.array([rows @ w for pair in zip(u, u_prime)
+                                 for w in pair])
         return ConvexSolution(
             u=u, u_prime=u_prime, objective=float(objective),
             margin_slack=float((self.y * self.outputs(u, u_prime)).min()) - 1.0,
-            cone_slack=float(np.min(cone)))
+            cone_slack=float(np.min(cone[signs != 0])))
 
 
 @dataclass
@@ -137,8 +137,8 @@ class NetworkParams:
 def build_primal(X: np.ndarray, y: np.ndarray,
                  masks: list[ActivationMask]) -> ConvexProblem:
     """Assemble the group-norm cone program: N margin rows coupling the
-    groups, one norm group of d entries per u_j, u'_j, and one cone matrix
-    (2 D_j - I) X per mask, shared by its two groups."""
+    groups, one norm group of d entries per u_j, u'_j, and the cone rows X
+    with the signs 2 D_j - I of mask j on both its groups."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if not masks:
@@ -148,14 +148,13 @@ def build_primal(X: np.ndarray, y: np.ndarray,
     n = 2 * p * d
     YX = np.diag(y) @ X
     A = np.zeros((N, n))
-    cones = []
     for j, mask in enumerate(masks):
         dm = mask.diag_vector()
         A[:, (2 * j) * d:(2 * j + 1) * d] = -dm[:, None] * YX
         A[:, (2 * j + 1) * d:(2 * j + 2) * d] = dm[:, None] * YX
-        M = cone_rows(X, mask)
-        cones += [M, M]
-    prog = ConeProgram(A=A, b=-np.ones(N), group=d, cones=cones)
+    bits = np.array([mask.bits for mask in masks], dtype=np.int8)
+    prog = ConeProgram(A=A, b=-np.ones(N), group=d, rows=X,
+                       signs=np.repeat(2 * bits - 1, 2, axis=0))
     return ConvexProblem(X=X, y=y, masks=tuple(masks), prog=prog)
 
 

@@ -3,7 +3,7 @@ sampling.
 
 The rectified ellipsoid of X is {(Xu)_+ : ||u|| <= 1}; its extreme point
 along a vector v within one arrangement cone C = {u : M u >= 0},
-M = (2 D_j - I) X (cone_rows), is
+M = (2 D_j - I) X, is
 
     max   v^T u   s.t.  ||u|| <= 1,  M u >= 0.
 
@@ -40,11 +40,6 @@ class PolarGaugeReport:
     gauge: float
     per_mask: tuple[tuple[ActivationMask, float, float], ...]  # (mask, max, min)
     argmax_mask: ActivationMask
-
-
-def cone_rows(X: np.ndarray, mask: ActivationMask) -> np.ndarray:
-    """M = (2 D - I) X: the mask's cone is {u : M u >= 0}."""
-    return (2.0 * mask.diag_vector() - 1.0)[:, None] * X
 
 
 def _dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -4,9 +4,10 @@ projections and the exact optimal face.
 :func:`solve` handles the one program of the paper,
 min sum_g ||x_g||_2  s.t.  A x + b >= 0 and x_g in C_g, where the x_g are
 contiguous norm groups of `group` entries, A, b the rows that couple them
-and C_g = {x_g : M_g x_g >= 0} each group's own cone (:class:`ConeProgram`
-carries the M_g): cutting planes over the extreme directions of the cones,
-each answer a primal-dual pair with a certified gap.
+and C_g each group's own cone, a sign pattern over cone rows that every
+group shares (:class:`ConeProgram`): cutting planes over the extreme
+directions of the cones, each answer a primal-dual pair with a certified
+gap.
 Every LP goes through :func:`_highs`, which runs it on one module-level
 instance of scipy's bundled HiGHS core, given the options
 ``linprog(method="highs")`` sends once and cleared of the last model before
@@ -96,32 +97,39 @@ class InconclusiveError(SolverError):
 
 @dataclass(frozen=True)
 class ConeProgram:
-    """min sum_g ||x_g||  s.t.  A x + b >= 0 and cones[g] x_g >= 0, over
+    """min sum_g ||x_g||  s.t.  A x + b >= 0 and x_g in C_g, over
     contiguous norm groups x_g of `group` >= 1 variables: A, b are the rows
-    that couple the groups, cones[g] the (k_g, group) rows of group g's own
-    cone C_g, one matrix per group (k_g = 0 leaves x_g free)."""
+    that couple the groups, and C_g = {x_g : signs[g, i] rows[i] x_g >= 0
+    wherever signs[g, i] != 0} is group g's own cone over the (k, group)
+    cone rows every group shares, signs a (groups, k) matrix of -1, 0 and
+    1 (the form :class:`Cones` takes; a group without a nonzero sign is
+    free)."""
 
     A: np.ndarray
     b: np.ndarray
     group: int
-    cones: tuple[np.ndarray, ...]
+    rows: np.ndarray
+    signs: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        object.__setattr__(self, "cones", tuple(
-            np.asarray(M, dtype=float) for M in self.cones))
+        object.__setattr__(self, "rows", np.asarray(self.rows, dtype=float))
+        signs = np.asarray(self.signs)
         m, n = self.A.shape
         if self.b.shape != (m,):
             raise ValueError("inconsistent dimensions")
         if self.group < 1 or n == 0 or n % self.group:
             raise ValueError("norm groups do not tile the variables")
-        if (len(self.cones) != n // self.group
-                or any(M.ndim != 2 or M.shape[1] != self.group
-                       for M in self.cones)):
-            raise ValueError("need one (k, group) cone matrix per norm group")
+        if (self.rows.ndim != 2 or self.rows.shape[1] != self.group
+                or signs.shape != (n // self.group, len(self.rows))):
+            raise ValueError("need (k, group) cone rows and one sign per "
+                             "norm group and cone row")
+        if not ((signs == -1) | (signs == 0) | (signs == 1)).all():
+            raise ValueError("cone signs must be -1, 0 or 1")
+        object.__setattr__(self, "signs", signs.astype(np.int8))
         if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()
-                and all(np.isfinite(M).all() for M in self.cones)):
+                and np.isfinite(self.rows).all()):
             raise ValueError("non-finite program data")
 
     @property
@@ -157,23 +165,14 @@ def _group_norms(x: np.ndarray, group: int) -> np.ndarray:
 
 
 def _cone_rows(prog: ConeProgram) -> np.ndarray:
-    """Every group's cone rows on the whole variable vector: the block
-    diagonal of prog.cones (scipy.linalg.block_diag's, to the bit)."""
-    G, d = len(prog.cones), prog.group
-    return np.vstack([np.pad(M, ((0, 0), (g * d, (G - 1 - g) * d)))
-                      for g, M in enumerate(prog.cones)])
-
-
-def _cones(prog: ConeProgram) -> Cones:
-    """The group cones of prog, one per norm group, as Cones over the unit
-    rows U of all of them and -U."""
-    U, index, sign = _unit_rows(np.vstack(prog.cones))
-    group = np.repeat(np.arange(len(prog.cones)),
-                      [len(M) for M in prog.cones])
-    on = sign != 0.0
-    S = np.zeros((len(prog.cones), 2, len(U)))
-    S[group[on], (sign[on] < 0.0).astype(int), index[on]] = 1.0
-    return Cones(np.vstack((U, -U)), S.reshape(len(prog.cones), -1))
+    """Every group's cone rows signs[g, i] rows[i], signs[g, i] != 0, on
+    the whole variable vector, group by group: the block diagonal of the
+    groups' cone matrices (scipy.linalg.block_diag's, to the bit)."""
+    G, d = prog.signs.shape[0], prog.group
+    g, i = np.nonzero(prog.signs)
+    out = np.zeros((len(g), G, d))
+    out[np.arange(len(g)), g] = prog.signs[g, i, None] * prog.rows[i]
+    return out.reshape(len(g), G * d)
 
 
 def _price(prog: ConeProgram, cones: Cones, mu: np.ndarray
@@ -278,7 +277,7 @@ def solve(prog: ConeProgram, tol: float = DEFAULT_TOL
         return pair is not None and pair[2] - pair[3] <= tol * (1.0 + pair[2])
 
     m, n = prog.A.shape
-    cones = _cones(prog)
+    cones = Cones(prog.rows, prog.signs)
     cuts, last, checked = np.zeros((n, 0)), None, False
     for rounds in range(1, MAX_ROUNDS + 1):
         mu = np.maximum(_highs("master", prog.b, (prog.A @ cuts).T,
@@ -650,7 +649,7 @@ def optimal_face_bounds(prog: ConeProgram, p_star: float,
     slack."""
     _, mu, report = solve(prog)
     report.require_optimal("face multiplier")
-    P, _ = _price(prog, _cones(prog), mu)
+    P, _ = _price(prog, Cones(prog.rows, prog.signs), mu)
     gamma = np.linalg.norm(P, axis=1)
     neither = np.flatnonzero((gamma > 1.0 - np.sqrt(FACE_GAUGE_TOL))
                              & (np.abs(gamma - 1.0) > FACE_GAUGE_TOL))

@@ -22,7 +22,8 @@ the tests of the update itself.
 scipy's NNLS (Lawson-Hanson) with a KKT guard: the iterative oracle of the
 exact per-flat projection of ``relu_lab.solver.Cones``.
 ``active_set_projection`` tries every row subset, for the cones where NNLS
-misses its own KKT conditions.
+misses its own KKT conditions.  ``group_cones`` writes out the cone matrix
+of each norm group of a ``ConeProgram``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from scipy.special import expit
 from relu_lab.arrangements import ActivationMask, SignPattern, mask_of
 from relu_lab.convex import (ACTIVE_RTOL, ConvexProblem, ConvexSolution,
                              NetworkParams, completion_choices)
-from relu_lab.solver import DegenerateError
+from relu_lab.solver import ConeProgram, DegenerateError
 
 #: cone_projection's KKT conditions must hold to PROJECTION_KKT_RTOL ||M|| ||v||
 PROJECTION_KKT_RTOL = 1e-9
@@ -107,14 +108,19 @@ def cone_projection(M: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def active_set_projection(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """P_C(v) for C = {u : M u >= 0} by exhaustion: over every subset of
     the rows, v projected onto their null space (least squares), kept when
-    it lies in C to 1e-12 ||M|| ||v||; the longest one kept."""
+    it lies in C: the subset's rows to 1e-12 ||M|| ||v|| (the least
+    squares residual is on v's scale), every other row to 1e-12 ||M|| ||p||
+    (on the candidate's own scale, so a point far shorter than v cannot
+    leave a sliver cone by v's margin); the longest one kept."""
     best = np.zeros_like(v)
-    tol = 1e-12 * np.linalg.norm(M) * np.linalg.norm(v)
+    nM = np.linalg.norm(M)
     for k in range(len(M) + 1):
         for rows in itertools.combinations(range(len(M)), k):
             A = M[list(rows)].reshape(k, len(v))
             p = v - A.T @ np.linalg.lstsq(A.T, v, rcond=None)[0] if k else v
-            if (M @ p).min(initial=0.0) >= -tol and p @ p > best @ best:
+            tol = np.full(len(M), 1e-12 * nM * np.linalg.norm(p))
+            tol[list(rows)] = 1e-12 * nM * np.linalg.norm(v)
+            if np.all(M @ p >= -tol) and p @ p > best @ best:
                 best = p
     return best
 
@@ -307,6 +313,12 @@ def convex_from_network(problem: ConvexProblem, W1: np.ndarray,
     return problem.solution(u, up, objective)
 
 
+def group_cones(prog: ConeProgram) -> list[np.ndarray]:
+    """The cone matrix of each norm group g: the rows signs[g, i] rows[i]
+    with signs[g, i] != 0, in row order."""
+    return [s[s != 0, None] * prog.rows[s != 0] for s in prog.signs]
+
+
 def convex_kkt_residuals(problem: ConvexProblem, sol: ConvexSolution,
                          lam: np.ndarray) -> dict[str, float]:
     """The five optimality families of the convex program at the primal
@@ -323,7 +335,7 @@ def convex_kkt_residuals(problem: ConvexProblem, sol: ConvexSolution,
     stationarity = {"neg": 0.0, "pos": 0.0}
     comp_slack = {"neg": 0.0, "pos": 0.0}
     for j, mask in enumerate(problem.masks):
-        M = problem.prog.cones[2 * j]
+        M = problem.prog.signs[2 * j, :, None] * problem.prog.rows
         g = X.T @ (mask.diag_vector() * lam)
         for side, v, vec in (("neg", -g, sol.u[j]), ("pos", g, sol.u_prime[j])):
             proj, z = cone_projection(M, v)

@@ -253,6 +253,31 @@ REMOVED_OPTIONS = [("arrangements", ("--out-dir", "x")),
                    ("reproduce", ("--json",))]
 
 
+#: a 3-class dataset and a d = 3 one, as dataset files
+MULTICLASS = {"X": [[1.0, 0.0], [0.0, 1.0], [-1.0, 1.0]], "y": [1, 2, 3],
+              "K": 3}
+THREE_D = {"X": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "y": [1, -1]}
+
+
+@pytest.mark.parametrize("spec, argv, message", [
+    (MULTICLASS, ["solve"], "solve currently drives binary datasets"),
+    (MULTICLASS, ["certify"], "certify drives binary datasets"),
+    (THREE_D, ["geometry-export"], "geometry export requires d = 2"),
+    (THREE_D, ["certify", "--network", "{tmp}/missing.json"],
+     "cannot load network file"),
+], ids=["solve-multiclass", "certify-multiclass", "geometry-export-3d",
+        "certify-missing-network"])
+def test_usage_error_exits_2(capsys, tmp_path, spec, argv, message):
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps(spec))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--dataset", str(path),
+                             "--out-dir", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
 class TestOptionsAndManifest:
     @pytest.mark.parametrize("command, option", REMOVED_OPTIONS,
                              ids=[f"{c}{o[0]}" for c, o in REMOVED_OPTIONS])
@@ -335,6 +360,14 @@ class TestNonOptimalSolve:
         assert code == 1
         assert "primal solve: max_iters" in err
         assert "primal objective" not in out
+
+    def test_round_cap_exits_1(self, capsys, monkeypatch):
+        # appendix-nonspikefree's primal takes 3 rounds; the cap stops it
+        monkeypatch.setattr(relu_lab.solver, "MAX_ROUNDS", 2)
+        code, out, err = run_cli(capsys, "solve", "--dataset",
+                                 "appendix-nonspikefree")
+        assert code == 1 and out == ""
+        assert err == "numerical failure: primal solve: max_iters\n"
 
     @pytest.mark.parametrize("target", ["notebook", "appendix-ortho",
                                         "appendix-nonspikefree"])

@@ -176,7 +176,7 @@ class TestConeRows:
     def test_build_primal_cones_match_block_diag(self, X):
         y = np.where(np.arange(len(X)) % 2, -1.0, 1.0)
         prog = build_primal(X, y, enumerate_masks(X)).prog
-        want = block_diag(*prog.cones)
+        want = block_diag(*oracles.group_cones(prog))
         got = solver._cone_rows(prog)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()

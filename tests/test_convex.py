@@ -11,7 +11,7 @@ from relu_lab.geometry import polar_gauge
 from relu_lab.solver import DEFAULT_TOL, solve
 
 from conftest import generic_gaussian_draws
-from oracles import convex_from_network, network_from_convex
+from oracles import convex_from_network, group_cones, network_from_convex
 
 
 def brute_force_single_mask_dual(X, y):
@@ -43,9 +43,9 @@ class TestBuildPrimal:
         assert prog.group == 2
         assert prog.A.shape == (3, 24)
         np.testing.assert_array_equal(prog.b, -np.ones(3))
-        # each group's own cone: the 3 rows (2 D_j - I) X of its mask
-        assert len(prog.cones) == 12
-        assert all(M.shape == (3, 2) for M in prog.cones)
+        # each group's own cone: the 3 rows X, signed 2 D_j - I by its mask
+        assert prog.signs.shape == (12, 3) and prog.rows.shape == (3, 2)
+        assert np.all(prog.signs != 0)
 
     def test_counts_scale_with_masks(self, ortho_ds):
         masks = enumerate_masks(ortho_ds.X)
@@ -53,22 +53,24 @@ class TestBuildPrimal:
         p, N, d = len(masks), ortho_ds.N, ortho_ds.d
         assert prog.A.shape == (N, 2 * p * d)
         assert prog.group == d
-        assert prog.num_vars // prog.group == 2 * p == len(prog.cones)
+        assert prog.num_vars // prog.group == 2 * p == len(prog.signs)
 
     def test_one_cone_matrix_per_mask(self):
         # a 10 x 4 Gaussian set: 261 masks, so 522 groups of 4 variables;
-        # A keeps its N rows and both groups of a mask share one matrix
+        # A keeps its N rows, every group shares the cone rows X and both
+        # groups of a mask share one sign row, 2 D_j - I
         X = np.random.default_rng([0, 247]).standard_normal((10, 4))
         y = np.where(X[:, 0] > 0, 1.0, -1.0)
         masks = enumerate_masks(X)
         prog = build_primal(X, y, masks).prog
         assert len(masks) == 261
         assert prog.A.shape == (10, 2088)
+        assert prog.rows is X
+        assert prog.signs.dtype == np.int8 and prog.signs.shape == (522, 10)
         for j, mask in enumerate(masks):
-            assert prog.cones[2 * j] is prog.cones[2 * j + 1]
             sign = 2.0 * mask.diag_vector() - 1.0
-            np.testing.assert_array_equal(prog.cones[2 * j],
-                                          sign[:, None] * X)
+            np.testing.assert_array_equal(prog.signs[2 * j], sign)
+            np.testing.assert_array_equal(prog.signs[2 * j + 1], sign)
 
     def test_single_all_ones_mask_identity_data(self):
         # reduces to min ||u'|| s.t. u' >= 1 componentwise
@@ -87,7 +89,7 @@ class TestBuildPrimal:
                                       "appendix-nonspikefree"])
     def test_solution_matches_program_rows(self, name):
         # ConvexProblem.solution and outputs evaluate the margin rows that
-        # A x + b holds and the cone rows cones[g] x_g, at the solved x
+        # A x + b holds and the cone rows of each group g, at the solved x
         ds = builtin_dataset(name)
         problem = build_primal(ds.X, ds.y, enumerate_masks(ds.X))
         prog = problem.prog
@@ -95,7 +97,8 @@ class TestBuildPrimal:
         groups = [g for pair in zip(sol.u, sol.u_prime) for g in pair]
         x = np.concatenate(groups)
         slack = prog.A @ x + prog.b
-        cone = np.concatenate([M @ g for M, g in zip(prog.cones, groups)])
+        cone = np.concatenate([M @ g for M, g in zip(group_cones(prog),
+                                                     groups)])
         scale = 1e-12 * (1.0 + np.abs(prog.A).sum(axis=1).max()
                          * np.abs(x).max())
         np.testing.assert_allclose(

@@ -359,6 +359,24 @@ class TestConeProjection:
         assert np.linalg.norm(p - want) <= 1e-12 * np.linalg.norm(v)
         assert np.linalg.norm(p) == pytest.approx(0.2802198815, abs=1e-10)
 
+    def test_exhaustive_projection_on_a_sliver_cone(self):
+        # the first draw of test_near_antipodal_sliver_cones[1e-06], mask
+        # 11, sense max: a candidate 1.3e-6 long lies 1.3e-12 outside the
+        # sliver, inside a margin on v's scale but not on its own
+        rng = np.random.default_rng(5)
+        t, gap = rng.uniform(0.0, 2.0 * np.pi), 1e-6
+        X = np.array([[np.cos(t), np.sin(t)],
+                      [np.cos(t + np.pi - gap), np.sin(t + np.pi - gap)]])
+        mask = ActivationMask(bits=(1, 1))
+        v = masked(X, mask, rng.standard_normal(2))
+        M = cone_rows(X, mask)
+        u = planar_extreme(v, M, "max")
+        want = max(float(v @ u), 0.0) * u
+        got = active_set_projection(M, v)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(v)
+        assert np.linalg.norm(got - cone_projection(M, v)[0]) <= (
+            1e-12 * np.linalg.norm(v))
+
     def test_no_rows_is_the_whole_space(self):
         # scipy's nnls aborts the process on a matrix with no columns
         v = np.array([0.3, -1.2, 2.0])

@@ -7,24 +7,28 @@ from scipy.optimize import linprog
 
 import relu_lab.solver
 from conftest import generic_gaussian_draws, random_orthogonal_separable
+from oracles import group_cones
 from relu_lab.arrangements import enumerate_masks
 from relu_lab.cli import notebook_face_functionals
 from relu_lab.convex import build_primal, solve_primal
-from relu_lab.solver import (DEFAULT_TOL, ConeProgram, DegenerateError,
+from relu_lab.datasets import builtin_dataset
+from relu_lab.solver import (DEFAULT_TOL, FEASIBLE_TOL, INFEASIBLE_TOL,
+                             ConeProgram, DegenerateError, InconclusiveError,
                              SolverError, _highs, lp_feasible,
                              optimal_face_bounds, solve)
 
 
 def free_groups(n, group=1):
-    """The cones of n / group norm groups without cone rows."""
-    return [np.zeros((0, group))] * (n // group)
+    """The cone rows and signs of n / group norm groups without cone rows."""
+    return {"rows": np.zeros((0, group)),
+            "signs": np.zeros((n // group, 0), dtype=np.int8)}
 
 
 def l1_program(A, b):
     """min ||x||_1  s.t.  A x + b >= 0: one norm group per variable."""
     A = np.asarray(A, float)
     return ConeProgram(A=A, b=np.asarray(b, float), group=1,
-                       cones=free_groups(A.shape[1]))
+                       **free_groups(A.shape[1]))
 
 
 def highs_l1(A, b):
@@ -64,12 +68,12 @@ def random_l1(rng, m, n):
 
 
 def polygon_lp(prog, K, f=None, budget=np.inf):
-    """HiGHS on the relaxation of {A x + b >= 0, cones[g] x_g >= 0,
+    """HiGHS on the relaxation of {A x + b >= 0, x_g in each group's cone,
     sum_g ||x_g|| <= budget} (norm groups of 2 variables) that replaces each
     disc ||x_g|| <= t_g by the circumscribed regular K-gon: min f^T x, or
     min sum_g t_g when f is None.  Returns (value, x)."""
     assert prog.group == 2
-    rows = np.vstack((prog.A, block_diag(*prog.cones)))
+    rows = np.vstack((prog.A, block_diag(*group_cones(prog))))
     (m, n), G = rows.shape, prog.num_vars // 2
     angles = 2.0 * np.pi * np.arange(K) / K
     dirs = np.column_stack((np.cos(angles), np.sin(angles)))
@@ -118,7 +122,7 @@ def unit_weight_program(a):
     group rows; the optimal face puts all weight on the largest a_i."""
     a = np.asarray(a, dtype=float)
     return ConeProgram(A=a[None, :], b=-np.ones(1), group=1,
-                       cones=free_groups(len(a)))
+                       **free_groups(len(a)))
 
 
 class TestSolveLP:
@@ -154,7 +158,7 @@ class TestSolveLP:
         for A, b, group in ((np.zeros((1, 3)), np.zeros(1), 1),
                             (np.zeros((2, 4)), np.zeros(2), 2)):
             x, mu, rep = solve(ConeProgram(
-                A=A, b=b, group=group, cones=free_groups(A.shape[1], group)))
+                A=A, b=b, group=group, **free_groups(A.shape[1], group)))
             np.testing.assert_array_equal(x, 0.0)
             assert rep.status == "optimal"     # A = 0 and b >= 0
             assert rep.objective == 0.0 and rep.gap == 0.0
@@ -165,7 +169,7 @@ class TestSolveLP:
         # face point (round 1's master, without cuts, binds it on every
         # program)
         prog = ConeProgram(A=np.zeros((1, 2)), b=np.array([-1.0]), group=1,
-                           cones=free_groups(2))
+                           **free_groups(2))
         _, _, rep = solve(prog)
         assert rep.status == "infeasible" and rep.iterations == 2
 
@@ -194,6 +198,29 @@ class TestSolveLP:
         x2, mu2, r2 = solve(prog)
         assert np.array_equal(x1, x2) and np.array_equal(mu1, mu2)
         assert r1 == r2
+
+    def test_round_cap_ends_max_iters(self, monkeypatch):
+        # appendix-nonspikefree takes 3 rounds; capped at 2 the solve ends
+        # max_iters and returns no solution
+        ds = builtin_dataset("appendix-nonspikefree")
+        prog = build_primal(ds.X, ds.y, enumerate_masks(ds.X)).prog
+        rounds = solve(prog)[2].iterations
+        assert rounds >= 2
+        monkeypatch.setattr(relu_lab.solver, "MAX_ROUNDS", rounds - 1)
+        x, mu, rep = solve(prog)
+        assert rep.status == "max_iters" and rep.iterations == rounds - 1
+        assert not x.any() and not mu.any()
+        assert np.isnan(rep.objective) and np.isnan(rep.dual)
+
+    def test_repeated_master_ends_max_iters(self, notebook_solved):
+        # a negative tol certifies no gap and prices no cut at the optimum,
+        # so the master repeats its mu, which ends the solve before the cap
+        problem = notebook_solved[0]
+        x, mu, rep = solve(problem.prog, tol=-1.0)
+        assert rep.status == "max_iters"
+        assert rep.iterations < relu_lab.solver.MAX_ROUNDS
+        assert not x.any() and not mu.any()
+        assert np.isnan(rep.objective) and np.isnan(rep.dual)
 
     def test_gap_small_at_optimal(self, notebook_solved):
         # the gap is certified: objective >= p* >= dual, so it is >= 0 up
@@ -230,6 +257,13 @@ class TestLPFeasible:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             lp_feasible(np.array([[np.inf, 0.0]]), np.zeros(1))
+
+    def test_dead_zone_is_inconclusive(self):
+        # w <= -5e-7 and w >= 5e-7: the phase-1 value 5e-7 lies between
+        # FEASIBLE_TOL and INFEASIBLE_TOL
+        assert FEASIBLE_TOL < 5e-7 <= INFEASIBLE_TOL
+        with pytest.raises(InconclusiveError, match="dead zone"):
+            lp_feasible(np.array([[1.0], [-1.0]]), np.array([-5e-7, -5e-7]))
 
 
 def phase1_lp(rng, m, d):
@@ -420,25 +454,29 @@ class TestValidation:
     def test_dimension_checks(self):
         with pytest.raises(ValueError):
             ConeProgram(A=np.zeros((2, 2)), b=np.zeros(3), group=1,
-                        cones=free_groups(2))
+                        **free_groups(2))
         with pytest.raises(ValueError):
             ConeProgram(A=np.zeros((2, 2)), b=np.full(2, np.nan), group=1,
-                        cones=free_groups(2))
+                        **free_groups(2))
 
     def test_groups_not_tiling_variables(self):
         for n, group in ((3, 2), (3, 0), (3, -1), (0, 1)):
             with pytest.raises(ValueError, match="tile"):
                 ConeProgram(A=np.zeros((1, n)), b=np.zeros(1), group=group,
-                            cones=free_groups(n, max(group, 1)))
+                            **free_groups(n, max(group, 1)))
 
     @pytest.mark.parametrize("cones, match", [
-        ([np.zeros((0, 2))], "one"),                    # too few
-        ([np.zeros((0, 2))] * 3, "one"),                # too many
-        ([np.zeros((1, 2)), np.zeros((1, 3))], "one"),  # wrong width
-        ([np.zeros((1, 2)), np.zeros(2)], "one"),       # not a matrix
-        ([np.zeros((1, 2)), np.array([[0.0, np.inf]])], "non-finite"),
+        ((np.zeros((0, 2)), np.zeros((1, 0))), "one"),  # too few groups
+        ((np.zeros((0, 2)), np.zeros((3, 0))), "one"),  # too many groups
+        ((np.zeros((1, 3)), np.zeros((2, 1))), "one"),  # wrong width
+        ((np.zeros(2), np.zeros((2, 1))), "one"),       # not a matrix
+        ((np.array([[0.0, np.inf]]), np.ones((2, 1))), "non-finite"),
+        ((np.zeros((1, 2)), np.ones((2, 2))), "one"),   # a sign per row
+        ((np.zeros((1, 2)), np.full((2, 1), 2)), "-1, 0 or 1"),
+        ((np.zeros((1, 2)), np.full((2, 1), np.nan)), "-1, 0 or 1"),
     ])
     def test_bad_cones(self, cones, match):
+        rows, signs = cones
         with pytest.raises(ValueError, match=match):
             ConeProgram(A=np.zeros((1, 4)), b=np.zeros(1), group=2,
-                        cones=cones)
+                        rows=rows, signs=signs)
