@@ -124,12 +124,12 @@ def dual_feasible(X: np.ndarray, masks: list[ActivationMask], lam: np.ndarray,
     """Polar-gauge membership: the polar gauge of lam over the full
     arrangement list must not exceed 1."""
     report = polar_gauge(X, masks, lam)
-    slacks = {m.as_string(): max(abs(hi), abs(lo))
-              for m, hi, lo in report.per_mask}
+    argmax = masks[int(np.argmax(report.values))].as_string()
     return Certificate(kind="dual-feasible", verdict=report.gauge <= 1.0 + tol,
-                       slacks=slacks, tolerance=tol,
-                       detail=f"gauge={report.gauge:.9f} "
-                              f"argmax={report.argmax_mask.as_string()}")
+                       slacks={m.as_string(): float(v)
+                               for m, v in zip(masks, report.values)},
+                       tolerance=tol,
+                       detail=f"gauge={report.gauge:.9f} argmax={argmax}")
 
 
 def ortho_coverage(extraction: KKTExtraction, y: np.ndarray) -> Certificate:

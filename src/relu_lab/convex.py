@@ -7,12 +7,13 @@ The primal over an arrangement list D_1..D_p is the group-norm program
          (2 D_j - I) X u_j >= 0,  (2 D_j - I) X u'_j >= 0.
 
 Variable layout: per mask j, group 2j is u_j (negative side, w2 < 0) and
-group 2j+1 is u'_j (positive side).  The dual maximizes y^T lam subject to
-diag(y) lam >= 0 and polar gauge(lam) <= 1 over the arrangement cones.  One
-solve gives both sides, and lam is the whole dual: lam = diag(y) mu_margin,
-divided by its exact gauge when that exceeds 1 (see solve_primal).  The cone
-multipliers are a function of lam (those of its exact cone projections), so
-they are not returned.
+group 2j+1 is u'_j (positive side), so ConvexSolution.x, the solver's x as a
+(p, 2, d) array, has u_j = x[j, 0] and u'_j = x[j, 1].  The dual maximizes
+y^T lam subject to diag(y) lam >= 0 and polar gauge(lam) <= 1 over the
+arrangement cones.  One solve gives both sides, and lam is the whole dual:
+lam = diag(y) mu_margin, divided by its exact gauge when that exceeds 1 (see
+solve_primal).  The cone multipliers are a function of lam (those of its
+exact cone projections), so they are not returned.
 """
 
 from __future__ import annotations
@@ -58,53 +59,40 @@ class ConvexProblem:
         k = 2 * j + (1 if side == "+" else 0)
         return slice(k * self.d, (k + 1) * self.d)
 
-    def split(self, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """(u list, u' list) from a flat variable vector."""
-        u = [x[self.group_slice(j, "-")].copy() for j in range(self.p)]
-        up = [x[self.group_slice(j, "+")].copy() for j in range(self.p)]
-        return u, up
-
-    def outputs(self, u: list[np.ndarray],
-                u_prime: list[np.ndarray]) -> np.ndarray:
-        """Network outputs sum_j D_j X (u'_j - u_j) of a primal point."""
+    def outputs(self, x: np.ndarray) -> np.ndarray:
+        """Network outputs sum_j D_j X (u'_j - u_j) of a primal point x of
+        shape (p, 2, d)."""
         out = np.zeros(self.N)
-        for mask, neg, pos in zip(self.masks, u, u_prime):
+        for mask, (neg, pos) in zip(self.masks, x):
             out += mask.diag_vector() * (self.X @ (pos - neg))
         return out
 
-    def solution(self, u: list[np.ndarray], u_prime: list[np.ndarray],
-                 objective: float) -> ConvexSolution:
-        """The primal point with its least margin minus 1 and its least
-        cone row."""
+    def solution(self, x: np.ndarray, objective: float) -> ConvexSolution:
+        """The primal point x (the solver's flat vector, or its (p, 2, d)
+        view) with its least margin minus 1 and its least cone row."""
+        x = x.reshape(self.p, 2, self.d)
         signs, rows = self.prog.signs, self.prog.rows
-        cone = signs * np.array([rows @ w for pair in zip(u, u_prime)
-                                 for w in pair])
+        cone = signs * np.array([rows @ w for w in x.reshape(-1, self.d)])
         return ConvexSolution(
-            u=u, u_prime=u_prime, objective=float(objective),
-            margin_slack=float((self.y * self.outputs(u, u_prime)).min()) - 1.0,
+            x=x, objective=float(objective),
+            margin_slack=float((self.y * self.outputs(x)).min()) - 1.0,
             cone_slack=float(np.min(cone[signs != 0])))
 
 
 @dataclass
 class ConvexSolution:
-    u: list[np.ndarray]            # negative-side groups, one per mask
-    u_prime: list[np.ndarray]      # positive-side groups
+    x: np.ndarray                  # (p, 2, d): x[j, 0] = u_j, x[j, 1] = u'_j
     objective: float
     margin_slack: float            # min_n margin_n - 1 (>= -tol when feasible)
     cone_slack: float              # min over all cone rows
 
     def active_groups(self) -> list[tuple[int, str, np.ndarray]]:
         """(mask index, side, vector) for groups with norm above
-        ACTIVE_RTOL * (1 + objective)."""
+        ACTIVE_RTOL * (1 + objective): every u_j, then every u'_j."""
         threshold = ACTIVE_RTOL * (1.0 + self.objective)
-        out = []
-        for j, vec in enumerate(self.u):
-            if np.linalg.norm(vec) > threshold:
-                out.append((j, "-", vec))
-        for j, vec in enumerate(self.u_prime):
-            if np.linalg.norm(vec) > threshold:
-                out.append((j, "+", vec))
-        return out
+        return [(j, side, vec) for k, side in enumerate("-+")
+                for j, vec in enumerate(self.x[:, k])
+                if np.linalg.norm(vec) > threshold]
 
 
 @dataclass(frozen=True)
@@ -169,7 +157,7 @@ def solve_primal(problem: ConvexProblem, tol: float = DEFAULT_TOL
     over the full arrangement set, y^T lam <= p*.  Each division is
     repeated once when the recomputed margin or gauge still misses 1."""
     x, mu, report = solve(problem.prog, tol=tol)
-    sol = problem.solution(*problem.split(x), report.objective)
+    sol = problem.solution(x, report.objective)
     if report.status == "optimal":
         # the division is checked on the point it returns: rounding can
         # leave the margin or the gauge an ulp on the wrong side of 1, and
@@ -178,7 +166,7 @@ def solve_primal(problem: ConvexProblem, tol: float = DEFAULT_TOL
             if sol.margin_slack < 0.0:
                 x = x / (1.0 + sol.margin_slack)
                 report = replace(report, objective=problem.prog.objective(x))
-                sol = problem.solution(*problem.split(x), report.objective)
+                sol = problem.solution(x, report.objective)
         for _ in range(2):
             gauge = polar_gauge(problem.X, problem.masks, problem.y * mu).gauge
             if gauge <= 1.0:

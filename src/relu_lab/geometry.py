@@ -26,20 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrangements import ActivationMask
-from .solver import Cones
+from .solver import RANK_RTOL, Cones
 
 #: dual-feasibility tolerance: a gauge <= 1 + GAUGE_SOLVE_TOL certifies
 GAUGE_SOLVE_TOL = 1e-6
-
-#: an extreme point is 0 where ||P_C(v)|| <= PROJECTION_ZERO_RTOL ||v||
-PROJECTION_ZERO_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
 class PolarGaugeReport:
     gauge: float
-    per_mask: tuple[tuple[ActivationMask, float, float], ...]  # (mask, max, min)
-    argmax_mask: ActivationMask
+    values: np.ndarray     # per mask max(|hi|, |lo|); gauge is their max
 
 
 def _dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -62,7 +58,7 @@ def extreme_points(X: np.ndarray, masks: list[ActivationMask],
     """(U, L): U[k] maximizes V[k]^T u and L[k] minimizes it over the unit
     ball intersected with the cone of masks[k]: the normalized cone
     projections of V[k] and -V[k], or zero where that projection falls
-    below PROJECTION_ZERO_RTOL ||V[k]||.  Exact for every d; row k does not
+    below RANK_RTOL ||V[k]||.  Exact for every d; row k does not
     depend on the other rows."""
     X = np.asarray(X, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -74,7 +70,7 @@ def extreme_points(X: np.ndarray, masks: list[ActivationMask],
     for sign, flat in zip((1.0, -1.0), cones.choose(V)):
         P = cones.project(sign * V, flat)
         npn = np.sqrt(_dots(P, P))
-        keep = (nv > 0.0) & (npn > PROJECTION_ZERO_RTOL * nv)
+        keep = (nv > 0.0) & (npn > RANK_RTOL * nv)
         points.append(np.divide(P, npn[:, None], out=np.zeros_like(P),
                                 where=keep[:, None]))
     return points[0], points[1]
@@ -91,8 +87,8 @@ def extreme_point(X: np.ndarray, mask: ActivationMask,
 def polar_gauge(X: np.ndarray, masks: list[ActivationMask],
                 lam: np.ndarray) -> PolarGaugeReport:
     """Max over masks of |v^T u| at both extreme points, v = X^T D_j lam:
-    per mask hi = v^T u(v) and lo = v^T u(-v), the values extreme_point
-    gives.
+    values[j] = max(|hi|, |lo|) with hi = v^T u(v) and lo = v^T u(-v), the
+    values extreme_point gives.
 
     lam is feasible for the dual norm constraint iff gauge <= 1 over the
     full arrangement set."""
@@ -101,13 +97,8 @@ def polar_gauge(X: np.ndarray, masks: list[ActivationMask],
     X = np.asarray(X, dtype=float)
     V = masked_vectors(X, masks, lam)
     U, L = extreme_points(X, masks, V)
-    per_mask = tuple((mask, float(hi), float(lo))
-                     for mask, hi, lo in zip(masks, _dots(V, U), _dots(V, L)))
-    values = [max(abs(hi), abs(lo)) for _, hi, lo in per_mask]
-    best = int(np.argmax(values))
-    return PolarGaugeReport(gauge=float(values[best]),
-                            per_mask=per_mask,
-                            argmax_mask=per_mask[best][0])
+    values = np.maximum(np.abs(_dots(V, U)), np.abs(_dots(V, L)))
+    return PolarGaugeReport(gauge=float(values.max()), values=values)
 
 
 def rectified_ellipsoid_samples(X: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:

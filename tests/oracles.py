@@ -290,8 +290,7 @@ def convex_from_network(problem: ConvexProblem, W1: np.ndarray,
     X, masks = problem.X, problem.masks
     W1 = np.asarray(W1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
-    u = [np.zeros(problem.d) for _ in masks]
-    up = [np.zeros(problem.d) for _ in masks]
+    x = np.zeros((problem.p, 2, problem.d))
     ordered = sorted(range(problem.p), key=lambda j: masks[j].bits)
     for i in range(w2.shape[0]):
         if w2[i] == 0.0 or not np.any(W1[:, i]):
@@ -306,11 +305,12 @@ def convex_from_network(problem: ConvexProblem, W1: np.ndarray,
         if match is None:
             raise ValueError(f"neuron {i} has no realizable mask in the list")
         if w2[i] > 0:
-            up[match] += W1[:, i] * w2[i]
+            x[match, 1] += W1[:, i] * w2[i]
         else:
-            u[match] += W1[:, i] * (-w2[i])
-    objective = sum(np.linalg.norm(v) for v in u) + sum(np.linalg.norm(v) for v in up)
-    return problem.solution(u, up, objective)
+            x[match, 0] += W1[:, i] * (-w2[i])
+    objective = sum(np.linalg.norm(v) for v in x[:, 0]) + sum(
+        np.linalg.norm(v) for v in x[:, 1])
+    return problem.solution(x, objective)
 
 
 def group_cones(prog: ConeProgram) -> list[np.ndarray]:
@@ -337,7 +337,7 @@ def convex_kkt_residuals(problem: ConvexProblem, sol: ConvexSolution,
     for j, mask in enumerate(problem.masks):
         M = problem.prog.signs[2 * j, :, None] * problem.prog.rows
         g = X.T @ (mask.diag_vector() * lam)
-        for side, v, vec in (("neg", -g, sol.u[j]), ("pos", g, sol.u_prime[j])):
+        for side, v, vec in (("neg", -g, sol.x[j, 0]), ("pos", g, sol.x[j, 1])):
             proj, z = cone_projection(M, v)
             nrm = np.linalg.norm(vec)
             if nrm > threshold:
@@ -347,7 +347,7 @@ def convex_kkt_residuals(problem: ConvexProblem, sol: ConvexSolution,
             stationarity[side] = max(stationarity[side], res)
             comp_slack[side] = max(comp_slack[side],
                                    float(np.abs(z * (M @ vec)).max()))
-    outputs = problem.outputs(sol.u, sol.u_prime)
+    outputs = problem.outputs(sol.x)
     margin = float(np.abs(lam * (outputs - y)).max())
     return {"stationarity_neg": stationarity["neg"],       # family (i)
             "stationarity_pos": stationarity["pos"],       # family (ii)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relu_lab.arrangements import (ActivationMask, cover_bound,
+from relu_lab.arrangements import (ActivationMask, SignPattern, cover_bound,
                                    enumerate_masks, enumerate_sign_patterns,
                                    face_count_bound, mask_of, matrix_rank,
                                    verify_mask_witness)
@@ -333,6 +333,8 @@ class TestMaskHelpers:
     def test_mask_validation(self):
         with pytest.raises(ValueError):
             ActivationMask(bits=(0, 2))
+        with pytest.raises(ValueError, match="-1/0/"):
+            SignPattern(signs=(2,))
 
     def test_rank(self):
         assert matrix_rank(np.array([[1.0, 0.0], [2.0, 0.0]])) == 1

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relu_lab.arrangements import RANK_RTOL, enumerate_masks
-from relu_lab.certify import (SPIKE_FREE_TOL, dual_feasible, extract_kkt,
-                              ortho_coverage, spike_free)
+from relu_lab.certify import (SPIKE_FREE_TOL, KKTExtraction, dual_feasible,
+                              extract_kkt, ortho_coverage, spike_free)
 from relu_lab.convex import NetworkParams, build_primal, solve_primal
 from relu_lab.datasets import is_orthogonal_separable
 from relu_lab.flow import FlowConfig, lambda_tilde, run_flow
@@ -96,6 +96,20 @@ class TestExtractKKT:
         assert neuron.direction_residual == pytest.approx(1.0, abs=1e-12)
         assert neuron.mask.as_string() == "0" * N
 
+    def test_greedy_pass_adds_bits_that_lower_the_residual(self):
+        # one strict sample (1, 1) and 13 boundary samples (0, -1), each
+        # with lam 1/8: the greedy pass turns on the first 8 boundary bits,
+        # which cancel the strict sample's (0, 1) exactly, and no more
+        N = 13
+        X = np.vstack(([1.0, 1.0], np.tile([0.0, -1.0], (N, 1))))
+        lam = np.append(1.0, np.full(N, 0.125))
+        ex = extract_kkt(X, np.ones(N + 1), np.array([[1.0], [0.0]]),
+                         np.array([1.0]), lam)
+        neuron = ex.neurons[0]
+        assert neuron.boundary == tuple(range(1, N + 1))
+        assert neuron.mask.as_string() == "1" * 9 + "0" * 5
+        assert neuron.direction_residual == 0.0
+
 
 class TestDualFeasible:
     def test_zero_is_feasible(self, notebook_ds, notebook_masks):
@@ -136,6 +150,11 @@ class TestOrthoCoverage:
         ex = extract_kkt(notebook_ds.X, notebook_ds.y, W1, w2,
                          np.array([1.0, -1.0, 0.0]))
         assert not ortho_coverage(ex, notebook_ds.y).verdict
+
+    def test_empty_extraction_rejected(self):
+        with pytest.raises(ValueError, match="empty extraction"):
+            ortho_coverage(KKTExtraction(neurons=[], comp_slack=np.zeros(2)),
+                           np.array([1.0, -1.0]))
 
     def test_single_sample_vacuous_negative_side(self):
         X = np.array([[1.0, 0.5]])
@@ -295,8 +314,7 @@ class TestConvexKKTResiduals:
 
     def test_origin_stationary_but_infeasible(self, notebook_solved):
         problem, _, _, _ = notebook_solved
-        zero_sol = problem.solution([np.zeros(2)] * 6, [np.zeros(2)] * 6,
-                                    0.0)
+        zero_sol = problem.solution(np.zeros((6, 2, 2)), 0.0)
         rep = convex_kkt_residuals(problem, zero_sol, np.zeros(3))
         assert max(rep.values()) == 0.0
         assert zero_sol.margin_slack == pytest.approx(-1.0)

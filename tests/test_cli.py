@@ -396,6 +396,13 @@ class TestFlowCommand:
         # initialization row + 3 checkpoints, 8 neurons each
         assert len(lines) == 1 + 4 * 8
 
+    def test_without_out_dir_writes_nothing(self, capsys, tmp_path,
+                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "flow", "--iters", "50")
+        assert code == 0 and "iteration 50" in out
+        assert list(tmp_path.iterdir()) == []
+
     def test_deterministic_reruns_byte_identical(self, capsys, tmp_path):
         args = ("flow", "--dataset", "notebook", "--iters", "200",
                 "--checkpoints", "200", "--seed", "3", "--deterministic")

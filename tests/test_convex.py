@@ -4,8 +4,8 @@ import pytest
 import relu_lab.convex
 from relu_lab.arrangements import ActivationMask, enumerate_masks
 from relu_lab.certify import dual_feasible
-from relu_lab.convex import (build_primal, margin_objective, solve_dual,
-                             solve_primal)
+from relu_lab.convex import (NetworkParams, build_primal, margin_objective,
+                             solve_dual, solve_primal)
 from relu_lab.datasets import builtin_dataset
 from relu_lab.geometry import polar_gauge
 from relu_lab.solver import DEFAULT_TOL, solve
@@ -79,7 +79,7 @@ class TestBuildPrimal:
         masks = [ActivationMask(bits=(1, 1))]
         sol, _, report = solve_primal(build_primal(X, y, masks))
         assert report.objective == pytest.approx(np.sqrt(2.0), abs=1e-6)
-        np.testing.assert_allclose(sol.u_prime[0], [1.0, 1.0], atol=1e-5)
+        np.testing.assert_allclose(sol.x[0, 1], [1.0, 1.0], atol=1e-5)
 
     def test_empty_masks_rejected(self, notebook_ds):
         with pytest.raises(ValueError):
@@ -94,15 +94,17 @@ class TestBuildPrimal:
         problem = build_primal(ds.X, ds.y, enumerate_masks(ds.X))
         prog = problem.prog
         sol, _, _ = solve_primal(problem)
-        groups = [g for pair in zip(sol.u, sol.u_prime) for g in pair]
-        x = np.concatenate(groups)
+        # sol.x is (p, 2, d), the flat x group by group: u_j, then u'_j
+        assert sol.x.shape == (problem.p, 2, problem.d)
+        groups = sol.x.reshape(-1, problem.d)
+        x = sol.x.reshape(-1)
         slack = prog.A @ x + prog.b
         cone = np.concatenate([M @ g for M, g in zip(group_cones(prog),
                                                      groups)])
         scale = 1e-12 * (1.0 + np.abs(prog.A).sum(axis=1).max()
                          * np.abs(x).max())
         np.testing.assert_allclose(
-            problem.y * problem.outputs(sol.u, sol.u_prime) - 1.0,
+            problem.y * problem.outputs(sol.x) - 1.0,
             slack, rtol=0.0, atol=scale)
         assert sol.margin_slack == pytest.approx(slack.min(), abs=scale)
         assert sol.cone_slack == cone.min()
@@ -130,7 +132,7 @@ class TestNotebookOptimum:
     def test_complementary_slackness(self, notebook_solved):
         problem, sol, lam, _ = notebook_solved
         outputs = sum(
-            m.diag_vector() * (problem.X @ (sol.u_prime[j] - sol.u[j]))
+            m.diag_vector() * (problem.X @ (sol.x[j, 1] - sol.x[j, 0]))
             for j, m in enumerate(problem.masks))
         margins = problem.y * outputs
         assert float(np.abs(lam * (margins - 1.0)).max()) <= 1e-6
@@ -307,9 +309,8 @@ class TestNetworkConversions:
                                    net.W1, net.w2)
         assert back.objective == pytest.approx(report.objective, abs=1e-6)
         for j in range(len(masks)):
-            np.testing.assert_allclose(back.u[j], sol.u[j], atol=1e-6)
-            np.testing.assert_allclose(back.u_prime[j], sol.u_prime[j],
-                                       atol=1e-6)
+            np.testing.assert_allclose(back.x[j, 0], sol.x[j, 0], atol=1e-6)
+            np.testing.assert_allclose(back.x[j, 1], sol.x[j, 1], atol=1e-6)
 
     def test_roundtrip_preserves_objective_on_split_optimum(
             self, notebook_ds, notebook_masks, notebook_solved):
@@ -321,9 +322,9 @@ class TestNetworkConversions:
         back = convex_from_network(problem, net.W1, net.w2)
         assert back.objective == pytest.approx(report.objective, abs=1e-6)
         assert back.margin_slack >= -1e-6
-        total = sum(back.u_prime[j] - back.u[j]
+        total = sum(back.x[j, 1] - back.x[j, 0]
                     for j in range(len(notebook_masks)))
-        expected = sum(sol.u_prime[j] - sol.u[j]
+        expected = sum(sol.x[j, 1] - sol.x[j, 0]
                        for j in range(len(notebook_masks)))
         np.testing.assert_allclose(total, expected, atol=1e-6)
 
@@ -337,8 +338,8 @@ class TestNetworkConversions:
 
     def test_all_zero_solution_rejected(self, notebook_solved):
         _, sol, _, _ = notebook_solved
-        zero = type(sol)(u=[np.zeros(2)] * 6, u_prime=[np.zeros(2)] * 6,
-                         objective=0.0, margin_slack=-1.0, cone_slack=0.0)
+        zero = type(sol)(x=np.zeros((6, 2, 2)), objective=0.0,
+                         margin_slack=-1.0, cone_slack=0.0)
         with pytest.raises(ValueError):
             network_from_convex(zero)
 
@@ -353,7 +354,7 @@ class TestNetworkConversions:
         j = next(j for j, m in enumerate(notebook_masks)
                  if m.as_string() == "100")
         expected = w1a * 0.5 + w1b * 1.5
-        np.testing.assert_allclose(sol.u_prime[j], expected, atol=1e-12)
+        np.testing.assert_allclose(sol.x[j, 1], expected, atol=1e-12)
         assert np.linalg.norm(expected) <= (
             np.linalg.norm(w1a * 0.5) + np.linalg.norm(w1b * 1.5))
 
@@ -372,6 +373,18 @@ class TestNetworkConversions:
         with pytest.raises(ValueError):
             convex_from_network(problem, np.array([[1.0], [0.0]]),
                                 np.array([1.0]))
+
+
+class TestNetworkParams:
+    @pytest.mark.parametrize("W1, w2, match", [
+        (np.zeros(2), np.zeros(1), "d x m"),
+        (np.zeros((2, 3)), np.zeros(2), "d x m"),
+        (np.zeros((2, 1)), np.zeros((1, 1)), "d x m"),
+        (np.zeros((2, 0)), np.zeros(0), "at least one neuron"),
+        (np.full((2, 1), np.nan), np.zeros(1), "non-finite")])
+    def test_shapes_and_values_checked(self, W1, w2, match):
+        with pytest.raises(ValueError, match=match):
+            NetworkParams(W1=W1, w2=w2)
 
 
 class TestMarginObjective:
@@ -397,6 +410,13 @@ class TestMarginObjective:
                                    atol=1e-9)
         half_norm = 0.5 * (np.sum(net.W1 ** 2) + np.sum(net.w2 ** 2))
         assert value == pytest.approx(half_norm, abs=1e-9)
+
+    def test_all_zero_network_returns_none(self, notebook_ds):
+        # no neuron has both weights nonzero, so nothing separates
+        for W1, w2 in ((np.zeros((2, 2)), np.ones(2)),
+                       (np.ones((2, 2)), np.zeros(2))):
+            assert margin_objective(notebook_ds.X, notebook_ds.y, W1,
+                                    w2) is None
 
     def test_non_separating_returns_none(self, notebook_ds):
         W1 = np.array([[1.0], [0.0]])

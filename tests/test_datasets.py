@@ -86,6 +86,24 @@ class TestLoadDataset:
         assert ds.K == 2 and type(ds.K) is int
         np.testing.assert_array_equal(ds.labels, [1, 2])
 
+    @pytest.mark.parametrize("spec, match", [
+        ({"X": [], "y": []}, "nonempty N x d"),
+        ({"X": [1.0, 2.0], "y": [1, -1]}, "nonempty N x d"),
+        ({"X": [[1, 0]], "y": [1], "K": -2}, "K must be >= 1")])
+    def test_shape_and_k_checked(self, spec, match):
+        with pytest.raises(ValueError, match=match):
+            load_dataset(spec)
+
+    @pytest.mark.parametrize("source", [42, [[1.0]], None])
+    def test_unsupported_source_type(self, source):
+        with pytest.raises(ValueError, match="unsupported dataset source"):
+            load_dataset(source)
+
+    def test_multiclass_has_no_binary_labels(self):
+        ds = load_dataset({"X": [[1, 0], [0, 1]], "y": [1, 2], "K": 2})
+        with pytest.raises(ValueError, match="no binary y"):
+            ds.y
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             load_dataset({"X": [[1, 0], [0, 1]], "y": [1]})

@@ -9,9 +9,10 @@ from relu_lab.arrangements import enumerate_sign_patterns
 from relu_lab.convex import NetworkParams
 from relu_lab.datasets import Dataset, builtin_dataset
 from relu_lab.flow import (FlowConfig, alignment, init_balanced,
-                           lambda_tilde, logistic_loss, network_masks,
-                           recover_dual, run_flow)
+                           lambda_tilde, logistic_loss, network_dual,
+                           network_masks, recover_dual, run_flow)
 from relu_lab.geometry import GAUGE_SOLVE_TOL
+from relu_lab.solver import DegenerateError
 
 from oracles import g_min_max, g_pattern, positive_support, step
 
@@ -450,6 +451,14 @@ class TestRecoverDual:
         # minimizing mask 011: -||(1/2, -1)|| / (2 sqrt 2) = -sqrt(5/8)
         assert gauge_all == pytest.approx(np.sqrt(5.0 / 8.0), abs=1e-4)
         assert gauge_all <= 1.0 + 1e-6
+
+    def test_vanishing_network_gauge_raises(self):
+        # rows x, x with labels +1, -1 and a zero network: lambda-tilde is
+        # (1/2, -1/2), so v = X^T lam = 0 and every extreme point is 0
+        params = NetworkParams(W1=np.zeros((2, 1)), w2=np.zeros(1))
+        with pytest.raises(DegenerateError, match="normalizing gauge"):
+            network_dual(np.array([[1.0, 0.0], [1.0, 0.0]]),
+                         np.array([1.0, -1.0]), params)
 
     def test_network_masks_deduplicated(self, notebook_ds):
         params = NetworkParams(W1=np.array([[1.0, 1.0], [0.0, 0.0]]),

@@ -6,10 +6,10 @@ import pytest
 from relu_lab.arrangements import ActivationMask, enumerate_masks, mask_of
 from relu_lab.certify import dual_feasible
 from relu_lab.datasets import builtin_dataset
-from relu_lab.geometry import (PROJECTION_ZERO_RTOL, extreme_point,
-                               polar_gauge, rectified_ellipsoid_samples)
+from relu_lab.geometry import (extreme_point, polar_gauge,
+                               rectified_ellipsoid_samples)
 from relu_lab import solver
-from relu_lab.solver import Cones
+from relu_lab.solver import RANK_RTOL, Cones
 
 from oracles import (active_set_projection, cone_projection,
                      stationary_directions, sweep_masks)
@@ -66,8 +66,8 @@ def masked(X: np.ndarray, mask, lam: np.ndarray) -> np.ndarray:
 def assert_matches_planar(X, mask, v):
     """Both extreme points along v (the maximizer of v^T u and of -v^T u)
     against the planar candidate enumeration."""
-    # a projection below PROJECTION_ZERO_RTOL ||v|| counts as zero
-    scale = 2.0 * PROJECTION_ZERO_RTOL * float(np.linalg.norm(v))
+    # a projection below RANK_RTOL ||v|| counts as zero
+    scale = 2.0 * RANK_RTOL * float(np.linalg.norm(v))
     for sense, target in (("max", v), ("min", -v)):
         u = extreme_point(X, mask, target)
         want = planar_extreme(v, cone_rows(X, mask), sense)
@@ -165,16 +165,17 @@ class TestPolarGauge:
 
     def test_per_mask_values_are_both_extreme_points(self, notebook_ds,
                                                      notebook_masks):
-        # hi = v^T u(v) and lo = v^T u(-v), to the bit and the sign of zero
-        # (-((-v)^T u(-v)) could turn a zero lo into -0)
+        # values[k] = max(|v^T u(v)|, |v^T u(-v)|) of mask k, to the bit
         X = notebook_ds.X
         for lam in (ITER10_LAMBDA, np.array([0.0, 0.0, 1.0]), np.zeros(3)):
             rep = polar_gauge(X, notebook_masks, lam)
-            for mask, hi, lo in rep.per_mask:
+            assert rep.values.shape == (len(notebook_masks),)
+            assert rep.gauge == rep.values.max()
+            for mask, value in zip(notebook_masks, rep.values):
                 v = masked(X, mask, lam)
-                want = (float(v @ extreme_point(X, mask, v)),
-                        float(v @ extreme_point(X, mask, -v)))
-                assert [repr(hi), repr(lo)] == [repr(w) for w in want]
+                hi = float(v @ extreme_point(X, mask, v))
+                lo = float(v @ extreme_point(X, mask, -v))
+                assert repr(float(value)) == repr(max(abs(hi), abs(lo)))
 
     def test_monotone_in_mask_set(self, notebook_ds, notebook_masks):
         lam = np.array([0.5, -0.6, 0.2])
@@ -323,6 +324,12 @@ class TestConeProjection:
         every = np.concatenate(cones._every_flat(V, np.arange(len(V))))
         np.testing.assert_array_equal(flat[kept], every[kept])
         np.testing.assert_array_equal(np.concatenate(cones.choose(V)), every)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        cones = Cones(np.eye(2), np.ones((1, 2)))
+        with pytest.raises(ValueError, match="non-finite"):
+            cones.choose(np.array([[bad, 0.0]]))
 
     @pytest.mark.parametrize("min_flats", [0, 10 ** 9])
     def test_choose_memory_grows_with_cones_not_flats(self, monkeypatch,

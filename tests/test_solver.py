@@ -364,7 +364,7 @@ class TestFaceBounds:
         f = np.zeros(problem.prog.num_vars)
         f[problem.group_slice(3, "+")][0] = 1.0  # mask 100, positive side
         lo, hi = optimal_face_bounds(problem.prog, report.objective, f)
-        value = sol.u_prime[3][0]
+        value = sol.x[3, 1, 0]
         assert lo - 1e-6 <= value <= hi + 1e-6
 
     def test_tie_spans_the_whole_edge(self):
@@ -398,6 +398,16 @@ class TestFaceBounds:
         assert rep.status == "infeasible" and rep.iterations == 2
         with pytest.raises(SolverError, match="infeasible"):
             optimal_face_bounds(prog, 1.0, np.array([1.0, 0.0]))
+
+    def test_no_active_group_raises(self):
+        # x_1 + x_2 + 1 >= 0 holds at x = 0, so p* = 0 and mu = 0: no group
+        # reaches gauge 1, and the optimal face has no direction to span
+        prog = l1_program([[1.0, 1.0]], [1.0])
+        _, mu, rep = solve(prog)
+        assert rep.status == "optimal" and rep.objective == 0.0
+        assert not mu.any()
+        with pytest.raises(DegenerateError, match="no norm group is active"):
+            optimal_face_bounds(prog, 0.0, np.array([1.0, 0.0]))
 
     def test_inside_ladder_on_notebook(self, notebook_solved):
         problem, _, _, report = notebook_solved

@@ -10,7 +10,8 @@ on both sides.  The runs go into the "seed <seed>" key of --out, or
 "seed <seed> batch <n>" when an earlier batch holds it, so that no run is
 dropped: "runs" holds each run's last JSON line verbatim, and "summary"
 gives, per workload and end-to-end metric, the median and quartiles of
-each side and in how many pairs the change read lower.  Other keys of an
+each side, in how many pairs the change read lower, and a verdict against
+the metric's bound in BENCHMARK.json (see verdict).  Other keys of an
 existing --out file are kept.
 """
 
@@ -46,21 +47,46 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summary(runs: list[dict], pairs: int) -> dict:
+def verdict(parent: list[float], change: list[float], lower: int,
+            pairs: int, bound: float) -> str:
+    """How a lower-is-better metric moved, with bound the relative worsening
+    the benchmark allows: "lower" when the change read lower in at least
+    9/10 of the pairs (ties count for neither) and the medians differ by
+    more than the parent's quartile spread; "worse" when the change median
+    exceeds the parent's by more than the bound; "unresolved" when the
+    parent's quartile spread exceeds the bound, unless every change run
+    reads lower than every parent run; "within bound" otherwise."""
+    p, c = quartiles(parent), quartiles(change)
+    spread = p["q3"] - p["q1"]
+    if lower >= 0.9 * pairs and p["median"] - c["median"] > spread:
+        return "lower"
+    if c["median"] > (1.0 + bound) * p["median"]:
+        return "worse"
+    if spread > bound * p["median"] and not max(change) < min(parent):
+        return "unresolved"
+    return "within bound"
+
+
+def summary(runs: list[dict], pairs: int, bounds: dict[str, float]) -> dict:
+    """Per workload and metric of METRICS: each side's quartiles, the
+    pairs in which the change read lower, and the verdict under
+    bounds[metric]."""
     out = {}
     for workload in WORKLOADS:
         side = {s: [{k: v["value"] for k, v in r["result"]["metrics"].items()}
                     for r in runs
                     if r["workload"] == workload and r["side"] == s]
                 for s in ("parent", "change")}
-        out[workload] = {
-            metric: {
-                "parent": quartiles([m[metric] for m in side["parent"]]),
-                "change": quartiles([m[metric] for m in side["change"]]),
-                "pairs_change_lower": "{}/{}".format(sum(
-                    c[metric] < p[metric]
-                    for p, c in zip(side["parent"], side["change"])), pairs)}
-            for metric in METRICS}
+        out[workload] = {}
+        for metric in METRICS:
+            parent = [m[metric] for m in side["parent"]]
+            change = [m[metric] for m in side["change"]]
+            lower = sum(c < p for p, c in zip(parent, change))
+            out[workload][metric] = {
+                "parent": quartiles(parent), "change": quartiles(change),
+                "pairs_change_lower": f"{lower}/{pairs}",
+                "verdict": verdict(parent, change, lower, pairs,
+                                   bounds[metric])}
         out[workload]["correct"] = all(
             r["result"]["correct"] for r in runs if r["workload"] == workload)
     return out
@@ -74,6 +100,9 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
+    benchmark = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+    bounds = {m["name"]: m["bound"]
+              for m in json.loads(benchmark.read_text())["end_to_end"]}
     runs = []
     for pair in range(1, args.pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
@@ -93,7 +122,7 @@ def main(argv=None) -> int:
     data[key] = {
         "command": (f"python3 bench/run.py --workload <workload> --seed "
                     f"{args.seed} --seconds {SECONDS} --trace 0"),
-        "environment": head, "summary": summary(runs, args.pairs),
+        "environment": head, "summary": summary(runs, args.pairs, bounds),
         "runs": runs}
     args.out.write_text(json.dumps(data, indent=1) + "\n")
     return 0
