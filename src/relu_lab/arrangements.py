@@ -70,9 +70,17 @@ def mask_of(X: np.ndarray, u: np.ndarray) -> ActivationMask:
     return ActivationMask(bits=tuple(int(v) for v in (np.asarray(X) @ u > 0)))
 
 
+def unit_rows(X: np.ndarray) -> np.ndarray:
+    """X with each nonzero row scaled to unit length; zero rows stay zero."""
+    norms = np.linalg.norm(X, axis=1)
+    return X / np.where(norms > 0.0, norms, 1.0)[:, None]
+
+
 def matrix_rank(X: np.ndarray) -> int:
-    """Rank via singular values with relative threshold RANK_RTOL * sigma_max."""
-    s = np.linalg.svd(np.asarray(X, dtype=float), compute_uv=False)
+    """Rank of the unit rows (row scale cannot change it) via singular
+    values with relative threshold RANK_RTOL * sigma_max."""
+    s = np.linalg.svd(unit_rows(np.asarray(X, dtype=float)),
+                      compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > RANK_RTOL * s[0]))
@@ -129,7 +137,7 @@ def _search(X: np.ndarray, relations: dict) -> list[tuple[tuple, tuple]]:
     """
     N, d = X.shape
     norms = np.linalg.norm(X, axis=1)
-    Xn = X / np.where(norms > 0.0, norms, 1.0)[:, None]
+    Xn = unit_rows(X)
     table = {sym: np.array(rows).T for sym, rows in relations.items()}
     strict = {sym for sym, (_, rhs) in table.items() if (rhs < 0).any()}
     # the rows and right-hand sides symbol sym adds at sample n

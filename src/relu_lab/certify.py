@@ -1,25 +1,23 @@
 """Certificates linking nonconvex stationary points to the convex program.
 
 extract_kkt reads the per-neuron stationarity data off a trained network: the
-activation pattern with free boundary bits, the direction residual
-||w1_i / w2_i - X^T D_i lam|| and the norm residual | ||X^T D_i lam|| - 1 |.
+activation pattern, its boundary bits completed by a mask of the boundary
+rows, the direction residual ||w1_i / w2_i - X^T D_i lam|| and the norm
+residual | ||X^T D_i lam|| - 1 |.
 dual_feasible evaluates the polar-gauge membership; ortho_coverage and
 spike_free check the two sufficient conditions.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrangements import (ActivationMask, RANK_RTOL,
-                           enumerate_sign_patterns)
+from .arrangements import (ActivationMask, RANK_RTOL, enumerate_masks,
+                           enumerate_sign_patterns, unit_rows)
 from .convex import completion_choices
 from .geometry import GAUGE_SOLVE_TOL, polar_gauge
-
-BOUNDARY_ENUM_LIMIT = 12
 
 #: slack of both spike-free conditions on the unit rows Xn: max ||z|| <= 1 +
 #: SPIKE_FREE_TOL and range residual <= SPIKE_FREE_TOL * ||Xn||_2
@@ -58,18 +56,17 @@ class Certificate:
                 "detail": self.detail}
 
 
-def _completion_residual(X: np.ndarray, lam: np.ndarray, target: np.ndarray,
-                         bits: np.ndarray) -> float:
-    return float(np.linalg.norm(target - X.T @ (bits * lam)))
-
-
 def extract_kkt(X: np.ndarray, y: np.ndarray, W1: np.ndarray, w2: np.ndarray,
                 lam: np.ndarray) -> KKTExtraction:
-    """Per-neuron KKT data.  Boundary bits are completed by enumerating all
-    2^|B| choices when |B| <= 12 (residual-minimizing, lexicographic ties),
-    greedily per index otherwise.  Residuals are reported, never thresholded.
-    Neurons with w2_i = 0 are skipped per the stationarity hypothesis.
-    ValueError names lam, W1 or w2 when it is not finite.
+    """Per-neuron KKT data.  The boundary rows B (x_n^T w1_i ~ 0) take
+    their bits from a mask of enumerate_masks(X[B]): the bit choices that
+    directions next to w1_i realize where x_n^T w1_i = 0 on B.  So the
+    completed pattern is a mask of X, with the least direction residual
+    over the masks of X that meet the strict bits off B (the first in
+    lexicographic order on a tie).  Residuals are reported, never
+    thresholded.  Neurons with w2_i = 0 are skipped per the stationarity
+    hypothesis.  ValueError names lam, W1 or w2 when it is not finite, and
+    comes from enumerate_masks above 22 boundary rows.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -87,24 +84,13 @@ def extract_kkt(X: np.ndarray, y: np.ndarray, W1: np.ndarray, w2: np.ndarray,
         strict, on_boundary = completion_choices(X, w1)
         boundary = np.where(on_boundary)[0]
         target = w1 / w2[i]
-        base = strict.astype(float)
-        if len(boundary) <= BOUNDARY_ENUM_LIMIT:
-            best_bits, best_res = None, np.inf
-            for combo in itertools.product((0.0, 1.0), repeat=len(boundary)):
-                bits = base.copy()
-                bits[boundary] = combo
-                res = _completion_residual(X, lam, target, bits)
-                if res < best_res - 1e-15:
-                    best_bits, best_res = bits, res
-        else:
-            best_bits = base.copy()
-            best_res = _completion_residual(X, lam, target, best_bits)
-            for n in boundary:
-                trial = best_bits.copy()
-                trial[n] = 1.0
-                res = _completion_residual(X, lam, target, trial)
-                if res < best_res:
-                    best_bits, best_res = trial, res
+        best_bits, best_res = None, np.inf
+        for mask in enumerate_masks(X[boundary]):
+            bits = strict.astype(float)
+            bits[boundary] = mask.bits
+            res = float(np.linalg.norm(target - X.T @ (bits * lam)))
+            if res < best_res - 1e-15:
+                best_bits, best_res = bits, res
         norm_res = abs(float(np.linalg.norm(X.T @ (best_bits * lam))) - 1.0)
         neurons.append(NeuronKKT(
             index=i, sign=int(np.sign(w2[i])),
@@ -184,8 +170,7 @@ def spike_free(X: np.ndarray) -> Certificate:
     """
     X = np.asarray(X, dtype=float)
     faces = enumerate_sign_patterns(X)
-    norms = np.linalg.norm(X, axis=1)
-    X = X / np.where(norms > 0.0, norms, 1.0)[:, None]
+    X = unit_rows(X)
     P = np.linalg.pinv(X, rcond=RANK_RTOL)
     residual = top = 0.0
     for face in faces:

@@ -272,7 +272,7 @@ def test_criterion_09b_coverage_implies_feasibility(notebook_ds, ortho_ds):
         checked += 1
         if ortho_coverage(ex, y).verdict:
             covered += 1
-            ok = ok and (gauge_all <= 1.0 + 1e-6)
+            ok = ok and (gauge_all <= 1.0 + GAUGE_SOLVE_TOL)
     ok = ok and covered >= 40  # the implication must actually fire
     ok = verdict("09b", ok,
                  f"{covered}/{checked} covered, all covered duals feasible")

@@ -340,3 +340,6 @@ class TestMaskHelpers:
         assert matrix_rank(np.array([[1.0, 0.0], [2.0, 0.0]])) == 1
         assert matrix_rank(np.eye(3)) == 3
         assert matrix_rank(np.zeros((2, 2))) == 0
+
+    def test_rank_ignores_row_scale(self):
+        assert matrix_rank(np.array([[1e6, 0.0], [0.0, 1e-6]])) == 2

@@ -9,6 +9,7 @@ from relu_lab.certify import (SPIKE_FREE_TOL, KKTExtraction, dual_feasible,
 from relu_lab.convex import NetworkParams, build_primal, solve_primal
 from relu_lab.datasets import is_orthogonal_separable
 from relu_lab.flow import FlowConfig, lambda_tilde, run_flow
+from relu_lab.geometry import GAUGE_SOLVE_TOL
 
 from oracles import (convex_from_network, convex_kkt_residuals,
                      network_from_convex)
@@ -80,9 +81,9 @@ class TestExtractKKT:
         with pytest.raises(ValueError, match=f"{name} is not finite"):
             extract_kkt(notebook_ds.X, notebook_ds.y, **args)
 
-    def test_large_boundary_set_uses_greedy_pass(self):
-        # 14 boundary samples exceed the enumeration limit; the greedy pass
-        # must still find the residual-minimizing completion (all bits off)
+    def test_large_boundary_set_keeps_the_empty_completion(self):
+        # 14 identical boundary samples share one bit, and all off has the
+        # least residual
         N = 14
         X = np.tile([1.0, 0.0], (N, 1))
         y = np.ones(N)
@@ -96,10 +97,11 @@ class TestExtractKKT:
         assert neuron.direction_residual == pytest.approx(1.0, abs=1e-12)
         assert neuron.mask.as_string() == "0" * N
 
-    def test_greedy_pass_adds_bits_that_lower_the_residual(self):
-        # one strict sample (1, 1) and 13 boundary samples (0, -1), each
-        # with lam 1/8: the greedy pass turns on the first 8 boundary bits,
-        # which cancel the strict sample's (0, 1) exactly, and no more
+    def test_identical_boundary_rows_take_one_bit(self):
+        # one strict sample (1, 1) and 13 identical boundary samples
+        # (0, -1), each with lam 1/8: every direction gives them one bit,
+        # so the completion is all off (residual ||(0, 1)|| = 1) or all on
+        # (||(0, 1 - 13/8)|| = 0.625); mixed bits are no mask of X
         N = 13
         X = np.vstack(([1.0, 1.0], np.tile([0.0, -1.0], (N, 1))))
         lam = np.append(1.0, np.full(N, 0.125))
@@ -107,8 +109,24 @@ class TestExtractKKT:
                          np.array([1.0]), lam)
         neuron = ex.neurons[0]
         assert neuron.boundary == tuple(range(1, N + 1))
-        assert neuron.mask.as_string() == "1" * 9 + "0" * 5
-        assert neuron.direction_residual == 0.0
+        assert neuron.mask.as_string() == "1" * (N + 1)
+        assert neuron.direction_residual == pytest.approx(0.625, abs=1e-15)
+
+    def test_antipodal_boundary_rows_complete_to_a_mask(self):
+        # rows 0 and 1 are antipodal and both on the kink of w1 = (0, 1):
+        # bits (0, 0) would need x_0^T u < 0 and -x_0^T u < 0.  Of the
+        # realizable completions 011, 101 and 111, 011 has the least residual
+        X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.3, 1.0]])
+        lam = np.array([0.5, -0.2, 0.3])
+        ex = extract_kkt(X, np.array([1.0, -1.0, 1.0]),
+                         np.array([[0.0], [1.0]]), np.array([1.0]), lam)
+        neuron = ex.neurons[0]
+        assert neuron.boundary == (0, 1)
+        assert neuron.mask.as_string() == "011"
+        assert neuron.mask.bits in {m.bits for m in enumerate_masks(X)}
+        # X^T D lam = (0.2 + 0.09, 0.3) against the target (0, 1)
+        assert neuron.direction_residual == pytest.approx(
+            np.hypot(0.29, 0.7), abs=1e-12)
 
 
 class TestDualFeasible:
@@ -195,6 +213,46 @@ def sampled_max_z_norm(X, count=40_000):
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     P = np.linalg.pinv(X, rcond=RANK_RTOL)
     return float(np.linalg.norm(np.maximum(U @ X.T, 0.0) @ P.T, axis=1).max())
+
+
+@st.composite
+def boundary_neurons(draw):
+    """(X, w1, w2, lam): degenerate_rows X and an integer w1 orthogonal to
+    d - 1 integer rows, each a row of X or a fresh one, so that x_n^T w1 = 0
+    holds exactly on the boundary rows."""
+    X = draw(degenerate_rows())
+    N, d = X.shape
+    fresh = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    M = np.array([X[draw(st.integers(0, N - 1))] if draw(st.booleans())
+                  else np.array(draw(fresh), dtype=float)
+                  for _ in range(d - 1)])
+    # the cofactors of a first row above M: r^T w1 = det([r; M]), 0 on M
+    w1 = np.array([(-1) ** j * round(np.linalg.det(np.delete(M, j, axis=1)))
+                   for j in range(d)], dtype=float)
+    w2 = draw(st.sampled_from((-2.0, -1.0, 0.5, 1.0)))
+    lam = 0.25 * np.array(draw(st.lists(st.integers(-4, 4), min_size=N,
+                                        max_size=N)), dtype=float)
+    return X, w1, w2, lam
+
+
+class TestCompletionOracle:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(boundary_neurons())
+    def test_completion_is_the_least_residual_mask(self, case):
+        X, w1, w2, lam = case
+        neuron = extract_kkt(X, np.ones(len(X)), w1.reshape(-1, 1),
+                             np.array([w2]), lam).neurons[0]
+        assert neuron.boundary == tuple(np.flatnonzero(X @ w1 == 0.0))
+        masks = np.array([m.bits for m in enumerate_masks(X)])
+        assert neuron.mask.bits in set(map(tuple, masks))
+        # brute force: every mask of X that meets the strict bits off B
+        off = np.ones(len(X), dtype=bool)
+        off[list(neuron.boundary)] = False
+        meet = masks[(masks[:, off] == np.array(neuron.strict_bits)[off])
+                     .all(axis=1)]
+        best = min(np.linalg.norm(w1 / w2 - X.T @ (bits * lam))
+                   for bits in meet)
+        assert neuron.direction_residual == pytest.approx(best, abs=1e-15)
 
 
 class TestSpikeFree:
@@ -364,4 +422,4 @@ class TestCoverageImpliesFeasibility:
             lam, _, gauge_all = recover_dual(ds.X, ds.y, params, masks)
             ex = extract_kkt(ds.X, ds.y, rec.W1, rec.w2, lam)
             if ortho_coverage(ex, ds.y).verdict:
-                assert gauge_all <= 1.0 + 1e-6
+                assert gauge_all <= 1.0 + GAUGE_SOLVE_TOL

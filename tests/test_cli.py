@@ -54,6 +54,18 @@ class TestArrangementsCommand:
         assert code == 0
         assert "4 arrangements" in out
 
+    def test_scaled_rows_keep_the_notebook_bound(self, capsys, tmp_path):
+        # the rank is taken on the unit rows, so row scale cannot lower it
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps({"X": [[1e6, 0.0], [0.0, 1e-6],
+                                          [-1e-6, 1e-6]],
+                                    "y": [1, -1, -1]}))
+        code, out, _ = run_cli(capsys, "arrangements", "--dataset",
+                               str(path))
+        assert code == 0
+        assert "6 arrangements; counting bound 2r(e(N-1)/r)^r = 29.5562 " \
+               "at rank 2" in out
+
     def test_unknown_dataset_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "arrangements", "--dataset", "nope")
         assert code == 2
