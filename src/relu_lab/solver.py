@@ -8,11 +8,18 @@ and C_g each group's own cone, a sign pattern over cone rows that every
 group shares (:class:`ConeProgram`): cutting planes over the extreme
 directions of the cones, each answer a primal-dual pair with a certified
 gap.
-Every LP goes through :func:`_highs`, which runs it on one module-level
-instance of scipy's bundled HiGHS core, given the options
-``linprog(method="highs")`` sends once and cleared of the last model before
-each LP, so the results are linprog's to the bit without its per-call
-set-up and sparse conversion.  Every cone projection, here and in
+Every LP goes through :func:`_highs`, which runs it on one of two
+module-level instances of scipy's bundled HiGHS core, each given its
+options once and cleared of the last model before each LP; both start from
+the options ``linprog(method="highs")`` sends, without its per-call set-up
+and sparse conversion.  The master and face LPs, whose solutions are the
+program's answers, run on ``_HIGHS``: linprog's options with feasibility
+tolerances of 1e-9, presolve kept, so they are linprog's, given those
+tolerances, to the bit.  The phase-1 LPs of :func:`lp_feasible`, whose
+solution is only a verdict and a witness, run on ``_PHASE1``, without
+presolve, so their witnesses are other vertices than linprog's; a value
+their row duals do not certify runs again on ``_HIGHS``.
+Every cone projection, here and in
 ``geometry``, is exact and goes through :class:`Cones`: the projection of
 v onto a cone is v's projection onto one flat of the cone rows (Moreau's
 decomposition), the longest of those that lands in the cone, and one
@@ -69,18 +76,35 @@ CHOOSE_ROWS = 1024
 #: at <= 1 - sqrt(delta), degenerate otherwise (delta = FACE_GAUGE_TOL)
 FACE_GAUGE_TOL = 1e-6
 
-#: the options linprog(method="highs") sets: presolve, dual simplex, quiet
-#: (its debug level, none, is HiGHS's default)
-_HIGHS_OPTIONS = HighsOptions()
-_HIGHS_OPTIONS.presolve = "on"
-_HIGHS_OPTIONS.simplex_strategy = (
-    simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-_HIGHS_OPTIONS.output_flag = False
-_HIGHS_OPTIONS.log_to_console = False
 
-#: the one HiGHS instance every LP runs on (_highs clears its model first)
-_HIGHS = _Highs()
-_HIGHS.passOptions(_HIGHS_OPTIONS)
+def _instance(**options) -> _Highs:
+    """A HiGHS instance with the options linprog(method="highs") sets
+    (presolve, dual simplex, quiet; its debug level, none, is HiGHS's
+    default), then `options`."""
+    settings = HighsOptions()
+    settings.presolve = "on"
+    settings.simplex_strategy = (
+        simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    settings.output_flag = False
+    settings.log_to_console = False
+    for name, value in options.items():
+        setattr(settings, name, value)
+    instance = _Highs()
+    instance.passOptions(settings)
+    return instance
+
+
+#: the instance of the master and face LPs, whose solutions are solve's and
+#: optimal_face_bounds's answers, and of the phase-1 LPs whose value the run
+#: without presolve does not certify (lp_feasible): linprog's options with
+#: feasibility tolerances of 1e-9, so that the master separates cuts
+#: violated by less than HiGHS's default 1e-7 (rows whose norms spread 1e8)
+_HIGHS = _instance(primal_feasibility_tolerance=1e-9,
+                   dual_feasibility_tolerance=1e-9)
+#: the instance of lp_feasible's phase-1 LPs, whose solution is only a
+#: verdict and a witness: without presolve, which on LPs of a few rows
+#: costs more than the simplex it spares
+_PHASE1 = _instance(presolve="off")
 
 
 class SolverError(RuntimeError):
@@ -202,7 +226,8 @@ def _face_lp(prog: ConeProgram, E: np.ndarray) -> tuple[np.ndarray, float]:
     point E t on the directions E (each in its group's cone); SolverError
     when none is feasible."""
     k = E.shape[1]
-    return _highs("face", np.ones(k), -prog.A @ E, prog.b, np.zeros(k))
+    return _highs(_HIGHS, "face", np.ones(k), _rows(-prog.A @ E), prog.b,
+                  np.zeros(k))
 
 
 def _pair(prog: ConeProgram, cuts: np.ndarray, mu: np.ndarray,
@@ -280,7 +305,8 @@ def solve(prog: ConeProgram, tol: float = DEFAULT_TOL
     cones = Cones(prog.rows, prog.signs)
     cuts, last, checked = np.zeros((n, 0)), None, False
     for rounds in range(1, MAX_ROUNDS + 1):
-        mu = np.maximum(_highs("master", prog.b, (prog.A @ cuts).T,
+        mu = np.maximum(_highs(_HIGHS, "master", prog.b,
+                               _rows((prog.A @ cuts).T),
                                np.ones(cuts.shape[1]), np.zeros(m),
                                upper=MASTER_BOX)[0], 0.0)
         P, Pi = _price(prog, cones, mu)
@@ -315,53 +341,82 @@ def solve(prog: ConeProgram, tol: float = DEFAULT_TOL
             SolveReport("max_iters", np.nan, np.nan, rounds))
 
 
-def _highs(what: str, c: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray,
-           lower: np.ndarray, upper: float = kHighsInf
+def _rows(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(start, index, value) of A's rows without its exact zeros, as
+    scipy's csr_array stores them."""
+    nonzero = A != 0.0
+    start = np.zeros(len(A) + 1, dtype=np.int32)
+    np.cumsum(nonzero.sum(axis=1), out=start[1:])
+    return start, nonzero.nonzero()[1], A[nonzero]
+
+
+def _highs(highs: _Highs, what: str, c: np.ndarray,
+           A_ub: tuple[np.ndarray, np.ndarray, np.ndarray],
+           b_ub: np.ndarray, lower: np.ndarray, upper: float = kHighsInf
            ) -> tuple[np.ndarray, float]:
     """(x, min c^T x) s.t. A_ub x <= b_ub, lower <= x <= upper (lower -inf
-    for free), on _HIGHS cleared of the last model (its options stay);
-    SolverError unless HiGHS ends optimal.  A_ub goes in column-wise without
-    its exact zeros, as scipy's csc_array stores it.  An LP without
+    for free), on the instance `highs` cleared of its last model (its
+    options stay); SolverError unless HiGHS ends optimal.  A_ub comes
+    row-wise without its exact zeros (:func:`_rows`).  An LP without
     variables, which HiGHS calls empty, is solved here: x = () when
     b_ub >= 0."""
-    m, n = A_ub.shape
+    n, m = len(c), len(b_ub)
     if n == 0:
         if b_ub.min(initial=0.0) < 0.0:
             raise SolverError(f"{what} LP failed: Infeasible")
         return np.zeros(0), 0.0
-    At = A_ub.T
-    nonzero = At != 0.0
-    index = nonzero.nonzero()[1]
-    start = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(nonzero, axis=1), out=start[1:])
-    _HIGHS.clearModel()
-    _HIGHS.passModel(n, m, len(index), MatrixFormat.kColwise,
-                     ObjSense.kMinimize, 0.0, c, lower, np.full(n, upper),
-                     np.full(m, -kHighsInf), b_ub, start, index,
-                     At[nonzero], np.zeros(n, dtype=np.int32))
-    _HIGHS.run()
-    status = _HIGHS.getModelStatus()
+    start, index, value = A_ub
+    highs.clearModel()
+    highs.passModel(n, m, len(index), MatrixFormat.kRowwise,
+                    ObjSense.kMinimize, 0.0, c, lower, np.full(n, upper),
+                    np.full(m, -kHighsInf), b_ub, start, index, value,
+                    np.zeros(n, dtype=np.int32))
+    highs.run()
+    status = highs.getModelStatus()
     if status != HighsModelStatus.kOptimal:
         raise SolverError(
-            f"{what} LP failed: {_HIGHS.modelStatusToString(status)}")
-    return (np.array(_HIGHS.getSolution().col_value),
-            _HIGHS.getObjectiveValue())
+            f"{what} LP failed: {highs.modelStatusToString(status)}")
+    return (np.array(highs.getSolution().col_value),
+            highs.getObjectiveValue())
 
 
 def lp_feasible(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Feasibility of A w <= b by the phase-1 LP  min t  s.t.  A w - t <= b,
     t >= 0: a witness w when its value is <= FEASIBLE_TOL, None above
-    INFEASIBLE_TOL, InconclusiveError in between."""
+    INFEASIBLE_TOL, InconclusiveError in between.  Row i of the LP is A's
+    nonzeros in row i, then -1 in t's column d.
+
+    The LP runs on _PHASE1, without presolve.  Its row duals y >= 0 (sum
+    1) bound t >= v - ||A^T y|| ||w|| at every w, so a value v > 0 stands
+    when A^T y vanishes, to within RANK_RTOL of sum_i y_i ||A_i||.  A
+    simplex that stops on reduced costs below its dual tolerance leaves
+    A^T y above that and can miss a cone as thin as A^T y (rows at an angle
+    of pi - 1e-9): the LP then runs again on _HIGHS, whose presolve solves
+    such small LPs by elimination, and that run decides."""
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("non-finite row coefficients")
     m, d = A.shape
     if m == 0:
         return np.zeros(d)
+    nonzero = A != 0.0
+    row, col = nonzero.nonzero()
+    start = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(nonzero.sum(axis=1) + 1, out=start[1:])
+    index = np.full(start[m], d, dtype=np.int32)
+    value = np.full(start[m], -1.0)
+    at = row + np.arange(len(row))      # each row above holds one t entry
+    index[at], value[at] = col, A[nonzero]
     c, lower = np.zeros(d + 1), np.full(d + 1, -np.inf)
     c[d], lower[d] = 1.0, 0.0
-    x, v = _highs("phase-1", c, np.concatenate((A, np.full((m, 1), -1.0)),
-                                                axis=1), b, lower)
+    x, v = _highs(_PHASE1, "phase-1", c, (start, index, value), b, lower)
+    if v > FEASIBLE_TOL:
+        y = -np.array(_PHASE1.getSolution().row_dual)
+        on = y != 0.0
+        if (np.linalg.norm(y[on] @ A[on])
+                > RANK_RTOL * (y[on] @ np.linalg.norm(A[on], axis=1))):
+            x, v = _highs(_HIGHS, "phase-1", c, (start, index, value), b,
+                          lower)
     if v <= FEASIBLE_TOL:
         return x[:d]
     if v > INFEASIBLE_TOL:
@@ -663,14 +718,14 @@ def optimal_face_bounds(prog: ConeProgram, p_star: float,
     # LPs in t: the coupling rows -A_c E t <= b_c, then sum t <= budget
     E = _directions(P, active)
     _, p_lp = _face_lp(prog, E)
-    A_ub = np.vstack((-prog.A @ E, np.ones(E.shape[1])))
+    A_ub = _rows(np.vstack((-prog.A @ E, np.ones(E.shape[1]))))
     b_ub = np.append(prog.b, max(p_star, p_lp) + slack)
     lower = np.zeros(E.shape[1])
     functional = np.asarray(functional, dtype=float)
     bounds = []
     for row in np.atleast_2d(functional):
         f = row @ E
-        lo, hi = (_highs("face", sign * f, A_ub, b_ub, lower)[1]
+        lo, hi = (_highs(_HIGHS, "face", sign * f, A_ub, b_ub, lower)[1]
                   for sign in (1.0, -1.0))
         bounds.append((float(lo), 0.0 - float(hi)))   # no -0.0 upper end
     return bounds if functional.ndim == 2 else bounds[0]

@@ -219,7 +219,7 @@ class TestLPCount:
 
     @pytest.mark.parametrize("name, mask_lps, pattern_lps", [
         # 103 and 523 LPs when every node ran one
-        ("gaussian-6x3", 59, 392),
+        ("gaussian-6x3", 59, 404),
         ("notebook", 8, 30),            # 15 and 40
         ("appendix-ortho", 3, 10),      # 7 and 13
     ])

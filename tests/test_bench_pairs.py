@@ -67,3 +67,34 @@ def test_summary_reads_every_metric_bound(bench_pairs):
         assert got == {metric: "worse" if bounds[metric] < 0.2
                        else "within bound" for metric in bench_pairs.METRICS}
         assert out[workload]["wall_s"]["pairs_change_lower"] == "0/10"
+
+
+def test_traced_keeps_each_side_and_every_batch(bench_pairs, monkeypatch,
+                                               tmp_path):
+    layers = [m["name"] for m in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    calls = []
+
+    def run(checkout, workload, seed, trace=0):
+        calls.append((checkout.name, workload, seed, trace))
+        value = 267 if checkout.name == "change" else 248
+        return {"correct": True, "metrics": {
+            "arrangements.lp_calls": {"value": value}}}, []
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    out = tmp_path / "bench.json"
+    out.write_text('{"seed 1": {}}')
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--out",
+            str(out), "--traced", "certify-d3"]
+    assert bench_pairs.main(argv) == 0 and bench_pairs.main(argv) == 0
+    assert calls == [("parent", "certify-d3", 1, 1),
+                     ("change", "certify-d3", 1, 1)] * 2
+    data = json.loads(out.read_text())
+    assert list(data) == ["seed 1", "traced certify-d3 seed 1",
+                          "traced certify-d3 seed 1 batch 2"]
+    first = data["traced certify-d3 seed 1"]
+    assert "arrangements.lp_calls" in layers
+    assert first["layers"] == {"arrangements.lp_calls": {"parent": 248,
+                                                         "change": 267}}
+    assert first["runs"]["change"]["correct"] is True
+    assert "--trace 1" in first["command"]

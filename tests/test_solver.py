@@ -14,7 +14,7 @@ from relu_lab.convex import build_primal, solve_primal
 from relu_lab.datasets import builtin_dataset
 from relu_lab.solver import (DEFAULT_TOL, FEASIBLE_TOL, INFEASIBLE_TOL,
                              ConeProgram, DegenerateError, InconclusiveError,
-                             SolverError, _highs, lp_feasible,
+                             SolverError, _highs, _rows, lp_feasible,
                              optimal_face_bounds, solve)
 
 
@@ -229,6 +229,34 @@ class TestSolveLP:
         assert report.gap <= DEFAULT_TOL * (1.0 + report.objective)
         assert report.objective == 2.0 and abs(report.gap) <= 1e-15
 
+    def test_rows_spread_over_1e8_end_optimal(self):
+        # draws of default_rng(1) whose row norms spread over 3e6 to 4e8:
+        # with HiGHS's default feasibility tolerances of 1e-7 the master
+        # could not separate the last cuts, and each ended max_iters
+        draws = scaled_draws(1, 103)
+        for k in (0, 18, 39, 40, 42, 102):
+            X, y = draws[k]
+            _, _, rep = solve_primal(build_primal(X, y, enumerate_masks(X)))
+            assert rep.status == "optimal"
+
+
+def scaled_draws(seed, count):
+    """The first `count` draws of default_rng(seed) with rows scaled by
+    powers of ten: per draw N = integers(2, 9), d = integers(2, 5), X =
+    normal((N, d)) * 10**choice([-4, -3, 0, 3, 4], (N, 1)) and y =
+    sign(normal(N)), y[0] negated when all labels agree."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        N, d = int(rng.integers(2, 9)), int(rng.integers(2, 5))
+        X = rng.normal(size=(N, d)) * 10.0 ** rng.choice([-4, -3, 0, 3, 4],
+                                                         (N, 1))
+        y = np.sign(rng.normal(size=N))
+        if np.all(y == y[0]):
+            y[0] = -y[0]
+        draws.append((X, y))
+    return draws
+
 
 class TestLPFeasible:
     # rows of A w <= b: x^T w >= 0 is (-x, 0), x^T w <= -1 is (x, -1)
@@ -257,6 +285,40 @@ class TestLPFeasible:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             lp_feasible(np.array([[np.inf, 0.0]]), np.zeros(1))
+
+    @pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-9])
+    def test_sliver_cone_is_feasible(self, gap):
+        # x_1^T w <= -1 and x_2^T w <= -1 on unit rows at angle pi - gap
+        # hold at a w of norm about 2 / gap; without presolve the simplex
+        # stops at t = 1 on reduced costs of about gap, and on the 1e-8 and
+        # 1e-9 slivers only presolve's second run finds w
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            t = rng.uniform(0.0, 2.0 * np.pi)
+            A = np.array([[np.cos(t), np.sin(t)],
+                          [np.cos(t + np.pi - gap), np.sin(t + np.pi - gap)]])
+            w = lp_feasible(A, -np.ones(2))
+            assert w is not None and (A @ w <= -1.0 + INFEASIBLE_TOL).all()
+
+    def test_certified_value_runs_one_lp(self, notebook_ds, monkeypatch):
+        # general-position rows: the row duals of the LP without presolve
+        # certify its value, so presolve's LP runs only for the sliver
+        X = notebook_ds.X
+        runs = []
+
+        def counted(highs, *args, **kwargs):
+            runs.append(highs)
+            return _highs(highs, *args, **kwargs)
+
+        monkeypatch.setattr(relu_lab.solver, "_highs", counted)
+        assert lp_feasible(np.array([-X[0], X[1], -X[2]]),
+                           np.array([0.0, -1.0, 0.0])) is None
+        assert runs == [relu_lab.solver._PHASE1]
+        runs.clear()
+        angles = np.array([1.0, 1.0 + np.pi - 1e-9])
+        A = np.column_stack((np.cos(angles), np.sin(angles)))
+        assert lp_feasible(A, -np.ones(2)) is not None
+        assert runs == [relu_lab.solver._PHASE1, relu_lab.solver._HIGHS]
 
     def test_dead_zone_is_inconclusive(self):
         # w <= -5e-7 and w >= 5e-7: the phase-1 value 5e-7 lies between
@@ -300,13 +362,21 @@ def same_bits(a, b) -> bool:
     return np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()
 
 
-def assert_matches_linprog(c, A_ub, b_ub, lower):
-    x, fun = _highs("oracle", c, A_ub, b_ub, lower)
+#: the options of each HiGHS instance that differ from linprog's defaults,
+#: as linprog(method="highs") takes them
+HIGHS_OPTIONS = {relu_lab.solver._HIGHS: {"primal_feasibility_tolerance": 1e-9,
+                                          "dual_feasibility_tolerance": 1e-9},
+                 relu_lab.solver._PHASE1: {"presolve": False}}
+
+
+def assert_matches_linprog(highs, c, A_ub, b_ub, lower):
+    x, fun = _highs(highs, "oracle", c, _rows(A_ub), b_ub, lower)
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, method="highs",
                   bounds=[(None if np.isinf(lo) else lo, None)
-                          for lo in lower])
+                          for lo in lower], options=HIGHS_OPTIONS[highs])
     assert res.status == 0
     assert same_bits(x, res.x) and same_bits(fun, res.fun)
+    return res
 
 
 #: (c, A_ub, b_ub, lower) of an Infeasible LP, t >= 0 and t <= -1, and of
@@ -316,41 +386,74 @@ UNBOUNDED_LP = (np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.zeros(1),
                 np.zeros(2))
 
 
+def run_on(highs, what, c, A_ub, b_ub, lower):
+    """_highs on a dense A_ub."""
+    return _highs(highs, what, c, _rows(A_ub), b_ub, lower)
+
+
 class TestHighs:
-    """The direct HiGHS call against linprog(method="highs"), to the bit."""
+    """The direct HiGHS calls against linprog(method="highs") run with each
+    instance's options, to the bit."""
 
     def test_phase1_lps_match_linprog(self):
+        # on _PHASE1 and through lp_feasible, which builds the rows itself:
+        # its witness is linprog's w, its verdict follows linprog's value
         rng = np.random.default_rng(3)
+        feasible = 0
         for _ in range(60):
-            assert_matches_linprog(*phase1_lp(rng, int(rng.integers(2, 9)),
-                                              int(rng.integers(2, 5))))
+            lp = phase1_lp(rng, int(rng.integers(2, 9)),
+                           int(rng.integers(2, 5)))
+            res = assert_matches_linprog(relu_lab.solver._PHASE1, *lp)
+            A, b = lp[1][:, :-1], lp[2]
+            if FEASIBLE_TOL < res.fun <= INFEASIBLE_TOL:
+                with pytest.raises(InconclusiveError):
+                    lp_feasible(A, b)
+                continue
+            w = lp_feasible(A, b)
+            if res.fun <= FEASIBLE_TOL:
+                feasible += 1
+                assert same_bits(w, res.x[:-1])
+            else:
+                assert w is None
+        assert feasible >= 10
 
     def test_face_lps_match_linprog(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
-            assert_matches_linprog(*face_lp(rng, int(rng.integers(1, 6)),
+            assert_matches_linprog(relu_lab.solver._HIGHS,
+                                   *face_lp(rng, int(rng.integers(1, 6)),
                                             int(rng.integers(2, 6))))
 
     def test_infeasible_and_unbounded_name_the_status(self):
-        with pytest.raises(SolverError, match="face LP failed: Infeasible"):
-            _highs("face", *INFEASIBLE_LP)
-        with pytest.raises(SolverError, match="face LP failed: Unbounded"):
-            _highs("face", *UNBOUNDED_LP)
+        for highs in HIGHS_OPTIONS:
+            with pytest.raises(SolverError,
+                               match="face LP failed: Infeasible"):
+                run_on(highs, "face", *INFEASIBLE_LP)
+            with pytest.raises(SolverError,
+                               match="face LP failed: Unbounded"):
+                run_on(highs, "face", *UNBOUNDED_LP)
 
     def test_no_state_carried_between_lps(self):
-        # every LP runs on one HiGHS instance: neither the LPs solved in
-        # between nor the failed ones move the repeated LP's bits
+        # each instance keeps only its options: neither the LPs solved in
+        # between, on either instance, nor the failed ones move a repeated
+        # LP's bits
         rng = np.random.default_rng(5)
-        lp = phase1_lp(rng, 6, 3)
-        x, fun = _highs("first", *lp)
+        lps = {relu_lab.solver._PHASE1: phase1_lp(rng, 6, 3),
+               relu_lab.solver._HIGHS: face_lp(rng, 4, 5)}
+        first = {highs: run_on(highs, "first", *lp)
+                 for highs, lp in lps.items()}
         for _ in range(20):
-            _highs("other", *face_lp(rng, 4, 5))
-            _highs("other", *phase1_lp(rng, 8, 4))
-        for failing in (INFEASIBLE_LP, UNBOUNDED_LP):
-            with pytest.raises(SolverError):
-                _highs("failing", *failing)
-        x_again, fun_again = _highs("again", *lp)
-        assert same_bits(x, x_again) and same_bits(fun, fun_again)
+            for highs in HIGHS_OPTIONS:
+                run_on(highs, "other", *face_lp(rng, 4, 5))
+                run_on(highs, "other", *phase1_lp(rng, 8, 4))
+        for highs in HIGHS_OPTIONS:
+            for failing in (INFEASIBLE_LP, UNBOUNDED_LP):
+                with pytest.raises(SolverError):
+                    run_on(highs, "failing", *failing)
+        for highs, lp in lps.items():
+            x, fun = run_on(highs, "again", *lp)
+            assert same_bits(x, first[highs][0])
+            assert same_bits(fun, first[highs][1])
 
 
 class TestFaceBounds:

@@ -13,6 +13,12 @@ gives, per workload and end-to-end metric, the median and quartiles of
 each side, in how many pairs the change read lower, and a verdict against
 the metric's bound in BENCHMARK.json (see verdict).  Other keys of an
 existing --out file are kept.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --traced certify-d3 --out F
+
+runs instead one traced run (--trace 1) of the workload on each side, the
+parent first, into the "traced <workload> seed <seed>" key: each run's last
+JSON line, and each per-layer metric of BENCHMARK.json on both sides.
 """
 
 from __future__ import annotations
@@ -30,13 +36,14 @@ METRICS = ("setup_s", "wall_s", "case_p50_s", "case_tail_s", "peak_rss_mb")
 SECONDS = 24
 
 
-def run(checkout: Path, workload: str, seed: int) -> tuple[dict, list[str]]:
+def run(checkout: Path, workload: str, seed: int, trace: int = 0
+        ) -> tuple[dict, list[str]]:
     """One bench/run.py process: its last stdout line, parsed, and the
     lines before it (the machine, the library versions, the metrics)."""
     out = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(SECONDS),
-         "--trace", "0"],
+         "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True).stdout
     *head, last = out.strip().splitlines()
     return json.loads(last), head
@@ -92,6 +99,16 @@ def summary(runs: list[dict], pairs: int, bounds: dict[str, float]) -> dict:
     return out
 
 
+def free_key(data: dict, key: str) -> str:
+    """key, or "<key> batch <n>" with the least n >= 2 that data does not
+    hold when it holds key, so that no earlier run is dropped."""
+    name, batch = key, 1
+    while name in data:
+        batch += 1
+        name = f"{key} batch {batch}"
+    return name
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("parent", type=Path)
@@ -99,10 +116,13 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--traced", choices=WORKLOADS)
     args = p.parse_args(argv)
-    benchmark = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
-    bounds = {m["name"]: m["bound"]
-              for m in json.loads(benchmark.read_text())["end_to_end"]}
+    benchmark = json.loads((Path(__file__).resolve().parents[1]
+                            / "BENCHMARK.json").read_text())
+    if args.traced:
+        return traced(args, [m["name"] for m in benchmark["per_layer"]])
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     runs = []
     for pair in range(1, args.pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
@@ -115,14 +135,29 @@ def main(argv=None) -> int:
                 print(pair, workload, side,
                       result["metrics"]["setup_s"]["value"], file=sys.stderr)
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    key, batch = f"seed {args.seed}", 1
-    while key in data:
-        batch += 1
-        key = f"seed {args.seed} batch {batch}"
-    data[key] = {
+    data[free_key(data, f"seed {args.seed}")] = {
         "command": (f"python3 bench/run.py --workload <workload> --seed "
                     f"{args.seed} --seconds {SECONDS} --trace 0"),
         "environment": head, "summary": summary(runs, args.pairs, bounds),
+        "runs": runs}
+    args.out.write_text(json.dumps(data, indent=1) + "\n")
+    return 0
+
+
+def traced(args, layers: list[str]) -> int:
+    """One traced run of args.traced per side, into --out (see the module
+    docstring)."""
+    runs = {side: run(checkout, args.traced, args.seed, trace=1)[0]
+            for side, checkout in (("parent", args.parent),
+                                   ("change", args.change))}
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    data[free_key(data, f"traced {args.traced} seed {args.seed}")] = {
+        "command": (f"python3 bench/run.py --workload {args.traced} --seed "
+                    f"{args.seed} --seconds {SECONDS} --trace 1"),
+        "layers": {name: {side: r["metrics"][name]["value"]
+                          for side, r in runs.items()}
+                   for name in layers
+                   if all(name in r["metrics"] for r in runs.values())},
         "runs": runs}
     args.out.write_text(json.dumps(data, indent=1) + "\n")
     return 0
