@@ -5,8 +5,10 @@ realizable sign(Xw) in {-1,0,+1}^N.  Both are enumerated by one prefix-pruned
 LP search over a relation table that maps each symbol to phase-1 rows;
 strict inequalities are encoded with a unit margin (a^T w <= -1), lossless
 by homogeneity, on rows normalized to unit length (patterns do not change
-under positive row scaling).  A child whose rows the parent's witness
-already meets inherits that witness, so an LP runs only where it does not.
+under positive row scaling).  The search goes level by level, one sample
+per level: a child whose rows the parent's witness already meets inherits
+that witness, and the level's other children are decided together, by one
+batched phase-1 LP call (one HiGHS run per solver.PHASE1_ROWS rows).
 """
 
 from __future__ import annotations
@@ -125,42 +127,44 @@ def cover_bound(N: int, r: int) -> float:
 def _search(X: np.ndarray, relations: dict) -> list[tuple[tuple, tuple]]:
     """(symbols, witness) of every realizable pattern, lexicographic.
 
-    Depth-first with prefix pruning: an infeasible prefix stays infeasible
-    for every completion, so whole subtrees are skipped.  Each node appends
-    its symbol's rows to the parent's stacked system and runs an LP only
-    when the parent's witness misses one of them by more than FEASIBLE_TOL.
-    The inherited witness is never scaled up to meet a unit margin: that
-    reads 1-ulp differences between normalized parallel rows as a margin
-    and admits unrealizable patterns.  A witness is divided by min(1, min
-    ||x_n|| over its strict rows), so the unit margin holds on the original
-    rows.
+    Level by level with prefix pruning: an infeasible prefix stays
+    infeasible for every completion, so whole subtrees are skipped.  At
+    level n every realizable prefix appends each symbol's rows for sample
+    n to its stacked system.  A child keeps its parent's witness when that
+    misses none of the child's rows by more than FEASIBLE_TOL; the level's
+    other children go to one lp_feasible call, which decides them together
+    as block-diagonal LPs.  The inherited witness is never scaled up to
+    meet a unit margin: that reads 1-ulp differences between normalized
+    parallel rows as a margin and admits unrealizable patterns.  A witness
+    is divided by min(1, min ||x_n|| over its strict rows), so the unit
+    margin holds on the original rows.
     """
     N, d = X.shape
     norms = np.linalg.norm(X, axis=1)
     Xn = unit_rows(X)
     table = {sym: np.array(rows).T for sym, rows in relations.items()}
     strict = {sym for sym, (_, rhs) in table.items() if (rhs < 0).any()}
-    # the rows and right-hand sides symbol sym adds at sample n
-    blocks = [[(sym, np.outer(s, x), rhs) for sym, (s, rhs) in table.items()]
-              for x in Xn]
+    # [prefix, A, b, w] of every realizable prefix of the level
+    level = [((), np.zeros((0, d)), np.zeros(0), np.zeros(d))]
+    for x in Xn:
+        blocks = [(sym, np.outer(s, x), rhs)
+                  for sym, (s, rhs) in table.items()]
+        children = []
+        for prefix, A, b, w in level:
+            for sym, rows, rhs in blocks:
+                A2 = np.concatenate((A, rows))
+                b2 = np.concatenate((b, rhs))
+                met = (A2 @ w - b2).max() <= FEASIBLE_TOL
+                children.append([prefix + (sym,), A2, b2, w if met else None])
+        todo = [child for child in children if child[3] is None]
+        for child, w in zip(todo, lp_feasible([c[1:3] for c in todo])):
+            child[3] = w
+        level = [child for child in children if child[3] is not None]
     found = []
-
-    def recurse(prefix: tuple, A: np.ndarray, b: np.ndarray, w: np.ndarray):
-        n = len(prefix)
-        if n == N:
-            scale = min([1.0] + [norms[k] for k, sym in enumerate(prefix)
-                                 if sym in strict])
-            found.append((prefix, tuple(float(v) for v in w / scale)))
-            return
-        for sym, rows, rhs in blocks[n]:
-            A2 = np.concatenate((A, rows))
-            b2 = np.concatenate((b, rhs))
-            w2 = (w if (A2 @ w - b2).max() <= FEASIBLE_TOL
-                  else lp_feasible(A2, b2))
-            if w2 is not None:
-                recurse(prefix + (sym,), A2, b2, w2)
-
-    recurse((), np.zeros((0, d)), np.zeros(0), np.zeros(d))
+    for prefix, _, _, w in level:
+        scale = min([1.0] + [norms[k] for k, sym in enumerate(prefix)
+                             if sym in strict])
+        found.append((prefix, tuple(float(v) for v in w / scale)))
     return sorted(found)
 
 

@@ -15,10 +15,12 @@ the options ``linprog(method="highs")`` sends, without its per-call set-up
 and sparse conversion.  The master and face LPs, whose solutions are the
 program's answers, run on ``_HIGHS``: linprog's options with feasibility
 tolerances of 1e-9, presolve kept, so they are linprog's, given those
-tolerances, to the bit.  The phase-1 LPs of :func:`lp_feasible`, whose
-solution is only a verdict and a witness, run on ``_PHASE1``, without
-presolve, so their witnesses are other vertices than linprog's; a value
-their row duals do not certify runs again on ``_HIGHS``.
+tolerances, to the bit.  :func:`lp_feasible` decides a batch of
+phase-1 systems, whose solutions are only verdicts and witnesses, as one
+block-diagonal LP per PHASE1_ROWS rows on ``_PHASE1``, without presolve:
+the blocks share no column, so each system gets its own value and row
+duals, and a value its row duals do not certify runs again alone on
+``_HIGHS``.
 Every cone projection, here and in
 ``geometry``, is exact and goes through :class:`Cones`: the projection of
 v onto a cone is v's projection onto one flat of the cone rows (Moreau's
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +62,13 @@ NEWTON_STEPS = 8
 #: lp_feasible verdict thresholds (phase-1 objective).
 FEASIBLE_TOL = 1e-9
 INFEASIBLE_TOL = 1e-6
+#: lp_feasible: the most rows of one HiGHS run.  Per system of 12-22 rows
+#: in d = 4, a run alone took 215 us, runs of 10 to 100 systems 75-83 us,
+#: and of 300 and 3000 systems 146 and 1670 us (2 CPUs); the enumerations'
+#: time was flat for caps from 128 to 1024 rows and rose below and above
+#: (22 x 3 sign patterns: 3.4-3.7 s at 64 rows, 2.1-2.3 s at 256, 18-19 s
+#: without a cap)
+PHASE1_ROWS = 256
 
 #: relative threshold used everywhere a singular value decides rank; a unit
 #: row whose projection onto a flat has at most this norm vanishes on it
@@ -314,8 +324,8 @@ def solve(prog: ConeProgram, tol: float = DEFAULT_TOL
         if (pair is None and rounds > 1 and not checked
                 and mu.max(initial=0.0) >= MASTER_BOX):
             rows = np.vstack((prog.A, _cone_rows(prog)))
-            if lp_feasible(-rows, np.append(prog.b, np.zeros(len(rows) - m))
-                           ) is None:
+            rhs = np.append(prog.b, np.zeros(len(rows) - m))
+            if lp_feasible([(-rows, rhs)])[0] is None:
                 return (np.zeros(n), np.zeros(m),
                         SolveReport("infeasible", np.nan, np.nan, rounds))
             checked = True
@@ -380,48 +390,96 @@ def _highs(highs: _Highs, what: str, c: np.ndarray,
             highs.getObjectiveValue())
 
 
-def lp_feasible(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Feasibility of A w <= b by the phase-1 LP  min t  s.t.  A w - t <= b,
-    t >= 0: a witness w when its value is <= FEASIBLE_TOL, None above
-    INFEASIBLE_TOL, InconclusiveError in between.  Row i of the LP is A's
-    nonzeros in row i, then -1 in t's column d.
-
-    The LP runs on _PHASE1, without presolve.  Its row duals y >= 0 (sum
-    1) bound t >= v - ||A^T y|| ||w|| at every w, so a value v > 0 stands
-    when A^T y vanishes, to within RANK_RTOL of sum_i y_i ||A_i||.  A
-    simplex that stops on reduced costs below its dual tolerance leaves
-    A^T y above that and can miss a cone as thin as A^T y (rows at an angle
-    of pi - 1e-9): the LP then runs again on _HIGHS, whose presolve solves
-    such small LPs by elimination, and that run decides."""
-    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        raise ValueError("non-finite row coefficients")
-    m, d = A.shape
-    if m == 0:
-        return np.zeros(d)
+def _phase1_model(A: np.ndarray, block: np.ndarray) -> tuple:
+    """(c, A_ub, lower, t) of the block-diagonal phase-1 LP of the systems
+    stacked in A, block the system of each row (0 up to K - 1, in order),
+    t the column of each system's t: system j gets its own columns w, then
+    t >= 0, and row i of A w - t <= b holds A's nonzeros in row i, then -1
+    in t's column; the objective is the sum of the t's."""
+    d = A.shape[1]
+    t = (d + 1) * np.arange(1, block[-1] + 2) - 1
     nonzero = A != 0.0
     row, col = nonzero.nonzero()
-    start = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(nonzero.sum(axis=1) + 1, out=start[1:])
-    index = np.full(start[m], d, dtype=np.int32)
-    value = np.full(start[m], -1.0)
+    count = nonzero.sum(axis=1) + 1
+    start = np.zeros(len(A) + 1, dtype=np.int32)
+    np.cumsum(count, out=start[1:])
+    index = np.repeat(t[block], count).astype(np.int32)
+    value = np.full(start[-1], -1.0)
     at = row + np.arange(len(row))      # each row above holds one t entry
-    index[at], value[at] = col, A[nonzero]
-    c, lower = np.zeros(d + 1), np.full(d + 1, -np.inf)
-    c[d], lower[d] = 1.0, 0.0
-    x, v = _highs(_PHASE1, "phase-1", c, (start, index, value), b, lower)
-    if v > FEASIBLE_TOL:
-        y = -np.array(_PHASE1.getSolution().row_dual)
-        on = y != 0.0
-        if (np.linalg.norm(y[on] @ A[on])
-                > RANK_RTOL * (y[on] @ np.linalg.norm(A[on], axis=1))):
-            x, v = _highs(_HIGHS, "phase-1", c, (start, index, value), b,
-                          lower)
-    if v <= FEASIBLE_TOL:
-        return x[:d]
-    if v > INFEASIBLE_TOL:
-        return None
-    raise InconclusiveError(f"phase-1 value {v:.3e} in dead zone")
+    index[at] = col + (d + 1) * block[row]
+    value[at] = A[nonzero]
+    c, lower = np.zeros(t[-1] + 1), np.full(t[-1] + 1, -np.inf)
+    c[t], lower[t] = 1.0, 0.0
+    return c, (start, index, value), lower, t
+
+
+def lp_feasible(systems: Sequence[tuple[np.ndarray, np.ndarray]]
+                ) -> list[np.ndarray | None]:
+    """Feasibility of each system A w <= b of `systems`, all with one width
+    d, by its phase-1 LP  min t  s.t.  A w - t <= b, t >= 0: a witness w
+    when its value is <= FEASIBLE_TOL, None above INFEASIBLE_TOL,
+    InconclusiveError in between; ValueError on a non-finite coefficient,
+    and w = 0 for a system without rows.
+
+    The systems' LPs run together, as one block-diagonal LP whose
+    objective is the sum of their t's (:func:`_phase1_model`), on _PHASE1,
+    without presolve.  The blocks share no column, so the optimality
+    conditions split by block: each t is its own system's phase-1 value and
+    each block's row duals its own.  One run takes consecutive systems up
+    to PHASE1_ROWS rows (a longer system runs alone).  A system's row duals
+    y >= 0 (sum 1) bound t >= v - ||A^T y|| ||w|| at every w, so a value v
+    > 0 stands when A^T y vanishes, to within RANK_RTOL of sum_i y_i
+    ||A_i||.  A simplex that stops on reduced costs below its dual
+    tolerance leaves A^T y above that and can miss a cone as thin as A^T y
+    (rows at an angle of pi - 1e-9): that system's LP then runs again
+    alone on _HIGHS, whose presolve solves such small LPs by elimination,
+    and that run decides."""
+    systems = [(np.asarray(A, dtype=float), np.asarray(b, dtype=float))
+               for A, b in systems]
+    witnesses = [np.zeros(A.shape[1]) for A, _ in systems]
+    batches, rows = [], PHASE1_ROWS       # the first system opens a batch
+    for k, (A, _) in enumerate(systems):
+        if len(A) == 0:
+            continue
+        if rows + len(A) > PHASE1_ROWS:
+            batches.append([])
+            rows = 0
+        batches[-1].append(k)
+        rows += len(A)
+    for batch in batches:
+        # a lone system, such as solve's phase-1 matrix, is not copied
+        A = (systems[batch[0]][0] if len(batch) == 1
+             else np.concatenate([systems[k][0] for k in batch]))
+        b = np.concatenate([systems[k][1] for k in batch])
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+            raise ValueError("non-finite row coefficients")
+        block = np.repeat(np.arange(len(batch)),
+                          [len(systems[k][0]) for k in batch])
+        c, A_ub, lower, t = _phase1_model(A, block)
+        x, _ = _highs(_PHASE1, "phase-1", c, A_ub, b, lower)
+        again = x[t] > FEASIBLE_TOL
+        if again.any():
+            y = -np.array(_PHASE1.getSolution().row_dual)
+            on = np.flatnonzero(y)
+            yA = np.zeros((len(batch), A.shape[1]))
+            np.add.at(yA, block[on], y[on, None] * A[on])
+            again &= np.linalg.norm(yA, axis=1) > RANK_RTOL * np.bincount(
+                block[on], y[on] * np.linalg.norm(A[on], axis=1), len(batch))
+        for k, t_k, alone in zip(batch, t, again):
+            w, v = x[t_k - A.shape[1]:t_k], x[t_k]
+            if alone:
+                A_k, b_k = systems[k]
+                c_k, A_ub, lower_k, _ = _phase1_model(
+                    A_k, np.zeros(len(A_k), dtype=int))
+                x_k, _ = _highs(_HIGHS, "phase-1", c_k, A_ub, b_k, lower_k)
+                w, v = x_k[:-1], x_k[-1]
+            if v > INFEASIBLE_TOL:
+                witnesses[k] = None
+            elif v > FEASIBLE_TOL:
+                raise InconclusiveError(f"phase-1 value {v:.3e} in dead zone")
+            else:
+                witnesses[k] = w
+    return witnesses
 
 
 def _unit_rows(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

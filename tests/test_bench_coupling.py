@@ -8,7 +8,11 @@ import bench/workloads.py (without writing its bytecode) and run its
 warm-up, every reproduce case (three of them through the CLI, with the
 options the benchmark passes) and one coverage-sweep case, so a change to
 the program's layout or options that the benchmark's calls miss, or a flow
-change that breaks the coverage case's gate, fails here too.
+change that breaks the coverage case's gate, fails here too.  One
+certify-d3 case and one coverage-sweep case also run under the benchmark's
+span tracer, which must record a span from every layer the benchmark
+expects on that workload: a call that bypasses a traced binding fails here,
+not first in a traced benchmark run.
 """
 
 import ast
@@ -51,16 +55,20 @@ def test_status_watch_target_exists():
     assert callable(getattr(solver, "solve", None))
 
 
-@pytest.fixture
-def workloads(monkeypatch):
-    """bench/workloads.py, imported without writing its bytecode."""
+def load_bench(monkeypatch, name):
+    """bench/<name>.py, imported without writing its bytecode."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(
-        "bench_workloads", BENCH / "workloads.py")
+        f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    return load_bench(monkeypatch, "workloads")
 
 
 def test_workloads_warm_up_and_notebook_face_pass(workloads, tmp_path):
@@ -90,3 +98,21 @@ def test_coverage_sweep_case_passes(workloads, tmp_path):
     assert workloads._gate_coverage(summary) == []
     # the gate checks gauge_all only on a covered set, and this one is
     assert summary["covered"]
+
+
+@pytest.mark.parametrize("workload, cases", [
+    ("certify-d3", "certify_cases"), ("coverage-sweep", "coverage_cases")])
+def test_traced_case_records_every_expected_layer(workloads, monkeypatch,
+                                                  tmp_path, workload, cases):
+    spans = load_bench(monkeypatch, "spans")
+    case = getattr(workloads, cases)(1, tmp_path)[0]
+    tracer = spans.Tracer()
+    patched = tracer.install()
+    try:
+        summary = case.run()
+    finally:
+        spans.unpatch(patched)
+    assert case.gate(summary) == []
+    seen = {spans.LAYER_OF[sp.name] for sp in tracer.spans}
+    missing = set(workloads.EXPECTED_LAYERS[workload]) - seen
+    assert not missing, f"layers without a span on {workload}: {missing}"

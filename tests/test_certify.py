@@ -352,7 +352,7 @@ class TestSpikeFree:
         with pytest.raises(ValueError, match="has up to 1594323"):
             spike_free(X)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, derandomize=True)
     @given(degenerate_rows())
     def test_sampling_never_exceeds_exact_maximum(self, X):
         exact = spike_free(X).slacks["max_z_norm"]

@@ -170,7 +170,7 @@ class TestOrthogonalSeparable:
         ds = Dataset(X=scale * np.array(X), labels=np.array(labels), K=K)
         assert is_orthogonal_separable(ds) is separable
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.integers(0, 10_000), st.floats(0.01, 100.0))
     def test_scaling_and_permutation_invariance(self, seed, scale):
         rng = np.random.default_rng(seed)

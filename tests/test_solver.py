@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 import relu_lab.solver
 from conftest import generic_gaussian_draws, random_orthogonal_separable
 from oracles import group_cones
-from relu_lab.arrangements import enumerate_masks
+from relu_lab.arrangements import SIGN_RELATIONS, enumerate_masks, unit_rows
 from relu_lab.cli import notebook_face_functionals
 from relu_lab.convex import build_primal, solve_primal
 from relu_lab.datasets import builtin_dataset
@@ -179,9 +179,9 @@ class TestSolveLP:
         # 2, but their face LPs find a point, which proves feasibility
         calls = []
 
-        def counted(A, b):
-            calls.append(len(b))
-            return lp_feasible(A, b)
+        def counted(systems):
+            calls.append(len(systems))
+            return lp_feasible(systems)
 
         monkeypatch.setattr(relu_lab.solver, "lp_feasible", counted)
         for X, y in [(notebook_ds.X, notebook_ds.y),
@@ -262,29 +262,29 @@ class TestLPFeasible:
     # rows of A w <= b: x^T w >= 0 is (-x, 0), x^T w <= -1 is (x, -1)
     def test_notebook_mask_100_feasible(self, notebook_ds):
         X = notebook_ds.X
-        w = lp_feasible(np.array([-X[0], X[1], X[2]]),
-                        np.array([0.0, -1.0, -1.0]))
+        w, = lp_feasible([(np.array([-X[0], X[1], X[2]]),
+                           np.array([0.0, -1.0, -1.0]))])
         assert w is not None
         assert X[0] @ w >= -1e-9
         assert X[1] @ w <= -1 + 1e-9 and X[2] @ w <= -1 + 1e-9
 
     def test_notebook_mask_101_infeasible(self, notebook_ds):
         X = notebook_ds.X
-        assert lp_feasible(np.array([-X[0], X[1], -X[2]]),
-                           np.array([0.0, -1.0, 0.0])) is None
+        assert lp_feasible([(np.array([-X[0], X[1], -X[2]]),
+                             np.array([0.0, -1.0, 0.0]))]) == [None]
 
     def test_empty_rows(self):
-        w = lp_feasible(np.zeros((0, 3)), np.zeros(0))
+        w, = lp_feasible([(np.zeros((0, 3)), np.zeros(0))])
         np.testing.assert_array_equal(w, np.zeros(3))
 
     def test_equality_rows(self):
         A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
-        w = lp_feasible(A, np.zeros(3))
+        w, = lp_feasible([(A, np.zeros(3))])
         assert abs(w[0]) <= 1e-9
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            lp_feasible(np.array([[np.inf, 0.0]]), np.zeros(1))
+            lp_feasible([(np.array([[np.inf, 0.0]]), np.zeros(1))])
 
     @pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-9])
     def test_sliver_cone_is_feasible(self, gap):
@@ -297,7 +297,7 @@ class TestLPFeasible:
             t = rng.uniform(0.0, 2.0 * np.pi)
             A = np.array([[np.cos(t), np.sin(t)],
                           [np.cos(t + np.pi - gap), np.sin(t + np.pi - gap)]])
-            w = lp_feasible(A, -np.ones(2))
+            w, = lp_feasible([(A, -np.ones(2))])
             assert w is not None and (A @ w <= -1.0 + INFEASIBLE_TOL).all()
 
     def test_certified_value_runs_one_lp(self, notebook_ds, monkeypatch):
@@ -311,13 +311,13 @@ class TestLPFeasible:
             return _highs(highs, *args, **kwargs)
 
         monkeypatch.setattr(relu_lab.solver, "_highs", counted)
-        assert lp_feasible(np.array([-X[0], X[1], -X[2]]),
-                           np.array([0.0, -1.0, 0.0])) is None
+        assert lp_feasible([(np.array([-X[0], X[1], -X[2]]),
+                             np.array([0.0, -1.0, 0.0]))]) == [None]
         assert runs == [relu_lab.solver._PHASE1]
         runs.clear()
         angles = np.array([1.0, 1.0 + np.pi - 1e-9])
         A = np.column_stack((np.cos(angles), np.sin(angles)))
-        assert lp_feasible(A, -np.ones(2)) is not None
+        assert lp_feasible([(A, -np.ones(2))])[0] is not None
         assert runs == [relu_lab.solver._PHASE1, relu_lab.solver._HIGHS]
 
     def test_dead_zone_is_inconclusive(self):
@@ -325,7 +325,8 @@ class TestLPFeasible:
         # FEASIBLE_TOL and INFEASIBLE_TOL
         assert FEASIBLE_TOL < 5e-7 <= INFEASIBLE_TOL
         with pytest.raises(InconclusiveError, match="dead zone"):
-            lp_feasible(np.array([[1.0], [-1.0]]), np.array([-5e-7, -5e-7]))
+            lp_feasible([(np.array([[1.0], [-1.0]]),
+                          np.array([-5e-7, -5e-7]))])
 
 
 def phase1_lp(rng, m, d):
@@ -391,6 +392,38 @@ def run_on(highs, what, c, A_ub, b_ub, lower):
     return _highs(highs, what, c, _rows(A_ub), b_ub, lower)
 
 
+def sign_systems(rng, count, d=3):
+    """`count` phase-1 systems built as the sign-pattern search builds
+    them: N = integers(1, 7) unit Gaussian rows in d dimensions, each with
+    a random symbol of SIGN_RELATIONS, so a 0 adds two rows."""
+    systems = []
+    for _ in range(count):
+        X = unit_rows(rng.normal(size=(int(rng.integers(1, 7)), d)))
+        rows = [(s * x, rhs) for x, sym in zip(X, rng.integers(-1, 2, len(X)))
+                for s, rhs in SIGN_RELATIONS[sym]]
+        systems.append((np.array([a for a, _ in rows]),
+                        np.array([rhs for _, rhs in rows])))
+    return systems
+
+
+def sliver(gap):
+    """Two unit rows at angle pi - gap, each with the unit margin."""
+    angles = np.array([1.0, 1.0 + np.pi - gap])
+    return np.column_stack((np.cos(angles), np.sin(angles))), -np.ones(2)
+
+
+def counted_runs(monkeypatch):
+    """The HiGHS instance of each _highs call from now on."""
+    runs = []
+
+    def counted(highs, *args, **kwargs):
+        runs.append(highs)
+        return _highs(highs, *args, **kwargs)
+
+    monkeypatch.setattr(relu_lab.solver, "_highs", counted)
+    return runs
+
+
 class TestHighs:
     """The direct HiGHS calls against linprog(method="highs") run with each
     instance's options, to the bit."""
@@ -407,15 +440,85 @@ class TestHighs:
             A, b = lp[1][:, :-1], lp[2]
             if FEASIBLE_TOL < res.fun <= INFEASIBLE_TOL:
                 with pytest.raises(InconclusiveError):
-                    lp_feasible(A, b)
+                    lp_feasible([(A, b)])
                 continue
-            w = lp_feasible(A, b)
+            w, = lp_feasible([(A, b)])
             if res.fun <= FEASIBLE_TOL:
                 feasible += 1
                 assert same_bits(w, res.x[:-1])
             else:
                 assert w is None
         assert feasible >= 10
+
+    def assert_batch_matches_alone(self, systems):
+        # each verdict as in a batch of one, each witness within
+        # FEASIBLE_TOL of its own rows
+        batch = lp_feasible(systems)
+        alone = [lp_feasible([system])[0] for system in systems]
+        assert [w is None for w in batch] == [w is None for w in alone]
+        for (A, b), w in zip(systems, batch):
+            if w is not None:
+                assert w.shape == (A.shape[1],)
+                assert (A @ w - b).max(initial=0.0) <= FEASIBLE_TOL
+        return batch
+
+    def test_batch_verdicts_match_batches_of_one(self, monkeypatch):
+        # ragged systems: 1 to 12 rows (a 0 adds two)
+        systems = sign_systems(np.random.default_rng(6), 80)
+        assert len({len(A) for A, _ in systems}) > 8
+        runs = counted_runs(monkeypatch)
+        batch = self.assert_batch_matches_alone(systems)
+        feasible = sum(w is not None for w in batch)
+        assert 10 <= feasible <= 70
+        # the batch took one run per PHASE1_ROWS rows, then one per system
+        rows = sum(len(b) for _, b in systems)
+        assert rows > relu_lab.solver.PHASE1_ROWS
+        assert len(runs) == 2 + len(systems)
+
+    def test_empty_system_in_batch(self):
+        A, b = sliver(1e-3)
+        w = lp_feasible([(A, b), (np.zeros((0, 2)), np.zeros(0)),
+                         (np.vstack((A[0], -A[0])), b)])
+        assert w[0] is not None and w[2] is None
+        np.testing.assert_array_equal(w[1], np.zeros(2))
+        assert lp_feasible([]) == []
+
+    def test_systems_straddle_the_row_cap(self, monkeypatch):
+        # with a cap of 7 rows the runs take 3 + 4, 6 and 5 + 2 rows
+        monkeypatch.setattr(relu_lab.solver, "PHASE1_ROWS", 7)
+        rng = np.random.default_rng(7)
+        systems = [system for system in sign_systems(rng, 200)
+                   if len(system[1]) in (2, 3, 4, 5, 6)]
+        heights = [3, 4, 6, 5, 2]
+        picked = [next(s for s in systems if len(s[1]) == h) for h in heights]
+        runs = counted_runs(monkeypatch)
+        w = lp_feasible(picked)
+        assert len(runs) == 3
+        runs.clear()
+        assert [v is None for v in w] == [
+            lp_feasible([system])[0] is None for system in picked]
+        self.assert_batch_matches_alone(systems[:40])
+
+    def test_sliver_in_batch_runs_again_alone(self, monkeypatch):
+        # the pi - 1e-9 sliver's value is not certified in the batch: it
+        # alone runs again on _HIGHS, which finds it feasible, and every
+        # other system keeps its verdict
+        systems = sign_systems(np.random.default_rng(8), 30, d=2)
+        alone = [lp_feasible([system])[0] is None for system in systems]
+        systems.insert(12, sliver(1e-9))
+        runs = counted_runs(monkeypatch)
+        w = lp_feasible(systems)
+        assert runs == [relu_lab.solver._PHASE1, relu_lab.solver._HIGHS]
+        A, b = systems[12]
+        assert w[12] is not None and (A @ w[12] <= b + INFEASIBLE_TOL).all()
+        assert [v is None for v in w[:12] + w[13:]] == alone
+
+    def test_dead_zone_in_batch_is_inconclusive(self):
+        systems = sign_systems(np.random.default_rng(9), 10, d=1)
+        systems.insert(5, (np.array([[1.0], [-1.0]]),
+                           np.array([-5e-7, -5e-7])))
+        with pytest.raises(InconclusiveError, match="dead zone"):
+            lp_feasible(systems)
 
     def test_face_lps_match_linprog(self):
         rng = np.random.default_rng(4)
