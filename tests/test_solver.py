@@ -304,20 +304,12 @@ class TestLPFeasible:
         # general-position rows: the row duals of the LP without presolve
         # certify its value, so presolve's LP runs only for the sliver
         X = notebook_ds.X
-        runs = []
-
-        def counted(highs, *args, **kwargs):
-            runs.append(highs)
-            return _highs(highs, *args, **kwargs)
-
-        monkeypatch.setattr(relu_lab.solver, "_highs", counted)
+        runs = counted_runs(monkeypatch)
         assert lp_feasible([(np.array([-X[0], X[1], -X[2]]),
                              np.array([0.0, -1.0, 0.0]))]) == [None]
         assert runs == [relu_lab.solver._PHASE1]
         runs.clear()
-        angles = np.array([1.0, 1.0 + np.pi - 1e-9])
-        A = np.column_stack((np.cos(angles), np.sin(angles)))
-        assert lp_feasible([(A, -np.ones(2))])[0] is not None
+        assert lp_feasible([sliver(1e-9)])[0] is not None
         assert runs == [relu_lab.solver._PHASE1, relu_lab.solver._HIGHS]
 
     def test_dead_zone_is_inconclusive(self):
@@ -470,9 +462,8 @@ class TestHighs:
         batch = self.assert_batch_matches_alone(systems)
         feasible = sum(w is not None for w in batch)
         assert 10 <= feasible <= 70
-        # the batch took one run per PHASE1_ROWS rows, then one per system
-        rows = sum(len(b) for _, b in systems)
-        assert rows > relu_lab.solver.PHASE1_ROWS
+        # the batch's 394 rows took two runs, then each system one alone
+        assert sum(len(b) for _, b in systems) == 394
         assert len(runs) == 2 + len(systems)
 
     def test_empty_system_in_batch(self):
