@@ -100,12 +100,11 @@ def test_coverage_sweep_case_passes(workloads, tmp_path):
     assert summary["covered"]
 
 
-@pytest.mark.parametrize("workload, cases", [
-    ("certify-d3", "certify_cases"), ("coverage-sweep", "coverage_cases")])
+@pytest.mark.parametrize("workload", ["certify-d3", "coverage-sweep"])
 def test_traced_case_records_every_expected_layer(workloads, monkeypatch,
-                                                  tmp_path, workload, cases):
+                                                  tmp_path, workload):
     spans = load_bench(monkeypatch, "spans")
-    case = getattr(workloads, cases)(1, tmp_path)[0]
+    case = workloads.WORKLOADS[workload](1, tmp_path)[0]
     tracer = spans.Tracer()
     patched = tracer.install()
     try:
